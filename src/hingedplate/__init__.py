@@ -31,7 +31,6 @@ from .assembly import (
     StiffnessFactor,
     assemble_stiffness,
     assemble_weighted_mass,
-    export_matrix_text,
 )
 from .eigensolve import Eigenpair, SolverError, rayleigh_quotient, solve_first
 from .optimize import (

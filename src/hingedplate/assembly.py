@@ -66,6 +66,10 @@ def assemble_weighted_mass(basis: SpectralBasis, grid: QuadratureGrid,
                            p: GridField, *, bounds=None) -> np.ndarray:
     """Mass matrix of the weighted L2 form, entry (a,b) = sum_nodes w p phi_a phi_b.
 
+    Sum-factorized over the tensor grid: first the y-sums
+    A[i,j,j'] = sum_k wy_k p_ik psi_j(y_k) psi_j'(y_k), then the x-sums
+    M[(m,j),(m',j')] = sum_i wx_i sin(m x_i) sin(m' x_i) A[i,j,j'].
+
     When `bounds = (alpha, beta)` is given, node values outside
     [alpha - 1e-12, beta + 1e-12] are rejected.
     """
@@ -79,9 +83,14 @@ def assemble_weighted_mass(basis: SpectralBasis, grid: QuadratureGrid,
             )
     elif vals.min() <= 0.0:
         raise AssemblyError("density must be strictly positive at every node")
-    phi = basis.grid_matrix(grid)
-    wp = grid.flat_weights() * vals.ravel()
-    M = (phi * wp) @ phi.T
+    S, L = basis.axis_tables(grid)
+    nm, J = basis.n_modes_x, basis.n_basis_y
+    nx = grid.shape[0]
+    wpL = (vals * grid.weights_y)[:, :, None] * L          # (nx, ny, J)
+    A = np.matmul(wpL.transpose(0, 2, 1), L)               # (nx, J, J)
+    SS = (S * grid.weights_x)[:, None, :] * S[None, :, :]  # (M, M, nx)
+    M = (SS.reshape(nm * nm, nx) @ A.reshape(nx, J * J)) \
+        .reshape(nm, nm, J, J).transpose(0, 2, 1, 3).reshape(basis.dimension, -1)
     if not np.all(np.isfinite(M)):
         raise AssemblyError("non-finite mass matrix entries")
     return 0.5 * (M + M.T)
@@ -117,22 +126,3 @@ class StiffnessFactor:
         for i, fac in enumerate(self.factors):
             out[i * J:(i + 1) * J] = cho_solve(fac, rhs[i * J:(i + 1) * J])
         return out
-
-
-def export_matrix_text(matrix: np.ndarray, path) -> None:
-    """Write a dense matrix row-major, one whitespace-separated row per line."""
-    mat = np.asarray(matrix, dtype=float)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in mat:
-            fh.write(" ".join(repr(float(v)) for v in row))
-            fh.write("\n")
-
-
-def import_matrix_text(path) -> np.ndarray:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(tok) for tok in line.split()])
-    return np.asarray(rows, dtype=float)

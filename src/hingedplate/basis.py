@@ -10,7 +10,6 @@ needed in y.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +32,19 @@ def _legendre_tables(y: np.ndarray, n_funcs: int, ell: float, max_deriv: int = 0
         for d in range(max_deriv + 1):
             tables[d][:, j] = npleg.legval(s, npleg.legder(coeff, d) if d else coeff) / ell**d
     return tables
+
+
+def _sine_table(modes: np.ndarray, x: np.ndarray, dx: int) -> np.ndarray:
+    """dx-th x-derivative of sin(m x), shape (len(modes), len(x))."""
+    ms = modes.astype(float)
+    ang = np.outer(ms, x)
+    if dx == 0:
+        return np.sin(ang)
+    if dx == 1:
+        return ms[:, None] * np.cos(ang)
+    if dx == 2:
+        return -(ms[:, None] ** 2) * np.sin(ang)
+    raise ValueError("dx must be 0, 1 or 2")
 
 
 @dataclass(frozen=True)
@@ -80,51 +92,21 @@ class SpectralBasis:
         dx, dy select the x- and y-derivative order (0, 1 or 2 each).
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        ms = self.modes_x.astype(float)
-        ang = np.outer(ms, pts[:, 0])
-        if dx == 0:
-            fx = np.sin(ang)
-        elif dx == 1:
-            fx = ms[:, None] * np.cos(ang)
-        elif dx == 2:
-            fx = -(ms[:, None] ** 2) * np.sin(ang)
-        else:
-            raise ValueError("dx must be 0, 1 or 2")
+        fx = _sine_table(self.modes_x, pts[:, 0], dx)
         fy = _legendre_tables(pts[:, 1], self.n_basis_y, self.ell, max_deriv=dy)[dy]
         return np.einsum("mk,kj->mjk", fx, fy).reshape(self.dimension, pts.shape[0])
 
-    def grid_matrix(self, grid: QuadratureGrid, dx: int = 0, dy: int = 0) -> np.ndarray:
-        """Basis values (dimension, n_nodes) on the tensor grid, x-major.
+    def axis_tables(self, grid: QuadratureGrid, dx: int = 0, dy: int = 0):
+        """Per-axis factors of the basis on the tensor grid.
 
-        Cached per (basis, grid, dx, dy); the optimization loop reuses it
-        every sweep and concurrent multistart workers share it safely.
+        Returns fx (n_modes_x, n_quad_x) holding the dx-th derivative of
+        sin(m x_i) and fy (n_quad_y, n_basis_y) holding the dy-th derivative
+        of psi_j(y_k); the basis value of (m, j) at node (i, k) is
+        fx[m, i] * fy[k, j], so every grid transform is two 1-D contractions.
         """
-        key = (id(self), id(grid), dx, dy)
-        with _CACHE_LOCK:
-            cached = _GRID_CACHE.get(key)
-        if cached is not None and cached[0] is self and cached[1] is grid:
-            return cached[2]
-        ms = self.modes_x.astype(float)
-        ang = np.outer(ms, grid.nodes_x)
-        if dx == 0:
-            fx = np.sin(ang)
-        elif dx == 1:
-            fx = ms[:, None] * np.cos(ang)
-        elif dx == 2:
-            fx = -(ms[:, None] ** 2) * np.sin(ang)
-        else:
-            raise ValueError("dx must be 0, 1 or 2")
+        fx = _sine_table(self.modes_x, grid.nodes_x, dx)
         fy = _legendre_tables(grid.nodes_y, self.n_basis_y, self.ell, max_deriv=dy)[dy]
-        mat = np.einsum("mi,kj->mjik", fx, fy).reshape(self.dimension, -1)
-        with _CACHE_LOCK:
-            _GRID_CACHE[key] = (self, grid, mat)
-            while len(_GRID_CACHE) > 64:
-                _GRID_CACHE.pop(next(iter(_GRID_CACHE)))
-        return mat
-
-
-_GRID_CACHE: dict = {}
-_CACHE_LOCK = threading.Lock()
+        return fx, fy
 
 
 def build_basis(cfg: PlateConfig) -> SpectralBasis:
@@ -167,5 +149,7 @@ def evaluate_dy(field: SpectralField, points: np.ndarray) -> np.ndarray:
 def evaluate_on_grid(field: SpectralField, grid: QuadratureGrid,
                      dx: int = 0, dy: int = 0) -> GridField:
     """Field (or a derivative) sampled at all quadrature nodes."""
-    vals = field.coefficients @ field.basis.grid_matrix(grid, dx=dx, dy=dy)
-    return GridField(grid, vals.reshape(grid.shape))
+    basis = field.basis
+    fx, fy = basis.axis_tables(grid, dx=dx, dy=dy)
+    coeffs = field.coefficients.reshape(basis.n_modes_x, basis.n_basis_y)
+    return GridField(grid, fx.T @ coeffs @ fy.T)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -126,11 +125,7 @@ def cmd_optimize(args) -> int:
     else:
         starts = [("file", _resolve_density(args.init, system))]
 
-    with ThreadPoolExecutor(max_workers=min(4, len(starts))) as pool:
-        results = list(pool.map(
-            lambda item: _one_start(system, cfg, item[0], item[1], out),
-            starts,
-        ))
+    results = [_one_start(system, cfg, name, density, out) for name, density in starts]
 
     lambdas = {}
     for name, sub, trace in results:

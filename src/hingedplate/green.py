@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import StiffnessFactor
-from .basis import SpectralBasis, SpectralField, build_basis
+from .basis import SpectralBasis, SpectralField, build_basis, evaluate_on_grid
 from .certify import make_report
 from .config import PlateConfig
 from .grid import GridField, QuadratureGrid
@@ -38,7 +38,8 @@ class GreenOperator:
 
     def load_vector(self, f: GridField) -> np.ndarray:
         """Galerkin load, entry a = sum_nodes w f phi_a."""
-        return self.basis.grid_matrix(self.grid) @ (self.grid.flat_weights() * f.flat())
+        S, L = self.basis.axis_tables(self.grid)
+        return (S @ (self.grid.tensor_weights() * f.values) @ L).ravel()
 
 
 def apply(op: GreenOperator, f: GridField) -> SpectralField:
@@ -168,13 +169,12 @@ def certify_positivity_preserving(cfg: PlateConfig, *, op: GreenOperator = None,
     rng = np.random.default_rng(seed)
     X, Y = op.grid.meshgrid()
     ys = op.grid.nodes_y
-    phi = op.basis.grid_matrix(op.grid)
     min_u, min_slope = np.inf, np.inf
     total = 0
     for _ in range(n_loads):
         f = _random_nonnegative_load(rng, X, Y, cfg.ell)
         u = apply(op, GridField(op.grid, f))
-        uvals = u.coefficients @ phi
+        uvals = evaluate_on_grid(u, op.grid).values
         min_u = min(min_u, float(uvals.min()))
         s0 = u.coefficients @ op.basis.eval_matrix(
             np.column_stack([np.zeros(ys.size), ys]), dx=1)

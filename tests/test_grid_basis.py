@@ -102,6 +102,15 @@ def test_grid_evaluation_matches_pointwise(basis, grid, rng):
     assert np.allclose(sampled.ravel(), evaluate(f, pts), atol=1e-13)
 
 
+def test_grid_derivatives_match_eval_matrix(basis, grid, rng):
+    f = SpectralField(basis, rng.standard_normal(basis.dimension))
+    pts = grid.flat_points()
+    for dx, dy in [(1, 0), (0, 1)]:
+        sampled = evaluate_on_grid(f, grid, dx=dx, dy=dy).values
+        ref = f.coefficients @ basis.eval_matrix(pts, dx=dx, dy=dy)
+        assert np.abs(sampled.ravel() - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_grid_field_rejects_bad_shapes(grid):
     from hingedplate import GridField
 
