@@ -12,30 +12,30 @@ import math
 
 import numpy as np
 
-from hingedplate import GreenOperator, PlateConfig, green_dx, green_matrix, reflection_gap
+from hingedplate import PlateConfig, PlateSystem, green_dx, green_matrix, reflection_gap
 from hingedplate.green import interior_probe_points
 
 cfg = PlateConfig()
-op = GreenOperator.from_config(cfg)
+system = PlateSystem(cfg)
 
-probes = interior_probe_points(op.grid, 20, 10)
-G = green_matrix(op, probes, probes)
+probes = interior_probe_points(system.grid, 20, 10)
+G = green_matrix(system, probes, probes)
 print(f"kernel on {probes.shape[0]}^2 interior probe pairs:")
 print(f"  min {G.min():.3e}   max {G.max():.3e}   symmetric to "
       f"{np.abs(G - G.T).max():.1e}")
 
 ys = np.linspace(-cfg.ell, cfg.ell, 7)
 print("\nx-slope of the kernel at the hinged edges:")
-print(f"  at x=0  : min {green_dx(op, 0.0, ys, probes).min():.3e}  (all positive)")
-print(f"  at x=pi : max {green_dx(op, math.pi, ys, probes).max():.3e}  (all negative)")
+print(f"  at x=0  : min {green_dx(system, 0.0, ys, probes).min():.3e}  (all positive)")
+print(f"  at x=pi : max {green_dx(system, math.pi, ys, probes).max():.3e}  (all negative)")
 
-mid = green_dx(op, math.pi / 2, ys, probes)
+mid = green_dx(system, math.pi / 2, ys, probes)
 left = mid[:, probes[:, 0] < math.pi / 2 - 1e-9]
 right = mid[:, probes[:, 0] > math.pi / 2 + 1e-9]
 print("\nslope on the midline x = pi/2, split by source side:")
 print(f"  sources left  of the midline: max {left.max():.3e}  (negative)")
 print(f"  sources right of the midline: min {right.min():.3e}  (positive)")
 
-half = interior_probe_points(op.grid, 12, 6, half_plane=True)
+half = interior_probe_points(system.grid, 12, 6, half_plane=True)
 print(f"\nreflection gap on the left half (strictly positive means the kernel")
-print(f"prefers mass toward the midline): min {reflection_gap(op, half):.3e}")
+print(f"prefers mass toward the midline): min {reflection_gap(system, half):.3e}")

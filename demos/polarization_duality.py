@@ -11,8 +11,6 @@ precisely for symmetric or wholly one-sided fields.
 import numpy as np
 
 from hingedplate import (
-    AdmissibleWeightRule,
-    GreenOperator,
     GridField,
     PlateConfig,
     PlateSystem,
@@ -26,13 +24,11 @@ from hingedplate import (
 
 cfg = PlateConfig()
 system = PlateSystem(cfg)
-op = GreenOperator.from_config(cfg)
-rule = AdmissibleWeightRule.from_config(cfg)
 
 p = uniform_density(system.grid, system.rule)
 pair = system.solve_density(p)
 u = evaluate_on_grid(pair.u, system.grid)
-q = theta1_quotient(p, u, op)
+q = theta1_quotient(p, u, system)
 print("dual quotient at the first eigenfunction:")
 print(f"  quotient * lambda1 = {q * pair.lambda1:.15f}  (exactly 1 in theory)")
 
@@ -40,7 +36,7 @@ rng = np.random.default_rng(3)
 worst = -np.inf
 for _ in range(200):
     v = GridField(system.grid, rng.standard_normal(system.grid.shape))
-    worst = max(worst, theta1_quotient(p, v, op) * pair.lambda1)
+    worst = max(worst, theta1_quotient(p, v, system) * pair.lambda1)
 print(f"  best of 200 random trial fields: {worst:.6f}  (below 1)")
 
 X, Y = system.grid.meshgrid()
@@ -53,8 +49,8 @@ cases = {
 print("\nkernel-form gain from polarizing the two-material load:")
 for name, vals in cases.items():
     u_case = GridField(system.grid, vals - min(vals.min(), 0.0) + 0.02)
-    p_case, _ = bang_bang_from_values(u_case, rule)
-    gap = polarization_energy_gap(p_case, u_case, op)
+    p_case, _ = bang_bang_from_values(u_case, system.rule)
+    gap = polarization_energy_gap(p_case, u_case, system)
     print(f"  {name:>14}: gap = {gap:+.3e}")
 print("(zero for symmetric and one-sided fields, strictly positive when the")
 print(" dominance genuinely mixes sides)")

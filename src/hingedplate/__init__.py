@@ -27,13 +27,10 @@ from .basis import (
     evaluate_dy,
     evaluate_on_grid,
 )
-from .assembly import (
-    StiffnessFactor,
-    assemble_stiffness,
-    assemble_weighted_mass,
-)
+from .assembly import StiffnessFactor, assemble_weighted_mass
 from .eigensolve import Eigenpair, SolverError, rayleigh_quotient, solve_first
 from .optimize import (
+    AnalysisError,
     DensityField,
     MonotonicityError,
     OptimizationTrace,
@@ -48,7 +45,6 @@ from .optimize import (
     uniform_density,
 )
 from .green import (
-    GreenOperator,
     apply,
     green_dx,
     green_matrix,

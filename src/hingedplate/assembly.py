@@ -5,8 +5,9 @@ correction weighted by (1 - sigma).  For the tensor basis the x-integrals
 are exact sine/cosine orthogonality relations, so the stiffness matrix is
 block diagonal over the sine mode; only the y-integrals use quadrature,
 and those are exact too because the y-factors are polynomials.  The
-weighted mass matrix always goes through the tensor grid since the density
-is node-sampled.
+energy matrix is only ever held as its per-mode blocks and their Cholesky
+factors.  The weighted mass matrix always goes through the tensor grid
+since the density is node-sampled.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .basis import SpectralBasis, _legendre_tables
 from .grid import QuadratureGrid, GridField
@@ -53,15 +54,6 @@ def stiffness_blocks(basis: SpectralBasis, grid: QuadratureGrid, sigma: float):
     return blocks
 
 
-def assemble_stiffness(basis: SpectralBasis, grid: QuadratureGrid, sigma: float) -> np.ndarray:
-    """Full symmetric positive definite energy matrix (dense, block diagonal)."""
-    J = basis.n_basis_y
-    K = np.zeros((basis.dimension, basis.dimension))
-    for i, blk in enumerate(stiffness_blocks(basis, grid, sigma)):
-        K[i * J:(i + 1) * J, i * J:(i + 1) * J] = blk
-    return K
-
-
 def assemble_weighted_mass(basis: SpectralBasis, grid: QuadratureGrid,
                            p: GridField, *, bounds=None) -> np.ndarray:
     """Mass matrix of the weighted L2 form, entry (a,b) = sum_nodes w p phi_a phi_b.
@@ -98,31 +90,64 @@ def assemble_weighted_mass(basis: SpectralBasis, grid: QuadratureGrid,
 
 @dataclass(frozen=True)
 class StiffnessFactor:
-    """Blockwise Cholesky factorization of the energy matrix.
+    """Blockwise Cholesky factorization K = R^T R of the energy matrix.
 
-    The exact block diagonality over the sine mode keeps each factor small
-    and well scaled, which is what lets solves reach ~1e-14 relative
-    residuals where a monolithic dense factorization of the full matrix
-    would lose several digits.
+    `blocks` are the per-sine-mode blocks of K and `factors` their upper
+    triangular Cholesky factors, so R is block diagonal too.  The exact
+    block diagonality keeps each factor small and well scaled, which is
+    what lets solves reach ~1e-14 relative residuals where a monolithic
+    dense factorization of the full matrix would lose several digits.
+    Every operation acts block by block; no dimension x dimension energy
+    matrix is ever formed.
     """
 
-    basis: SpectralBasis
+    blocks: tuple
     factors: tuple
 
     @classmethod
     def build(cls, basis: SpectralBasis, grid: QuadratureGrid, sigma: float) -> "StiffnessFactor":
-        blocks = stiffness_blocks(basis, grid, sigma)
+        blocks = tuple(stiffness_blocks(basis, grid, sigma))
         try:
-            factors = tuple(cho_factor(blk) for blk in blocks)
+            factors = tuple(cholesky(blk, lower=False) for blk in blocks)
         except np.linalg.LinAlgError as exc:
             raise AssemblyError(f"energy matrix is not positive definite: {exc}") from exc
-        return cls(basis=basis, factors=factors)
+        return cls(blocks=blocks, factors=factors)
+
+    def _rows(self):
+        """Row slice of each block in the flat (mode-major) index."""
+        J = self.factors[0].shape[0]
+        return [slice(i * J, (i + 1) * J) for i in range(len(self.factors))]
+
+    def _blockwise(self, mats, x, op):
+        """op(matrix, rows of x) for each block, for one vector or a block of vectors."""
+        x = np.asarray(x, dtype=float)
+        out = np.empty_like(x)
+        for rows, mat in zip(self._rows(), mats):
+            out[rows] = op(mat, x[rows])
+        return out
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """K x for one vector or a (dimension, k) block of vectors."""
+        return self._blockwise(self.blocks, x, np.matmul)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve K x = rhs for one vector or a (dimension, k) block of vectors."""
-        rhs = np.asarray(rhs, dtype=float)
-        out = np.empty_like(rhs)
-        J = self.basis.n_basis_y
-        for i, fac in enumerate(self.factors):
-            out[i * J:(i + 1) * J] = cho_solve(fac, rhs[i * J:(i + 1) * J])
-        return out
+        return self._blockwise(self.factors, rhs, lambda R, b: cho_solve((R, False), b))
+
+    def solve_upper(self, y: np.ndarray) -> np.ndarray:
+        """R^{-1} y, the map back from the congruence-reduced coordinates."""
+        return self._blockwise(self.factors, y, solve_triangular)
+
+    def congruence(self, A: np.ndarray) -> np.ndarray:
+        """R^{-T} A R^{-1} of a dense symmetric matrix, as one new array.
+
+        Works in place in a single Fortran-ordered copy of A, so a LAPACK
+        routine allowed to overwrite its input takes the result uncopied.
+        """
+        W = np.array(A, dtype=float, order="F")
+        rows = self._rows()
+        for r, R in zip(rows, self.factors):
+            W[r] = solve_triangular(R, W[r], trans="T")
+        for r, R in zip(rows, self.factors):
+            W[:, r] = solve_triangular(R, W[:, r].T, trans="T").T
+        return W

@@ -1,7 +1,7 @@
 """Command line surface: solve | optimize | certify.
 
-Exit codes: 0 success, 2 validation error, 3 solver failure,
-4 certification failure.
+Exit codes: 0 success, 2 validation error, 3 solver failure or analysis
+outcome, 4 certification failure.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .io import (
 )
 from .levelsets import iso_contours, level_bands
 from .optimize import (
+    AnalysisError,
     DensityField,
     MonotonicityError,
     PlateSystem,
@@ -228,6 +229,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except (SolverError, MonotonicityError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except AnalysisError as exc:
+        print(f"analysis error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
 

@@ -30,7 +30,8 @@ class PlateConfig:
     n_basis_y : int
         Number of polynomial cross-profiles in y (degrees 0..n_basis_y-1).
     n_quad_x, n_quad_y : int
-        Gauss-Legendre node counts of the tensor quadrature grid.
+        Gauss-Legendre node counts of the tensor quadrature grid;
+        n_quad_x must be at least n_modes_x and n_quad_y at least n_basis_y.
     opt_max_iter : int
         Iteration cap of the density-rearrangement loop.
     opt_tol : float
@@ -65,6 +66,23 @@ class PlateConfig:
             v = getattr(self, name)
             if not (isinstance(v, int) and v >= 1):
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
+        if self.n_quad_x < self.n_modes_x:
+            # sin(m x) = sin(x) U_{m-1}(cos x): at n distinct interior nodes
+            # the (n_modes_x, n_quad_x) sine table has full row rank iff
+            # n >= n_modes_x, and the weighted mass matrix needs it.
+            raise ValueError(
+                f"n_quad_x={self.n_quad_x} is below n_modes_x={self.n_modes_x}; "
+                f"the x-quadrature needs at least one node per sine mode"
+            )
+        if self.n_quad_y < self.n_basis_y:
+            # The weighted mass matrix is definite only if the (n_quad_y,
+            # n_basis_y) profile table has full column rank; n_quad_y >=
+            # n_basis_y also makes Gauss exact to degree 2*n_basis_y - 2,
+            # the top degree of every y-integrand.
+            raise ValueError(
+                f"n_quad_y={self.n_quad_y} is below n_basis_y={self.n_basis_y}; "
+                f"the y-quadrature needs at least one node per cross profile"
+            )
         if not self.opt_tol > 0.0:
             raise ValueError(f"opt_tol must be positive, got {self.opt_tol}")
         if not self.eig_tol > 0.0:

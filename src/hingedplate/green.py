@@ -1,78 +1,57 @@
 """Discrete solution operator and its influence kernel.
 
-The operator inverts the energy form against an L2 load; its kernel
-G_h(P, Q) = b(P)^T K^{-1} b(Q), with b the basis evaluation vector, is the
-discrete stand-in for the influence function of the plate.  Positivity,
-edge-slope signs and the reflection structure across x = pi/2 are the
-properties everything in the symmetry analysis rests on, and they are
-certified here numerically at a recorded resolution.
+The solution operator of a configuration is its `PlateSystem`, which
+inverts the energy form against an L2 load through its blockwise
+factorization.  The kernel G_h(P, Q) = b(P)^T K^{-1} b(Q), with b the basis
+evaluation vector, is the discrete stand-in for the influence function of
+the plate.  Positivity, edge-slope signs and the reflection structure
+across x = pi/2 are the properties everything in the symmetry analysis
+rests on, and they are certified here numerically at a recorded
+resolution.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .assembly import StiffnessFactor
-from .basis import SpectralBasis, SpectralField, build_basis, evaluate_on_grid
+from .basis import SpectralField, evaluate_on_grid
 from .certify import make_report
 from .config import PlateConfig
 from .grid import GridField, QuadratureGrid
+from .optimize import PlateSystem
 
 
-@dataclass(frozen=True)
-class GreenOperator:
-    """Factorized solver u = G f for the partially hinged plate."""
-
-    basis: SpectralBasis
-    grid: QuadratureGrid
-    factor: StiffnessFactor
-
-    @classmethod
-    def from_config(cls, cfg: PlateConfig) -> "GreenOperator":
-        basis = build_basis(cfg)
-        grid = QuadratureGrid.from_config(cfg)
-        factor = StiffnessFactor.build(basis, grid, cfg.sigma)
-        return cls(basis=basis, grid=grid, factor=factor)
-
-    def load_vector(self, f: GridField) -> np.ndarray:
-        """Galerkin load, entry a = sum_nodes w f phi_a."""
-        S, L = self.basis.axis_tables(self.grid)
-        return (S @ (self.grid.tensor_weights() * f.values) @ L).ravel()
-
-
-def apply(op: GreenOperator, f: GridField) -> SpectralField:
+def apply(system: PlateSystem, f: GridField) -> SpectralField:
     """Solve the plate problem with load f."""
-    c = op.factor.solve(op.load_vector(f))
-    return SpectralField(op.basis, c)
+    c = system.factor.solve(system.load_vector(f))
+    return SpectralField(system.basis, c)
 
 
-def quadratic_form(op: GreenOperator, f: GridField) -> float:
+def quadratic_form(system: PlateSystem, f: GridField) -> float:
     """Energy pairing int (G f) f, evaluated as load^T K^{-1} load."""
-    load = op.load_vector(f)
-    return float(load @ op.factor.solve(load))
+    load = system.load_vector(f)
+    return float(load @ system.factor.solve(load))
 
 
-def green_matrix(op: GreenOperator, sources: np.ndarray,
+def green_matrix(system: PlateSystem, sources: np.ndarray,
                  targets: np.ndarray) -> np.ndarray:
     """Kernel values G_h(target, source), shape (n_targets, n_sources)."""
-    Bs = op.basis.eval_matrix(np.atleast_2d(sources))
-    Bt = op.basis.eval_matrix(np.atleast_2d(targets))
-    return Bt.T @ op.factor.solve(Bs)
+    Bs = system.basis.eval_matrix(np.atleast_2d(sources))
+    Bt = system.basis.eval_matrix(np.atleast_2d(targets))
+    return Bt.T @ system.factor.solve(Bs)
 
 
-def green_dx(op: GreenOperator, x0: float, ys: np.ndarray,
+def green_dx(system: PlateSystem, x0: float, ys: np.ndarray,
              sources: np.ndarray) -> np.ndarray:
     """x-derivative of the kernel at targets (x0, y), shape (len(ys), n_sources)."""
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     targets = np.column_stack([np.full(ys.size, float(x0)), ys])
-    Bt = op.basis.eval_matrix(targets, dx=1)
-    Bs = op.basis.eval_matrix(np.atleast_2d(sources))
-    return Bt.T @ op.factor.solve(Bs)
+    Bt = system.basis.eval_matrix(targets, dx=1)
+    Bs = system.basis.eval_matrix(np.atleast_2d(sources))
+    return Bt.T @ system.factor.solve(Bs)
 
 
-def reflection_gap(op: GreenOperator, probes: np.ndarray) -> float:
+def reflection_gap(system: PlateSystem, probes: np.ndarray) -> float:
     """Worst margin of G(x,y,r,w) over its two single reflections.
 
     Probes must lie strictly inside the left half; the margin
@@ -82,12 +61,12 @@ def reflection_gap(op: GreenOperator, probes: np.ndarray) -> float:
     if np.any(probes[:, 0] >= np.pi / 2) or np.any(probes[:, 0] <= 0):
         raise ValueError("reflection-gap probes must satisfy 0 < x < pi/2")
     mirrored = np.column_stack([np.pi - probes[:, 0], probes[:, 1]])
-    B = op.basis.eval_matrix(probes)
-    Bm = op.basis.eval_matrix(mirrored)
-    KiB = op.factor.solve(B)
+    B = system.basis.eval_matrix(probes)
+    Bm = system.basis.eval_matrix(mirrored)
+    KiB = system.factor.solve(B)
     G = B.T @ KiB           # G(x, r)
     Gm = Bm.T @ KiB         # G(pi-x, r)
-    Gr = B.T @ op.factor.solve(Bm)  # G(x, pi-r)
+    Gr = B.T @ system.factor.solve(Bm)  # G(x, pi-r)
     return float(np.min(G - np.maximum(Gm, Gr)))
 
 
@@ -105,32 +84,33 @@ def interior_probe_points(grid: QuadratureGrid, nx: int, ny: int,
 
 def certify_green(cfg: PlateConfig, n_probe_x: int = 20, n_probe_y: int = 10) -> list:
     """Run every kernel certification at the configured resolution."""
-    op = GreenOperator.from_config(cfg)
+    system = PlateSystem(cfg)
     res = f"n_modes_x={cfg.n_modes_x}, n_basis_y={cfg.n_basis_y}"
     reports = []
 
-    probes = interior_probe_points(op.grid, n_probe_x, n_probe_y)
-    G = green_matrix(op, probes, probes)
+    probes = interior_probe_points(system.grid, n_probe_x, n_probe_y)
+    G = green_matrix(system, probes, probes)
     reports.append(make_report(
         "kernel-positive", probes.shape[0] ** 2, float(G.min()), res, bool(G.min() > 0.0),
     ))
 
     ys = np.linspace(-cfg.ell, cfg.ell, 7)
-    g0 = green_dx(op, 0.0, ys, probes)
+    g0 = green_dx(system, 0.0, ys, probes)
     reports.append(make_report(
         "kernel-dx-positive-at-0", g0.size, float(g0.min()), res, bool(g0.min() > 0.0),
     ))
-    gpi = green_dx(op, np.pi, ys, probes)
+    gpi = green_dx(system, np.pi, ys, probes)
     reports.append(make_report(
         "kernel-dx-negative-at-pi", gpi.size, float(-gpi.max()), res, bool(gpi.max() < 0.0),
     ))
 
-    gmid = green_dx(op, np.pi / 2, ys, probes)
+    gmid = green_dx(system, np.pi / 2, ys, probes)
     rho = probes[:, 0]
     left = gmid[:, rho < np.pi / 2 - 1e-12]
     right = gmid[:, rho > np.pi / 2 + 1e-12]
-    on_mid = green_dx(op, np.pi / 2, ys,
-                      np.column_stack([np.full(5, np.pi / 2), np.linspace(-cfg.ell, cfg.ell, 5)]))
+    on_mid = green_dx(system, np.pi / 2, ys,
+                      np.column_stack([np.full(5, np.pi / 2),
+                                       np.linspace(-cfg.ell, cfg.ell, 5)]))
     margin = min(float(-left.max()), float(right.min()), float(1e-12 - np.abs(on_mid).max()))
     ok = left.max() < 0.0 and right.min() > 0.0 and np.abs(on_mid).max() <= 1e-12
     reports.append(make_report(
@@ -138,47 +118,47 @@ def certify_green(cfg: PlateConfig, n_probe_x: int = 20, n_probe_y: int = 10) ->
     ))
 
     mirrored_both = np.column_stack([np.pi - probes[:, 0], probes[:, 1]])
-    G_both = green_matrix(op, mirrored_both, mirrored_both)
+    G_both = green_matrix(system, mirrored_both, mirrored_both)
     err_pair = float(np.abs(G - G_both).max())
     reports.append(make_report(
         "kernel-mirror-pair", G.size, 1e-12 - err_pair, res, bool(err_pair <= 1e-12),
     ))
-    G_src = green_matrix(op, mirrored_both, probes)
-    G_tgt = green_matrix(op, probes, mirrored_both)
+    G_src = green_matrix(system, mirrored_both, probes)
+    G_tgt = green_matrix(system, probes, mirrored_both)
     err_cross = float(np.abs(G_src - G_tgt).max())
     reports.append(make_report(
         "kernel-mirror-cross", G.size, 1e-12 - err_cross, res, bool(err_cross <= 1e-12),
     ))
 
-    half = interior_probe_points(op.grid, n_probe_x, n_probe_y, half_plane=True)
-    gap = reflection_gap(op, half)
+    half = interior_probe_points(system.grid, n_probe_x, n_probe_y, half_plane=True)
+    gap = reflection_gap(system, half)
     reports.append(make_report(
         "kernel-reflection-gap", half.shape[0] ** 2, gap, res, bool(gap > 0.0),
     ))
 
-    reports.extend(certify_positivity_preserving(cfg, op=op, resolution=res))
+    reports.extend(certify_positivity_preserving(cfg, system=system, resolution=res))
     return reports
 
 
-def certify_positivity_preserving(cfg: PlateConfig, *, op: GreenOperator = None,
+def certify_positivity_preserving(cfg: PlateConfig, *, system: PlateSystem = None,
                                   n_loads: int = 50, seed: int = 2357,
                                   resolution: str = None) -> list:
     """Random nonnegative loads: strictly positive solutions, strict edge slopes."""
-    op = op if op is not None else GreenOperator.from_config(cfg)
+    system = system if system is not None else PlateSystem(cfg)
     res = resolution or f"n_modes_x={cfg.n_modes_x}, n_basis_y={cfg.n_basis_y}"
     rng = np.random.default_rng(seed)
-    X, Y = op.grid.meshgrid()
-    ys = op.grid.nodes_y
+    X, Y = system.grid.meshgrid()
+    ys = system.grid.nodes_y
     min_u, min_slope = np.inf, np.inf
     total = 0
     for _ in range(n_loads):
         f = _random_nonnegative_load(rng, X, Y, cfg.ell)
-        u = apply(op, GridField(op.grid, f))
-        uvals = evaluate_on_grid(u, op.grid).values
+        u = apply(system, GridField(system.grid, f))
+        uvals = evaluate_on_grid(u, system.grid).values
         min_u = min(min_u, float(uvals.min()))
-        s0 = u.coefficients @ op.basis.eval_matrix(
+        s0 = u.coefficients @ system.basis.eval_matrix(
             np.column_stack([np.zeros(ys.size), ys]), dx=1)
-        spi = u.coefficients @ op.basis.eval_matrix(
+        spi = u.coefficients @ system.basis.eval_matrix(
             np.column_stack([np.full(ys.size, np.pi), ys]), dx=1)
         min_slope = min(min_slope, float(s0.min()), float(-spi.max()))
         total += uvals.size

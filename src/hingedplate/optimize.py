@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import StiffnessFactor, assemble_stiffness, assemble_weighted_mass
+from .assembly import StiffnessFactor, assemble_weighted_mass
 from .basis import SpectralField, build_basis, evaluate_on_grid
 from .config import AdmissibleWeightRule, PlateConfig
 from .eigensolve import Eigenpair, solve_first
@@ -29,6 +29,10 @@ SYMMETRIC = "SYMMETRIC"
 
 class MonotonicityError(RuntimeError):
     """The eigenvalue sequence increased beyond tolerance; the sweep is broken."""
+
+
+class AnalysisError(RuntimeError):
+    """A computed eigenfunction fails a property the analysis requires of it."""
 
 
 @dataclass(frozen=True)
@@ -152,7 +156,7 @@ def rearrange(u: SpectralField, rule: AdmissibleWeightRule, grid: QuadratureGrid
     """
     uvals = evaluate_on_grid(u, grid)
     if uvals.values.min() <= 0.0:
-        raise ValueError(
+        raise AnalysisError(
             f"eigenfunction not strictly positive on the grid "
             f"(min {uvals.values.min():.3e}); cannot rearrange"
         )
@@ -246,14 +250,18 @@ class OptimizationTrace:
 
 
 class PlateSystem:
-    """Assembled operators of one configuration, shared by all sweeps."""
+    """The one operator of a configuration, shared by all sweeps and kernels.
+
+    One blockwise factorization of the energy form serves both the weighted
+    eigensolve of every density and the solution operator u = G f of the
+    plate problem, whose kernel the certifications probe.
+    """
 
     def __init__(self, cfg: PlateConfig):
         self.cfg = cfg
         self.rule = AdmissibleWeightRule.from_config(cfg)
         self.basis = build_basis(cfg)
         self.grid = QuadratureGrid.from_config(cfg)
-        self.K = assemble_stiffness(self.basis, self.grid, cfg.sigma)
         self.factor = StiffnessFactor.build(self.basis, self.grid, cfg.sigma)
 
     def mass_matrix(self, p: DensityField) -> np.ndarray:
@@ -263,10 +271,13 @@ class PlateSystem:
         )
 
     def solve_density(self, p: DensityField) -> Eigenpair:
-        return solve_first(
-            self.K, self.mass_matrix(p), self.cfg,
-            ksolve=self.factor.solve, grid=self.grid, basis=self.basis,
-        )
+        return solve_first(self.factor, self.mass_matrix(p), self.cfg,
+                           basis=self.basis, grid=self.grid)
+
+    def load_vector(self, f: GridField) -> np.ndarray:
+        """Galerkin load, entry a = sum_nodes w f phi_a."""
+        S, L = self.basis.axis_tables(self.grid)
+        return (S @ (self.grid.tensor_weights() * f.values) @ L).ravel()
 
 
 def minimize(cfg: PlateConfig, initial_p: DensityField, *,
@@ -354,7 +365,7 @@ def symmetry_classify(u: SpectralField, grid: QuadratureGrid,
         return LEFT_DOMINANT
     if hi < tol * scale:
         return RIGHT_DOMINANT
-    raise ValueError(
+    raise AnalysisError(
         f"mirror gaps of mixed sign beyond tolerance "
         f"(min {lo:.3e}, max {hi:.3e}, scale {scale:.3e})"
     )
@@ -388,7 +399,7 @@ def midline_slope_check(u: SpectralField, grid: QuadratureGrid,
     else:
         ok = bool(np.all(slopes > -thr))
     if not ok:
-        raise ValueError(
+        raise AnalysisError(
             f"midline slopes inconsistent with {verdict}: "
             f"range [{slopes.min():.3e}, {slopes.max():.3e}]"
         )

@@ -14,11 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import evaluate_on_grid
 from .certify import make_report
 from .config import AdmissibleWeightRule, PlateConfig
-from .green import GreenOperator, quadratic_form
+from .green import quadratic_form
 from .grid import GridField, QuadratureGrid
-from .optimize import DensityField, bang_bang_from_values
+from .optimize import (DensityField, PlateSystem, bang_bang_from_values,
+                       random_admissible_density, strip_density, uniform_density)
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,7 @@ def polarized_density(u: GridField, t: float, rule: AdmissibleWeightRule) -> Den
     return density
 
 
-def theta1_quotient(p: DensityField, v: GridField, op: GreenOperator) -> float:
+def theta1_quotient(p: DensityField, v: GridField, system: PlateSystem) -> float:
     """Kernel form quotient int G(p v) p v / int p v^2 of a trial field.
 
     Maximized exactly by the first eigenfunction, where it equals the
@@ -92,12 +94,12 @@ def theta1_quotient(p: DensityField, v: GridField, op: GreenOperator) -> float:
     denom = float(np.sum(w * p.values.ravel() * v.flat() ** 2))
     if denom <= 0.0:
         raise ValueError("trial field has vanishing weighted norm")
-    numer = quadratic_form(op, GridField(p.grid, pv.reshape(p.grid.shape)))
+    numer = quadratic_form(system, GridField(p.grid, pv.reshape(p.grid.shape)))
     return numer / denom
 
 
 def polarization_energy_gap(p_u: DensityField, u: GridField,
-                            op: GreenOperator) -> float:
+                            system: PlateSystem) -> float:
     """Kernel form of the polarized two-material load minus the original.
 
     Expected nonnegative up to solver noise; zero exactly when the field is
@@ -108,7 +110,7 @@ def polarization_energy_gap(p_u: DensityField, u: GridField,
     u_h = polarize(u)
     p_h = polarized_density(u, t, p_u.rule)
     f_h = GridField(u.grid, p_h.values * u_h.values)
-    return quadratic_form(op, f_h) - quadratic_form(op, f)
+    return quadratic_form(system, f_h) - quadratic_form(system, f)
 
 
 def _threshold_of(p_u: DensityField, u: GridField) -> float:
@@ -122,9 +124,8 @@ def _threshold_of(p_u: DensityField, u: GridField) -> float:
 def certify_polarization(cfg: PlateConfig, n_fields: int = 100,
                          seed: int = 6121) -> list:
     """Polarization identity suite on random positive fields."""
-    op = GreenOperator.from_config(cfg)
-    grid = op.grid
-    rule = AdmissibleWeightRule.from_config(cfg)
+    system = PlateSystem(cfg)
+    grid, rule = system.grid, system.rule
     rng = np.random.default_rng(seed)
     res = f"n_quad={grid.shape[0]}x{grid.shape[1]}, fields={n_fields}"
     X, Y = grid.meshgrid()
@@ -155,7 +156,7 @@ def certify_polarization(cfg: PlateConfig, n_fields: int = 100,
         e_u = float(np.sum(w * p_u.values.ravel() * u.flat() ** 2))
         e_h = float(np.sum(w * p_h.values.ravel() * u_h.flat() ** 2))
         energy_err = max(energy_err, abs(e_h - e_u) / e_u)
-        gap_min = min(gap_min, polarization_energy_gap(p_u, u, op))
+        gap_min = min(gap_min, polarization_energy_gap(p_u, u, system))
 
     return [
         make_report("polarize-idempotent", n_fields, -idem_err, res, idem_err == 0.0),
@@ -170,15 +171,11 @@ def certify_polarization(cfg: PlateConfig, n_fields: int = 100,
     ]
 
 
-def certify_duality(cfg: PlateConfig, densities=None, *, op: GreenOperator = None,
+def certify_duality(cfg: PlateConfig, densities=None, *,
                     n_trials: int = 100, seed: int = 997) -> list:
     """Quotient of each density's eigenfunction equals 1/lambda_1; random
     trial fields never exceed it."""
-    from .basis import evaluate_on_grid
-    from .optimize import PlateSystem, random_admissible_density, strip_density, uniform_density
-
     system = PlateSystem(cfg)
-    op = op if op is not None else GreenOperator.from_config(cfg)
     rng = np.random.default_rng(seed)
     if densities is None:
         densities = [
@@ -193,12 +190,12 @@ def certify_duality(cfg: PlateConfig, densities=None, *, op: GreenOperator = Non
     for p in densities:
         pair = system.solve_density(p)
         u = evaluate_on_grid(pair.u, system.grid)
-        q = theta1_quotient(p, u, op)
+        q = theta1_quotient(p, u, system)
         worst_eig = max(worst_eig, abs(q * pair.lambda1 - 1.0))
         for _ in range(per_density):
             v = GridField(system.grid, rng.standard_normal(system.grid.shape))
             worst_excess = max(worst_excess,
-                               theta1_quotient(p, v, op) - 1.0 / pair.lambda1)
+                               theta1_quotient(p, v, system) - 1.0 / pair.lambda1)
     return [
         make_report("duality-inverse-eigenvalue", len(densities),
                     1e-8 - worst_eig, res, worst_eig <= 1e-8),

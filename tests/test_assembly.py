@@ -3,21 +3,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 import hingedplate.basis
 from hingedplate import (
     AdmissibleWeightRule,
-    GreenOperator,
     GridField,
     PlateConfig,
+    PlateSystem,
     QuadratureGrid,
     StiffnessFactor,
-    assemble_stiffness,
     assemble_weighted_mass,
     build_basis,
     random_admissible_density,
 )
-from hingedplate.assembly import AssemblyError
+from hingedplate.assembly import AssemblyError, stiffness_blocks
 
 
 @pytest.fixture(scope="module")
@@ -43,54 +43,58 @@ def test_trig_orthogonality_oracle():
         assert val == pytest.approx(math.pi / 2, rel=1e-9)
 
 
-def test_stiffness_symmetric_and_block_diagonal(parts, cfg):
+def test_stiffness_blocks_match_energy_form_on_grid(parts, cfg):
+    # independent path: the energy form int Delta u Delta v
+    # + (1 - sigma)(2 u_xy v_xy - u_xx v_yy - u_yy v_xx) summed over the
+    # tensor grid from pointwise basis derivatives.  Matching the block
+    # diagonal checks both the sine-mode decoupling and the per-mode formula.
     basis, grid = parts
-    K = assemble_stiffness(basis, grid, cfg.sigma)
-    assert np.array_equal(K, K.T)
-    J = basis.n_basis_y
-    off = K.copy()
-    for i in range(basis.n_modes_x):
-        off[i * J:(i + 1) * J, i * J:(i + 1) * J] = 0.0
-    # exact x-mode orthogonality: no coupling between different sine modes
-    assert np.abs(off).max() <= 1e-12 * np.abs(K).max()
+    pts, w = grid.flat_points(), grid.flat_weights()
+    xx = basis.eval_matrix(pts, dx=2)
+    yy = basis.eval_matrix(pts, dy=2)
+    xy = basis.eval_matrix(pts, dx=1, dy=1)
+    lap = xx + yy
+    ref = (lap * w) @ lap.T + (1.0 - cfg.sigma) * (
+        2.0 * (xy * w) @ xy.T - (xx * w) @ yy.T - (yy * w) @ xx.T)
+    K = block_diag(*stiffness_blocks(basis, grid, cfg.sigma))
+    assert np.abs(K - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_stiffness_positive_definite_for_all_sigma(parts):
     basis, grid = parts
     for sigma in (0.0, 0.2, 0.5, 0.9, 0.999):
-        K = assemble_stiffness(basis, grid, sigma)
-        w = np.linalg.eigvalsh(K)
-        assert w.min() > 0.0
+        for blk in stiffness_blocks(basis, grid, sigma):
+            assert np.linalg.eigvalsh(blk).min() > 0.0
     factor = StiffnessFactor.build(basis, grid, 0.999)
     rhs = np.ones(basis.dimension)
-    assert np.allclose(K @ factor.solve(rhs), rhs, rtol=0, atol=1e-8 * np.abs(rhs).max())
+    assert np.allclose(factor.matvec(factor.solve(rhs)), rhs,
+                       rtol=0, atol=1e-8 * np.abs(rhs).max())
 
 
 def test_quotient_positive_for_random_fields(parts, cfg, rng):
     basis, grid = parts
-    K = assemble_stiffness(basis, grid, cfg.sigma)
+    factor = StiffnessFactor.build(basis, grid, cfg.sigma)
     p1 = GridField(grid, np.ones(grid.shape))
     M1 = assemble_weighted_mass(basis, grid, p1)
     for _ in range(25):
         c = rng.standard_normal(basis.dimension)
-        assert c @ K @ c > 0.0
-        assert (c @ K @ c) / (c @ M1 @ c) > 0.0
+        energy = c @ factor.matvec(c)
+        assert energy > 0.0
+        assert energy / (c @ M1 @ c) > 0.0
 
 
 def test_sigma_difference_confined_to_boundary_rank(parts):
     # K depends affinely on sigma and the sigma-derivative reduces to a
     # y-boundary term of rank <= 4 inside each sine-mode block
     basis, grid = parts
-    K0 = assemble_stiffness(basis, grid, 0.0)
-    K2 = assemble_stiffness(basis, grid, 0.2)
-    K5 = assemble_stiffness(basis, grid, 0.5)
-    B = (K0 - K5) / 0.5
-    assert np.allclose(K2, K0 - 0.2 * B, rtol=0, atol=1e-10 * np.abs(K0).max())
-    J = basis.n_basis_y
-    diff = K0 - K2
-    for i in range(basis.n_modes_x):
-        blk = diff[i * J:(i + 1) * J, i * J:(i + 1) * J]
-        s = np.linalg.svd(blk, compute_uv=False)
+    K0 = stiffness_blocks(basis, grid, 0.0)
+    K2 = stiffness_blocks(basis, grid, 0.2)
+    K5 = stiffness_blocks(basis, grid, 0.5)
+    scale = max(np.abs(blk).max() for blk in K0)
+    for b0, b2, b5 in zip(K0, K2, K5):
+        B = (b0 - b5) / 0.5
+        assert np.allclose(b2, b0 - 0.2 * B, rtol=0, atol=1e-10 * scale)
+        s = np.linalg.svd(b0 - b2, compute_uv=False)
         assert np.sum(s > 1e-10 * s[0]) <= 4
 
 
@@ -141,10 +145,12 @@ def test_assembly_invariant_under_grid_relabeling(parts, cfg, rng):
 
 def test_quadrature_refinement_leaves_stiffness(parts, cfg):
     basis, grid = parts
-    K = assemble_stiffness(basis, grid, cfg.sigma)
+    K = stiffness_blocks(basis, grid, cfg.sigma)
     fine = QuadratureGrid.from_config(cfg.with_overrides(n_quad_y=2 * cfg.n_quad_y))
-    K_fine = assemble_stiffness(basis, fine, cfg.sigma)
-    assert np.abs(K - K_fine).max() <= 1e-10 * np.abs(K).max()
+    K_fine = stiffness_blocks(basis, fine, cfg.sigma)
+    scale = max(np.abs(blk).max() for blk in K)
+    for blk, blk_fine in zip(K, K_fine):
+        assert np.abs(blk - blk_fine).max() <= 1e-10 * scale
 
 
 def test_mass_matrix_matches_dense_basis_product(parts, cfg, rng):
@@ -158,11 +164,11 @@ def test_mass_matrix_matches_dense_basis_product(parts, cfg, rng):
 
 
 def test_load_vector_matches_dense_basis_product(cfg, rng):
-    op = GreenOperator.from_config(cfg)
-    f = GridField(op.grid, rng.standard_normal(op.grid.shape))
-    phi = op.basis.eval_matrix(op.grid.flat_points())
-    ref = phi @ (op.grid.flat_weights() * f.flat())
-    assert np.abs(op.load_vector(f) - ref).max() <= 1e-14 * np.abs(ref).max()
+    system = PlateSystem(cfg)
+    f = GridField(system.grid, rng.standard_normal(system.grid.shape))
+    phi = system.basis.eval_matrix(system.grid.flat_points())
+    ref = phi @ (system.grid.flat_weights() * f.flat())
+    assert np.abs(system.load_vector(f) - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_mass_assembly_allocates_less_than_dense_table(rng):

@@ -8,6 +8,7 @@ import pytest
 from hingedplate import PlateConfig, QuadratureGrid
 from hingedplate.cli import main
 from hingedplate.io import write_grid_csv
+from hingedplate.optimize import AnalysisError
 
 SMALL = {"n_modes_x": 8, "n_basis_y": 6, "n_quad_x": 32, "n_quad_y": 16}
 
@@ -139,6 +140,35 @@ def test_certify_all_unique_claims(tmp_path, small_config_file):
 def test_unknown_suite_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["certify", "--suite", "bogus", "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize("command", [["solve"], ["optimize"], ["certify", "--suite", "green"]])
+def test_y_quadrature_below_basis_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "thin.json"
+    path.write_text(json.dumps(dict(SMALL, n_quad_y=SMALL["n_basis_y"] - 1)))
+    rc = main(command + ["--config", str(path), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "n_quad_y=5 is below n_basis_y=6" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["solve"], ["optimize"], ["certify", "--suite", "green"]])
+def test_x_quadrature_below_modes_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "coarse.json"
+    path.write_text(json.dumps(dict(SMALL, n_quad_x=SMALL["n_modes_x"] - 1)))
+    rc = main(command + ["--config", str(path), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "n_quad_x=7 is below n_modes_x=8" in capsys.readouterr().err
+
+
+def test_analysis_failure_exit_code(tmp_path, small_config_file, monkeypatch):
+    # an analysis outcome (here a mixed mirror pattern) is not a validation error
+    def mixed(u, grid, tol=1e-6):
+        raise AnalysisError("mirror gaps of mixed sign beyond tolerance")
+
+    monkeypatch.setattr("hingedplate.cli.symmetry_classify", mixed)
+    rc = main(["optimize", "--config", str(small_config_file),
+               "--out", str(tmp_path / "opt"), "--init", "uniform"])
+    assert rc == 3
 
 
 def test_solver_failure_exit_code(tmp_path):

@@ -46,6 +46,20 @@ def test_invalid_configs_rejected(bad):
         PlateConfig(**bad)
 
 
+def test_y_quadrature_needs_one_node_per_profile():
+    # n_quad_y = n_basis_y - 1 leaves the weighted mass matrix singular
+    with pytest.raises(ValueError, match="n_quad_y=11 is below n_basis_y=12"):
+        PlateConfig(n_basis_y=12, n_quad_y=11)
+    assert PlateConfig(n_basis_y=12, n_quad_y=12).n_quad_y == 12
+
+
+def test_x_quadrature_needs_one_node_per_mode():
+    # n_quad_x = n_modes_x - 1 leaves the weighted mass matrix singular
+    with pytest.raises(ValueError, match="n_quad_x=19 is below n_modes_x=20"):
+        PlateConfig(n_modes_x=20, n_quad_x=19)
+    assert PlateConfig(n_modes_x=20, n_quad_x=20).n_quad_x == 20
+
+
 def test_defaults_match_documented_values():
     cfg = PlateConfig()
     assert cfg.sigma == 0.2

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import brentq
 
 from hingedplate import (
@@ -10,10 +11,13 @@ from hingedplate import (
     PlateConfig,
     PlateSystem,
     SpectralField,
+    StiffnessFactor,
     build_basis,
     evaluate_on_grid,
+    random_admissible_density,
     rayleigh_quotient,
     solve_first,
+    strip_density,
     uniform_density,
 )
 from hingedplate.eigensolve import NearDegenerateWarning
@@ -92,12 +96,20 @@ def test_uniform_plate_matches_ode_oracle_in_y_resolution():
 
 
 def test_residual_and_rayleigh_consistency(default_system, default_uniform_pair):
+    # the reported pair, checked against the dense block diagonal and the
+    # dense generalized eigh's vector rather than the solver's own quotient
     pair = default_uniform_pair
-    assert pair.residual <= default_system.cfg.eig_tol
-    K = default_system.K
+    tol = default_system.cfg.eig_tol
+    assert pair.residual <= tol
     Mp = default_system.mass_matrix(uniform_density(default_system.grid, default_system.rule))
-    rq = rayleigh_quotient(pair.u, K, Mp)
-    assert rq == pytest.approx(pair.lambda1, rel=1e-12)
+    K = scipy.linalg.block_diag(*default_system.factor.blocks)
+    c = pair.u.coefficients
+    Kc = K @ c
+    assert np.linalg.norm(Kc - pair.lambda1 * (Mp @ c)) <= tol * np.linalg.norm(Kc)
+    _, vecs = scipy.linalg.eigh(K, Mp, subset_by_index=[0, 0])
+    ref = vecs[:, 0]
+    lam_ref = (ref @ K @ ref) / (ref @ Mp @ ref)
+    assert abs(pair.lambda1 - lam_ref) <= 1e-12 * lam_ref
 
 
 def test_normalization_weighted_unit_norm(default_system, default_uniform_pair):
@@ -110,34 +122,57 @@ def test_mass_scaling_halves_lambda(small_system):
     p = uniform_density(small_system.grid, small_system.rule)
     Mp = small_system.mass_matrix(p)
     cfg = small_system.cfg
-    pair = solve_first(cfg=cfg, K=small_system.K, M_p=Mp,
-                       ksolve=small_system.factor.solve,
+    pair = solve_first(small_system.factor, Mp, cfg,
                        grid=small_system.grid, basis=small_system.basis)
-    pair2 = solve_first(cfg=cfg, K=small_system.K, M_p=2.0 * Mp,
-                        ksolve=small_system.factor.solve,
+    pair2 = solve_first(small_system.factor, 2.0 * Mp, cfg,
                         grid=small_system.grid, basis=small_system.basis)
     assert pair2.lambda1 == pytest.approx(0.5 * pair.lambda1, rel=1e-12)
 
 
 def test_rayleigh_quotient_bounds(small_system, rng):
-    import scipy.linalg
-
     p = uniform_density(small_system.grid, small_system.rule)
-    K = small_system.K
+    factor = small_system.factor
+    n = small_system.basis.dimension
     Mp = small_system.mass_matrix(p)
     pair = small_system.solve_density(p)
     lam1 = pair.lambda1
     # every trial field sits at or above the minimum
     for _ in range(100):
-        u = SpectralField(small_system.basis, rng.standard_normal(K.shape[0]))
-        assert rayleigh_quotient(u, K, Mp) >= lam1 * (1 - 1e-12)
+        u = SpectralField(small_system.basis, rng.standard_normal(n))
+        assert rayleigh_quotient(u, factor, Mp) >= lam1 * (1 - 1e-12)
     # the second eigenvector sits at lambda2 >= lambda1
+    K = scipy.linalg.block_diag(*factor.blocks)
     vals, vecs = scipy.linalg.eigh(K, Mp, subset_by_index=[0, 1])
     u2 = SpectralField(small_system.basis, vecs[:, 1])
-    assert rayleigh_quotient(u2, K, Mp) == pytest.approx(vals[1], rel=1e-10)
+    assert rayleigh_quotient(u2, factor, Mp) == pytest.approx(vals[1], rel=1e-10)
     assert vals[1] >= lam1
     with pytest.raises(ValueError):
-        rayleigh_quotient(SpectralField(small_system.basis, np.zeros(K.shape[0])), K, Mp)
+        rayleigh_quotient(SpectralField(small_system.basis, np.zeros(n)), factor, Mp)
+
+
+def test_solve_first_matches_dense_generalized_oracle(small_system, rng):
+    # the dense generalized eigh on the assembled block diagonal is the
+    # reference the congruence reduction must reproduce.  Its raw eigenvalue
+    # is off by up to ~2e-11 relative here while its vector is accurate, so
+    # lambda1 is compared with the Rayleigh quotient of the oracle's vector.
+    system = small_system
+    K = scipy.linalg.block_diag(*system.factor.blocks)
+    densities = [
+        uniform_density(system.grid, system.rule),
+        strip_density(system.grid, system.rule, "left"),
+        random_admissible_density(system.grid, system.rule, rng),
+    ]
+    for p in densities:
+        Mp = system.mass_matrix(p)
+        pair = system.solve_density(p)
+        vals, vecs = scipy.linalg.eigh(K, Mp, subset_by_index=[0, 1])
+        ref = vecs[:, 0]  # M_p-normalized, like the returned coefficients
+        lam_ref = (ref @ K @ ref) / (ref @ Mp @ ref)
+        assert abs(pair.lambda1 - lam_ref) <= 1e-12 * lam_ref
+        assert pair.gap == pytest.approx(vals[1] / vals[0] - 1.0, rel=1e-10)
+        c = pair.u.coefficients
+        err = min(np.abs(c - ref).max(), np.abs(c + ref).max())
+        assert err <= 1e-10 * np.abs(ref).max()
 
 
 def test_positivity_and_edge_slopes(default_system, rng):
@@ -174,14 +209,14 @@ def test_lambda_monotone_in_weight(small_system, rng):
         p = 0.5 + rng.uniform(0.0, 1.0, size=grid.shape)
         q = p + rng.uniform(0.0, 1.0, size=grid.shape)
         lam_p = solve_first(
-            cfg=cfg, K=small_system.K,
-            M_p=assemble_weighted_mass(basis, grid, GridField(grid, p)),
-            ksolve=small_system.factor.solve, grid=grid, basis=basis,
+            small_system.factor,
+            assemble_weighted_mass(basis, grid, GridField(grid, p)), cfg,
+            grid=grid, basis=basis,
         ).lambda1
         lam_q = solve_first(
-            cfg=cfg, K=small_system.K,
-            M_p=assemble_weighted_mass(basis, grid, GridField(grid, q)),
-            ksolve=small_system.factor.solve, grid=grid, basis=basis,
+            small_system.factor,
+            assemble_weighted_mass(basis, grid, GridField(grid, q)), cfg,
+            grid=grid, basis=basis,
         ).lambda1
         assert lam_p >= lam_q * (1 - 1e-12)
 
@@ -203,8 +238,10 @@ def test_degenerate_single_y_function():
 def test_near_degenerate_pair_warns():
     cfg = PlateConfig(n_modes_x=2, n_basis_y=1, n_quad_x=8, n_quad_y=4)
     basis = build_basis(cfg)
-    eye = np.eye(2)
+    one = np.eye(1)
+    # K = I as two identical 1x1 blocks, each its own Cholesky factor
+    factor = StiffnessFactor(blocks=(one, one), factors=(one, one))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NearDegenerateWarning):
-            solve_first(K=eye, M_p=eye, cfg=cfg, basis=basis)
+            solve_first(factor, np.eye(2), cfg, basis=basis)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hingedplate import (
-    GreenOperator,
     GridField,
     PlateConfig,
     apply,
@@ -18,121 +17,116 @@ from hingedplate import (
 from hingedplate.green import certify_green, certify_positivity_preserving, interior_probe_points
 
 
-@pytest.fixture(scope="module")
-def op(default_cfg):
-    return GreenOperator.from_config(default_cfg)
-
-
-def test_apply_linearity(op, rng):
-    f = rng.standard_normal(op.grid.shape)
-    g = rng.standard_normal(op.grid.shape)
-    u_sum = apply(op, GridField(op.grid, f + g)).coefficients
-    u_f = apply(op, GridField(op.grid, f)).coefficients
-    u_g = apply(op, GridField(op.grid, g)).coefficients
+def test_apply_linearity(default_system, rng):
+    f = rng.standard_normal(default_system.grid.shape)
+    g = rng.standard_normal(default_system.grid.shape)
+    u_sum = apply(default_system, GridField(default_system.grid, f + g)).coefficients
+    u_f = apply(default_system, GridField(default_system.grid, f)).coefficients
+    u_g = apply(default_system, GridField(default_system.grid, g)).coefficients
     scale = np.abs(u_sum).max()
     assert np.abs(u_sum - u_f - u_g).max() <= 1e-12 * scale
 
 
-def test_apply_eigen_fixed_point(op, default_system, default_uniform_pair):
+def test_apply_eigen_fixed_point(default_system, default_uniform_pair):
     # the first eigenpair satisfies u = lambda1 * (solution of load p u)
     pair = default_uniform_pair
-    u_grid = evaluate_on_grid(pair.u, op.grid)
-    back = apply(op, u_grid)  # p = 1
+    u_grid = evaluate_on_grid(pair.u, default_system.grid)
+    back = apply(default_system, u_grid)  # p = 1
     recovered = pair.lambda1 * back.coefficients
     err = np.abs(recovered - pair.u.coefficients).max() / np.abs(pair.u.coefficients).max()
     assert err <= 1e-9
 
 
-def test_apply_positive_loads_positive_solutions(op, rng):
-    X, Y = op.grid.meshgrid()
+def test_apply_positive_loads_positive_solutions(default_system, rng):
+    X, Y = default_system.grid.meshgrid()
     for _ in range(50):
-        f = rng.uniform(0.0, 1.0, size=op.grid.shape)
+        f = rng.uniform(0.0, 1.0, size=default_system.grid.shape)
         f[f < 0.3] = 0.0
-        u = apply(op, GridField(op.grid, f))
-        uvals = evaluate_on_grid(u, op.grid).values
+        u = apply(default_system, GridField(default_system.grid, f))
+        uvals = evaluate_on_grid(u, default_system.grid).values
         assert uvals.min() > 0.0
 
 
-def test_inverse_consistency(op, default_system, rng):
+def test_inverse_consistency(default_system, rng):
     # energy matrix applied to the solution returns the load
-    f = GridField(op.grid, rng.standard_normal(op.grid.shape))
-    load = op.load_vector(f)
-    u = apply(op, f)
-    back = default_system.K @ u.coefficients
+    f = GridField(default_system.grid, rng.standard_normal(default_system.grid.shape))
+    load = default_system.load_vector(f)
+    u = apply(default_system, f)
+    back = default_system.factor.matvec(u.coefficients)
     assert np.abs(back - load).max() <= 1e-10 * np.abs(load).max()
     # the kernel quadratic pairing is exactly symmetric in its two loads
-    g = GridField(op.grid, rng.standard_normal(op.grid.shape))
-    load_g = op.load_vector(g)
-    pair_fg = load_g @ op.factor.solve(load)
-    pair_gf = load @ op.factor.solve(load_g)
+    g = GridField(default_system.grid, rng.standard_normal(default_system.grid.shape))
+    load_g = default_system.load_vector(g)
+    pair_fg = load_g @ default_system.factor.solve(load)
+    pair_gf = load @ default_system.factor.solve(load_g)
     assert pair_fg == pytest.approx(pair_gf, rel=1e-12)
 
 
-def test_kernel_symmetry_and_boundary(op, rng):
-    pts = interior_probe_points(op.grid, 8, 5)
-    G = green_matrix(op, pts, pts)
+def test_kernel_symmetry_and_boundary(default_system, rng):
+    pts = interior_probe_points(default_system.grid, 8, 5)
+    G = green_matrix(default_system, pts, pts)
     assert np.abs(G - G.T).max() <= 1e-13 * np.abs(G).max()
-    ys = np.linspace(-op.grid.ell, op.grid.ell, 5)
+    ys = np.linspace(-default_system.grid.ell, default_system.grid.ell, 5)
     for x_edge in (0.0, math.pi):
         edge = np.column_stack([np.full(5, x_edge), ys])
-        G_edge = green_matrix(op, pts, edge)
+        G_edge = green_matrix(default_system, pts, edge)
         assert np.abs(G_edge).max() <= 1e-13
 
 
-def test_kernel_positive_on_probe_lattice(op):
-    pts = interior_probe_points(op.grid, 20, 10)
-    G = green_matrix(op, pts, pts)
+def test_kernel_positive_on_probe_lattice(default_system):
+    pts = interior_probe_points(default_system.grid, 20, 10)
+    G = green_matrix(default_system, pts, pts)
     assert pts.shape[0] >= 200
     assert G.min() > 0.0
 
 
-def test_green_dx_signs(op):
-    probes = interior_probe_points(op.grid, 15, 7)
-    ys = np.linspace(-op.grid.ell, op.grid.ell, 5)
-    assert green_dx(op, 0.0, ys, probes).min() > 0.0
-    assert green_dx(op, math.pi, ys, probes).max() < 0.0
-    mid = green_dx(op, math.pi / 2, ys, probes)
+def test_green_dx_signs(default_system):
+    probes = interior_probe_points(default_system.grid, 15, 7)
+    ys = np.linspace(-default_system.grid.ell, default_system.grid.ell, 5)
+    assert green_dx(default_system, 0.0, ys, probes).min() > 0.0
+    assert green_dx(default_system, math.pi, ys, probes).max() < 0.0
+    mid = green_dx(default_system, math.pi / 2, ys, probes)
     rho = probes[:, 0]
     assert mid[:, rho < math.pi / 2 - 1e-9].max() < 0.0
     assert mid[:, rho > math.pi / 2 + 1e-9].min() > 0.0
     # source on the midline: derivative vanishes there
-    on_mid = green_dx(op, math.pi / 2, ys, np.array([[math.pi / 2, 0.1]]))
+    on_mid = green_dx(default_system, math.pi / 2, ys, np.array([[math.pi / 2, 0.1]]))
     assert np.abs(on_mid).max() <= 1e-12
 
 
-def test_reflection_identities_exact(op):
-    pts = interior_probe_points(op.grid, 10, 5)
+def test_reflection_identities_exact(default_system):
+    pts = interior_probe_points(default_system.grid, 10, 5)
     mirrored = np.column_stack([math.pi - pts[:, 0], pts[:, 1]])
-    G = green_matrix(op, pts, pts)
-    G_pair = green_matrix(op, mirrored, mirrored)
+    G = green_matrix(default_system, pts, pts)
+    G_pair = green_matrix(default_system, mirrored, mirrored)
     assert np.abs(G - G_pair).max() <= 1e-12 * np.abs(G).max()
-    G_src = green_matrix(op, mirrored, pts)
-    G_tgt = green_matrix(op, pts, mirrored)
+    G_src = green_matrix(default_system, mirrored, pts)
+    G_tgt = green_matrix(default_system, pts, mirrored)
     assert np.abs(G_src - G_tgt).max() <= 1e-12 * np.abs(G).max()
 
 
-def test_reflection_gap_positive_inside_half(op):
-    half = interior_probe_points(op.grid, 12, 6, half_plane=True)
-    assert reflection_gap(op, half) > 0.0
+def test_reflection_gap_positive_inside_half(default_system):
+    half = interior_probe_points(default_system.grid, 12, 6, half_plane=True)
+    assert reflection_gap(default_system, half) > 0.0
     # single interior pair keeps a visible margin
     single = np.array([[math.pi / 4, 0.0]])
-    assert reflection_gap(op, single) > 1e-8
+    assert reflection_gap(default_system, single) > 1e-8
     # on the midline the reflection is the identity: gap exactly zero
     mid = np.array([[math.pi / 2, 0.0]])
-    G_mid = green_matrix(op, mid, mid).item()
+    G_mid = green_matrix(default_system, mid, mid).item()
     mirrored = np.array([[math.pi - math.pi / 2, 0.0]])
-    G_mirror = green_matrix(op, mid, mirrored).item()
+    G_mirror = green_matrix(default_system, mid, mirrored).item()
     assert G_mid - G_mirror == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(ValueError):
-        reflection_gap(op, np.array([[2.0, 0.0]]))
+        reflection_gap(default_system, np.array([[2.0, 0.0]]))
 
 
-def test_quadratic_form_matches_direct_pairing(op, rng):
-    f = GridField(op.grid, rng.standard_normal(op.grid.shape))
-    u = apply(op, f)
-    w = op.grid.tensor_weights()
-    direct = float(np.sum(w * evaluate_on_grid(u, op.grid).values * f.values))
-    assert quadratic_form(op, f) == pytest.approx(direct, rel=1e-12)
+def test_quadratic_form_matches_direct_pairing(default_system, rng):
+    f = GridField(default_system.grid, rng.standard_normal(default_system.grid.shape))
+    u = apply(default_system, f)
+    w = default_system.grid.tensor_weights()
+    direct = float(np.sum(w * evaluate_on_grid(u, default_system.grid).values * f.values))
+    assert quadratic_form(default_system, f) == pytest.approx(direct, rel=1e-12)
 
 
 def test_certify_green_all_pass(default_cfg):

@@ -56,7 +56,7 @@ def test_level_bands_interior():
 
 
 def test_density_csv_roundtrip(tmp_path):
-    cfg = PlateConfig(n_quad_x=16, n_quad_y=8)
+    cfg = PlateConfig(n_modes_x=8, n_basis_y=8, n_quad_x=16, n_quad_y=8)
     grid = QuadratureGrid.from_config(cfg)
     rng = np.random.default_rng(5)
     vals = rng.uniform(0.5, 3.0, size=grid.shape)
@@ -67,13 +67,13 @@ def test_density_csv_roundtrip(tmp_path):
 
 
 def test_density_csv_rejects_wrong_grid(tmp_path):
-    cfg = PlateConfig(n_quad_x=16, n_quad_y=8)
+    cfg = PlateConfig(n_modes_x=8, n_basis_y=8, n_quad_x=16, n_quad_y=8)
     grid = QuadratureGrid.from_config(cfg)
     write_grid_csv(tmp_path / "d.csv", grid, np.ones(grid.shape), value_name="p")
-    other = QuadratureGrid.from_config(PlateConfig(n_quad_x=16, n_quad_y=8, ell=1.0))
+    other = QuadratureGrid.from_config(PlateConfig(n_modes_x=8, n_basis_y=8, n_quad_x=16, n_quad_y=8, ell=1.0))
     with pytest.raises(ValueError, match="do not match"):
         read_density_csv(tmp_path / "d.csv", other)
-    smaller = QuadratureGrid.from_config(PlateConfig(n_quad_x=8, n_quad_y=8))
+    smaller = QuadratureGrid.from_config(PlateConfig(n_modes_x=8, n_basis_y=8, n_quad_x=8, n_quad_y=8))
     with pytest.raises(ValueError, match="rows"):
         read_density_csv(tmp_path / "d.csv", smaller)
 

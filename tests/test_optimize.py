@@ -18,7 +18,7 @@ from hingedplate import (
     symmetry_classify,
     uniform_density,
 )
-from hingedplate.optimize import LEFT_DOMINANT, RIGHT_DOMINANT, SYMMETRIC
+from hingedplate.optimize import LEFT_DOMINANT, RIGHT_DOMINANT, SYMMETRIC, AnalysisError
 
 
 def _mode_field(system, terms):
@@ -65,7 +65,7 @@ def test_rearrange_constant_tie_break(small_system):
 def test_rearrange_requires_positive_field(small_system):
     system = small_system
     u = _mode_field(system, {(2, 0): 1.0})  # sin(2x) changes sign
-    with pytest.raises(ValueError, match="strictly positive"):
+    with pytest.raises(AnalysisError, match="strictly positive"):
         rearrange(u, system.rule, system.grid)
 
 
@@ -165,7 +165,7 @@ def test_symmetry_classify_modes(small_system):
 def test_symmetry_classify_mixed_sign_errors(small_system):
     system = small_system
     mixed = _mode_field(system, {(1, 0): 1.0, (2, 1): 0.3})  # gap odd in y
-    with pytest.raises(ValueError, match="mixed sign"):
+    with pytest.raises(AnalysisError, match="mixed sign"):
         symmetry_classify(mixed, system.grid)
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from hingedplate import (
     AdmissibleWeightRule,
-    GreenOperator,
     GridField,
     HalfPlaneReflection,
     PlateConfig,
@@ -20,12 +19,9 @@ from hingedplate import (
     theta1_quotient,
     uniform_density,
 )
+from hingedplate.assembly import StiffnessFactor
+from hingedplate.green import certify_green
 from hingedplate.polarization import certify_duality, certify_polarization
-
-
-@pytest.fixture(scope="module")
-def op(default_cfg):
-    return GreenOperator.from_config(default_cfg)
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +58,7 @@ def test_polarize_monotone_coordinate(small_grid):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_polarize_idempotent_and_pair_sum_bitexact(seed):
     grid = QuadratureGrid.from_config(
-        PlateConfig(n_quad_x=16, n_quad_y=8))
+        PlateConfig(n_modes_x=8, n_basis_y=8, n_quad_x=16, n_quad_y=8))
     rng = np.random.default_rng(seed)
     v = GridField(grid, rng.standard_normal(grid.shape))
     v_h = polarize(v)
@@ -80,7 +76,7 @@ def test_polarize_idempotent_and_pair_sum_bitexact(seed):
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_polarized_density_identities(seed):
-    cfg = PlateConfig(n_quad_x=24, n_quad_y=10)
+    cfg = PlateConfig(n_basis_y=10, n_quad_x=24, n_quad_y=10)
     grid = QuadratureGrid.from_config(cfg)
     rule = AdmissibleWeightRule.from_config(cfg)
     rng = np.random.default_rng(seed)
@@ -107,67 +103,66 @@ def test_polarized_density_rejects_foreign_threshold(small_grid, small_rule, rng
         polarized_density(u, 2.0 * t + 1.0, small_rule)
 
 
-def test_theta1_quotient_duality(op, default_system, default_uniform_pair):
+def test_theta1_quotient_duality(default_system, default_uniform_pair):
     p = uniform_density(default_system.grid, default_system.rule)
     u = evaluate_on_grid(default_uniform_pair.u, default_system.grid)
-    q = theta1_quotient(p, u, op)
+    q = theta1_quotient(p, u, default_system)
     assert abs(q * default_uniform_pair.lambda1 - 1.0) <= 1e-9
 
 
-def test_theta1_quotient_never_exceeds_inverse_lambda(op, default_system,
-                                                      default_uniform_pair, rng):
+def test_theta1_quotient_never_exceeds_inverse_lambda(default_system, default_uniform_pair, rng):
     p = uniform_density(default_system.grid, default_system.rule)
     bound = 1.0 / default_uniform_pair.lambda1
     for _ in range(100):
         v = GridField(default_system.grid, rng.standard_normal(default_system.grid.shape))
-        assert theta1_quotient(p, v, op) <= bound + 1e-9
+        assert theta1_quotient(p, v, default_system) <= bound + 1e-9
 
 
-def test_theta1_quotient_improves_under_absolute_value(op, default_system, rng):
+def test_theta1_quotient_improves_under_absolute_value(default_system, rng):
     p = uniform_density(default_system.grid, default_system.rule)
     for _ in range(20):
         vals = rng.standard_normal(default_system.grid.shape)
-        q_signed = theta1_quotient(p, GridField(default_system.grid, vals), op)
-        q_abs = theta1_quotient(p, GridField(default_system.grid, np.abs(vals)), op)
+        q_signed = theta1_quotient(p, GridField(default_system.grid, vals), default_system)
+        q_abs = theta1_quotient(p, GridField(default_system.grid, np.abs(vals)), default_system)
         assert q_abs >= q_signed - 1e-12
 
 
-def test_energy_gap_cases(op, rng):
-    grid = op.grid
+def test_energy_gap_cases(default_system, rng):
+    grid = default_system.grid
     rule = AdmissibleWeightRule.from_config(PlateConfig())
     X, Y = grid.meshgrid()
 
     # symmetric field: equality
     u_sym = GridField(grid, np.sin(X) * (1.0 + 0.2 * np.cos(Y)))
     p_sym, _ = bang_bang_from_values(u_sym, rule)
-    assert abs(polarization_energy_gap(p_sym, u_sym, op)) <= 1e-10
+    assert abs(polarization_energy_gap(p_sym, u_sym, default_system)) <= 1e-10
 
     # already polarized (left dominant): bitwise equality of both forms
     u_left = GridField(grid, (np.sin(X) + 0.3 * np.sin(2 * X)) * (1 + 0.1 * np.cos(Y)))
     p_left, _ = bang_bang_from_values(u_left, rule)
-    assert polarization_energy_gap(p_left, u_left, op) == 0.0
+    assert polarization_energy_gap(p_left, u_left, default_system) == 0.0
 
     # pure right dominant: the polarization is the exact mirror image, and
     # mirror invariance of the kernel forces equality (not strict gain)
     u_right = GridField(grid, (np.sin(X) - 0.3 * np.sin(2 * X)) * (1 + 0.1 * np.cos(Y)))
     p_right, _ = bang_bang_from_values(u_right, rule)
-    assert abs(polarization_energy_gap(p_right, u_right, op)) <= 1e-10
+    assert abs(polarization_energy_gap(p_right, u_right, default_system)) <= 1e-10
 
     # genuinely mixed dominance: strictly positive gain
     u_mix = np.sin(X) * (1 + 0.1 * np.cos(2 * Y)) + 0.3 * np.sin(2 * X) * (Y / grid.ell)
     u_mix = GridField(grid, u_mix - u_mix.min() + 0.05)
     p_mix, _ = bang_bang_from_values(u_mix, rule)
-    assert polarization_energy_gap(p_mix, u_mix, op) > 1e-4
+    assert polarization_energy_gap(p_mix, u_mix, default_system) > 1e-4
 
     # random positive fields: never below -1e-10
     for _ in range(30):
         vals = rng.uniform(0.02, 1.0, size=grid.shape)
         u = GridField(grid, vals)
         p_u, _ = bang_bang_from_values(u, rule)
-        assert polarization_energy_gap(p_u, u, op) >= -1e-10
+        assert polarization_energy_gap(p_u, u, default_system) >= -1e-10
 
 
-def test_energy_gap_vanishes_for_converged_optimal_pair(op, default_system):
+def test_energy_gap_vanishes_for_converged_optimal_pair(default_system):
     # at a rearrangement fixed point the eigenfunction is balanced enough
     # that polarization leaves the kernel form unchanged to solver noise
     from hingedplate import minimize
@@ -177,8 +172,8 @@ def test_energy_gap_vanishes_for_converged_optimal_pair(op, default_system):
                      system=default_system)
     assert trace.status == "fixed_point"
     u = evaluate_on_grid(trace.final_eigenpair.u, default_system.grid)
-    gap = polarization_energy_gap(trace.final_density, u, op)
-    form = abs(theta1_quotient(trace.final_density, u, op))
+    gap = polarization_energy_gap(trace.final_density, u, default_system)
+    form = abs(theta1_quotient(trace.final_density, u, default_system))
     assert abs(gap) <= 1e-8 * max(form, 1.0)
 
 
@@ -188,6 +183,25 @@ def test_certify_polarization_bundle(default_cfg):
     assert len(ids) == len(set(ids))
     for rep in reports:
         assert rep.passed, f"{rep.claim_id}: margin {rep.min_margin}"
+
+
+@pytest.mark.parametrize("suite", [
+    lambda cfg: certify_green(cfg, n_probe_x=4, n_probe_y=2),
+    lambda cfg: certify_polarization(cfg, n_fields=2),
+    lambda cfg: certify_duality(cfg, n_trials=10),
+], ids=["green", "polarization", "duality"])
+def test_certification_factors_energy_once(small_cfg, monkeypatch, suite):
+    # one PlateSystem per certification run: one blockwise factorization
+    calls = []
+    build = StiffnessFactor.build
+
+    def counting_build(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(StiffnessFactor, "build", counting_build)
+    suite(small_cfg)
+    assert len(calls) == 1
 
 
 def test_certify_duality_bundle(default_cfg):
