@@ -21,6 +21,7 @@ from .io import (
     RunManifest,
     read_density_csv,
     write_contours_csv,
+    write_eigensolve_csv,
     write_grid_csv,
     write_json,
     write_reports_json,
@@ -131,6 +132,7 @@ def cmd_optimize(args) -> int:
     lambdas = {}
     for name, sub, trace in results:
         write_trace_csv(manifest.register(sub / "trace.csv"), trace)
+        write_eigensolve_csv(manifest.register(sub / "eigensolve.csv"), trace)
         write_grid_csv(manifest.register(sub / "final_density.csv"),
                        system.grid, trace.final_density.values, value_name="p")
         _write_field_outputs(manifest, sub, system,

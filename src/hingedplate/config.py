@@ -31,7 +31,8 @@ class PlateConfig:
         Number of polynomial cross-profiles in y (degrees 0..n_basis_y-1).
     n_quad_x, n_quad_y : int
         Gauss-Legendre node counts of the tensor quadrature grid;
-        n_quad_x must be at least n_modes_x and n_quad_y at least n_basis_y.
+        n_quad_x must be even and at least n_modes_x, and n_quad_y at least
+        n_basis_y.
     opt_max_iter : int
         Iteration cap of the density-rearrangement loop.
     opt_tol : float
@@ -73,6 +74,14 @@ class PlateConfig:
             raise ValueError(
                 f"n_quad_x={self.n_quad_x} is below n_modes_x={self.n_modes_x}; "
                 f"the x-quadrature needs at least one node per sine mode"
+            )
+        if self.n_quad_x % 2:
+            # Gauss nodes on (0, pi) pair off across x = pi/2 only for an
+            # even count; an odd one puts a node on the midline that the
+            # mirror and polarization analysis cannot pair.
+            raise ValueError(
+                f"n_quad_x={self.n_quad_x} is odd; the mirror pairing of "
+                f"x-nodes across x = pi/2 needs an even count"
             )
         if self.n_quad_y < self.n_basis_y:
             # The weighted mass matrix is definite only if the (n_quad_y,

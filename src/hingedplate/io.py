@@ -75,6 +75,18 @@ def write_trace_csv(path, trace: OptimizationTrace) -> None:
             ])
 
 
+def write_eigensolve_csv(path, trace: OptimizationTrace) -> None:
+    """Per-sweep eigensolve diagnostics, one row per trace record."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["iter", "path", "iterations", "residual", "gap"])
+        for rec in trace.records:
+            writer.writerow([
+                rec.iteration, rec.solve_path, rec.solve_iterations,
+                _fmt(rec.residual), _fmt(rec.gap),
+            ])
+
+
 def write_contours_csv(path, levels, polylines_per_level) -> None:
     """Iso-level polylines: one row per vertex, keyed by level and polyline."""
     with open(path, "w", newline="", encoding="utf-8") as fh:

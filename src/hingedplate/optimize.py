@@ -215,11 +215,22 @@ def strip_density(grid: QuadratureGrid, rule: AdmissibleWeightRule,
 
 @dataclass(frozen=True)
 class TraceRecord:
+    """One sweep: its eigenvalue and rearrangement, and how the eigensolve went.
+
+    `solve_path`, `solve_iterations`, `residual` and `gap` copy the
+    sweep's `Eigenpair` diagnostics (path, inverse-iteration steps,
+    relative residual, relative spectral gap).
+    """
+
     iteration: int
     lambda1: float
     threshold_t: float
     sublevel_measure: float
     density_change_measure: float
+    solve_path: str
+    solve_iterations: int
+    residual: float
+    gap: float
 
 
 @dataclass
@@ -270,9 +281,10 @@ class PlateSystem:
             bounds=(self.rule.alpha, self.rule.beta),
         )
 
-    def solve_density(self, p: DensityField) -> Eigenpair:
+    def solve_density(self, p: DensityField, start: np.ndarray = None) -> Eigenpair:
+        """First pair at density p; `start` is a warm-start Ritz block."""
         return solve_first(self.factor, self.mass_matrix(p), self.cfg,
-                           basis=self.basis, grid=self.grid)
+                           basis=self.basis, grid=self.grid, start=start)
 
     def load_vector(self, f: GridField) -> np.ndarray:
         """Galerkin load, entry a = sum_nodes w f phi_a."""
@@ -285,10 +297,13 @@ def minimize(cfg: PlateConfig, initial_p: DensityField, *,
     """Run the rearrangement loop from one starting density.
 
     Each record holds one eigensolve plus the rearrangement computed from
-    it; the loop stops at an exact assignment fixed point, at relative
-    eigenvalue stagnation below cfg.opt_tol, or after cfg.opt_max_iter
-    rearrangement sweeps (so the trace carries at most opt_max_iter + 1
-    records and always closes with the eigenvalue of the final density).
+    it.  The first sweep solves cold; every later sweep warm-starts from
+    the previous sweep's Ritz block, since the density changes only on a
+    thin band between sweeps.  The loop stops at an exact assignment
+    fixed point, at relative eigenvalue stagnation below cfg.opt_tol, or
+    after cfg.opt_max_iter rearrangement sweeps (so the trace carries at
+    most opt_max_iter + 1 records and always closes with the eigenvalue of
+    the final density).
     A step that increases the eigenvalue beyond 1e-10 relative aborts: the
     variational chain guarantees decrease, so growth means broken inputs.
     """
@@ -301,7 +316,7 @@ def minimize(cfg: PlateConfig, initial_p: DensityField, *,
     status = None
     pair = None
     for it in range(cfg.opt_max_iter + 1):
-        pair = sys_.solve_density(p)
+        pair = sys_.solve_density(p, start=None if pair is None else pair.ritz)
         if prev_lambda is not None and pair.lambda1 > prev_lambda * (1.0 + 1e-10):
             raise MonotonicityError(
                 f"sweep {it}: eigenvalue rose from {prev_lambda!r} to {pair.lambda1!r}"
@@ -318,6 +333,10 @@ def minimize(cfg: PlateConfig, initial_p: DensityField, *,
             threshold_t=t,
             sublevel_measure=new_p.sublevel_measure(),
             density_change_measure=change,
+            solve_path=pair.path,
+            solve_iterations=pair.iterations,
+            residual=pair.residual,
+            gap=pair.gap,
         ))
         if keep_densities:
             densities.append(new_p)

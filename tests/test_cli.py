@@ -88,6 +88,14 @@ def test_optimize_multistart(tmp_path, small_config_file):
         trace_lines = (out / start / "trace.csv").read_text().splitlines()
         lams = [float(line.split(",")[1]) for line in trace_lines[1:]]
         assert all(b <= a * (1 + 1e-10) for a, b in zip(lams, lams[1:]))
+        solves = (out / start / "eigensolve.csv").read_text(encoding="utf-8").splitlines()
+        assert solves[0] == "iter,path,iterations,residual,gap"
+        rows = [line.split(",") for line in solves[1:]]
+        assert [r[0] for r in rows] == [line.split(",")[0] for line in trace_lines[1:]]
+        assert rows[0][1] == "dense"
+        assert {r[1] for r in rows[1:]} <= {"warm", "warm→dense"}
+        assert all(int(r[2]) >= 0 and float(r[3]) <= 1e-12 and float(r[4]) > 0.0
+                   for r in rows)
 
 
 def test_optimize_single_named_start(tmp_path, small_config_file):
@@ -158,6 +166,16 @@ def test_x_quadrature_below_modes_exits_2(tmp_path, capsys, command):
     rc = main(command + ["--config", str(path), "--out", str(tmp_path / "run")])
     assert rc == 2
     assert "n_quad_x=7 is below n_modes_x=8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["solve"], ["optimize"],
+                                     ["certify", "--suite", "polarization"]])
+def test_odd_x_quadrature_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(dict(SMALL, n_quad_x=SMALL["n_quad_x"] - 1)))
+    rc = main(command + ["--config", str(path), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "n_quad_x=31 is odd" in capsys.readouterr().err
 
 
 def test_analysis_failure_exit_code(tmp_path, small_config_file, monkeypatch):

@@ -60,6 +60,13 @@ def test_x_quadrature_needs_one_node_per_mode():
     assert PlateConfig(n_modes_x=20, n_quad_x=20).n_quad_x == 20
 
 
+def test_x_quadrature_must_be_even():
+    # an odd count leaves a midline node without a mirror partner
+    with pytest.raises(ValueError, match="n_quad_x=95 is odd"):
+        PlateConfig(n_quad_x=95)
+    assert PlateConfig(n_quad_x=94).n_quad_x == 94
+
+
 def test_defaults_match_documented_values():
     cfg = PlateConfig()
     assert cfg.sigma == 0.2

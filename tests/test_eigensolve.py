@@ -7,9 +7,11 @@ import scipy.linalg
 from scipy.optimize import brentq
 
 from hingedplate import (
+    DensityField,
     GridField,
     PlateConfig,
     PlateSystem,
+    QuadratureGrid,
     SpectralField,
     StiffnessFactor,
     build_basis,
@@ -20,7 +22,7 @@ from hingedplate import (
     strip_density,
     uniform_density,
 )
-from hingedplate.eigensolve import NearDegenerateWarning
+from hingedplate.eigensolve import NearDegenerateWarning, WARM, WARM_FALLBACK
 
 # First eigenvalue of the homogeneous plate at sigma=0.2, ell=pi/5, J=12,
 # frozen from the sine-mode ODE oracle below plus the basis convergence study.
@@ -245,3 +247,95 @@ def test_near_degenerate_pair_warns():
         warnings.simplefilter("error")
         with pytest.raises(NearDegenerateWarning):
             solve_first(factor, np.eye(2), cfg, basis=basis)
+
+
+def _nearby(p, q, weight=0.1):
+    """Admissible density between p and q, a small step away from p."""
+    return DensityField(p.grid, (1.0 - weight) * p.values + weight * q.values, p.rule)
+
+
+def _densities(system, rng):
+    return [
+        uniform_density(system.grid, system.rule),
+        strip_density(system.grid, system.rule, "left"),
+        random_admissible_density(system.grid, system.rule, rng),
+    ]
+
+
+def _assert_same_pair(a, b):
+    assert a.lambda1 == b.lambda1
+    assert a.gap == b.gap
+    assert a.residual == b.residual
+    assert np.array_equal(a.u.coefficients, b.u.coefficients)
+
+
+def test_warm_start_matches_dense_generalized_oracle(small_system, rng):
+    # started from the Ritz block of a nearby density, the warm path alone
+    # must reproduce the dense generalized eigh: same lambda1 and gap, and
+    # the same vector up to sign
+    system = small_system
+    K = scipy.linalg.block_diag(*system.factor.blocks)
+    other = random_admissible_density(system.grid, system.rule, rng)
+    for p in _densities(system, rng):
+        start = system.solve_density(_nearby(p, other)).ritz
+        pair = system.solve_density(p, start=start)
+        assert pair.path == WARM
+        assert 0 < pair.iterations
+        assert pair.residual <= system.cfg.eig_tol
+        Mp = system.mass_matrix(p)
+        vals, vecs = scipy.linalg.eigh(K, Mp, subset_by_index=[0, 1])
+        ref = vecs[:, 0]
+        lam_ref = (ref @ K @ ref) / (ref @ Mp @ ref)
+        assert abs(pair.lambda1 - lam_ref) <= 1e-12 * lam_ref
+        assert pair.gap == pytest.approx(vals[1] / vals[0] - 1.0, rel=1e-8)
+        c = pair.u.coefficients
+        err = min(np.abs(c - ref).max(), np.abs(c + ref).max())
+        assert err <= 1e-10 * np.abs(ref).max()
+        cold = system.solve_density(p)
+        assert abs(pair.lambda1 - cold.lambda1) <= 1e-12 * cold.lambda1
+
+
+def test_warm_start_on_higher_modes_falls_back_to_dense(small_system, rng):
+    # a start spanning the third to fifth modes converges at once, but to a
+    # sign-changing eigenfunction: the result must be the dense pair
+    system = small_system
+    for p in _densities(system, rng):
+        Mp = system.mass_matrix(p)
+        _, y = scipy.linalg.eigh(system.factor.congruence(Mp))
+        higher = system.factor.solve_upper(y[:, -3:-6:-1])  # lambda_3..lambda_5
+        pair = system.solve_density(p, start=higher)
+        assert pair.path == WARM_FALLBACK
+        cold = system.solve_density(p)
+        _assert_same_pair(pair, cold)
+        assert pair.iterations == cold.iterations  # the warm block needed no step
+
+
+def test_warm_start_iteration_cap_falls_back_to_dense(small_system, rng, monkeypatch):
+    system = small_system
+    other = random_admissible_density(system.grid, system.rule, rng)
+    monkeypatch.setattr("hingedplate.eigensolve.WARM_MAX_STEPS", 1)
+    for p in _densities(system, rng):
+        start = system.solve_density(_nearby(p, other)).ritz
+        pair = system.solve_density(p, start=start)
+        assert pair.path == WARM_FALLBACK
+        cold = system.solve_density(p)
+        _assert_same_pair(pair, cold)
+        assert pair.iterations == 1 + cold.iterations
+
+
+def test_warm_start_near_degenerate_pair_warns():
+    cfg = PlateConfig(n_modes_x=2, n_basis_y=1, n_quad_x=8, n_quad_y=4)
+    basis, grid = build_basis(cfg), QuadratureGrid.from_config(cfg)
+    one = np.eye(1)
+    factor = StiffnessFactor(blocks=(one, one), factors=(one, one))
+    with pytest.warns(NearDegenerateWarning):
+        pair = solve_first(factor, np.eye(2), cfg, basis=basis, grid=grid, start=np.eye(2))
+    assert pair.path == WARM_FALLBACK
+
+
+def test_warm_start_needs_grid(small_system):
+    p = uniform_density(small_system.grid, small_system.rule)
+    pair = small_system.solve_density(p)
+    with pytest.raises(ValueError, match="grid"):
+        solve_first(small_system.factor, small_system.mass_matrix(p), small_system.cfg,
+                    basis=small_system.basis, start=pair.ritz)

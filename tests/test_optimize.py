@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import hingedplate.optimize
 from hingedplate import (
     DensityField,
     GridField,
@@ -129,6 +130,33 @@ def test_minimize_single_iteration_cap(small_system):
     # the closing record carries the eigenvalue of the returned density
     check = small_system.solve_density(trace.final_density)
     assert check.lambda1 == pytest.approx(trace.final_lambda, rel=1e-11)
+
+
+def test_warm_started_sweeps_match_cold_sweeps(default_system, monkeypatch):
+    # every sweep after the first warm-starts from the previous Ritz block;
+    # re-solving each sweep's density cold must give the same run
+    system = default_system
+    starts = [uniform_density(system.grid, system.rule),
+              strip_density(system.grid, system.rule, "left"),
+              strip_density(system.grid, system.rule, "right"),
+              random_admissible_density(system.grid, system.rule,
+                                        np.random.default_rng(0))]
+    warm = [minimize(system.cfg, p, system=system) for p in starts]
+    solve_first = hingedplate.optimize.solve_first
+
+    def cold_solve(*args, start=None, **kwargs):
+        return solve_first(*args, **kwargs)
+
+    monkeypatch.setattr(hingedplate.optimize, "solve_first", cold_solve)
+    cold = [minimize(system.cfg, p, system=system) for p in starts]
+    for w, c in zip(warm, cold):
+        assert [r.solve_path for r in w.records] == ["dense"] + ["warm"] * (len(w.records) - 1)
+        assert {r.solve_path for r in c.records} == {"dense"}
+        assert len(w.records) == len(c.records)
+        assert w.status == c.status
+        assert np.array_equal(w.final_density.alpha_assignment(),
+                              c.final_density.alpha_assignment())
+        assert w.final_lambda == pytest.approx(c.final_lambda, rel=1e-12)
 
 
 def test_multistart_reaches_common_limit(rng):

@@ -35,8 +35,14 @@ def small_rule(small_cfg):
 
 
 def test_reflection_requires_even_nodes():
+    # PlateConfig rejects odd n_quad_x, so the odd grid is built directly
+    nx, wx = np.polynomial.legendre.leggauss(31)
+    ny, wy = np.polynomial.legendre.leggauss(8)
+    ell = math.pi / 5
+    grid = QuadratureGrid(nodes_x=0.5 * math.pi * (nx + 1.0), weights_x=0.5 * math.pi * wx,
+                          nodes_y=ell * ny, weights_y=ell * wy, ell=ell)
     with pytest.raises(ValueError, match="odd"):
-        HalfPlaneReflection(QuadratureGrid.from_config(PlateConfig(n_quad_x=31)))
+        HalfPlaneReflection(grid)
 
 
 def test_polarize_symmetric_fixed(small_grid):
