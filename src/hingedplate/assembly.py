@@ -5,9 +5,9 @@ correction weighted by (1 - sigma).  For the tensor basis the x-integrals
 are exact sine/cosine orthogonality relations, so the stiffness matrix is
 block diagonal over the sine mode; only the y-integrals use quadrature,
 and those are exact too because the y-factors are polynomials.  The
-energy matrix is only ever held as its per-mode blocks and their Cholesky
-factors.  The weighted mass matrix always goes through the tensor grid
-since the density is node-sampled.
+energy matrix is only ever held as one stacked array of its per-mode
+blocks and one of their Cholesky factors.  The weighted mass matrix always
+goes through the tensor grid since the density is node-sampled.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ class AssemblyError(RuntimeError):
     """Assembled matrix violates its contract (non-finite or not SPD)."""
 
 
-def stiffness_blocks(basis: SpectralBasis, grid: QuadratureGrid, sigma: float):
-    """Per-sine-mode blocks of the energy matrix.
+def stiffness_blocks(basis: SpectralBasis, grid: QuadratureGrid, sigma: float) -> np.ndarray:
+    """Per-sine-mode blocks of the energy matrix, stacked as (n_modes_x, J, J).
 
     For u = sin(m x) f(y), v = sin(m x) g(y) the energy form reduces, after
     integrating the trig factors exactly over (0, pi), to
@@ -42,15 +42,13 @@ def stiffness_blocks(basis: SpectralBasis, grid: QuadratureGrid, sigma: float):
     mass = (V0 * wy).T @ V0
     cross = (V2 * wy).T @ V0
     shear = (V1 * wy).T @ V1
-    blocks = []
-    for m in basis.modes_x:
-        m2 = float(m) ** 2
-        blk = bend + m2 * m2 * mass - sigma * m2 * (cross + cross.T) \
-            + 2.0 * (1.0 - sigma) * m2 * shear
-        blk = 0.5 * np.pi * 0.5 * (blk + blk.T)
-        if not np.all(np.isfinite(blk)):
-            raise AssemblyError(f"non-finite stiffness entries in mode m={m}")
-        blocks.append(blk)
+    m2 = basis.modes_x.astype(float)[:, None, None] ** 2
+    blk = bend + m2 * m2 * mass - sigma * m2 * (cross + cross.T) \
+        + 2.0 * (1.0 - sigma) * m2 * shear
+    blocks = 0.5 * np.pi * 0.5 * (blk + blk.transpose(0, 2, 1))
+    bad = basis.modes_x[~np.isfinite(blocks).all(axis=(1, 2))]
+    if bad.size:
+        raise AssemblyError(f"non-finite stiffness entries in modes m={bad.tolist()}")
     return blocks
 
 
@@ -92,62 +90,61 @@ def assemble_weighted_mass(basis: SpectralBasis, grid: QuadratureGrid,
 class StiffnessFactor:
     """Blockwise Cholesky factorization K = R^T R of the energy matrix.
 
-    `blocks` are the per-sine-mode blocks of K and `factors` their upper
-    triangular Cholesky factors, so R is block diagonal too.  The exact
-    block diagonality keeps each factor small and well scaled, which is
-    what lets solves reach ~1e-14 relative residuals where a monolithic
-    dense factorization of the full matrix would lose several digits.
-    Every operation acts block by block; no dimension x dimension energy
-    matrix is ever formed.
+    `blocks` stacks the per-sine-mode blocks of K as one (n_modes_x, J, J)
+    array and `factors` their upper triangular Cholesky factors, so R is
+    block diagonal too.  The exact block diagonality keeps each factor
+    small and well scaled, which is what lets solves reach ~1e-14 relative
+    residuals where a monolithic dense factorization of the full matrix
+    would lose several digits.  Every operation views its operand as
+    (n_modes_x, J, k) and acts on all blocks in one batched call; no
+    dimension x dimension energy matrix is ever formed.
     """
 
-    blocks: tuple
-    factors: tuple
+    blocks: np.ndarray
+    factors: np.ndarray
+
+    def __post_init__(self):
+        for name in ("blocks", "factors"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
 
     @classmethod
     def build(cls, basis: SpectralBasis, grid: QuadratureGrid, sigma: float) -> "StiffnessFactor":
-        blocks = tuple(stiffness_blocks(basis, grid, sigma))
+        blocks = stiffness_blocks(basis, grid, sigma)
         try:
-            factors = tuple(cholesky(blk, lower=False) for blk in blocks)
+            factors = cholesky(blocks, lower=False)
         except np.linalg.LinAlgError as exc:
             raise AssemblyError(f"energy matrix is not positive definite: {exc}") from exc
         return cls(blocks=blocks, factors=factors)
 
-    def _rows(self):
-        """Row slice of each block in the flat (mode-major) index."""
-        J = self.factors[0].shape[0]
-        return [slice(i * J, (i + 1) * J) for i in range(len(self.factors))]
-
-    def _blockwise(self, mats, x, op):
-        """op(matrix, rows of x) for each block, for one vector or a block of vectors."""
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        for rows, mat in zip(self._rows(), mats):
-            out[rows] = op(mat, x[rows])
-        return out
+    def _stacked(self, x):
+        """x, one vector or a (dimension, k) block, as (n_modes_x, J, k)."""
+        return np.asarray(x, dtype=float).reshape(*self.blocks.shape[:2], -1)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """K x for one vector or a (dimension, k) block of vectors."""
-        return self._blockwise(self.blocks, x, np.matmul)
+        return (self.blocks @ self._stacked(x)).reshape(np.shape(x))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve K x = rhs for one vector or a (dimension, k) block of vectors."""
-        return self._blockwise(self.factors, rhs, lambda R, b: cho_solve((R, False), b))
+        return cho_solve((self.factors, False), self._stacked(rhs)).reshape(np.shape(rhs))
 
     def solve_upper(self, y: np.ndarray) -> np.ndarray:
         """R^{-1} y, the map back from the congruence-reduced coordinates."""
-        return self._blockwise(self.factors, y, solve_triangular)
+        return solve_triangular(self.factors, self._stacked(y)).reshape(np.shape(y))
 
     def congruence(self, A: np.ndarray) -> np.ndarray:
         """R^{-T} A R^{-1} of a dense symmetric matrix, as one new array.
 
         Works in place in a single Fortran-ordered copy of A, so a LAPACK
         routine allowed to overwrite its input takes the result uncopied.
+        Not batched: at dim 1600 a batched form took 61.5 vs 20.7 MB and 102 vs 72 ms.
         """
         W = np.array(A, dtype=float, order="F")
-        rows = self._rows()
-        for r, R in zip(rows, self.factors):
+        J = self.factors.shape[-1]
+        for i, R in enumerate(self.factors):
+            r = slice(i * J, (i + 1) * J)
             W[r] = solve_triangular(R, W[r], trans="T")
-        for r, R in zip(rows, self.factors):
+        for i, R in enumerate(self.factors):
+            r = slice(i * J, (i + 1) * J)
             W[:, r] = solve_triangular(R, W[:, r].T, trans="T").T
         return W

@@ -39,7 +39,6 @@ from .optimize import (
     minimize,
     random_admissible_density,
     strip_density,
-    symmetry_classify,
     uniform_density,
 )
 
@@ -62,16 +61,16 @@ def _resolve_density(spec: str, system: PlateSystem) -> DensityField:
     return DensityField(system.grid, values, system.rule)
 
 
-def _write_field_outputs(manifest, out, system, pair, prefix=""):
+def _write_field_outputs(manifest, out, system, pair):
     u_grid = evaluate_on_grid(pair.u, system.grid)
-    write_vector_csv(manifest.register(out / f"{prefix}coefficients.csv"),
+    write_vector_csv(manifest.register(out / "coefficients.csv"),
                      "coefficient", pair.u.coefficients)
-    write_grid_csv(manifest.register(out / f"{prefix}eigenfunction.csv"),
+    write_grid_csv(manifest.register(out / "eigenfunction.csv"),
                    system.grid, u_grid.values, value_name="u")
     levels = level_bands(u_grid.values, 10)
     polys = [iso_contours(system.grid.nodes_x, system.grid.nodes_y,
                           u_grid.values, lv) for lv in levels]
-    write_contours_csv(manifest.register(out / f"{prefix}levelsets.csv"), levels, polys)
+    write_contours_csv(manifest.register(out / "levelsets.csv"), levels, polys)
     return u_grid
 
 
@@ -94,13 +93,6 @@ def cmd_solve(args) -> int:
     manifest.write()
     print(f"lambda1 = {pair.lambda1:.12g}  (residual {pair.residual:.2e})")
     return EXIT_OK
-
-
-def _one_start(system, cfg, name, density, out_root):
-    sub = out_root / name
-    sub.mkdir(parents=True, exist_ok=True)
-    trace = minimize(cfg, density, system=system)
-    return name, sub, trace
 
 
 def cmd_optimize(args) -> int:
@@ -127,7 +119,11 @@ def cmd_optimize(args) -> int:
     else:
         starts = [("file", _resolve_density(args.init, system))]
 
-    results = [_one_start(system, cfg, name, density, out) for name, density in starts]
+    results = []
+    for name, density in starts:
+        sub = out / name
+        sub.mkdir(parents=True, exist_ok=True)
+        results.append((name, sub, minimize(cfg, density, system=system)))
 
     lambdas = {}
     for name, sub, trace in results:
@@ -135,14 +131,13 @@ def cmd_optimize(args) -> int:
         write_eigensolve_csv(manifest.register(sub / "eigensolve.csv"), trace)
         write_grid_csv(manifest.register(sub / "final_density.csv"),
                        system.grid, trace.final_density.values, value_name="p")
-        _write_field_outputs(manifest, sub, system,
-                             trace.final_eigenpair, prefix="")
+        _write_field_outputs(manifest, sub, system, trace.final_eigenpair)
         lambdas[name] = trace.final_lambda
 
     best = min(results, key=lambda r: r[2].final_lambda)
     trace = best[2]
-    verdict = symmetry_classify(trace.final_eigenpair.u, system.grid)
     slope = midline_slope_check(trace.final_eigenpair.u, system.grid)
+    verdict = slope.verdict
     lam_vals = list(lambdas.values())
     agreement = (max(lam_vals) - min(lam_vals)) / min(lam_vals)
     assign = trace.final_density.alpha_assignment()

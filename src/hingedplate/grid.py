@@ -78,12 +78,5 @@ class GridField:
             raise ValueError("field contains non-finite values")
         object.__setattr__(self, "values", vals)
 
-    def integral(self) -> float:
-        return self.grid.integrate(self.values)
-
     def flat(self) -> np.ndarray:
         return self.values.ravel()
-
-    def mirrored_x(self) -> "GridField":
-        """Samples of v(pi - x, y); exact node relabeling on the symmetric grid."""
-        return GridField(self.grid, self.values[::-1, :])

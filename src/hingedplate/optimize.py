@@ -89,7 +89,7 @@ def uniform_density(grid: QuadratureGrid, rule: AdmissibleWeightRule) -> Density
     return DensityField(grid, np.ones(grid.shape), rule)
 
 
-def _quantile_assignment(values_flat, grid: QuadratureGrid, target_measure, order_key=None):
+def _quantile_assignment(values_flat, grid: QuadratureGrid, target_measure):
     """Sorted-node assignment filling `target_measure` from the bottom.
 
     Nodes enter in ascending (value, x, y) order until the cumulative tensor
@@ -99,8 +99,7 @@ def _quantile_assignment(values_flat, grid: QuadratureGrid, target_measure, orde
     nx, ny = grid.shape
     xs = np.repeat(grid.nodes_x, ny)
     ys = np.tile(grid.nodes_y, nx)
-    key = values_flat if order_key is None else order_key
-    order = np.lexsort((ys, xs, key))
+    order = np.lexsort((ys, xs, values_flat))
     w = grid.flat_weights()[order]
     cum = np.cumsum(w)
     if not 0.0 < target_measure < cum[-1]:
@@ -108,6 +107,20 @@ def _quantile_assignment(values_flat, grid: QuadratureGrid, target_measure, orde
     r = int(np.searchsorted(cum, target_measure))
     w_before = float(cum[r - 1]) if r > 0 else 0.0
     return order, r, target_measure - w_before
+
+
+def _fill_with_gray_node(values_flat, grid: QuadratureGrid, rule: AdmissibleWeightRule,
+                         target_measure, fill, rest):
+    """(flat density, gray node): `fill` on the lowest-value nodes up to
+    `target_measure`, `rest` elsewhere, one gray node making the mass exact."""
+    order, r, w_gray = _quantile_assignment(values_flat, grid, target_measure)
+    p = np.full(values_flat.size, rest)
+    p[order[:r]] = fill
+    gray_node = order[r]
+    w_node = grid.flat_weights()[gray_node]
+    p[gray_node] = rest + (fill - rest) * (w_gray / w_node)
+    _absorb_mass_defect(p, grid, rule.target_mass, gray_node, rule.alpha, rule.beta)
+    return p, gray_node
 
 
 def _absorb_mass_defect(p_flat, grid: QuadratureGrid, target_mass, node, lo, hi):
@@ -136,13 +149,7 @@ def bang_bang_from_values(values: GridField, rule: AdmissibleWeightRule):
     grid = values.grid
     flat = values.flat()
     target = rule.sublevel_fraction * rule.target_mass
-    order, r, w_gray = _quantile_assignment(flat, grid, target)
-    p = np.full(flat.size, rule.beta)
-    p[order[:r]] = rule.alpha
-    gray_node = order[r]
-    w_node = grid.flat_weights()[gray_node]
-    p[gray_node] = rule.beta - (rule.beta - rule.alpha) * (w_gray / w_node)
-    _absorb_mass_defect(p, grid, rule.target_mass, gray_node, rule.alpha, rule.beta)
+    p, gray_node = _fill_with_gray_node(flat, grid, rule, target, rule.alpha, rule.beta)
     t = float(flat[gray_node]) ** 2
     density = DensityField(grid, p.reshape(grid.shape), rule)
     return density, t
@@ -194,8 +201,7 @@ def strip_density(grid: QuadratureGrid, rule: AdmissibleWeightRule,
     The heavy strip gets the measure (1-alpha)/(beta-alpha) * area that the
     mass constraint allows; one gray node makes the mass exact.
     """
-    nx, ny = grid.shape
-    xs = np.repeat(grid.nodes_x, ny)
+    xs = np.repeat(grid.nodes_x, grid.shape[1])
     if side == "left":
         key = xs
     elif side == "right":
@@ -203,13 +209,7 @@ def strip_density(grid: QuadratureGrid, rule: AdmissibleWeightRule,
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     heavy_measure = (1.0 - rule.alpha) / (rule.beta - rule.alpha) * rule.target_mass
-    order, r, w_gray = _quantile_assignment(key, grid, heavy_measure, order_key=key)
-    p = np.full(nx * ny, rule.alpha)
-    p[order[:r]] = rule.beta
-    gray_node = order[r]
-    w_node = grid.flat_weights()[gray_node]
-    p[gray_node] = rule.alpha + (rule.beta - rule.alpha) * (w_gray / w_node)
-    _absorb_mass_defect(p, grid, rule.target_mass, gray_node, rule.alpha, rule.beta)
+    p, _ = _fill_with_gray_node(key, grid, rule, heavy_measure, rule.beta, rule.alpha)
     return DensityField(grid, p.reshape(grid.shape), rule)
 
 

@@ -124,13 +124,10 @@ def alternating_edge_slope_series(seq: CoefficientSequence, z,
                        terms=L)
 
 
-def _series_values_on_grid(seq: CoefficientSequence, zs: np.ndarray,
-                           alternating: bool) -> np.ndarray:
+def _series_values_on_grid(seq: CoefficientSequence, zs: np.ndarray) -> np.ndarray:
     L = len(seq)
     m = np.arange(1, L + 1, dtype=float)
     coeff = seq.values / m ** 2
-    if alternating:
-        coeff = coeff * ((-1.0) ** m)
     out = np.zeros(zs.size)
     for lo in range(0, L, 2048):                    # chunked outer product
         hi = min(lo + 2048, L)
@@ -138,23 +135,16 @@ def _series_values_on_grid(seq: CoefficientSequence, zs: np.ndarray,
     return out
 
 
-def certify_sign_on_grid(seq: CoefficientSequence, zs: np.ndarray,
-                         sign: int, claim_id: str, *, resolution: str = None):
-    """Report whether sign * series > tail_bound holds at every grid point."""
+def certify_S1_positive(seq: CoefficientSequence, zs: np.ndarray):
+    """Positivity of the edge slope series on a z grid, tail bound included."""
     zs = np.asarray(zs, dtype=float)
-    vals = sign * _series_values_on_grid(seq, zs, alternating=(sign < 0))
+    vals = _series_values_on_grid(seq, zs)
     tail = float(seq.values[-1]) * sum_inverse_squares_tail(len(seq))
     margin = float(vals.min() - tail)
     return make_report(
-        claim_id, zs.size, margin,
-        resolution or f"family={seq.tag}, terms={len(seq)}",
-        bool(margin > 0.0),
+        "series-positive", zs.size, margin,
+        f"family={seq.tag}, terms={len(seq)}", bool(margin > 0.0),
     )
-
-
-def certify_S1_positive(seq: CoefficientSequence, zs: np.ndarray):
-    """Positivity of the edge slope series on a z grid, tail bound included."""
-    return certify_sign_on_grid(seq, zs, +1, "series-positive")
 
 
 def certify_S2_negative(seq: CoefficientSequence, zs: np.ndarray):
@@ -164,7 +154,7 @@ def certify_S2_negative(seq: CoefficientSequence, zs: np.ndarray):
     its negativity is the same certification run on the reflected grid.
     """
     zs = np.asarray(zs, dtype=float)
-    report = certify_sign_on_grid(seq, np.pi - zs, +1, "series-positive")
+    report = certify_S1_positive(seq, np.pi - zs)
     return make_report(
         "series-alternating-negative", report.probe_count, report.min_margin,
         f"family={seq.tag}, terms={len(seq)}", report.passed,
@@ -238,7 +228,7 @@ def certify_pair_term_margin(n_max: int = 50, grid_size: int = 200):
 def certify_lower_envelope(seq: CoefficientSequence, zs: np.ndarray):
     """Series dominates c_1 (sin z - (pi^2/6 - 1)), certified with the tail."""
     zs = np.asarray(zs, dtype=float)
-    vals = _series_values_on_grid(seq, zs, alternating=False)
+    vals = _series_values_on_grid(seq, zs)
     tail = float(seq.values[-1]) * sum_inverse_squares_tail(len(seq))
     envelope = seq.values[0] * (np.sin(zs) - (PI2_OVER_6 - 1.0))
     margin = float(np.min(vals - tail - envelope))

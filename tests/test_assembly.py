@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, cho_solve, solve_triangular
 
 import hingedplate.basis
 from hingedplate import (
@@ -190,3 +190,39 @@ def test_mass_assembly_allocates_less_than_dense_table(rng):
                     if not name.startswith("__")
                     and ("cache" in name.lower() or isinstance(value, (dict, list, set)))]
     assert module_state == []
+
+
+def test_stacked_factor_matches_block_diagonal_oracle(parts, cfg, rng, monkeypatch):
+    # oracle: the dense block-diagonal K and R assembled from the stacks
+    basis, grid = parts
+    factor = StiffnessFactor.build(basis, grid, cfg.sigma)
+    assert factor.blocks.shape == factor.factors.shape \
+        == (basis.n_modes_x, basis.n_basis_y, basis.n_basis_y)
+    K, R = block_diag(*factor.blocks), block_diag(*factor.factors)
+    assert np.abs(R.T @ R - K).max() <= 1e-13 * np.abs(K).max()
+    n = basis.dimension
+    block = rng.standard_normal((n, 3))
+    reversed_f = np.asfortranarray(rng.standard_normal((n, 3)))[:, ::-1]
+    for x in (rng.standard_normal(n), block, reversed_f):
+        cases = [(factor.matvec, K @ x),
+                 (factor.solve, cho_solve((R, False), x)),
+                 (factor.solve_upper, solve_triangular(R, x))]
+        for op, ref in cases:
+            out = op(x)
+            assert out.shape == x.shape
+            assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+            assert np.array_equal(out, op(np.ascontiguousarray(x)))
+    A = block @ block.T + np.eye(n)
+    Ri = solve_triangular(R, np.eye(n))
+    ref = Ri.T @ A @ Ri
+    assert np.abs(factor.congruence(A) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return cho_solve(*args, **kwargs)
+
+    monkeypatch.setattr("hingedplate.assembly.cho_solve", counting)
+    factor.solve(block)
+    assert len(calls) == 1

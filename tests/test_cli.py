@@ -183,7 +183,7 @@ def test_analysis_failure_exit_code(tmp_path, small_config_file, monkeypatch):
     def mixed(u, grid, tol=1e-6):
         raise AnalysisError("mirror gaps of mixed sign beyond tolerance")
 
-    monkeypatch.setattr("hingedplate.cli.symmetry_classify", mixed)
+    monkeypatch.setattr("hingedplate.optimize.symmetry_classify", mixed)
     rc = main(["optimize", "--config", str(small_config_file),
                "--out", str(tmp_path / "opt"), "--init", "uniform"])
     assert rc == 3
