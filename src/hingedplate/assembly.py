@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky
 
 from .basis import SpectralBasis, _legendre_tables
 from .grid import QuadratureGrid, GridField
@@ -127,24 +127,3 @@ class StiffnessFactor:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve K x = rhs for one vector or a (dimension, k) block of vectors."""
         return cho_solve((self.factors, False), self._stacked(rhs)).reshape(np.shape(rhs))
-
-    def solve_upper(self, y: np.ndarray) -> np.ndarray:
-        """R^{-1} y, the map back from the congruence-reduced coordinates."""
-        return solve_triangular(self.factors, self._stacked(y)).reshape(np.shape(y))
-
-    def congruence(self, A: np.ndarray) -> np.ndarray:
-        """R^{-T} A R^{-1} of a dense symmetric matrix, as one new array.
-
-        Works in place in a single Fortran-ordered copy of A, so a LAPACK
-        routine allowed to overwrite its input takes the result uncopied.
-        Not batched: at dim 1600 a batched form took 61.5 vs 20.7 MB and 102 vs 72 ms.
-        """
-        W = np.array(A, dtype=float, order="F")
-        J = self.factors.shape[-1]
-        for i, R in enumerate(self.factors):
-            r = slice(i * J, (i + 1) * J)
-            W[r] = solve_triangular(R, W[r], trans="T")
-        for i, R in enumerate(self.factors):
-            r = slice(i * J, (i + 1) * J)
-            W[:, r] = solve_triangular(R, W[:, r].T, trans="T").T
-        return W

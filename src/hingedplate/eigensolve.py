@@ -1,27 +1,24 @@
 """Smallest eigenpair of the generalized problem K c = lambda M_p c.
 
-Cold start: with the blockwise Cholesky factor K = R^T R the problem
-reduces to the standard symmetric one C y = mu y, C = R^{-T} M_p R^{-1},
-mu = 1/lambda, c = R^{-1} y (Golub & Van Loan, Matrix Computations, 4th
-ed., sec. 8.7).  The smallest lambda is the largest mu, which a dense
-symmetric eigensolver resolves to full relative accuracy; no dense K is
-ever formed.
+Block inverse iteration with the exact blockwise solve and a Rayleigh-Ritz
+step on the block, which is LOBPCG with an exact preconditioner and no
+search directions (Knyazev, SIAM J. Sci. Comput. 23, 2001), converges in a
+few O(n^2) steps; no dense K and no n x n eigensolve is ever formed.
 
-Warm start: given the Ritz block of a nearby problem (the previous sweep
-of the rearrangement loop), block inverse iteration with the exact
-blockwise solve and a Rayleigh-Ritz step on the block, which is LOBPCG
-with an exact preconditioner and no search directions (Knyazev, SIAM J.
-Sci. Comput. 23, 2001), converges in a few O(n^2) steps instead of one
-O(n^3) dense eigensolve.  The same iteration polishes the dense pair.
+The start block is the Rayleigh-Ritz projection of the pencil onto each
+sine mode's profiles: the lowest eigenvectors of the block-diagonal pencil
+(K_m, D_m), D_m the m-th diagonal J x J block of M_p.  K is block diagonal
+over the sine mode, and for p = 1 so is M_p up to rounding, so the start
+is the uniform plate's modes; a two-material density moves the sought
+pair only a few steps away from it.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .assembly import StiffnessFactor
 from .basis import SpectralField, evaluate_on_grid
@@ -29,16 +26,12 @@ from .grid import QuadratureGrid
 
 # Relative gap below which the first pair counts as nearly degenerate.
 DEGENERATE_GAP = 1e-10
-# Ritz vectors carried from one solve to the next: the first pair, the
-# second (for the gap), and a guard vector that makes the second converge
-# at the rate lambda_2/lambda_4 instead of lambda_2/lambda_3.
+# Columns of the iterated block: the first pair, the second (for the gap),
+# and a guard vector that makes the second converge at the rate
+# lambda_2/lambda_4 instead of lambda_2/lambda_3.
 RITZ_BLOCK = 3
-# Inverse-iteration steps allowed to polish the dense pair, and to a warm
-# start before it falls back to the dense reduction.
-POLISH_MAX_STEPS = 8
-WARM_MAX_STEPS = 25
-
-DENSE, WARM, WARM_FALLBACK = "dense", "warm", "warm→dense"
+# Inverse-iteration steps allowed before the solve counts as failed.
+MAX_STEPS = 25
 
 
 class SolverError(RuntimeError):
@@ -55,22 +48,16 @@ class Eigenpair:
 
     `lambda1` is the Rayleigh quotient of the returned vector and the sign
     is fixed so the quadrature mean of u is positive; `residual` is
-    ||K c - lambda M_p c|| / ||K c|| of the returned pair and `gap` the
-    relative distance to the next discrete eigenvalue.  `path` says how
-    the pair was found (`dense`, `warm`, or `warm→dense` when a warm start
-    fell back to the dense reduction), `iterations` counts the
-    inverse-iteration steps of the call (a failed warm attempt's
-    included), and `ritz` is the M_p-orthonormal block of the lowest
-    RITZ_BLOCK Ritz vectors that warm-starts the solve of a nearby density.
+    ||K c - lambda M_p c|| / ||K c|| of the returned pair, `gap` the
+    relative distance to the next discrete eigenvalue, and `iterations`
+    the inverse-iteration steps the solve took.
     """
 
     lambda1: float
     u: SpectralField
     residual: float
     gap: float
-    path: str = DENSE
-    iterations: int = 0
-    ritz: np.ndarray = field(default=None, repr=False, compare=False)
+    iterations: int
 
 
 def rayleigh_quotient(u: SpectralField, factor: StiffnessFactor, M_p: np.ndarray) -> float:
@@ -80,6 +67,43 @@ def rayleigh_quotient(u: SpectralField, factor: StiffnessFactor, M_p: np.ndarray
     if denom <= 0.0:
         raise ValueError("trial field has vanishing weighted norm")
     return float(c @ factor.matvec(c)) / float(denom)
+
+
+def _rayleigh_ritz(A, B):
+    """Eigenpairs of the symmetric pencil (A, B), batched over leading axes.
+
+    Ascending eigenvalues and B-orthonormal eigenvectors, from the Cholesky
+    factor B = L L^T and the standard problem L^-1 A L^-T (Golub & Van
+    Loan, Matrix Computations, 4th ed., sec. 8.7).
+    """
+    def sym(S):
+        return 0.5 * (S + S.swapaxes(-1, -2))
+
+    try:
+        Li = np.linalg.inv(np.linalg.cholesky(sym(B)))
+        LiT = Li.swapaxes(-1, -2)
+        theta, Y = np.linalg.eigh(sym(Li @ A @ LiT))
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"Rayleigh-Ritz projection failed: {exc}") from exc
+    return theta, LiT @ Y
+
+
+def _block_diagonal_start(factor: StiffnessFactor, M_p: np.ndarray, k: int) -> np.ndarray:
+    """The k lowest eigenvectors of the pencils (K_m, D_m), as (dimension, k).
+
+    All sine modes go through one batched Rayleigh-Ritz call; the k lowest
+    eigenvalues over all modes pick the columns, each embedded in its own
+    mode's rows.
+    """
+    nm, J, _ = factor.blocks.shape
+    modes = np.arange(nm)
+    D = M_p.reshape(nm, J, nm, J)[modes, :, modes, :]
+    theta, V = _rayleigh_ritz(factor.blocks, D)
+    lowest = np.argsort(theta, axis=None, kind="stable")[:k]
+    m, j = np.unravel_index(lowest, theta.shape)
+    X = np.zeros((nm, J, k))
+    X[m, :, np.arange(k)] = V[m, :, j]
+    return X.reshape(nm * J, k)
 
 
 def _inverse_iteration(X, factor, M_p, tol, max_steps):
@@ -99,11 +123,7 @@ def _inverse_iteration(X, factor, M_p, tol, max_steps):
             X = factor.solve(MX)
             MX = M_p @ X
         KX = factor.matvec(X)
-        A, B = X.T @ KX, X.T @ MX
-        try:
-            theta, Q = scipy.linalg.eigh(0.5 * (A + A.T), 0.5 * (B + B.T))
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise SolverError(f"inverse iteration collapsed: {exc}") from exc
+        theta, Q = _rayleigh_ritz(X.T @ KX, X.T @ MX)
         X, KX, MX = X @ Q, KX @ Q, MX @ Q
         lam = np.sum(X * KX, axis=0) / np.sum(X * MX, axis=0)
         res = np.linalg.norm(KX - lam * MX, axis=0) / np.linalg.norm(KX, axis=0)
@@ -122,88 +142,39 @@ def _converged(res, tol) -> bool:
     return bool(res[0] <= tol and res[1:2].max(initial=0.0) <= np.sqrt(tol))
 
 
-def _oriented(c, M_p, basis, grid):
-    """Field of c at unit weighted norm and its node values (None without a grid).
-
-    The sign makes the quadrature mean of u positive, or without a grid
-    the leading coefficient.
-    """
+def _oriented(c, M_p, basis, grid) -> SpectralField:
+    """Field of c at unit weighted norm, its sign making the quadrature mean
+    of u positive, or without a grid the leading coefficient."""
     c = c / np.sqrt(c @ M_p @ c)
-    vals = None if grid is None else evaluate_on_grid(SpectralField(basis, c), grid).values
-    mean = c[0] if vals is None else grid.integrate(vals)
-    if mean < 0.0:
-        c = -c
-        vals = None if vals is None else -vals
-    return SpectralField(basis, c), vals
-
-
-def _warm(start, factor, M_p, cfg, basis, grid):
-    """Warm-started pair (None when a safeguard sends it to the dense path)
-    and the inverse-iteration steps it took.
-
-    The safeguards: no convergence within WARM_MAX_STEPS, a nearly
-    degenerate gap, and an eigenfunction that is not positive at every
-    node, since the first eigenfunction is and any other converged pair is
-    M_p-orthogonal to it.
-    """
-    try:
-        theta, X, res, steps = _inverse_iteration(
-            start, factor, M_p, cfg.eig_tol, WARM_MAX_STEPS)
-    except SolverError:
-        return None, 0
-    gap = float(theta[1] / theta[0] - 1.0) if theta.size > 1 else np.inf
-    if not _converged(res, cfg.eig_tol) or not gap >= DEGENERATE_GAP:
-        return None, steps
-    u, vals = _oriented(X[:, 0], M_p, basis, grid)
-    if not vals.min() > 0.0:
-        return None, steps
-    return Eigenpair(lambda1=rayleigh_quotient(u, factor, M_p), u=u, residual=float(res[0]),
-                     gap=gap, path=WARM, iterations=steps, ritz=X), steps
+    mean = c[0] if grid is None else \
+        grid.integrate(evaluate_on_grid(SpectralField(basis, c), grid).values)
+    return SpectralField(basis, -c if mean < 0.0 else c)
 
 
 def solve_first(factor: StiffnessFactor, M_p: np.ndarray, cfg, *, basis,
-                grid: QuadratureGrid = None, start: np.ndarray = None) -> Eigenpair:
-    """Smallest generalized eigenpair, polished to cfg.eig_tol relative residual.
+                grid: QuadratureGrid = None) -> Eigenpair:
+    """Smallest generalized eigenpair, to cfg.eig_tol relative residual.
 
-    `factor` is the blockwise factorization of the energy matrix K.  Cold
-    (no `start`): the largest eigenvalues mu of R^{-T} M_p R^{-1} give
-    lambda1 = 1/mu_max and the gap mu_max/mu_2 - 1, and inverse iteration
-    polishes their vectors.  Warm: `start` is the Ritz block of a nearby
-    problem (`Eigenpair.ritz`), refined by inverse iteration alone, with
-    gap theta_2/theta_1 - 1 of the final Ritz values; any safeguard of
-    `_warm` falls back to the cold path.  The warm path needs the grid.
-    The reported lambda1 is the Rayleigh quotient of the returned vector.
+    `factor` is the blockwise factorization of the energy matrix K.  Block
+    inverse iteration runs from `_block_diagonal_start` until `_converged`
+    holds; not converging within MAX_STEPS steps raises SolverError.  The
+    gap is theta_2/theta_1 - 1 of the final Ritz values.  The reported
+    lambda1 is the Rayleigh quotient of the returned vector.
     """
-    path, warm_steps = DENSE, 0
-    if start is not None:
-        if grid is None:
-            raise ValueError("a warm start needs the grid to check the eigenfunction's sign")
-        pair, warm_steps = _warm(start, factor, M_p, cfg, basis, grid)
-        if pair is not None:
-            return pair
-        path = WARM_FALLBACK
-    n = M_p.shape[0]
-    try:
-        mu, vecs = scipy.linalg.eigh(factor.congruence(M_p), overwrite_a=True,
-                                     subset_by_index=[max(n - RITZ_BLOCK, 0), n - 1])
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"dense eigensolve failed: {exc}") from exc
-    if mu[-1] <= 0.0:
-        raise SolverError("weighted mass form is not positive on the basis")
-    gap = float(mu[-1] / mu[-2] - 1.0) if n > 1 else np.inf
+    k = min(RITZ_BLOCK, M_p.shape[0])
+    theta, X, res, steps = _inverse_iteration(
+        _block_diagonal_start(factor, M_p, k), factor, M_p, cfg.eig_tol, MAX_STEPS)
+    if not _converged(res, cfg.eig_tol):
+        raise SolverError(
+            f"eigenpair residual {res[0]:.3e} (eig_tol {cfg.eig_tol:.1e}) not "
+            f"converged after {steps} inverse-iteration steps"
+        )
+    gap = float(theta[1] / theta[0] - 1.0) if k > 1 else np.inf
     if gap < DEGENERATE_GAP:
         warnings.warn(
             f"smallest eigenvalues nearly degenerate (relative gap {gap:.2e})",
             NearDegenerateWarning,
         )
-    _, X, res, steps = _inverse_iteration(
-        factor.solve_upper(vecs[:, ::-1]), factor, M_p, cfg.eig_tol, POLISH_MAX_STEPS)
-    residual = float(res[0])
-    if residual > cfg.eig_tol:
-        raise SolverError(
-            f"eigenpair residual {residual:.3e} above eig_tol {cfg.eig_tol:.1e} "
-            f"after refinement"
-        )
-    u, _ = _oriented(X[:, 0], M_p, basis, grid)
-    return Eigenpair(lambda1=rayleigh_quotient(u, factor, M_p), u=u, residual=residual,
-                     gap=gap, path=path, iterations=warm_steps + steps, ritz=X)
+    u = _oriented(X[:, 0], M_p, basis, grid)
+    return Eigenpair(lambda1=rayleigh_quotient(u, factor, M_p), u=u,
+                     residual=float(res[0]), gap=gap, iterations=steps)

@@ -79,11 +79,10 @@ def write_eigensolve_csv(path, trace: OptimizationTrace) -> None:
     """Per-sweep eigensolve diagnostics, one row per trace record."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iter", "path", "iterations", "residual", "gap"])
+        writer.writerow(["iter", "iterations", "residual", "gap"])
         for rec in trace.records:
             writer.writerow([
-                rec.iteration, rec.solve_path, rec.solve_iterations,
-                _fmt(rec.residual), _fmt(rec.gap),
+                rec.iteration, rec.solve_iterations, _fmt(rec.residual), _fmt(rec.gap),
             ])
 
 

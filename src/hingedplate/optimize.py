@@ -217,9 +217,9 @@ def strip_density(grid: QuadratureGrid, rule: AdmissibleWeightRule,
 class TraceRecord:
     """One sweep: its eigenvalue and rearrangement, and how the eigensolve went.
 
-    `solve_path`, `solve_iterations`, `residual` and `gap` copy the
-    sweep's `Eigenpair` diagnostics (path, inverse-iteration steps,
-    relative residual, relative spectral gap).
+    `solve_iterations`, `residual` and `gap` copy the sweep's `Eigenpair`
+    diagnostics (inverse-iteration steps, relative residual, relative
+    spectral gap).
     """
 
     iteration: int
@@ -227,7 +227,6 @@ class TraceRecord:
     threshold_t: float
     sublevel_measure: float
     density_change_measure: float
-    solve_path: str
     solve_iterations: int
     residual: float
     gap: float
@@ -281,10 +280,10 @@ class PlateSystem:
             bounds=(self.rule.alpha, self.rule.beta),
         )
 
-    def solve_density(self, p: DensityField, start: np.ndarray = None) -> Eigenpair:
-        """First pair at density p; `start` is a warm-start Ritz block."""
+    def solve_density(self, p: DensityField) -> Eigenpair:
+        """First pair at density p."""
         return solve_first(self.factor, self.mass_matrix(p), self.cfg,
-                           basis=self.basis, grid=self.grid, start=start)
+                           basis=self.basis, grid=self.grid)
 
     def load_vector(self, f: GridField) -> np.ndarray:
         """Galerkin load, entry a = sum_nodes w f phi_a."""
@@ -297,13 +296,10 @@ def minimize(cfg: PlateConfig, initial_p: DensityField, *,
     """Run the rearrangement loop from one starting density.
 
     Each record holds one eigensolve plus the rearrangement computed from
-    it.  The first sweep solves cold; every later sweep warm-starts from
-    the previous sweep's Ritz block, since the density changes only on a
-    thin band between sweeps.  The loop stops at an exact assignment
-    fixed point, at relative eigenvalue stagnation below cfg.opt_tol, or
-    after cfg.opt_max_iter rearrangement sweeps (so the trace carries at
-    most opt_max_iter + 1 records and always closes with the eigenvalue of
-    the final density).
+    it.  The loop stops at an exact assignment fixed point, at relative
+    eigenvalue stagnation below cfg.opt_tol, or after cfg.opt_max_iter
+    rearrangement sweeps (so the trace carries at most opt_max_iter + 1
+    records and always closes with the eigenvalue of the final density).
     A step that increases the eigenvalue beyond 1e-10 relative aborts: the
     variational chain guarantees decrease, so growth means broken inputs.
     """
@@ -314,9 +310,8 @@ def minimize(cfg: PlateConfig, initial_p: DensityField, *,
     prev_assign = None
     prev_lambda = None
     status = None
-    pair = None
     for it in range(cfg.opt_max_iter + 1):
-        pair = sys_.solve_density(p, start=None if pair is None else pair.ritz)
+        pair = sys_.solve_density(p)
         if prev_lambda is not None and pair.lambda1 > prev_lambda * (1.0 + 1e-10):
             raise MonotonicityError(
                 f"sweep {it}: eigenvalue rose from {prev_lambda!r} to {pair.lambda1!r}"
@@ -333,7 +328,6 @@ def minimize(cfg: PlateConfig, initial_p: DensityField, *,
             threshold_t=t,
             sublevel_measure=new_p.sublevel_measure(),
             density_change_measure=change,
-            solve_path=pair.path,
             solve_iterations=pair.iterations,
             residual=pair.residual,
             gap=pair.gap,
@@ -371,11 +365,15 @@ def symmetry_classify(u: SpectralField, grid: QuadratureGrid,
     strict sign on the whole left half, and a mixed pattern is an error
     because a genuine optimal eigenfunction admits no such state.
     """
-    vals = evaluate_on_grid(u, grid).values
+    return _mirror_verdict(evaluate_on_grid(u, grid).values, tol)
+
+
+def _mirror_verdict(vals: np.ndarray, tol: float) -> str:
+    """`symmetry_classify` from the node values of the field."""
     scale = np.abs(vals).max()
     if scale == 0.0:
         raise ValueError("zero field cannot be classified")
-    nx = grid.shape[0]
+    nx = vals.shape[0]
     diff = vals[: nx // 2] - vals[::-1, :][: nx // 2]
     hi, lo = float(diff.max()), float(diff.min())
     if max(abs(hi), abs(lo)) <= tol * scale:
@@ -406,11 +404,11 @@ def midline_slope_check(u: SpectralField, grid: QuadratureGrid,
     a right-dominant one upward, and a symmetric one must be flat there; any
     disagreement raises.
     """
-    verdict = symmetry_classify(u, grid, tol=tol)
+    vals = evaluate_on_grid(u, grid).values
+    verdict = _mirror_verdict(vals, tol)
     pts = np.column_stack([np.full(grid.shape[1], np.pi / 2), grid.nodes_y])
     slopes = u.coefficients @ u.basis.eval_matrix(pts, dx=1)
-    scale = float(np.abs(evaluate_on_grid(u, grid).values).max())
-    thr = tol * scale
+    thr = tol * float(np.abs(vals).max())
     if verdict == SYMMETRIC:
         ok = bool(np.all(np.abs(slopes) <= thr))
     elif verdict == LEFT_DOMINANT:

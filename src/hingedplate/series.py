@@ -135,12 +135,19 @@ def _series_values_on_grid(seq: CoefficientSequence, zs: np.ndarray) -> np.ndarr
     return out
 
 
+def _tail_bound(seq: CoefficientSequence) -> float:
+    return float(seq.values[-1]) * sum_inverse_squares_tail(len(seq))
+
+
+def _positive_margin(seq: CoefficientSequence, vals: np.ndarray) -> float:
+    """Smallest grid value of the series less the tail bound."""
+    return float(vals.min() - _tail_bound(seq))
+
+
 def certify_S1_positive(seq: CoefficientSequence, zs: np.ndarray):
     """Positivity of the edge slope series on a z grid, tail bound included."""
     zs = np.asarray(zs, dtype=float)
-    vals = _series_values_on_grid(seq, zs)
-    tail = float(seq.values[-1]) * sum_inverse_squares_tail(len(seq))
-    margin = float(vals.min() - tail)
+    margin = _positive_margin(seq, _series_values_on_grid(seq, zs))
     return make_report(
         "series-positive", zs.size, margin,
         f"family={seq.tag}, terms={len(seq)}", bool(margin > 0.0),
@@ -225,13 +232,17 @@ def certify_pair_term_margin(n_max: int = 50, grid_size: int = 200):
     )
 
 
+def _envelope_margin(seq: CoefficientSequence, zs: np.ndarray, vals: np.ndarray) -> float:
+    """Smallest excess of the series values at zs, less the tail bound, over
+    the envelope c_1 (sin z - (pi^2/6 - 1))."""
+    envelope = seq.values[0] * (np.sin(zs) - (PI2_OVER_6 - 1.0))
+    return float(np.min(vals - _tail_bound(seq) - envelope))
+
+
 def certify_lower_envelope(seq: CoefficientSequence, zs: np.ndarray):
     """Series dominates c_1 (sin z - (pi^2/6 - 1)), certified with the tail."""
     zs = np.asarray(zs, dtype=float)
-    vals = _series_values_on_grid(seq, zs)
-    tail = float(seq.values[-1]) * sum_inverse_squares_tail(len(seq))
-    envelope = seq.values[0] * (np.sin(zs) - (PI2_OVER_6 - 1.0))
-    margin = float(np.min(vals - tail - envelope))
+    margin = _envelope_margin(seq, zs, _series_values_on_grid(seq, zs))
     return make_report(
         "series-lower-envelope", zs.size, margin,
         f"family={seq.tag}, terms={len(seq)}", bool(margin > -1e-12),
@@ -240,15 +251,19 @@ def certify_lower_envelope(seq: CoefficientSequence, zs: np.ndarray):
 
 def certify_series(cfg=None, *, grid_points: int = 999, terms: int = 20000,
                    families=DEFAULT_FAMILIES) -> list:
-    """Full series suite: sign certifications plus the elementary bounds."""
+    """Full series suite: sign certifications plus the elementary bounds.
+
+    Positivity and the lower envelope share each family's values on zs.
+    """
     zs = np.pi * np.arange(1, grid_points + 1) / (grid_points + 1)
     reports = []
     worst_pos, worst_neg, worst_env = np.inf, np.inf, np.inf
     for tag in families:
         seq = sequence_family(tag, terms)
-        worst_pos = min(worst_pos, certify_S1_positive(seq, zs).min_margin)
+        vals = _series_values_on_grid(seq, zs)
+        worst_pos = min(worst_pos, _positive_margin(seq, vals))
         worst_neg = min(worst_neg, certify_S2_negative(seq, zs).min_margin)
-        worst_env = min(worst_env, certify_lower_envelope(seq, zs).min_margin)
+        worst_env = min(worst_env, _envelope_margin(seq, zs, vals))
     res = f"families={len(families)}, terms={terms}, grid={grid_points}"
     reports.append(make_report("series-positive", len(families) * grid_points,
                                worst_pos, res, bool(worst_pos > 0.0)))

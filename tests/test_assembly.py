@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag, cho_solve, solve_triangular
+from scipy.linalg import block_diag, cho_solve
 
 import hingedplate.basis
 from hingedplate import (
@@ -205,17 +205,12 @@ def test_stacked_factor_matches_block_diagonal_oracle(parts, cfg, rng, monkeypat
     reversed_f = np.asfortranarray(rng.standard_normal((n, 3)))[:, ::-1]
     for x in (rng.standard_normal(n), block, reversed_f):
         cases = [(factor.matvec, K @ x),
-                 (factor.solve, cho_solve((R, False), x)),
-                 (factor.solve_upper, solve_triangular(R, x))]
+                 (factor.solve, cho_solve((R, False), x))]
         for op, ref in cases:
             out = op(x)
             assert out.shape == x.shape
             assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
             assert np.array_equal(out, op(np.ascontiguousarray(x)))
-    A = block @ block.T + np.eye(n)
-    Ri = solve_triangular(R, np.eye(n))
-    ref = Ri.T @ A @ Ri
-    assert np.abs(factor.congruence(A) - ref).max() <= 1e-13 * np.abs(ref).max()
 
     calls = []
 

@@ -89,13 +89,28 @@ def test_optimize_multistart(tmp_path, small_config_file):
         lams = [float(line.split(",")[1]) for line in trace_lines[1:]]
         assert all(b <= a * (1 + 1e-10) for a, b in zip(lams, lams[1:]))
         solves = (out / start / "eigensolve.csv").read_text(encoding="utf-8").splitlines()
-        assert solves[0] == "iter,path,iterations,residual,gap"
+        assert solves[0] == "iter,iterations,residual,gap"
         rows = [line.split(",") for line in solves[1:]]
         assert [r[0] for r in rows] == [line.split(",")[0] for line in trace_lines[1:]]
-        assert rows[0][1] == "dense"
-        assert {r[1] for r in rows[1:]} <= {"warm", "warm→dense"}
-        assert all(int(r[2]) >= 0 and float(r[3]) <= 1e-12 and float(r[4]) > 0.0
+        assert all(int(r[1]) >= 0 and float(r[2]) <= 1e-12 and float(r[3]) > 0.0
                    for r in rows)
+
+
+def test_solve_reproduces_optimized_lambda(tmp_path, small_config_file):
+    # one eigensolve path: a density's eigenpair depends on the density
+    # alone, so re-solving each start's final density gives its last
+    # trace eigenvalue bit for bit
+    out = tmp_path / "opt"
+    assert main(["optimize", "--config", str(small_config_file), "--out", str(out),
+                 "--starts", "4", "--seed", "7"]) == 0
+    summary = json.loads((out / "optimize_summary.json").read_text())
+    for start in summary["final_lambda_per_start"]:
+        last = (out / start / "trace.csv").read_text().splitlines()[-1]
+        run = tmp_path / f"solve-{start}"
+        assert main(["solve", "--config", str(small_config_file), "--out", str(run),
+                     "--density", str(out / start / "final_density.csv")]) == 0
+        pair = json.loads((run / "eigenpair.json").read_text())
+        assert repr(pair["lambda1"]) == last.split(",")[1]
 
 
 def test_optimize_single_named_start(tmp_path, small_config_file):
@@ -180,10 +195,10 @@ def test_odd_x_quadrature_exits_2(tmp_path, capsys, command):
 
 def test_analysis_failure_exit_code(tmp_path, small_config_file, monkeypatch):
     # an analysis outcome (here a mixed mirror pattern) is not a validation error
-    def mixed(u, grid, tol=1e-6):
+    def mixed(vals, tol):
         raise AnalysisError("mirror gaps of mixed sign beyond tolerance")
 
-    monkeypatch.setattr("hingedplate.optimize.symmetry_classify", mixed)
+    monkeypatch.setattr("hingedplate.optimize._mirror_verdict", mixed)
     rc = main(["optimize", "--config", str(small_config_file),
                "--out", str(tmp_path / "opt"), "--init", "uniform"])
     assert rc == 3

@@ -1,17 +1,17 @@
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from hingedplate import (
-    DensityField,
     GridField,
     PlateConfig,
     PlateSystem,
-    QuadratureGrid,
     SpectralField,
     StiffnessFactor,
     build_basis,
@@ -22,7 +22,9 @@ from hingedplate import (
     strip_density,
     uniform_density,
 )
-from hingedplate.eigensolve import NearDegenerateWarning, WARM, WARM_FALLBACK
+from hingedplate.cli import main
+from hingedplate.eigensolve import NearDegenerateWarning, SolverError
+from hingedplate.io import write_grid_csv
 
 # First eigenvalue of the homogeneous plate at sigma=0.2, ell=pi/5, J=12,
 # frozen from the sine-mode ODE oracle below plus the basis convergence study.
@@ -152,29 +154,95 @@ def test_rayleigh_quotient_bounds(small_system, rng):
         rayleigh_quotient(SpectralField(small_system.basis, np.zeros(n)), factor, Mp)
 
 
-def test_solve_first_matches_dense_generalized_oracle(small_system, rng):
-    # the dense generalized eigh on the assembled block diagonal is the
-    # reference the congruence reduction must reproduce.  Its raw eigenvalue
-    # is off by up to ~2e-11 relative here while its vector is accurate, so
-    # lambda1 is compared with the Rayleigh quotient of the oracle's vector.
-    system = small_system
-    K = scipy.linalg.block_diag(*system.factor.blocks)
-    densities = [
+def _densities(system, rng):
+    return [
         uniform_density(system.grid, system.rule),
         strip_density(system.grid, system.rule, "left"),
         random_admissible_density(system.grid, system.rule, rng),
     ]
-    for p in densities:
+
+
+def _assert_matches_dense_oracle(system, p):
+    # the dense generalized eigh on the assembled block diagonal is the
+    # reference the block inverse iteration must reproduce.  Its raw
+    # eigenvalues are off by up to ~2e-11 relative (by 2e-10 in the gap at
+    # sigma=0.5, ell=0.22) while its vectors are accurate, so lambda1 and
+    # the gap are compared with the Rayleigh quotients of the oracle's vectors.
+    K = scipy.linalg.block_diag(*system.factor.blocks)
+    Mp = system.mass_matrix(p)
+    pair = system.solve_density(p)
+    assert pair.residual <= system.cfg.eig_tol
+    _, vecs = scipy.linalg.eigh(K, Mp, subset_by_index=[0, 1])
+    lam_ref = np.sum(vecs * (K @ vecs), axis=0) / np.sum(vecs * (Mp @ vecs), axis=0)
+    assert abs(pair.lambda1 - lam_ref[0]) <= 1e-12 * lam_ref[0]
+    assert pair.gap == pytest.approx(lam_ref[1] / lam_ref[0] - 1.0, rel=1e-10)
+    ref = vecs[:, 0]  # M_p-normalized, like the returned coefficients
+    c = pair.u.coefficients
+    err = min(np.abs(c - ref).max(), np.abs(c + ref).max())
+    assert err <= 1e-10 * np.abs(ref).max()
+
+
+def test_solve_first_matches_dense_generalized_oracle(small_system, rng):
+    for p in _densities(small_system, rng):
+        _assert_matches_dense_oracle(small_system, p)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(sigma=st.floats(0.0, 0.5), ell=st.floats(0.2, 1.2),
+       alpha=st.floats(0.2, 0.9), beta=st.floats(1.2, 6.0),
+       n_modes_x=st.integers(2, 6), n_basis_y=st.integers(1, 5),
+       kind=st.sampled_from(["uniform", "left", "right", "random"]),
+       seed=st.integers(0, 2 ** 16))
+def test_random_small_configs_match_dense_oracle(sigma, ell, alpha, beta, n_modes_x,
+                                                 n_basis_y, kind, seed):
+    cfg = PlateConfig(sigma=sigma, ell=ell, alpha=alpha, beta=beta, n_modes_x=n_modes_x,
+                      n_basis_y=n_basis_y, n_quad_x=16, n_quad_y=8)
+    system = PlateSystem(cfg)
+    if kind == "uniform":
+        p = uniform_density(system.grid, system.rule)
+    elif kind == "random":
+        p = random_admissible_density(system.grid, system.rule, np.random.default_rng(seed))
+    else:
+        p = strip_density(system.grid, system.rule, kind)
+    _assert_matches_dense_oracle(system, p)
+
+
+def test_inertia_oracle_counts_the_two_lowest_modes(small_system, rng):
+    # Sylvester's law of inertia: K - s M_p has as many negative eigenvalues
+    # as the pencil has below s, so the start block missed no mode below
+    # theta_2 when exactly 0, 1 and 2 lie below these three shifts
+    system = small_system
+    K = scipy.linalg.block_diag(*system.factor.blocks)
+    delta = 1e-8
+    for p in _densities(system, rng):
         Mp = system.mass_matrix(p)
         pair = system.solve_density(p)
-        vals, vecs = scipy.linalg.eigh(K, Mp, subset_by_index=[0, 1])
-        ref = vecs[:, 0]  # M_p-normalized, like the returned coefficients
-        lam_ref = (ref @ K @ ref) / (ref @ Mp @ ref)
-        assert abs(pair.lambda1 - lam_ref) <= 1e-12 * lam_ref
-        assert pair.gap == pytest.approx(vals[1] / vals[0] - 1.0, rel=1e-10)
-        c = pair.u.coefficients
-        err = min(np.abs(c - ref).max(), np.abs(c + ref).max())
-        assert err <= 1e-10 * np.abs(ref).max()
+        theta1, theta2 = pair.lambda1, pair.lambda1 * (1.0 + pair.gap)
+        for shift, below in ((theta1 * (1 - delta), 0), (theta2 * (1 - delta), 1),
+                             (theta2 * (1 + delta), 2)):
+            _, D, _ = scipy.linalg.ldl(K - shift * Mp)
+            assert int(np.sum(np.linalg.eigvalsh(D) < 0.0)) == below
+
+
+def test_uniform_density_converges_in_one_step(small_system, default_uniform_pair):
+    # for p = 1 the mass matrix is block diagonal to rounding, so the start
+    # block already holds the uniform plate's modes
+    p = uniform_density(small_system.grid, small_system.rule)
+    assert small_system.solve_density(p).iterations <= 1
+    assert default_uniform_pair.iterations <= 1
+
+
+def test_step_cap_raises_solver_error(small_system, monkeypatch, tmp_path):
+    p = strip_density(small_system.grid, small_system.rule, "left")
+    assert small_system.solve_density(p).iterations > 0
+    monkeypatch.setattr("hingedplate.eigensolve.MAX_STEPS", 0)
+    with pytest.raises(SolverError, match="not converged"):
+        small_system.solve_density(p)
+    cfg_path, density_path = tmp_path / "config.json", tmp_path / "strip.csv"
+    cfg_path.write_text(json.dumps(small_system.cfg.as_dict()))
+    write_grid_csv(density_path, small_system.grid, p.values, value_name="p")
+    assert main(["solve", "--config", str(cfg_path), "--density", str(density_path),
+                 "--out", str(tmp_path / "run")]) == 3
 
 
 def test_positivity_and_edge_slopes(default_system, rng):
@@ -247,95 +315,3 @@ def test_near_degenerate_pair_warns():
         warnings.simplefilter("error")
         with pytest.raises(NearDegenerateWarning):
             solve_first(factor, np.eye(2), cfg, basis=basis)
-
-
-def _nearby(p, q, weight=0.1):
-    """Admissible density between p and q, a small step away from p."""
-    return DensityField(p.grid, (1.0 - weight) * p.values + weight * q.values, p.rule)
-
-
-def _densities(system, rng):
-    return [
-        uniform_density(system.grid, system.rule),
-        strip_density(system.grid, system.rule, "left"),
-        random_admissible_density(system.grid, system.rule, rng),
-    ]
-
-
-def _assert_same_pair(a, b):
-    assert a.lambda1 == b.lambda1
-    assert a.gap == b.gap
-    assert a.residual == b.residual
-    assert np.array_equal(a.u.coefficients, b.u.coefficients)
-
-
-def test_warm_start_matches_dense_generalized_oracle(small_system, rng):
-    # started from the Ritz block of a nearby density, the warm path alone
-    # must reproduce the dense generalized eigh: same lambda1 and gap, and
-    # the same vector up to sign
-    system = small_system
-    K = scipy.linalg.block_diag(*system.factor.blocks)
-    other = random_admissible_density(system.grid, system.rule, rng)
-    for p in _densities(system, rng):
-        start = system.solve_density(_nearby(p, other)).ritz
-        pair = system.solve_density(p, start=start)
-        assert pair.path == WARM
-        assert 0 < pair.iterations
-        assert pair.residual <= system.cfg.eig_tol
-        Mp = system.mass_matrix(p)
-        vals, vecs = scipy.linalg.eigh(K, Mp, subset_by_index=[0, 1])
-        ref = vecs[:, 0]
-        lam_ref = (ref @ K @ ref) / (ref @ Mp @ ref)
-        assert abs(pair.lambda1 - lam_ref) <= 1e-12 * lam_ref
-        assert pair.gap == pytest.approx(vals[1] / vals[0] - 1.0, rel=1e-8)
-        c = pair.u.coefficients
-        err = min(np.abs(c - ref).max(), np.abs(c + ref).max())
-        assert err <= 1e-10 * np.abs(ref).max()
-        cold = system.solve_density(p)
-        assert abs(pair.lambda1 - cold.lambda1) <= 1e-12 * cold.lambda1
-
-
-def test_warm_start_on_higher_modes_falls_back_to_dense(small_system, rng):
-    # a start spanning the third to fifth modes converges at once, but to a
-    # sign-changing eigenfunction: the result must be the dense pair
-    system = small_system
-    for p in _densities(system, rng):
-        Mp = system.mass_matrix(p)
-        _, y = scipy.linalg.eigh(system.factor.congruence(Mp))
-        higher = system.factor.solve_upper(y[:, -3:-6:-1])  # lambda_3..lambda_5
-        pair = system.solve_density(p, start=higher)
-        assert pair.path == WARM_FALLBACK
-        cold = system.solve_density(p)
-        _assert_same_pair(pair, cold)
-        assert pair.iterations == cold.iterations  # the warm block needed no step
-
-
-def test_warm_start_iteration_cap_falls_back_to_dense(small_system, rng, monkeypatch):
-    system = small_system
-    other = random_admissible_density(system.grid, system.rule, rng)
-    monkeypatch.setattr("hingedplate.eigensolve.WARM_MAX_STEPS", 1)
-    for p in _densities(system, rng):
-        start = system.solve_density(_nearby(p, other)).ritz
-        pair = system.solve_density(p, start=start)
-        assert pair.path == WARM_FALLBACK
-        cold = system.solve_density(p)
-        _assert_same_pair(pair, cold)
-        assert pair.iterations == 1 + cold.iterations
-
-
-def test_warm_start_near_degenerate_pair_warns():
-    cfg = PlateConfig(n_modes_x=2, n_basis_y=1, n_quad_x=8, n_quad_y=4)
-    basis, grid = build_basis(cfg), QuadratureGrid.from_config(cfg)
-    one = np.eye(1)
-    factor = StiffnessFactor(blocks=(one, one), factors=(one, one))
-    with pytest.warns(NearDegenerateWarning):
-        pair = solve_first(factor, np.eye(2), cfg, basis=basis, grid=grid, start=np.eye(2))
-    assert pair.path == WARM_FALLBACK
-
-
-def test_warm_start_needs_grid(small_system):
-    p = uniform_density(small_system.grid, small_system.rule)
-    pair = small_system.solve_density(p)
-    with pytest.raises(ValueError, match="grid"):
-        solve_first(small_system.factor, small_system.mass_matrix(p), small_system.cfg,
-                    basis=small_system.basis, start=pair.ritz)

@@ -132,33 +132,6 @@ def test_minimize_single_iteration_cap(small_system):
     assert check.lambda1 == pytest.approx(trace.final_lambda, rel=1e-11)
 
 
-def test_warm_started_sweeps_match_cold_sweeps(default_system, monkeypatch):
-    # every sweep after the first warm-starts from the previous Ritz block;
-    # re-solving each sweep's density cold must give the same run
-    system = default_system
-    starts = [uniform_density(system.grid, system.rule),
-              strip_density(system.grid, system.rule, "left"),
-              strip_density(system.grid, system.rule, "right"),
-              random_admissible_density(system.grid, system.rule,
-                                        np.random.default_rng(0))]
-    warm = [minimize(system.cfg, p, system=system) for p in starts]
-    solve_first = hingedplate.optimize.solve_first
-
-    def cold_solve(*args, start=None, **kwargs):
-        return solve_first(*args, **kwargs)
-
-    monkeypatch.setattr(hingedplate.optimize, "solve_first", cold_solve)
-    cold = [minimize(system.cfg, p, system=system) for p in starts]
-    for w, c in zip(warm, cold):
-        assert [r.solve_path for r in w.records] == ["dense"] + ["warm"] * (len(w.records) - 1)
-        assert {r.solve_path for r in c.records} == {"dense"}
-        assert len(w.records) == len(c.records)
-        assert w.status == c.status
-        assert np.array_equal(w.final_density.alpha_assignment(),
-                              c.final_density.alpha_assignment())
-        assert w.final_lambda == pytest.approx(c.final_lambda, rel=1e-12)
-
-
 def test_multistart_reaches_common_limit(rng):
     cfg = PlateConfig(n_modes_x=16, n_basis_y=10, n_quad_x=192, n_quad_y=64)
     system = PlateSystem(cfg)
@@ -214,6 +187,21 @@ def test_midline_slope_signs(small_system):
     rep = midline_slope_check(right, system.grid)
     assert rep.verdict == RIGHT_DOMINANT
     assert np.allclose(rep.slopes, 0.6, atol=1e-12)
+
+
+def test_midline_slope_check_evaluates_once(small_system, monkeypatch):
+    # the mirror verdict and the slope threshold share one grid evaluation
+    calls = []
+    evaluate = hingedplate.optimize.evaluate_on_grid
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(hingedplate.optimize, "evaluate_on_grid", counting)
+    left = _mode_field(small_system, {(1, 0): 1.0, (2, 0): 0.3})
+    assert midline_slope_check(left, small_system.grid).verdict == LEFT_DOMINANT
+    assert len(calls) == 1
 
 
 def test_density_field_validation(small_system):

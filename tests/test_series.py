@@ -168,3 +168,22 @@ def test_certify_series_bundle(default_cfg):
     assert {"series-positive", "series-alternating-negative", "tail-ratio-bound",
             "paired-tail-ratio-bound", "ratio-crossing-angle", "sine-chord-bound",
             "pair-term-margin-positive", "series-lower-envelope"} <= set(ids)
+
+
+def test_certify_series_evaluates_each_family_twice(monkeypatch):
+    # once on zs (positivity and the lower envelope) and once on pi - zs
+    # (the alternating series)
+    import hingedplate.series
+
+    calls = []
+    evaluate = hingedplate.series._series_values_on_grid
+
+    def counting(seq, zs):
+        calls.append(seq.tag)
+        return evaluate(seq, zs)
+
+    monkeypatch.setattr(hingedplate.series, "_series_values_on_grid", counting)
+    families = ("inverse", "geometric", "power-2")
+    reports = certify_series(grid_points=99, terms=500, families=families)
+    assert all(r.passed for r in reports)
+    assert sorted(calls) == sorted(2 * families)
