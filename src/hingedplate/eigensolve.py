@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import StiffnessFactor
-from .basis import SpectralField, evaluate_on_grid
+from .basis import SpectralField
 from .grid import QuadratureGrid
 
 # Relative gap below which the first pair counts as nearly degenerate.
@@ -144,10 +144,18 @@ def _converged(res, tol) -> bool:
 
 def _oriented(c, M_p, basis, grid) -> SpectralField:
     """Field of c at unit weighted norm, its sign making the quadrature mean
-    of u positive, or without a grid the leading coefficient."""
+    of u positive, or without a grid the leading coefficient.
+
+    The quadrature sum of u is (fx w_x)^T C (fy^T w_y) for the coefficient
+    matrix C, so it is taken in coefficient space without a grid pass.
+    """
     c = c / np.sqrt(c @ M_p @ c)
-    mean = c[0] if grid is None else \
-        grid.integrate(evaluate_on_grid(SpectralField(basis, c), grid).values)
+    if grid is None:
+        mean = c[0]
+    else:
+        fx, fy = basis.axis_tables(grid)
+        C = c.reshape(basis.n_modes_x, basis.n_basis_y)
+        mean = (fx @ grid.weights_x) @ C @ (fy.T @ grid.weights_y)
     return SpectralField(basis, -c if mean < 0.0 else c)
 
 

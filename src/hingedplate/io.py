@@ -26,14 +26,19 @@ def _fmt(v) -> str:
 
 def write_grid_csv(path, grid: QuadratureGrid, values: np.ndarray,
                    value_name: str = "value") -> None:
-    """Node dump with columns x, y, <value_name>; x-major node order."""
-    X, Y = grid.meshgrid()
-    vals = np.asarray(values).reshape(grid.shape)
+    """Node dump with columns x, y, <value_name>; x-major node order.
+
+    Rows are what the csv module's default dialect writes for the repr of
+    each value: comma-separated, unquoted, CRLF line ends.  Each node
+    coordinate is formatted once, not once per row.
+    """
+    vals = np.asarray(values, dtype=float).reshape(grid.shape)
+    ys = [f",{y!r}," for y in grid.nodes_y.tolist()]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", value_name])
-        for xi, yi, vi in zip(X.ravel(), Y.ravel(), vals.ravel()):
-            writer.writerow([_fmt(xi), _fmt(yi), _fmt(vi)])
+        csv.writer(fh).writerow(["x", "y", value_name])
+        fh.writelines(f"{x}{y}{v!r}\r\n"
+                      for x, row in zip(map(repr, grid.nodes_x.tolist()), vals)
+                      for y, v in zip(ys, row.tolist()))
 
 
 def read_density_csv(path, grid: QuadratureGrid) -> np.ndarray:

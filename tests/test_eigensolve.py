@@ -224,6 +224,41 @@ def test_inertia_oracle_counts_the_two_lowest_modes(small_system, rng):
             assert int(np.sum(np.linalg.eigvalsh(D) < 0.0)) == below
 
 
+def test_orientation_takes_no_grid_pass(small_system, rng, monkeypatch):
+    # the sign of u comes from its quadrature mean taken in coefficient
+    # space, so no solve evaluates a field on the grid, and the mean's sign
+    # is the sign of the grid integral
+    import hingedplate.basis
+    from hingedplate.eigensolve import _oriented
+
+    evaluate = hingedplate.basis.evaluate_on_grid
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(hingedplate.basis, "evaluate_on_grid", counting)
+    monkeypatch.setattr("hingedplate.eigensolve.evaluate_on_grid", counting, raising=False)
+    system = small_system
+    densities = _densities(system, rng)
+    pairs = [solve_first(system.factor, system.mass_matrix(p), system.cfg,
+                         basis=system.basis, grid=system.grid) for p in densities]
+    assert calls == []
+
+    def integral(field):
+        return system.grid.integrate(evaluate(field, system.grid).values)
+
+    for p, pair in zip(densities, pairs):
+        Mp = system.mass_matrix(p)
+        assert integral(pair.u) > 0.0
+        c = pair.u.coefficients
+        assert np.array_equal(_oriented(-c, Mp, system.basis, system.grid).coefficients, c)
+        for _ in range(20):
+            u = _oriented(rng.standard_normal(c.size), Mp, system.basis, system.grid)
+            assert integral(u) > 0.0
+
+
 def test_uniform_density_converges_in_one_step(small_system, default_uniform_pair):
     # for p = 1 the mass matrix is block diagonal to rounding, so the start
     # block already holds the uniform plate's modes

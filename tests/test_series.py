@@ -170,9 +170,9 @@ def test_certify_series_bundle(default_cfg):
             "pair-term-margin-positive", "series-lower-envelope"} <= set(ids)
 
 
-def test_certify_series_evaluates_each_family_twice(monkeypatch):
-    # once on zs (positivity and the lower envelope) and once on pi - zs
-    # (the alternating series)
+def test_certify_series_evaluates_each_family_once(monkeypatch):
+    # on zs only: positivity, the lower envelope and the alternating series
+    # (through pi - zs, which is zs reversed) share the values
     import hingedplate.series
 
     calls = []
@@ -186,4 +186,4 @@ def test_certify_series_evaluates_each_family_twice(monkeypatch):
     families = ("inverse", "geometric", "power-2")
     reports = certify_series(grid_points=99, terms=500, families=families)
     assert all(r.passed for r in reports)
-    assert sorted(calls) == sorted(2 * families)
+    assert sorted(calls) == sorted(families)
