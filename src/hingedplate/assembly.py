@@ -6,7 +6,7 @@ are exact sine/cosine orthogonality relations, so the stiffness matrix is
 block diagonal over the sine mode; only the y-integrals use quadrature,
 and those are exact too because the y-factors are polynomials.  The
 energy matrix is only ever held as one stacked array of its per-mode
-blocks and one of their Cholesky factors.  The weighted mass matrix always
+blocks; no factorization of it is kept.  The weighted mass matrix always
 goes through the tensor grid since the density is node-sampled.
 """
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
 
 from .basis import SpectralBasis, _legendre_tables
 from .grid import QuadratureGrid, GridField
@@ -88,33 +87,30 @@ def assemble_weighted_mass(basis: SpectralBasis, grid: QuadratureGrid,
 
 @dataclass(frozen=True)
 class StiffnessFactor:
-    """Blockwise Cholesky factorization K = R^T R of the energy matrix.
+    """The energy matrix K as its stacked per-sine-mode blocks.
 
-    `blocks` stacks the per-sine-mode blocks of K as one (n_modes_x, J, J)
-    array and `factors` their upper triangular Cholesky factors, so R is
-    block diagonal too.  The exact block diagonality keeps each factor
-    small and well scaled, which is what lets solves reach ~1e-14 relative
-    residuals where a monolithic dense factorization of the full matrix
-    would lose several digits.  Every operation views its operand as
-    (n_modes_x, J, k) and acts on all blocks in one batched call; no
-    dimension x dimension energy matrix is ever formed.
+    `blocks` is one (n_modes_x, J, J) array; no dimension x dimension
+    energy matrix and no stored factorization is ever kept.  Every
+    operation views its operand as (n_modes_x, J, k) and acts on all
+    blocks in one batched call.  The exact block diagonality keeps each
+    block small and well scaled, which is what lets the eigensolve reach
+    ~1e-14 relative eigenpair residuals where a monolithic dense
+    factorization of the full matrix would lose several digits.
     """
 
     blocks: np.ndarray
-    factors: np.ndarray
 
     def __post_init__(self):
-        for name in ("blocks", "factors"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        object.__setattr__(self, "blocks", np.asarray(self.blocks, dtype=float))
 
     @classmethod
     def build(cls, basis: SpectralBasis, grid: QuadratureGrid, sigma: float) -> "StiffnessFactor":
         blocks = stiffness_blocks(basis, grid, sigma)
-        try:
-            factors = cholesky(blocks, lower=False)
+        try:  # the definiteness check; the Cholesky factor itself is not kept
+            np.linalg.cholesky(blocks)
         except np.linalg.LinAlgError as exc:
             raise AssemblyError(f"energy matrix is not positive definite: {exc}") from exc
-        return cls(blocks=blocks, factors=factors)
+        return cls(blocks=blocks)
 
     def _stacked(self, x):
         """x, one vector or a (dimension, k) block, as (n_modes_x, J, k)."""
@@ -125,5 +121,6 @@ class StiffnessFactor:
         return (self.blocks @ self._stacked(x)).reshape(np.shape(x))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve K x = rhs for one vector or a (dimension, k) block of vectors."""
-        return cho_solve((self.factors, False), self._stacked(rhs)).reshape(np.shape(rhs))
+        """Solve K x = rhs for one vector or a (dimension, k) block of vectors
+        (one batched LU solve)."""
+        return np.linalg.solve(self.blocks, self._stacked(rhs)).reshape(np.shape(rhs))

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, asdict
 
+from .optimize import PlateSystem
+
 
 @dataclass(frozen=True)
 class CertificationReport:
@@ -101,18 +103,20 @@ SUITES = ("green", "series", "polarization", "all")
 
 
 def run_suite(name: str, cfg) -> list:
-    """All certification reports of one suite (or of every suite)."""
+    """All certification reports of one suite (or of every suite), the
+    kernel and polarization suites sharing one `PlateSystem` of cfg."""
     from . import green, series, polarization
 
-    if name == "green":
-        return green.certify_green(cfg)
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     if name == "series":
-        return series.certify_series(cfg)
+        return series.certify_series()
+    system = PlateSystem(cfg)
+    if name == "green":
+        return green.certify_green(system)
     if name == "polarization":
-        return polarization.certify_polarization(cfg) + polarization.certify_duality(cfg)
-    if name == "all":
-        return (green.certify_green(cfg)
-                + series.certify_series(cfg)
-                + polarization.certify_polarization(cfg)
-                + polarization.certify_duality(cfg))
-    raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+        return polarization.certify_polarization(system) + polarization.certify_duality(system)
+    return (green.certify_green(system)
+            + series.certify_series()
+            + polarization.certify_polarization(system)
+            + polarization.certify_duality(system))

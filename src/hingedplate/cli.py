@@ -96,6 +96,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    if args.starts < 1:
+        raise ValueError(f"--starts must be at least 1, got {args.starts}")
     cfg = _load_cfg(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -123,7 +125,7 @@ def cmd_optimize(args) -> int:
     for name, density in starts:
         sub = out / name
         sub.mkdir(parents=True, exist_ok=True)
-        results.append((name, sub, minimize(cfg, density, system=system)))
+        results.append((name, sub, minimize(system, density)))
 
     lambdas = {}
     for name, sub, trace in results:

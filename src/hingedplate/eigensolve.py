@@ -144,26 +144,23 @@ def _converged(res, tol) -> bool:
 
 def _oriented(c, M_p, basis, grid) -> SpectralField:
     """Field of c at unit weighted norm, its sign making the quadrature mean
-    of u positive, or without a grid the leading coefficient.
+    of u positive.
 
     The quadrature sum of u is (fx w_x)^T C (fy^T w_y) for the coefficient
     matrix C, so it is taken in coefficient space without a grid pass.
     """
     c = c / np.sqrt(c @ M_p @ c)
-    if grid is None:
-        mean = c[0]
-    else:
-        fx, fy = basis.axis_tables(grid)
-        C = c.reshape(basis.n_modes_x, basis.n_basis_y)
-        mean = (fx @ grid.weights_x) @ C @ (fy.T @ grid.weights_y)
+    fx, fy = basis.axis_tables(grid)
+    C = c.reshape(basis.n_modes_x, basis.n_basis_y)
+    mean = (fx @ grid.weights_x) @ C @ (fy.T @ grid.weights_y)
     return SpectralField(basis, -c if mean < 0.0 else c)
 
 
 def solve_first(factor: StiffnessFactor, M_p: np.ndarray, cfg, *, basis,
-                grid: QuadratureGrid = None) -> Eigenpair:
+                grid: QuadratureGrid) -> Eigenpair:
     """Smallest generalized eigenpair, to cfg.eig_tol relative residual.
 
-    `factor` is the blockwise factorization of the energy matrix K.  Block
+    `factor` holds the per-mode blocks of the energy matrix K.  Block
     inverse iteration runs from `_block_diagonal_start` until `_converged`
     holds; not converging within MAX_STEPS steps raises SolverError.  The
     gap is theta_2/theta_1 - 1 of the final Ritz values.  The reported

@@ -1,13 +1,12 @@
 """Discrete solution operator and its influence kernel.
 
 The solution operator of a configuration is its `PlateSystem`, which
-inverts the energy form against an L2 load through its blockwise
-factorization.  The kernel G_h(P, Q) = b(P)^T K^{-1} b(Q), with b the basis
-evaluation vector, is the discrete stand-in for the influence function of
-the plate.  Positivity, edge-slope signs and the reflection structure
-across x = pi/2 are the properties everything in the symmetry analysis
-rests on, and they are certified here numerically at a recorded
-resolution.
+inverts the energy form against an L2 load by its blockwise solve.  The
+kernel G_h(P, Q) = b(P)^T K^{-1} b(Q), with b the basis evaluation vector,
+is the discrete stand-in for the influence function of the plate.
+Positivity, edge-slope signs and the reflection structure across x = pi/2
+are the properties everything in the symmetry analysis rests on, and they
+are certified here numerically at a recorded resolution.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import numpy as np
 
 from .basis import SpectralField, evaluate_on_grid
 from .certify import make_report
-from .config import PlateConfig
 from .grid import GridField, QuadratureGrid
 from .optimize import PlateSystem
 
@@ -82,9 +80,9 @@ def interior_probe_points(grid: QuadratureGrid, nx: int, ny: int,
     return np.column_stack([X.ravel(), Y.ravel()])
 
 
-def certify_green(cfg: PlateConfig, n_probe_x: int = 20, n_probe_y: int = 10) -> list:
-    """Run every kernel certification at the configured resolution."""
-    system = PlateSystem(cfg)
+def certify_green(system: PlateSystem, n_probe_x: int = 20, n_probe_y: int = 10) -> list:
+    """Run every kernel certification at the system's resolution."""
+    cfg = system.cfg
     res = f"n_modes_x={cfg.n_modes_x}, n_basis_y={cfg.n_basis_y}"
     reports = []
 
@@ -136,16 +134,15 @@ def certify_green(cfg: PlateConfig, n_probe_x: int = 20, n_probe_y: int = 10) ->
         "kernel-reflection-gap", half.shape[0] ** 2, gap, res, bool(gap > 0.0),
     ))
 
-    reports.extend(certify_positivity_preserving(cfg, system=system, resolution=res))
+    reports.extend(certify_positivity_preserving(system))
     return reports
 
 
-def certify_positivity_preserving(cfg: PlateConfig, *, system: PlateSystem = None,
-                                  n_loads: int = 50, seed: int = 2357,
-                                  resolution: str = None) -> list:
+def certify_positivity_preserving(system: PlateSystem, *, n_loads: int = 50,
+                                  seed: int = 2357) -> list:
     """Random nonnegative loads: strictly positive solutions, strict edge slopes."""
-    system = system if system is not None else PlateSystem(cfg)
-    res = resolution or f"n_modes_x={cfg.n_modes_x}, n_basis_y={cfg.n_basis_y}"
+    cfg = system.cfg
+    res = f"n_modes_x={cfg.n_modes_x}, n_basis_y={cfg.n_basis_y}"
     rng = np.random.default_rng(seed)
     X, Y = system.grid.meshgrid()
     ys = system.grid.nodes_y

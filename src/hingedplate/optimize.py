@@ -37,7 +37,7 @@ class AnalysisError(RuntimeError):
 
 @dataclass(frozen=True)
 class DensityField:
-    """Admissible density: values in [alpha, beta], quadrature mass = area.
+    """Admissible density: finite values in [alpha, beta], quadrature mass = area.
 
     Bang-bang densities take only the two material values except for at
     most one gray node holding the value that makes the mass exact.
@@ -52,6 +52,8 @@ class DensityField:
         if vals.shape != self.grid.shape:
             raise ValueError("density values do not match the grid")
         object.__setattr__(self, "values", vals)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("density values contain non-finite entries")
         lo, hi = self.rule.alpha, self.rule.beta
         if vals.min() < lo - 1e-12 or vals.max() > hi + 1e-12:
             raise ValueError(
@@ -262,9 +264,10 @@ class OptimizationTrace:
 class PlateSystem:
     """The one operator of a configuration, shared by all sweeps and kernels.
 
-    One blockwise factorization of the energy form serves both the weighted
-    eigensolve of every density and the solution operator u = G f of the
-    plate problem, whose kernel the certifications probe.
+    One stacked set of energy blocks serves both the weighted eigensolve
+    of every density and the solution operator u = G f of the plate
+    problem, whose kernel the certifications probe; `minimize` and the
+    certification suites take the system, so none of them builds another.
     """
 
     def __init__(self, cfg: PlateConfig):
@@ -291,19 +294,20 @@ class PlateSystem:
         return (S @ (self.grid.tensor_weights() * f.values) @ L).ravel()
 
 
-def minimize(cfg: PlateConfig, initial_p: DensityField, *,
-             system: PlateSystem = None, keep_densities: bool = False) -> OptimizationTrace:
+def minimize(system: PlateSystem, initial_p: DensityField, *,
+             keep_densities: bool = False) -> OptimizationTrace:
     """Run the rearrangement loop from one starting density.
 
     Each record holds one eigensolve plus the rearrangement computed from
     it.  The loop stops at an exact assignment fixed point, at relative
     eigenvalue stagnation below cfg.opt_tol, or after cfg.opt_max_iter
-    rearrangement sweeps (so the trace carries at most opt_max_iter + 1
-    records and always closes with the eigenvalue of the final density).
-    A step that increases the eigenvalue beyond 1e-10 relative aborts: the
-    variational chain guarantees decrease, so growth means broken inputs.
+    rearrangement sweeps, with cfg = system.cfg (so the trace carries at
+    most opt_max_iter + 1 records and always closes with the eigenvalue of
+    the final density).  A step that increases the eigenvalue beyond 1e-10
+    relative aborts: the variational chain guarantees decrease, so growth
+    means broken inputs.
     """
-    sys_ = system if system is not None else PlateSystem(cfg)
+    cfg = system.cfg
     p = initial_p
     records = []
     densities = []
@@ -311,17 +315,17 @@ def minimize(cfg: PlateConfig, initial_p: DensityField, *,
     prev_lambda = None
     status = None
     for it in range(cfg.opt_max_iter + 1):
-        pair = sys_.solve_density(p)
+        pair = system.solve_density(p)
         if prev_lambda is not None and pair.lambda1 > prev_lambda * (1.0 + 1e-10):
             raise MonotonicityError(
                 f"sweep {it}: eigenvalue rose from {prev_lambda!r} to {pair.lambda1!r}"
             )
-        new_p, t = rearrange(pair.u, sys_.rule, sys_.grid)
+        new_p, t = rearrange(pair.u, system.rule, system.grid)
         assign = new_p.alpha_assignment()
         if prev_assign is None:
             change = float("nan")  # start density need not be two-material
         else:
-            change = float(np.sum(sys_.grid.tensor_weights()[assign != prev_assign]))
+            change = float(np.sum(system.grid.tensor_weights()[assign != prev_assign]))
         records.append(TraceRecord(
             iteration=it,
             lambda1=pair.lambda1,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .basis import evaluate_on_grid
 from .certify import make_report
-from .config import AdmissibleWeightRule, PlateConfig
+from .config import AdmissibleWeightRule
 from .green import quadratic_form
 from .grid import GridField, QuadratureGrid
 from .optimize import (DensityField, PlateSystem, bang_bang_from_values,
@@ -121,10 +121,9 @@ def _threshold_of(p_u: DensityField, u: GridField) -> float:
     return t
 
 
-def certify_polarization(cfg: PlateConfig, n_fields: int = 100,
+def certify_polarization(system: PlateSystem, n_fields: int = 100,
                          seed: int = 6121) -> list:
     """Polarization identity suite on random positive fields."""
-    system = PlateSystem(cfg)
     grid, rule = system.grid, system.rule
     rng = np.random.default_rng(seed)
     res = f"n_quad={grid.shape[0]}x{grid.shape[1]}, fields={n_fields}"
@@ -138,7 +137,7 @@ def certify_polarization(cfg: PlateConfig, n_fields: int = 100,
     energy_err = 0.0
     gap_min = np.inf
     for _ in range(n_fields):
-        u = GridField(grid, _random_positive_field(rng, X, Y, cfg.ell))
+        u = GridField(grid, _random_positive_field(rng, X, Y, system.cfg.ell))
         u_h = polarize(u)
         again = polarize(u_h)
         idem_err = max(idem_err, float(np.abs(again.values - u_h.values).max()))
@@ -171,11 +170,10 @@ def certify_polarization(cfg: PlateConfig, n_fields: int = 100,
     ]
 
 
-def certify_duality(cfg: PlateConfig, densities=None, *,
+def certify_duality(system: PlateSystem, densities=None, *,
                     n_trials: int = 100, seed: int = 997) -> list:
     """Quotient of each density's eigenfunction equals 1/lambda_1; random
     trial fields never exceed it."""
-    system = PlateSystem(cfg)
     rng = np.random.default_rng(seed)
     if densities is None:
         densities = [

@@ -249,7 +249,7 @@ def certify_lower_envelope(seq: CoefficientSequence, zs: np.ndarray):
     )
 
 
-def certify_series(cfg=None, *, grid_points: int = 999, terms: int = 20000,
+def certify_series(*, grid_points: int = 999, terms: int = 20000,
                    families=DEFAULT_FAMILIES) -> list:
     """Full series suite: sign certifications plus the elementary bounds.
 

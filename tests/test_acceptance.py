@@ -64,7 +64,7 @@ def optimization_batch():
         runs = []
         for name, p0 in _four_starts(system, seed=100 + k):
             t0 = time.monotonic()
-            trace = minimize(cfg, p0, system=system)
+            trace = minimize(system, p0)
             runs.append((name, trace, time.monotonic() - t0))
         batch.append((cfg, system, runs))
     return batch
@@ -120,7 +120,7 @@ def test_criterion_3_bang_bang_structure(optimization_batch):
 
 
 def test_criterion_4_green_certifications():
-    reports = certify_green(PlateConfig())
+    reports = certify_green(PlateSystem(PlateConfig()))
     by_id = {r.claim_id: r for r in reports}
     assert by_id["kernel-positive"].probe_count >= 200
     for claim in ("kernel-positive", "kernel-dx-positive-at-0",
@@ -135,7 +135,7 @@ def test_criterion_4_green_certifications():
 
 
 def test_criterion_5_positivity_preserving():
-    reports = certify_positivity_preserving(PlateConfig(), n_loads=50)
+    reports = certify_positivity_preserving(PlateSystem(PlateConfig()), n_loads=50)
     by_id = {r.claim_id: r for r in reports}
     assert by_id["solution-positivity"].passed
     assert by_id["solution-edge-slopes"].passed
@@ -144,7 +144,7 @@ def test_criterion_5_positivity_preserving():
 
 
 def test_criterion_6_duality():
-    reports = certify_duality(PlateConfig(), n_trials=100)
+    reports = certify_duality(PlateSystem(PlateConfig()), n_trials=100)
     by_id = {r.claim_id: r for r in reports}
     rep = by_id["duality-inverse-eigenvalue"]
     assert rep.probe_count >= 10
@@ -155,7 +155,7 @@ def test_criterion_6_duality():
 
 
 def test_criterion_7_series_suite():
-    reports = certify_series(PlateConfig())
+    reports = certify_series()
     by_id = {r.claim_id: r for r in reports}
     for claim in ("series-positive", "series-alternating-negative",
                   "tail-ratio-bound", "paired-tail-ratio-bound",
@@ -182,7 +182,7 @@ def test_criterion_8_appendix_suite():
 
 
 def test_criterion_9_polarization_suite(optimization_batch):
-    reports = certify_polarization(PlateConfig(), n_fields=100)
+    reports = certify_polarization(PlateSystem(PlateConfig()), n_fields=100)
     by_id = {r.claim_id: r for r in reports}
     assert by_id["polarize-idempotent"].min_margin == 0.0          # bit exact
     assert by_id["polarize-pair-sum"].min_margin == 0.0            # bit exact

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag, cho_solve
+from scipy.linalg import block_diag, cho_factor, cho_solve
 
 import hingedplate.basis
 from hingedplate import (
@@ -193,19 +193,19 @@ def test_mass_assembly_allocates_less_than_dense_table(rng):
 
 
 def test_stacked_factor_matches_block_diagonal_oracle(parts, cfg, rng, monkeypatch):
-    # oracle: the dense block-diagonal K and R assembled from the stacks
+    # oracle: the dense block-diagonal K assembled from the stack, solved
+    # through its dense Cholesky factor
     basis, grid = parts
     factor = StiffnessFactor.build(basis, grid, cfg.sigma)
-    assert factor.blocks.shape == factor.factors.shape \
-        == (basis.n_modes_x, basis.n_basis_y, basis.n_basis_y)
-    K, R = block_diag(*factor.blocks), block_diag(*factor.factors)
-    assert np.abs(R.T @ R - K).max() <= 1e-13 * np.abs(K).max()
+    assert factor.blocks.shape == (basis.n_modes_x, basis.n_basis_y, basis.n_basis_y)
+    K = block_diag(*factor.blocks)
+    KR = cho_factor(K)
     n = basis.dimension
     block = rng.standard_normal((n, 3))
     reversed_f = np.asfortranarray(rng.standard_normal((n, 3)))[:, ::-1]
     for x in (rng.standard_normal(n), block, reversed_f):
         cases = [(factor.matvec, K @ x),
-                 (factor.solve, cho_solve((R, False), x))]
+                 (factor.solve, cho_solve(KR, x))]
         for op, ref in cases:
             out = op(x)
             assert out.shape == x.shape
@@ -213,11 +213,22 @@ def test_stacked_factor_matches_block_diagonal_oracle(parts, cfg, rng, monkeypat
             assert np.array_equal(out, op(np.ascontiguousarray(x)))
 
     calls = []
+    solve = np.linalg.solve
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return cho_solve(*args, **kwargs)
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr("hingedplate.assembly.cho_solve", counting)
+    monkeypatch.setattr(np.linalg, "solve", counting)
     factor.solve(block)
     assert len(calls) == 1
+
+
+def test_indefinite_energy_blocks_rejected(parts, cfg, monkeypatch):
+    # the definiteness check of build: a block with a negative eigenvalue
+    basis, grid = parts
+    blocks = stiffness_blocks(basis, grid, cfg.sigma)
+    blocks[-1] = -blocks[-1]
+    monkeypatch.setattr("hingedplate.assembly.stiffness_blocks", lambda *args: blocks)
+    with pytest.raises(AssemblyError, match="not positive definite"):
+        StiffnessFactor.build(basis, grid, cfg.sigma)

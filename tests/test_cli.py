@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hingedplate
 from hingedplate import PlateConfig, QuadratureGrid
 from hingedplate.cli import main
 from hingedplate.io import write_grid_csv
@@ -53,6 +57,19 @@ def test_solve_rejects_inadmissible_density(tmp_path, small_config_file):
     rc = main(["solve", "--config", str(small_config_file),
                "--out", str(tmp_path / "run"), "--density", str(density_path)])
     assert rc == 2
+
+
+def test_solve_rejects_non_finite_density(tmp_path, small_config_file, capsys):
+    grid = QuadratureGrid.from_config(PlateConfig(**SMALL))
+    vals = np.full(grid.shape, 1.0)
+    vals[4, 3] = np.nan
+    density_path = tmp_path / "density.csv"
+    write_grid_csv(density_path, grid, vals, value_name="p")
+    assert "nan" in density_path.read_text()
+    rc = main(["solve", "--config", str(small_config_file),
+               "--out", str(tmp_path / "run"), "--density", str(density_path)])
+    assert rc == 2
+    assert "density values contain non-finite entries" in capsys.readouterr().err
 
 
 def test_solve_rejects_bad_config(tmp_path):
@@ -122,6 +139,16 @@ def test_optimize_single_named_start(tmp_path, small_config_file):
     assert list(summary["final_lambda_per_start"]) == ["left-heavy"]
 
 
+@pytest.mark.parametrize("starts", ["0", "-1"])
+def test_optimize_rejects_starts_below_one(tmp_path, small_config_file, capsys, starts):
+    out = tmp_path / "opt"
+    rc = main(["optimize", "--config", str(small_config_file), "--out", str(out),
+               "--starts", starts])
+    assert rc == 2
+    assert f"--starts must be at least 1, got {starts}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_optimize_deterministic(tmp_path, small_config_file):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     for out in (out1, out2):
@@ -158,6 +185,18 @@ def test_certify_all_unique_claims(tmp_path, small_config_file):
         for r in reports:
             if not r["pass"]:
                 assert r["resolution"]
+
+
+def test_cli_import_loads_no_scipy():
+    # the runtime needs numpy alone; scipy serves only the tests' dense oracles
+    code = ("import sys, hingedplate.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = Path(hingedplate.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_unknown_suite_rejected(tmp_path):

@@ -12,6 +12,7 @@ from hingedplate import (
     GridField,
     PlateConfig,
     PlateSystem,
+    QuadratureGrid,
     SpectralField,
     StiffnessFactor,
     build_basis,
@@ -344,9 +345,10 @@ def test_near_degenerate_pair_warns():
     cfg = PlateConfig(n_modes_x=2, n_basis_y=1, n_quad_x=8, n_quad_y=4)
     basis = build_basis(cfg)
     one = np.eye(1)
-    # K = I as two identical 1x1 blocks, each its own Cholesky factor
-    factor = StiffnessFactor(blocks=(one, one), factors=(one, one))
+    # K = I as two identical 1x1 blocks
+    factor = StiffnessFactor(blocks=(one, one))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NearDegenerateWarning):
-            solve_first(factor, np.eye(2), cfg, basis=basis)
+            solve_first(factor, np.eye(2), cfg, basis=basis,
+                        grid=QuadratureGrid.from_config(cfg))

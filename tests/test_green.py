@@ -6,6 +6,7 @@ import pytest
 from hingedplate import (
     GridField,
     PlateConfig,
+    PlateSystem,
     apply,
     evaluate_on_grid,
     green_dx,
@@ -130,8 +131,8 @@ def test_quadratic_form_matches_direct_pairing(default_system, rng):
 
 
 @pytest.fixture(scope="module")
-def default_green_reports(default_cfg):
-    return certify_green(default_cfg)
+def default_green_reports(default_system):
+    return certify_green(default_system)
 
 
 def test_certify_green_all_pass(default_green_reports):
@@ -147,14 +148,14 @@ def test_certify_green_all_pass(default_green_reports):
 def test_certify_green_underresolved_reports(default_cfg, default_green_reports):
     # a coarse run still reports every claim, each tagged with its resolution
     cfg = default_cfg.with_overrides(n_modes_x=2, n_basis_y=3)
-    reports = certify_green(cfg)
+    reports = certify_green(PlateSystem(cfg))
     assert [r.claim_id for r in reports] == [r.claim_id for r in default_green_reports]
     for r in reports:
         assert "n_modes_x=2" in r.resolution  # failures attributable to resolution
 
 
-def test_positivity_preserving_certification(default_cfg):
-    reports = certify_positivity_preserving(default_cfg, n_loads=50)
+def test_positivity_preserving_certification(default_system):
+    reports = certify_positivity_preserving(default_system, n_loads=50)
     by_id = {r.claim_id: r for r in reports}
     assert by_id["solution-positivity"].passed
     assert by_id["solution-edge-slopes"].passed

@@ -304,9 +304,8 @@ def test_density_csv_rejects_wrong_grid(tmp_path):
 def test_writers_are_deterministic(tmp_path, small_system):
     from hingedplate import minimize
 
-    trace = minimize(small_system.cfg,
-                     uniform_density(small_system.grid, small_system.rule),
-                     system=small_system)
+    trace = minimize(small_system,
+                     uniform_density(small_system.grid, small_system.rule))
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_trace_csv(a, trace)
     write_trace_csv(b, trace)
@@ -315,10 +314,10 @@ def test_writers_are_deterministic(tmp_path, small_system):
     assert header == "iter,lambda1,threshold_t,S_measure,density_change_measure"
 
 
-def test_reports_json_shape(tmp_path, default_cfg):
+def test_reports_json_shape(tmp_path):
     from hingedplate.series import certify_series
 
-    reports = certify_series(default_cfg, grid_points=49, terms=2000)
+    reports = certify_series(grid_points=49, terms=2000)
     path = tmp_path / "reports.json"
     write_reports_json(path, reports)
     loaded = json.loads(path.read_text())

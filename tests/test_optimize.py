@@ -105,8 +105,8 @@ def test_one_rearrangement_step_decreases_lambda(small_system, rng):
 
 def test_minimize_trace_monotone_and_admissible(small_system):
     system = small_system
-    trace = minimize(system.cfg, uniform_density(system.grid, system.rule),
-                     system=system, keep_densities=True)
+    trace = minimize(system, uniform_density(system.grid, system.rule),
+                     keep_densities=True)
     trace.assert_monotone()
     assert trace.status in ("fixed_point", "lambda_stagnant")
     lams = trace.lambdas
@@ -120,9 +120,9 @@ def test_minimize_trace_monotone_and_admissible(small_system):
 
 
 def test_minimize_single_iteration_cap(small_system):
-    cfg = small_system.cfg.with_overrides(opt_max_iter=1)
-    start = strip_density(small_system.grid, small_system.rule, "left")
-    trace = minimize(cfg, start, system=small_system)
+    capped = PlateSystem(small_system.cfg.with_overrides(opt_max_iter=1))
+    start = strip_density(capped.grid, capped.rule, "left")
+    trace = minimize(capped, start)
     assert trace.status == "max_iter"
     assert len(trace.records) == 2  # starting solve plus the capped sweep
     lams = trace.lambdas
@@ -141,7 +141,7 @@ def test_multistart_reaches_common_limit(rng):
         strip_density(system.grid, system.rule, "right"),
         random_admissible_density(system.grid, system.rule, rng),
     ]
-    finals = [minimize(cfg, p, system=system) for p in starts]
+    finals = [minimize(system, p) for p in starts]
     lams = [tr.final_lambda for tr in finals]
     assert (max(lams) - min(lams)) / min(lams) <= 1e-8
     # heavy material ends in an x-centered region straddling the midline
@@ -215,6 +215,16 @@ def test_density_field_validation(small_system):
         DensityField(system.grid, vals, system.rule)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_density_field_rejects_non_finite(small_system, bad):
+    # a NaN node passes every comparison of the bounds and mass checks
+    system = small_system
+    vals = np.ones(system.grid.shape)
+    vals[3, 2] = bad
+    with pytest.raises(ValueError, match="density values contain non-finite"):
+        DensityField(system.grid, vals, system.rule)
+
+
 def test_random_admissible_density_exact(small_system, rng):
     for _ in range(20):
         p = random_admissible_density(small_system.grid, small_system.rule, rng)
@@ -257,9 +267,8 @@ def test_strip_density_shapes(small_system):
 def test_gradient_sign_diagnostic_reports(small_system):
     from hingedplate.optimize import gradient_sign_diagnostic
 
-    trace = minimize(small_system.cfg,
-                     uniform_density(small_system.grid, small_system.rule),
-                     system=small_system)
+    trace = minimize(small_system,
+                     uniform_density(small_system.grid, small_system.rule))
     table = gradient_sign_diagnostic(trace.final_eigenpair.u, small_system.grid)
     assert set(table) == {"ux_positive_left", "ux_negative_right",
                           "uy_positive_upper", "uy_negative_lower"}

@@ -20,7 +20,7 @@ from hingedplate import (
     uniform_density,
 )
 from hingedplate.assembly import StiffnessFactor
-from hingedplate.green import certify_green
+from hingedplate.certify import run_suite
 from hingedplate.polarization import certify_duality, certify_polarization
 
 
@@ -173,9 +173,8 @@ def test_energy_gap_vanishes_for_converged_optimal_pair(default_system):
     # that polarization leaves the kernel form unchanged to solver noise
     from hingedplate import minimize
 
-    trace = minimize(default_system.cfg,
-                     uniform_density(default_system.grid, default_system.rule),
-                     system=default_system)
+    trace = minimize(default_system,
+                     uniform_density(default_system.grid, default_system.rule))
     assert trace.status == "fixed_point"
     u = evaluate_on_grid(trace.final_eigenpair.u, default_system.grid)
     gap = polarization_energy_gap(trace.final_density, u, default_system)
@@ -183,21 +182,20 @@ def test_energy_gap_vanishes_for_converged_optimal_pair(default_system):
     assert abs(gap) <= 1e-8 * max(form, 1.0)
 
 
-def test_certify_polarization_bundle(default_cfg):
-    reports = certify_polarization(default_cfg, n_fields=25)
+def test_certify_polarization_bundle(default_system):
+    reports = certify_polarization(default_system, n_fields=25)
     ids = [r.claim_id for r in reports]
     assert len(ids) == len(set(ids))
     for rep in reports:
         assert rep.passed, f"{rep.claim_id}: margin {rep.min_margin}"
 
 
-@pytest.mark.parametrize("suite", [
-    lambda cfg: certify_green(cfg, n_probe_x=4, n_probe_y=2),
-    lambda cfg: certify_polarization(cfg, n_fields=2),
-    lambda cfg: certify_duality(cfg, n_trials=10),
-], ids=["green", "polarization", "duality"])
-def test_certification_factors_energy_once(small_cfg, monkeypatch, suite):
-    # one PlateSystem per certification run: one blockwise factorization
+@pytest.mark.parametrize("suite, builds", [
+    ("green", 1), ("polarization", 1), ("all", 1), ("series", 0),
+], ids=["green", "polarization", "all", "series"])
+def test_certification_factors_energy_once(small_cfg, monkeypatch, suite, builds):
+    # one PlateSystem per certification run, shared by every suite that
+    # needs the operator: one blockwise factorization, none for the series
     calls = []
     build = StiffnessFactor.build
 
@@ -206,12 +204,12 @@ def test_certification_factors_energy_once(small_cfg, monkeypatch, suite):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(StiffnessFactor, "build", counting_build)
-    suite(small_cfg)
-    assert len(calls) == 1
+    run_suite(suite, small_cfg)
+    assert len(calls) == builds
 
 
-def test_certify_duality_bundle(default_cfg):
-    reports = certify_duality(default_cfg, n_trials=40)
+def test_certify_duality_bundle(default_system):
+    reports = certify_duality(default_system, n_trials=40)
     by_id = {r.claim_id: r for r in reports}
     assert by_id["duality-inverse-eigenvalue"].passed
     assert by_id["duality-trial-bound"].passed

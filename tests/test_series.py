@@ -160,8 +160,8 @@ def test_pair_term_margin_certification():
     assert rep.passed and rep.min_margin > 0.0
 
 
-def test_certify_series_bundle(default_cfg):
-    reports = certify_series(default_cfg)
+def test_certify_series_bundle():
+    reports = certify_series()
     ids = [r.claim_id for r in reports]
     assert len(ids) == len(set(ids))
     assert all(r.passed for r in reports)
