@@ -9,27 +9,24 @@ survives truncation.
 
 import math
 
-import numpy as np
-
 from hingedplate import (
-    certify_S1_positive,
-    certify_S2_negative,
     constant_CN,
     constant_CbarN,
     edge_slope_series,
     ratio_crossing_angle,
     sequence_family,
 )
-from hingedplate.series import DEFAULT_FAMILIES
+from hingedplate.series import DEFAULT_FAMILIES, certify_series
 
-zs = math.pi * np.arange(1, 1000) / 1000.0
-print(f"{'family':>12} {'S+ margin':>12} {'S- margin':>12}")
+print(f"{'family':>12} {'S+ margin':>12} {'S- margin':>12} {'envelope':>12}")
 for tag in DEFAULT_FAMILIES:
-    seq = sequence_family(tag, 20000)
-    pos = certify_S1_positive(seq, zs)
-    neg = certify_S2_negative(seq, zs)
-    flag = "ok" if (pos.passed and neg.passed) else "FAIL"
-    print(f"{tag:>12} {pos.min_margin:>12.3e} {neg.min_margin:>12.3e}  {flag}")
+    reports = {r.claim_id: r for r in certify_series(families=(tag,))}
+    pos = reports["series-positive"]
+    neg = reports["series-alternating-negative"]
+    env = reports["series-lower-envelope"]
+    flag = "ok" if (pos.passed and neg.passed and env.passed) else "FAIL"
+    print(f"{tag:>12} {pos.min_margin:>12.3e} {neg.min_margin:>12.3e} "
+          f"{env.min_margin:>12.3e}  {flag}")
 
 seq = sequence_family("inverse", 20000)
 val = edge_slope_series(seq, math.pi / 2)

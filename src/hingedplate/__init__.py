@@ -54,8 +54,6 @@ from .green import (
 from .series import (
     CoefficientSequence,
     alternating_edge_slope_series,
-    certify_S1_positive,
-    certify_S2_negative,
     check_sine_lower_bound,
     constant_CN,
     constant_CbarN,

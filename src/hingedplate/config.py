@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, fields, replace
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class PlateConfig:
                 f"density bounds must satisfy 0 < alpha < 1 < beta, "
                 f"got alpha={self.alpha}, beta={self.beta}"
             )
-        for name in ("n_modes_x", "n_basis_y", "n_quad_x", "n_quad_y", "opt_max_iter"):
+        for name in _INT_KEYS:
             v = getattr(self, name)
             if not (isinstance(v, int) and v >= 1):
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
@@ -146,8 +146,6 @@ class AdmissibleWeightRule:
     @classmethod
     def from_config(cls, cfg: PlateConfig) -> "AdmissibleWeightRule":
         area = domain_area(cfg)
-        if not cfg.alpha * area <= area <= cfg.beta * area:
-            raise ValueError("target mass not reachable within the density bounds")
         return cls(
             alpha=cfg.alpha,
             beta=cfg.beta,
@@ -156,13 +154,10 @@ class AdmissibleWeightRule:
         )
 
 
-CONFIG_KEYS = (
-    "sigma", "ell", "alpha", "beta",
-    "n_modes_x", "n_basis_y", "n_quad_x", "n_quad_y",
-    "opt_max_iter", "opt_tol", "eig_tol",
-)
+CONFIG_KEYS = tuple(f.name for f in fields(PlateConfig))
 
-_INT_KEYS = {"n_modes_x", "n_basis_y", "n_quad_x", "n_quad_y", "opt_max_iter"}
+# annotations are strings under `from __future__ import annotations`
+_INT_KEYS = tuple(f.name for f in fields(PlateConfig) if f.type == "int")
 
 
 def load_config(path) -> PlateConfig:

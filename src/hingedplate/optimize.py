@@ -397,7 +397,6 @@ class MidlineSlopeReport:
     verdict: str
     slopes: np.ndarray          # u_x(pi/2, y_k) at every y node
     max_abs_slope: float
-    consistent: bool
 
 
 def midline_slope_check(u: SpectralField, grid: QuadratureGrid,
@@ -426,7 +425,7 @@ def midline_slope_check(u: SpectralField, grid: QuadratureGrid,
         )
     return MidlineSlopeReport(
         verdict=verdict, slopes=slopes,
-        max_abs_slope=float(np.abs(slopes).max()), consistent=ok,
+        max_abs_slope=float(np.abs(slopes).max()),
     )
 
 

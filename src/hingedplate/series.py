@@ -93,79 +93,52 @@ class SeriesValue:
     terms: int
 
 
-def edge_slope_series(seq: CoefficientSequence, z, truncation: int = None) -> SeriesValue:
-    """Partial sum of sum_m c_m sin(m z) / m^2 with its tail bound.
+def _tail_bound(seq: CoefficientSequence, terms: int) -> float:
+    """Bound on everything past term L: the coefficients decrease, so the
+    omitted terms sum to at most c_L * sum_{m>L} 1/m^2 regardless of z."""
+    return float(seq.values[terms - 1]) * sum_inverse_squares_tail(terms)
 
-    Because the coefficients decrease, everything beyond term L is bounded
-    by c_L * sum_{m>L} 1/m^2 regardless of z.
-    """
+
+def _pointwise_series(seq: CoefficientSequence, z, truncation, alternating: bool) -> SeriesValue:
     L = len(seq) if truncation is None else int(truncation)
     if not 1 <= L <= len(seq):
         raise ValueError(f"truncation {L} outside 1..{len(seq)}")
     m = np.arange(1, L + 1, dtype=float)
     coeff = seq.values[:L] / m ** 2
+    if alternating:
+        coeff[::2] = -coeff[::2]                    # (-1)^m is -1 at odd m
     value = float(np.sum(coeff * np.sin(m * float(z))))
-    return SeriesValue(value=value,
-                       tail_bound=float(seq.values[L - 1]) * sum_inverse_squares_tail(L),
-                       terms=L)
+    return SeriesValue(value=value, tail_bound=_tail_bound(seq, L), terms=L)
+
+
+def edge_slope_series(seq: CoefficientSequence, z, truncation: int = None) -> SeriesValue:
+    """Partial sum of sum_m c_m sin(m z) / m^2 with its tail bound."""
+    return _pointwise_series(seq, z, truncation, alternating=False)
 
 
 def alternating_edge_slope_series(seq: CoefficientSequence, z,
                                   truncation: int = None) -> SeriesValue:
     """Partial sum of sum_m (-1)^m c_m sin(m z) / m^2 with its tail bound."""
-    L = len(seq) if truncation is None else int(truncation)
-    if not 1 <= L <= len(seq):
-        raise ValueError(f"truncation {L} outside 1..{len(seq)}")
-    m = np.arange(1, L + 1, dtype=float)
-    coeff = ((-1.0) ** m) * seq.values[:L] / m ** 2
-    value = float(np.sum(coeff * np.sin(m * float(z))))
-    return SeriesValue(value=value,
-                       tail_bound=float(seq.values[L - 1]) * sum_inverse_squares_tail(L),
-                       terms=L)
+    return _pointwise_series(seq, z, truncation, alternating=True)
 
 
-def _series_values_on_grid(seq: CoefficientSequence, zs: np.ndarray) -> np.ndarray:
-    L = len(seq)
-    m = np.arange(1, L + 1, dtype=float)
-    coeff = seq.values / m ** 2
-    out = np.zeros(zs.size)
-    for lo in range(0, L, 2048):                    # chunked outer product
-        hi = min(lo + 2048, L)
-        out += np.sin(np.outer(zs, m[lo:hi])) @ coeff[lo:hi]
-    return out
+def _series_values_on_grid(seq: CoefficientSequence, grid_points: int) -> np.ndarray:
+    """The series at z_k = pi k / (N+1), k = 1..N, as one DST-I.
 
-
-def _tail_bound(seq: CoefficientSequence) -> float:
-    return float(seq.values[-1]) * sum_inverse_squares_tail(len(seq))
+    On this grid sin(m z_k) depends on m only modulo P = 2(N+1), so the
+    terms c_m / m^2 fold into P bins b_r, and sum_r b_r sin(2 pi r k / P)
+    is minus the imaginary part of the real FFT of b.
+    """
+    period = 2 * (grid_points + 1)
+    m = np.arange(1, len(seq) + 1)
+    bins = np.bincount(m % period, weights=seq.values / m.astype(float) ** 2,
+                       minlength=period)
+    return -np.fft.rfft(bins).imag[1:grid_points + 1]
 
 
 def _positive_margin(seq: CoefficientSequence, vals: np.ndarray) -> float:
     """Smallest grid value of the series less the tail bound."""
-    return float(vals.min() - _tail_bound(seq))
-
-
-def certify_S1_positive(seq: CoefficientSequence, zs: np.ndarray):
-    """Positivity of the edge slope series on a z grid, tail bound included."""
-    zs = np.asarray(zs, dtype=float)
-    margin = _positive_margin(seq, _series_values_on_grid(seq, zs))
-    return make_report(
-        "series-positive", zs.size, margin,
-        f"family={seq.tag}, terms={len(seq)}", bool(margin > 0.0),
-    )
-
-
-def certify_S2_negative(seq: CoefficientSequence, zs: np.ndarray):
-    """Negativity of the alternating series, via the half-turn identity.
-
-    The alternating series at z equals minus the plain series at pi - z, so
-    its negativity is the same certification run on the reflected grid.
-    """
-    zs = np.asarray(zs, dtype=float)
-    report = certify_S1_positive(seq, np.pi - zs)
-    return make_report(
-        "series-alternating-negative", report.probe_count, report.min_margin,
-        f"family={seq.tag}, terms={len(seq)}", report.passed,
-    )
+    return float(vals.min() - _tail_bound(seq, len(seq)))
 
 
 def constant_CN(n: int) -> float:
@@ -236,34 +209,25 @@ def _envelope_margin(seq: CoefficientSequence, zs: np.ndarray, vals: np.ndarray)
     """Smallest excess of the series values at zs, less the tail bound, over
     the envelope c_1 (sin z - (pi^2/6 - 1))."""
     envelope = seq.values[0] * (np.sin(zs) - (PI2_OVER_6 - 1.0))
-    return float(np.min(vals - _tail_bound(seq) - envelope))
-
-
-def certify_lower_envelope(seq: CoefficientSequence, zs: np.ndarray):
-    """Series dominates c_1 (sin z - (pi^2/6 - 1)), certified with the tail."""
-    zs = np.asarray(zs, dtype=float)
-    margin = _envelope_margin(seq, zs, _series_values_on_grid(seq, zs))
-    return make_report(
-        "series-lower-envelope", zs.size, margin,
-        f"family={seq.tag}, terms={len(seq)}", bool(margin > -1e-12),
-    )
+    return float(np.min(vals - _tail_bound(seq, len(seq)) - envelope))
 
 
 def certify_series(*, grid_points: int = 999, terms: int = 20000,
                    families=DEFAULT_FAMILIES) -> list:
     """Full series suite: sign certifications plus the elementary bounds.
 
-    Each family is evaluated once, on zs.  Positivity and the lower envelope
-    use those values; so does the alternating series, whose value at z is
-    minus the plain series at pi - z: zs is mirror symmetric, so its values
-    at pi - zs are the values at zs in reverse order.
+    Each family is evaluated once, on zs = pi k / (grid_points + 1), by one
+    folded real FFT.  Positivity and the lower envelope use those values; so
+    does the alternating series, whose value at z is minus the plain series
+    at pi - z: zs is mirror symmetric, so its values at pi - zs are the
+    values at zs in reverse order.
     """
     zs = np.pi * np.arange(1, grid_points + 1) / (grid_points + 1)
     reports = []
     worst_pos, worst_neg, worst_env = np.inf, np.inf, np.inf
     for tag in families:
         seq = sequence_family(tag, terms)
-        vals = _series_values_on_grid(seq, zs)
+        vals = _series_values_on_grid(seq, grid_points)
         worst_pos = min(worst_pos, _positive_margin(seq, vals))
         worst_neg = min(worst_neg, _positive_margin(seq, vals[::-1]))
         worst_env = min(worst_env, _envelope_margin(seq, zs, vals))

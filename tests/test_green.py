@@ -7,6 +7,8 @@ from hingedplate import (
     GridField,
     PlateConfig,
     PlateSystem,
+    SpectralBasis,
+    StiffnessFactor,
     apply,
     evaluate_on_grid,
     green_dx,
@@ -152,6 +154,32 @@ def test_certify_green_underresolved_reports(default_cfg, default_green_reports)
     assert [r.claim_id for r in reports] == [r.claim_id for r in default_green_reports]
     for r in reports:
         assert "n_modes_x=2" in r.resolution  # failures attributable to resolution
+
+
+def test_certify_green_solves_each_source_block_once(small_system, monkeypatch):
+    # K^-1 B is solved once for the probes, once for their mirror images,
+    # once for the five midline sources and once per load; the kernel tables
+    # reuse them, and the load loop reuses its two edge-slope tables
+    solved, tables = [], []
+    solve, eval_matrix = StiffnessFactor.solve, SpectralBasis.eval_matrix
+
+    def counting_solve(self, rhs):
+        solved.append(1 if np.ndim(rhs) == 1 else np.shape(rhs)[1])
+        return solve(self, rhs)
+
+    def counting_eval_matrix(self, *args, **kwargs):
+        tables.append(args)
+        return eval_matrix(self, *args, **kwargs)
+
+    monkeypatch.setattr(StiffnessFactor, "solve", counting_solve)
+    monkeypatch.setattr(SpectralBasis, "eval_matrix", counting_eval_matrix)
+    n = 6 * 4
+    certify_green(small_system, n_probe_x=6, n_probe_y=4)
+    # probes and mirrors, midline sources, half-plane probes and mirrors, loads
+    assert sum(solved) == 2 * n + 5 + 2 * n + 50
+    # probes, mirrors, three slope targets, midline sources, the half-plane
+    # pair, and the two edge-slope tables of the load loop
+    assert len(tables) == 10
 
 
 def test_positivity_preserving_certification(default_system):

@@ -190,6 +190,24 @@ def test_certify_polarization_bundle(default_system):
         assert rep.passed, f"{rep.claim_id}: margin {rep.min_margin}"
 
 
+def test_certify_polarization_rearranges_each_field_once(small_system, monkeypatch):
+    # per field: one rearrangement of u and one of its polarization; one
+    # polarization of u, one of that (idempotence) and one of p_u u
+    import hingedplate.polarization as pol
+
+    counts = {"bang_bang_from_values": 0, "polarize": 0}
+    for name in counts:
+        original = getattr(pol, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(pol, name, counting)
+    certify_polarization(small_system, n_fields=7)
+    assert counts == {"bang_bang_from_values": 2 * 7, "polarize": 3 * 7}
+
+
 @pytest.mark.parametrize("suite, builds", [
     ("green", 1), ("polarization", 1), ("all", 1), ("series", 0),
 ], ids=["green", "polarization", "all", "series"])

@@ -6,8 +6,6 @@ import pytest
 from hingedplate import (
     CoefficientSequence,
     alternating_edge_slope_series,
-    certify_S1_positive,
-    certify_S2_negative,
     check_sine_lower_bound,
     constant_CN,
     constant_CbarN,
@@ -18,7 +16,7 @@ from hingedplate import (
 )
 from hingedplate.series import (
     DEFAULT_FAMILIES,
-    certify_lower_envelope,
+    _series_values_on_grid,
     certify_pair_term_margin,
     certify_series,
     sum_inverse_squares_tail,
@@ -87,25 +85,29 @@ def test_tail_bound_sound():
             assert abs(v_full.value - v_half.value) <= v_half.tail_bound
 
 
-def test_certifications_pass_for_all_families():
-    zs = math.pi * np.arange(1, 1000) / 1000.0
-    for tag in DEFAULT_FAMILIES:
-        seq = sequence_family(tag, 20000)
-        rep = certify_S1_positive(seq, zs)
-        assert rep.passed and rep.min_margin > 0.0
-        rep2 = certify_S2_negative(seq, zs)
-        assert rep2.passed and rep2.min_margin > 0.0
-        rep3 = certify_lower_envelope(seq, zs)
-        assert rep3.passed
+@pytest.mark.parametrize("tag, length", [
+    ("inverse", 100),         # below the fold period 2(N+1) = 128
+    ("power-0.5", 1000),      # several periods folded into each bin
+    ("inverse-log", 20000),
+    ("geometric", 20000),     # cut at its underflow, 1074 terms
+])
+def test_grid_values_match_pointwise_series(tag, length):
+    # the folded real FFT against the term-by-term sum at every grid node
+    n = 63
+    seq = sequence_family(tag, length)
+    zs = math.pi * np.arange(1, n + 1) / (n + 1)
+    vals = _series_values_on_grid(seq, n)
+    ref = np.array([edge_slope_series(seq, z).value for z in zs])
+    assert vals.shape == (n,)
+    assert np.abs(vals - ref).max() <= 1e-14
 
 
 def test_certification_failure_is_reported_not_raised():
     # truncating at 5 terms leaves a tail bound that swamps the value near 0
-    seq = sequence_family("inverse", 5)
-    zs = np.array([1e-3, 5e-3])
-    rep = certify_S1_positive(seq, zs)
-    assert not rep.passed
-    assert rep.min_margin < 0.0
+    reports = {r.claim_id: r for r in certify_series(families=("inverse",), terms=5)}
+    for claim in ("series-positive", "series-alternating-negative"):
+        assert not reports[claim].passed
+        assert reports[claim].min_margin < 0.0
 
 
 def test_tail_to_head_ratio_bound():
@@ -178,9 +180,9 @@ def test_certify_series_evaluates_each_family_once(monkeypatch):
     calls = []
     evaluate = hingedplate.series._series_values_on_grid
 
-    def counting(seq, zs):
+    def counting(seq, grid_points):
         calls.append(seq.tag)
-        return evaluate(seq, zs)
+        return evaluate(seq, grid_points)
 
     monkeypatch.setattr(hingedplate.series, "_series_values_on_grid", counting)
     families = ("inverse", "geometric", "power-2")
