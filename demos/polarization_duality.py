@@ -14,7 +14,6 @@ from hingedplate import (
     GridField,
     PlateConfig,
     PlateSystem,
-    bang_bang_from_values,
     evaluate_on_grid,
     polarization_energy_gap,
     polarize,
@@ -49,8 +48,7 @@ cases = {
 print("\nkernel-form gain from polarizing the two-material load:")
 for name, vals in cases.items():
     u_case = GridField(system.grid, vals - min(vals.min(), 0.0) + 0.02)
-    p_case, _ = bang_bang_from_values(u_case, system.rule)
-    gap = polarization_energy_gap(p_case, u_case, system)
+    gap = polarization_energy_gap(u_case, system)
     print(f"  {name:>14}: gap = {gap:+.3e}")
 print("(zero for symmetric and one-sided fields, strictly positive when the")
 print(" dominance genuinely mixes sides)")

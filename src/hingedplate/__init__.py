@@ -41,7 +41,6 @@ from .optimize import (
     random_admissible_density,
     rearrange,
     strip_density,
-    symmetry_classify,
     uniform_density,
 )
 from .green import (
@@ -63,10 +62,8 @@ from .series import (
     sequence_family,
 )
 from .polarization import (
-    HalfPlaneReflection,
     polarization_energy_gap,
     polarize,
-    polarized_density,
     theta1_quotient,
 )
 from .certify import CertificationReport, run_suite

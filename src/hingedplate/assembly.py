@@ -52,25 +52,15 @@ def stiffness_blocks(basis: SpectralBasis, grid: QuadratureGrid, sigma: float) -
 
 
 def assemble_weighted_mass(basis: SpectralBasis, grid: QuadratureGrid,
-                           p: GridField, *, bounds=None) -> np.ndarray:
+                           p: GridField) -> np.ndarray:
     """Mass matrix of the weighted L2 form, entry (a,b) = sum_nodes w p phi_a phi_b.
 
     Sum-factorized over the tensor grid: first the y-sums
     A[i,j,j'] = sum_k wy_k p_ik psi_j(y_k) psi_j'(y_k), then the x-sums
     M[(m,j),(m',j')] = sum_i wx_i sin(m x_i) sin(m' x_i) A[i,j,j'].
-
-    When `bounds = (alpha, beta)` is given, node values outside
-    [alpha - 1e-12, beta + 1e-12] are rejected.
     """
     vals = p.values
-    if bounds is not None:
-        alpha, beta = bounds
-        if vals.min() < alpha - 1e-12 or vals.max() > beta + 1e-12:
-            raise AssemblyError(
-                f"density values [{vals.min():.6g}, {vals.max():.6g}] leave "
-                f"the admissible range [{alpha}, {beta}]"
-            )
-    elif vals.min() <= 0.0:
+    if vals.min() <= 0.0:
         raise AssemblyError("density must be strictly positive at every node")
     S, L = basis.axis_tables(grid)
     nm, J = basis.n_modes_x, basis.n_basis_y

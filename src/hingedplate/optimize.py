@@ -25,6 +25,8 @@ from .grid import GridField, QuadratureGrid
 LEFT_DOMINANT = "LEFT_DOMINANT"
 RIGHT_DOMINANT = "RIGHT_DOMINANT"
 SYMMETRIC = "SYMMETRIC"
+# Mirror gaps and midline slopes below this fraction of max|u| count as zero.
+MIRROR_TOL = 1e-6
 
 
 class MonotonicityError(RuntimeError):
@@ -252,14 +254,6 @@ class OptimizationTrace:
     def final_lambda(self) -> float:
         return self.records[-1].lambda1
 
-    def assert_monotone(self, tol: float = 1e-10):
-        lams = self.lambdas
-        for a, b in zip(lams, lams[1:]):
-            if b > a * (1.0 + tol):
-                raise MonotonicityError(
-                    f"eigenvalue increased from {a!r} to {b!r} along the sweep"
-                )
-
 
 class PlateSystem:
     """The one operator of a configuration, shared by all sweeps and kernels.
@@ -278,10 +272,7 @@ class PlateSystem:
         self.factor = StiffnessFactor.build(self.basis, self.grid, cfg.sigma)
 
     def mass_matrix(self, p: DensityField) -> np.ndarray:
-        return assemble_weighted_mass(
-            self.basis, self.grid, p.as_grid_field(),
-            bounds=(self.rule.alpha, self.rule.beta),
-        )
+        return assemble_weighted_mass(self.basis, self.grid, p.as_grid_field())
 
     def solve_density(self, p: DensityField) -> Eigenpair:
         """First pair at density p."""
@@ -352,39 +343,28 @@ def minimize(system: PlateSystem, initial_p: DensityField, *,
         prev_assign = assign
         prev_lambda = pair.lambda1
         p = new_p
-    trace = OptimizationTrace(
+    return OptimizationTrace(
         records=records, status=status, final_density=p,
         final_eigenpair=pair, densities=densities,
     )
-    trace.assert_monotone()
-    return trace
 
 
-def symmetry_classify(u: SpectralField, grid: QuadratureGrid,
-                      tol: float = 1e-6) -> str:
-    """Which of the three mirror alternatives the field satisfies.
-
-    Compares u at mirror node pairs (x, pi-x).  SYMMETRIC when the largest
-    mirror gap stays below tol * max|u|; otherwise the gaps must share one
-    strict sign on the whole left half, and a mixed pattern is an error
-    because a genuine optimal eigenfunction admits no such state.
-    """
-    return _mirror_verdict(evaluate_on_grid(u, grid).values, tol)
-
-
-def _mirror_verdict(vals: np.ndarray, tol: float) -> str:
-    """`symmetry_classify` from the node values of the field."""
+def _mirror_verdict(vals: np.ndarray) -> str:
+    """SYMMETRIC, LEFT_DOMINANT or RIGHT_DOMINANT from the mirror gaps
+    u(x) - u(pi-x) on the left half, zero below MIRROR_TOL * max|u|; a
+    mixed sign pattern, which no optimal eigenfunction admits, raises."""
     scale = np.abs(vals).max()
     if scale == 0.0:
         raise ValueError("zero field cannot be classified")
     nx = vals.shape[0]
     diff = vals[: nx // 2] - vals[::-1, :][: nx // 2]
     hi, lo = float(diff.max()), float(diff.min())
-    if max(abs(hi), abs(lo)) <= tol * scale:
+    tol = MIRROR_TOL * scale
+    if max(abs(hi), abs(lo)) <= tol:
         return SYMMETRIC
-    if lo > -tol * scale:
+    if lo > -tol:
         return LEFT_DOMINANT
-    if hi < tol * scale:
+    if hi < tol:
         return RIGHT_DOMINANT
     raise AnalysisError(
         f"mirror gaps of mixed sign beyond tolerance "
@@ -399,8 +379,7 @@ class MidlineSlopeReport:
     max_abs_slope: float
 
 
-def midline_slope_check(u: SpectralField, grid: QuadratureGrid,
-                        tol: float = 1e-6) -> MidlineSlopeReport:
+def midline_slope_check(u: SpectralField, grid: QuadratureGrid) -> MidlineSlopeReport:
     """Sign of u_x on the midline x = pi/2, checked against the mirror class.
 
     A left-dominant field must slope downward across the midline at every y,
@@ -408,10 +387,10 @@ def midline_slope_check(u: SpectralField, grid: QuadratureGrid,
     disagreement raises.
     """
     vals = evaluate_on_grid(u, grid).values
-    verdict = _mirror_verdict(vals, tol)
+    verdict = _mirror_verdict(vals)
     pts = np.column_stack([np.full(grid.shape[1], np.pi / 2), grid.nodes_y])
     slopes = u.coefficients @ u.basis.eval_matrix(pts, dx=1)
-    thr = tol * float(np.abs(vals).max())
+    thr = MIRROR_TOL * float(np.abs(vals).max())
     if verdict == SYMMETRIC:
         ok = bool(np.all(np.abs(slopes) <= thr))
     elif verdict == LEFT_DOMINANT:

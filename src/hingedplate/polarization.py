@@ -10,81 +10,30 @@ fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .basis import evaluate_on_grid
 from .certify import make_report
-from .config import AdmissibleWeightRule
 from .green import quadratic_form
-from .grid import GridField, QuadratureGrid
+from .grid import GridField
 from .optimize import (DensityField, PlateSystem, bang_bang_from_values,
                        random_admissible_density, strip_density, uniform_density)
 
-
-@dataclass(frozen=True)
-class HalfPlaneReflection:
-    """Mirror pairing of grid nodes across x = pi/2.
-
-    Gauss nodes on (0, pi) are symmetric, so node i pairs with node
-    n-1-i exactly; an odd node count would leave a self-paired node on the
-    midline and is rejected.
-    """
-
-    grid: QuadratureGrid
-
-    def __post_init__(self):
-        nx = self.grid.shape[0]
-        if nx % 2 != 0:
-            raise ValueError(
-                f"n_quad_x={nx} is odd; the midline node cannot be mirror-paired"
-            )
-        gap = np.abs(self.grid.nodes_x + self.grid.nodes_x[::-1] - np.pi)
-        if gap.max() > 1e-12:
-            raise ValueError("x nodes are not mirror symmetric")
-
-    def left_mask(self) -> np.ndarray:
-        return self.grid.nodes_x < np.pi / 2
-
-    def reflect(self, values: np.ndarray) -> np.ndarray:
-        """Samples of v(pi - x, y) as a pure node relabeling."""
-        return values[::-1, :]
+POLARIZATION_SEED = 6121
+DUALITY_SEED = 997
 
 
 def polarize(v: GridField) -> GridField:
     """Larger of (v, mirrored v) on the left half, smaller on the right.
 
-    Pure selection between existing floats: idempotent bit for bit, and the
-    pair sum v + v(mirror) is preserved nodewise exactly.
+    Gauss x-nodes are mirror symmetric, so the mirror image is the rows
+    reversed.  Pure selection between existing floats: idempotent bit for
+    bit, and the pair sum v + v(mirror) is preserved nodewise exactly.
     """
-    refl = HalfPlaneReflection(v.grid)
-    vm = refl.reflect(v.values)
-    left = refl.left_mask()[:, None]
+    vm = v.values[::-1, :]
+    left = (v.grid.nodes_x < np.pi / 2)[:, None]
     out = np.where(left, np.maximum(v.values, vm), np.minimum(v.values, vm))
     return GridField(v.grid, out)
-
-
-def polarized_density(u: GridField, t: float, rule: AdmissibleWeightRule) -> DensityField:
-    """Two-material density of the polarized field at the same threshold.
-
-    Polarization permutes node values within equal-weight mirror pairs, so
-    the quantile construction applied to the polarized field reproduces the
-    threshold of the original field exactly; the input t is validated
-    against it instead of being re-imposed, which keeps the mass exact.
-    """
-    return _density_of_polarized(polarize(u), t, rule)
-
-
-def _density_of_polarized(u_h: GridField, t: float,
-                          rule: AdmissibleWeightRule) -> DensityField:
-    density, t_h = bang_bang_from_values(u_h, rule)
-    if not np.isclose(t_h, t, rtol=1e-12, atol=0.0):
-        raise ValueError(
-            f"threshold {t!r} does not match the field's quantile threshold {t_h!r}; "
-            f"t must come from the rearrangement of the unpolarized field"
-        )
-    return density
 
 
 def theta1_quotient(p: DensityField, v: GridField, system: PlateSystem) -> float:
@@ -102,39 +51,25 @@ def theta1_quotient(p: DensityField, v: GridField, system: PlateSystem) -> float
     return numer / denom
 
 
-def polarization_energy_gap(p_u: DensityField, u: GridField,
-                            system: PlateSystem) -> float:
+def polarization_energy_gap(u: GridField, system: PlateSystem) -> float:
     """Kernel form of the polarized two-material load minus the original.
 
+    Each load is the field weighted by its own two-material density.
     Expected nonnegative up to solver noise; zero exactly when the field is
     symmetric or entirely one-side dominant.
     """
-    t = _threshold_of(p_u, u)
+    p_u, _ = bang_bang_from_values(u, system.rule)
     u_h = polarize(u)
-    return _form_gap(system, p_u, u, _density_of_polarized(u_h, t, p_u.rule), u_h)
+    p_h, _ = bang_bang_from_values(u_h, system.rule)
+    return (quadratic_form(system, GridField(u.grid, p_h.values * u_h.values))
+            - quadratic_form(system, GridField(u.grid, p_u.values * u.values)))
 
 
-def _form_gap(system: PlateSystem, p_u: DensityField, u: GridField,
-              p_h: DensityField, u_h: GridField) -> float:
-    """Kernel form of the load p_h u_h less that of p_u u."""
-    f = GridField(u.grid, p_u.values * u.values)
-    f_h = GridField(u.grid, p_h.values * u_h.values)
-    return quadratic_form(system, f_h) - quadratic_form(system, f)
-
-
-def _threshold_of(p_u: DensityField, u: GridField) -> float:
-    """Recover the rearrangement threshold that built p_u from u."""
-    density, t = bang_bang_from_values(u, p_u.rule)
-    if not np.array_equal(density.values, p_u.values):
-        raise ValueError("density was not produced by rearranging this field")
-    return t
-
-
-def certify_polarization(system: PlateSystem, n_fields: int = 100,
-                         seed: int = 6121) -> list:
-    """Polarization identity suite on random positive fields."""
+def certify_polarization(system: PlateSystem, n_fields: int = 100) -> list:
+    """Polarization identity suite on random positive fields; a polarized
+    density whose threshold moved fails the product identity."""
     grid, rule = system.grid, system.rule
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(POLARIZATION_SEED)
     res = f"n_quad={grid.shape[0]}x{grid.shape[1]}, fields={n_fields}"
     X, Y = grid.meshgrid()
     w = grid.flat_weights()
@@ -154,9 +89,10 @@ def certify_polarization(system: PlateSystem, n_fields: int = 100,
         pair_h = u_h.values + u_h.values[::-1, :]
         pairsum_err = max(pairsum_err, float(np.abs(pair - pair_h).max()))
 
-        p_u, t = bang_bang_from_values(u, rule)
-        p_h = _density_of_polarized(u_h, t, rule)
-        lhs = polarize(GridField(grid, p_u.values * u.values)).values
+        p_u, _ = bang_bang_from_values(u, rule)
+        p_h, _ = bang_bang_from_values(u_h, rule)
+        load = GridField(grid, p_u.values * u.values)
+        lhs = polarize(load).values
         rhs = p_h.values * u_h.values
         scale = float(np.abs(rhs).max())
         product_err = max(product_err, float(np.abs(lhs - rhs).max()) / scale)
@@ -164,7 +100,8 @@ def certify_polarization(system: PlateSystem, n_fields: int = 100,
         e_u = float(np.sum(w * p_u.values.ravel() * u.flat() ** 2))
         e_h = float(np.sum(w * p_h.values.ravel() * u_h.flat() ** 2))
         energy_err = max(energy_err, abs(e_h - e_u) / e_u)
-        gap_min = min(gap_min, _form_gap(system, p_u, u, p_h, u_h))
+        gap_min = min(gap_min, quadratic_form(system, GridField(grid, rhs))
+                      - quadratic_form(system, load))
 
     return [
         make_report("polarize-idempotent", n_fields, -idem_err, res, idem_err == 0.0),
@@ -179,17 +116,15 @@ def certify_polarization(system: PlateSystem, n_fields: int = 100,
     ]
 
 
-def certify_duality(system: PlateSystem, densities=None, *,
-                    n_trials: int = 100, seed: int = 997) -> list:
+def certify_duality(system: PlateSystem, *, n_trials: int = 100) -> list:
     """Quotient of each density's eigenfunction equals 1/lambda_1; random
     trial fields never exceed it."""
-    rng = np.random.default_rng(seed)
-    if densities is None:
-        densities = [
-            uniform_density(system.grid, system.rule),
-            strip_density(system.grid, system.rule, "left"),
-            strip_density(system.grid, system.rule, "right"),
-        ] + [random_admissible_density(system.grid, system.rule, rng) for _ in range(7)]
+    rng = np.random.default_rng(DUALITY_SEED)
+    densities = [
+        uniform_density(system.grid, system.rule),
+        strip_density(system.grid, system.rule, "left"),
+        strip_density(system.grid, system.rule, "right"),
+    ] + [random_admissible_density(system.grid, system.rule, rng) for _ in range(7)]
     res = f"densities={len(densities)}, trials={n_trials}"
     worst_eig = 0.0
     worst_excess = -np.inf

@@ -19,6 +19,8 @@ import numpy as np
 from .certify import make_report
 
 PI2_OVER_6 = math.pi ** 2 / 6.0
+PAIR_TERM_N = 50
+PAIR_TERM_GRID = 200
 
 
 @dataclass(frozen=True)
@@ -123,17 +125,19 @@ def alternating_edge_slope_series(seq: CoefficientSequence, z,
 
 
 def _series_values_on_grid(seq: CoefficientSequence, grid_points: int) -> np.ndarray:
-    """The series at z_k = pi k / (N+1), k = 1..N, as one DST-I.
+    """The plain and the alternating series at z_k = pi k / (N+1), k = 1..N.
 
     On this grid sin(m z_k) depends on m only modulo P = 2(N+1), so the
     terms c_m / m^2 fold into P bins b_r, and sum_r b_r sin(2 pi r k / P)
-    is minus the imaginary part of the real FFT of b.
+    is minus the imaginary part of the real FFT of b.  P is even, so the
+    alternating series folds into (-1)^r b_r; both rows take one FFT.
     """
     period = 2 * (grid_points + 1)
     m = np.arange(1, len(seq) + 1)
     bins = np.bincount(m % period, weights=seq.values / m.astype(float) ** 2,
                        minlength=period)
-    return -np.fft.rfft(bins).imag[1:grid_points + 1]
+    signs = np.where(np.arange(period) % 2 == 0, 1.0, -1.0)
+    return -np.fft.rfft(np.stack([bins, signs * bins])).imag[:, 1:grid_points + 1]
 
 
 def _positive_margin(seq: CoefficientSequence, vals: np.ndarray) -> float:
@@ -192,16 +196,16 @@ def pair_term_margin(m: int, z) -> float:
         - np.sin(z) * gap ** 2
 
 
-def certify_pair_term_margin(n_max: int = 50, grid_size: int = 200):
+def certify_pair_term_margin():
     """Positivity of the margin for every m = 3..N on (0, pi/(N+1))."""
-    eps = math.pi / (n_max + 1) / (grid_size + 1)
-    zs = np.linspace(eps, math.pi / (n_max + 1) - eps, grid_size)
+    eps = math.pi / (PAIR_TERM_N + 1) / (PAIR_TERM_GRID + 1)
+    zs = np.linspace(eps, math.pi / (PAIR_TERM_N + 1) - eps, PAIR_TERM_GRID)
     worst = np.inf
-    for m in range(3, n_max + 1):
+    for m in range(3, PAIR_TERM_N + 1):
         worst = min(worst, float(np.min(pair_term_margin(m, zs))))
     return make_report(
-        "pair-term-margin-positive", (n_max - 2) * grid_size, worst,
-        f"N={n_max}, grid={grid_size}", bool(worst > 0.0),
+        "pair-term-margin-positive", (PAIR_TERM_N - 2) * PAIR_TERM_GRID, worst,
+        f"N={PAIR_TERM_N}, grid={PAIR_TERM_GRID}", bool(worst > 0.0),
     )
 
 
@@ -217,19 +221,18 @@ def certify_series(*, grid_points: int = 999, terms: int = 20000,
     """Full series suite: sign certifications plus the elementary bounds.
 
     Each family is evaluated once, on zs = pi k / (grid_points + 1), by one
-    folded real FFT.  Positivity and the lower envelope use those values; so
-    does the alternating series, whose value at z is minus the plain series
-    at pi - z: zs is mirror symmetric, so its values at pi - zs are the
-    values at zs in reverse order.
+    folded real FFT that gives the plain and the alternating series
+    together.  Positivity and the lower envelope use the plain values, and
+    the alternating claim the negated alternating ones.
     """
     zs = np.pi * np.arange(1, grid_points + 1) / (grid_points + 1)
     reports = []
     worst_pos, worst_neg, worst_env = np.inf, np.inf, np.inf
     for tag in families:
         seq = sequence_family(tag, terms)
-        vals = _series_values_on_grid(seq, grid_points)
+        vals, alternating = _series_values_on_grid(seq, grid_points)
         worst_pos = min(worst_pos, _positive_margin(seq, vals))
-        worst_neg = min(worst_neg, _positive_margin(seq, vals[::-1]))
+        worst_neg = min(worst_neg, _positive_margin(seq, -alternating))
         worst_env = min(worst_env, _envelope_margin(seq, zs, vals))
     res = f"families={len(families)}, terms={terms}, grid={grid_points}"
     reports.append(make_report("series-positive", len(families) * grid_points,

@@ -21,7 +21,6 @@ from hingedplate import (
     random_admissible_density,
     sequence_family,
     strip_density,
-    symmetry_classify,
     uniform_density,
 )
 from hingedplate.cli import main
@@ -135,7 +134,7 @@ def test_criterion_4_green_certifications():
 
 
 def test_criterion_5_positivity_preserving():
-    reports = certify_positivity_preserving(PlateSystem(PlateConfig()), n_loads=50)
+    reports = certify_positivity_preserving(PlateSystem(PlateConfig()))
     by_id = {r.claim_id: r for r in reports}
     assert by_id["solution-positivity"].passed
     assert by_id["solution-edge-slopes"].passed

@@ -123,13 +123,16 @@ def test_mass_matrix_scaling(parts, rng):
 
 
 def test_mass_matrix_bounds_enforced(parts):
+    # assembly's own bound is strict positivity; [alpha, beta] belongs to
+    # DensityField (test_density_field_validation)
     basis, grid = parts
     vals = np.full(grid.shape, 0.4)
-    with pytest.raises(AssemblyError):
-        assemble_weighted_mass(basis, grid, GridField(grid, vals), bounds=(0.5, 3.0))
-    vals = np.full(grid.shape, 3.2)
-    with pytest.raises(AssemblyError):
-        assemble_weighted_mass(basis, grid, GridField(grid, vals), bounds=(0.5, 3.0))
+    vals[3, 2] = 0.0
+    with pytest.raises(AssemblyError, match="strictly positive"):
+        assemble_weighted_mass(basis, grid, GridField(grid, vals))
+    vals[3, 2] = -0.4
+    with pytest.raises(AssemblyError, match="strictly positive"):
+        assemble_weighted_mass(basis, grid, GridField(grid, vals))
 
 
 def test_assembly_invariant_under_grid_relabeling(parts, cfg, rng):

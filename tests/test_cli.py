@@ -3,10 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hingedplate
 from hingedplate import PlateConfig, QuadratureGrid
@@ -234,13 +237,61 @@ def test_odd_x_quadrature_exits_2(tmp_path, capsys, command):
 
 def test_analysis_failure_exit_code(tmp_path, small_config_file, monkeypatch):
     # an analysis outcome (here a mixed mirror pattern) is not a validation error
-    def mixed(vals, tol):
+    def mixed(vals):
         raise AnalysisError("mirror gaps of mixed sign beyond tolerance")
 
     monkeypatch.setattr("hingedplate.optimize._mirror_verdict", mixed)
     rc = main(["optimize", "--config", str(small_config_file),
                "--out", str(tmp_path / "opt"), "--init", "uniform"])
     assert rc == 3
+
+
+# One value that PlateConfig, load_config or the solver must refuse.
+BROKEN_VALUES = [
+    ("n_modes_x", 0), ("n_basis_y", 2.5), ("n_quad_x", 7), ("n_quad_x", 1),
+    ("n_quad_y", 0), ("sigma", 1.0), ("sigma", "0.2"), ("ell", 0.0),
+    ("alpha", 1.0), ("beta", 1.0), ("opt_tol", 0.0), ("eig_tol", 1e-30),
+]
+
+
+@st.composite
+def small_configs(draw):
+    """A valid config of at most 6 modes and 5 profiles, or one with a
+    single broken value.  Every size key is given, so no default (20
+    modes on 96 x 48 nodes) makes an example slow."""
+    modes = draw(st.integers(1, 6))
+    profiles = draw(st.integers(1, 5))
+    cfg = {
+        "n_modes_x": modes,
+        "n_basis_y": profiles,
+        "n_quad_x": 2 * draw(st.integers((modes + 1) // 2, 8)),
+        "n_quad_y": draw(st.integers(profiles, 10)),
+        "opt_max_iter": draw(st.sampled_from([1, 3, 100])),
+    }
+    cfg.update(draw(st.fixed_dictionaries({}, optional={
+        "sigma": st.sampled_from([0.0, 0.3, 0.9]),
+        "ell": st.sampled_from([0.3, math.pi / 5, 1.0]),
+        "alpha": st.sampled_from([0.1, 0.5, 0.9]),
+        "beta": st.sampled_from([1.5, 3.0, 10.0]),
+    })))
+    broken = draw(st.none() | st.sampled_from(BROKEN_VALUES))
+    if broken is not None:
+        cfg[broken[0]] = broken[1]
+    return cfg
+
+
+@settings(max_examples=20, deadline=None)
+@given(cfg=small_configs())
+def test_cli_exit_codes_on_small_configs(cfg):
+    # every command ends in a documented exit code, never in a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        for command in (["solve"], ["optimize", "--starts", "2"],
+                        ["certify", "--suite", "green"],
+                        ["certify", "--suite", "polarization"]):
+            rc = main(command + ["--config", str(path), "--out", str(Path(tmp) / "run")])
+            assert rc in (0, 2, 3, 4), (cfg, command, rc)
 
 
 def test_solver_failure_exit_code(tmp_path):

@@ -183,7 +183,7 @@ def test_certify_green_solves_each_source_block_once(small_system, monkeypatch):
 
 
 def test_positivity_preserving_certification(default_system):
-    reports = certify_positivity_preserving(default_system, n_loads=50)
+    reports = certify_positivity_preserving(default_system)
     by_id = {r.claim_id: r for r in reports}
     assert by_id["solution-positivity"].passed
     assert by_id["solution-edge-slopes"].passed

@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 from hingedplate import (
     AdmissibleWeightRule,
     GridField,
-    HalfPlaneReflection,
     PlateConfig,
     QuadratureGrid,
     bang_bang_from_values,
     evaluate_on_grid,
     polarization_energy_gap,
     polarize,
-    polarized_density,
     theta1_quotient,
     uniform_density,
 )
@@ -27,22 +25,6 @@ from hingedplate.polarization import certify_duality, certify_polarization
 @pytest.fixture(scope="module")
 def small_grid(small_cfg):
     return QuadratureGrid.from_config(small_cfg)
-
-
-@pytest.fixture(scope="module")
-def small_rule(small_cfg):
-    return AdmissibleWeightRule.from_config(small_cfg)
-
-
-def test_reflection_requires_even_nodes():
-    # PlateConfig rejects odd n_quad_x, so the odd grid is built directly
-    nx, wx = np.polynomial.legendre.leggauss(31)
-    ny, wy = np.polynomial.legendre.leggauss(8)
-    ell = math.pi / 5
-    grid = QuadratureGrid(nodes_x=0.5 * math.pi * (nx + 1.0), weights_x=0.5 * math.pi * wx,
-                          nodes_y=ell * ny, weights_y=ell * wy, ell=ell)
-    with pytest.raises(ValueError, match="odd"):
-        HalfPlaneReflection(grid)
 
 
 def test_polarize_symmetric_fixed(small_grid):
@@ -81,7 +63,7 @@ def test_polarize_idempotent_and_pair_sum_bitexact(seed):
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_polarized_density_identities(seed):
+def test_polarized_two_material_identities(seed):
     cfg = PlateConfig(n_basis_y=10, n_quad_x=24, n_quad_y=10)
     grid = QuadratureGrid.from_config(cfg)
     rule = AdmissibleWeightRule.from_config(cfg)
@@ -89,7 +71,9 @@ def test_polarized_density_identities(seed):
     u = GridField(grid, rng.uniform(0.01, 1.0, size=grid.shape))
     p_u, t = bang_bang_from_values(u, rule)
     u_h = polarize(u)
-    p_h = polarized_density(u, t, rule)
+    p_h, t_h = bang_bang_from_values(u_h, rule)
+    # the polarized field lands on the threshold of the original
+    assert t_h == pytest.approx(t, rel=1e-12, abs=0.0)
     # weighting then polarizing equals polarizing then weighting, nodewise
     lhs = polarize(GridField(grid, p_u.values * u.values)).values
     rhs = p_h.values * u_h.values
@@ -100,13 +84,6 @@ def test_polarized_density_identities(seed):
     e_u = float(np.sum(w * p_u.values * u.values ** 2))
     e_h = float(np.sum(w * p_h.values * u_h.values ** 2))
     assert e_h == pytest.approx(e_u, rel=1e-12)
-
-
-def test_polarized_density_rejects_foreign_threshold(small_grid, small_rule, rng):
-    u = GridField(small_grid, rng.uniform(0.01, 1.0, size=small_grid.shape))
-    _, t = bang_bang_from_values(u, small_rule)
-    with pytest.raises(ValueError, match="threshold"):
-        polarized_density(u, 2.0 * t + 1.0, small_rule)
 
 
 def test_theta1_quotient_duality(default_system, default_uniform_pair):
@@ -135,37 +112,30 @@ def test_theta1_quotient_improves_under_absolute_value(default_system, rng):
 
 def test_energy_gap_cases(default_system, rng):
     grid = default_system.grid
-    rule = AdmissibleWeightRule.from_config(PlateConfig())
     X, Y = grid.meshgrid()
 
     # symmetric field: equality
     u_sym = GridField(grid, np.sin(X) * (1.0 + 0.2 * np.cos(Y)))
-    p_sym, _ = bang_bang_from_values(u_sym, rule)
-    assert abs(polarization_energy_gap(p_sym, u_sym, default_system)) <= 1e-10
+    assert abs(polarization_energy_gap(u_sym, default_system)) <= 1e-10
 
     # already polarized (left dominant): bitwise equality of both forms
     u_left = GridField(grid, (np.sin(X) + 0.3 * np.sin(2 * X)) * (1 + 0.1 * np.cos(Y)))
-    p_left, _ = bang_bang_from_values(u_left, rule)
-    assert polarization_energy_gap(p_left, u_left, default_system) == 0.0
+    assert polarization_energy_gap(u_left, default_system) == 0.0
 
     # pure right dominant: the polarization is the exact mirror image, and
     # mirror invariance of the kernel forces equality (not strict gain)
     u_right = GridField(grid, (np.sin(X) - 0.3 * np.sin(2 * X)) * (1 + 0.1 * np.cos(Y)))
-    p_right, _ = bang_bang_from_values(u_right, rule)
-    assert abs(polarization_energy_gap(p_right, u_right, default_system)) <= 1e-10
+    assert abs(polarization_energy_gap(u_right, default_system)) <= 1e-10
 
     # genuinely mixed dominance: strictly positive gain
     u_mix = np.sin(X) * (1 + 0.1 * np.cos(2 * Y)) + 0.3 * np.sin(2 * X) * (Y / grid.ell)
     u_mix = GridField(grid, u_mix - u_mix.min() + 0.05)
-    p_mix, _ = bang_bang_from_values(u_mix, rule)
-    assert polarization_energy_gap(p_mix, u_mix, default_system) > 1e-4
+    assert polarization_energy_gap(u_mix, default_system) > 1e-4
 
     # random positive fields: never below -1e-10
     for _ in range(30):
         vals = rng.uniform(0.02, 1.0, size=grid.shape)
-        u = GridField(grid, vals)
-        p_u, _ = bang_bang_from_values(u, rule)
-        assert polarization_energy_gap(p_u, u, default_system) >= -1e-10
+        assert polarization_energy_gap(GridField(grid, vals), default_system) >= -1e-10
 
 
 def test_energy_gap_vanishes_for_converged_optimal_pair(default_system):
@@ -177,7 +147,7 @@ def test_energy_gap_vanishes_for_converged_optimal_pair(default_system):
                      uniform_density(default_system.grid, default_system.rule))
     assert trace.status == "fixed_point"
     u = evaluate_on_grid(trace.final_eigenpair.u, default_system.grid)
-    gap = polarization_energy_gap(trace.final_density, u, default_system)
+    gap = polarization_energy_gap(u, default_system)
     form = abs(theta1_quotient(trace.final_density, u, default_system))
     assert abs(gap) <= 1e-8 * max(form, 1.0)
 

@@ -92,14 +92,16 @@ def test_tail_bound_sound():
     ("geometric", 20000),     # cut at its underflow, 1074 terms
 ])
 def test_grid_values_match_pointwise_series(tag, length):
-    # the folded real FFT against the term-by-term sum at every grid node
+    # the folded real FFT against the term-by-term sums at every grid node
     n = 63
     seq = sequence_family(tag, length)
     zs = math.pi * np.arange(1, n + 1) / (n + 1)
-    vals = _series_values_on_grid(seq, n)
+    vals, alternating = _series_values_on_grid(seq, n)
     ref = np.array([edge_slope_series(seq, z).value for z in zs])
-    assert vals.shape == (n,)
+    ref_alt = np.array([alternating_edge_slope_series(seq, z).value for z in zs])
+    assert vals.shape == alternating.shape == (n,)
     assert np.abs(vals - ref).max() <= 1e-14
+    assert np.abs(alternating - ref_alt).max() <= 1e-14
 
 
 def test_certification_failure_is_reported_not_raised():
@@ -158,7 +160,7 @@ def test_pair_term_margin_values():
 
 
 def test_pair_term_margin_certification():
-    rep = certify_pair_term_margin(n_max=50, grid_size=200)
+    rep = certify_pair_term_margin()
     assert rep.passed and rep.min_margin > 0.0
 
 
@@ -173,8 +175,8 @@ def test_certify_series_bundle():
 
 
 def test_certify_series_evaluates_each_family_once(monkeypatch):
-    # on zs only: positivity, the lower envelope and the alternating series
-    # (through pi - zs, which is zs reversed) share the values
+    # one evaluation per family gives the plain values, shared by
+    # positivity and the lower envelope, and the alternating ones
     import hingedplate.series
 
     calls = []
