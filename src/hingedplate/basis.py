@@ -75,17 +75,6 @@ class SpectralBasis:
     def dimension(self) -> int:
         return self.n_modes_x * self.n_basis_y
 
-    def flat_index(self, m: int, j: int) -> int:
-        """Flat position of the function sin(m x) * psi_j, j being the degree."""
-        if not (1 <= m <= self.n_modes_x and 0 <= j < self.n_basis_y):
-            raise IndexError(f"mode (m={m}, j={j}) outside basis")
-        return (m - 1) * self.n_basis_y + j
-
-    def mode_of(self, a: int):
-        """Inverse of flat_index."""
-        m, j = divmod(int(a), self.n_basis_y)
-        return m + 1, j
-
     def eval_matrix(self, points: np.ndarray, dx: int = 0, dy: int = 0) -> np.ndarray:
         """Basis values (dimension, n_points) at arbitrary points.
 
@@ -109,10 +98,6 @@ class SpectralBasis:
         return fx, fy
 
 
-def build_basis(cfg: PlateConfig) -> SpectralBasis:
-    return SpectralBasis.from_config(cfg)
-
-
 @dataclass(frozen=True)
 class SpectralField:
     """A function in the Galerkin space, held as its coefficient vector."""
@@ -129,21 +114,6 @@ class SpectralField:
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients contain non-finite entries")
         object.__setattr__(self, "coefficients", c)
-
-
-def evaluate(field: SpectralField, points: np.ndarray) -> np.ndarray:
-    """Pointwise values sum_c c_mj sin(m x) psi_j(y)."""
-    return field.coefficients @ field.basis.eval_matrix(points)
-
-
-def evaluate_dx(field: SpectralField, points: np.ndarray) -> np.ndarray:
-    """Pointwise x-derivative sum_c c_mj m cos(m x) psi_j(y)."""
-    return field.coefficients @ field.basis.eval_matrix(points, dx=1)
-
-
-def evaluate_dy(field: SpectralField, points: np.ndarray) -> np.ndarray:
-    """Pointwise y-derivative sum_c c_mj sin(m x) psi_j'(y)."""
-    return field.coefficients @ field.basis.eval_matrix(points, dy=1)
 
 
 def evaluate_on_grid(field: SpectralField, grid: QuadratureGrid,

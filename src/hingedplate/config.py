@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict, fields, replace
+from dataclasses import dataclass, asdict, fields
 
 
 @dataclass(frozen=True)
@@ -97,26 +97,8 @@ class PlateConfig:
         if not self.eig_tol > 0.0:
             raise ValueError(f"eig_tol must be positive, got {self.eig_tol}")
 
-    def with_overrides(self, **kwargs) -> "PlateConfig":
-        """Copy of this config with the given fields replaced (revalidated)."""
-        return replace(self, **kwargs)
-
     def as_dict(self) -> dict:
         return asdict(self)
-
-
-def domain_area(cfg: PlateConfig) -> float:
-    """Area of (0, pi) x (-ell, ell), i.e. 2*pi*ell.  Never stored, always derived."""
-    return 2.0 * math.pi * cfg.ell
-
-
-def sublevel_fraction(cfg: PlateConfig) -> float:
-    """Fraction (beta-1)/(beta-alpha) of the area that the light material fills.
-
-    This is the measure fraction of the sublevel set picked by every
-    rearrangement step; it lies in (0, 1) whenever the config is valid.
-    """
-    return (cfg.beta - 1.0) / (cfg.beta - cfg.alpha)
 
 
 @dataclass(frozen=True)
@@ -124,8 +106,10 @@ class AdmissibleWeightRule:
     """Mass and bound constraints a density field must satisfy.
 
     A density is admissible when alpha <= p <= beta at every node and its
-    quadrature mass equals target_mass (the domain area, so the homogeneous
-    plate p = 1 is always admissible).
+    quadrature mass equals target_mass, the area 2*pi*ell of the domain, so
+    the homogeneous plate p = 1 is always admissible.  sublevel_fraction is
+    the share (beta-1)/(beta-alpha) of that area which every rearrangement
+    step gives the light material; a valid config puts it in (0, 1).
     """
 
     alpha: float
@@ -133,24 +117,13 @@ class AdmissibleWeightRule:
     target_mass: float
     sublevel_fraction: float
 
-    def __post_init__(self):
-        if not 0.0 < self.sublevel_fraction < 1.0:
-            raise ValueError(
-                f"sublevel_fraction must lie in (0, 1), got {self.sublevel_fraction}"
-            )
-        if not (self.target_mass > 0.0 and self.alpha <= 1.0 <= self.beta):
-            # target mass equals the domain area, so reachability within the
-            # bounds [alpha, beta] is exactly alpha <= 1 <= beta
-            raise ValueError("mass target not reachable within the density bounds")
-
     @classmethod
     def from_config(cls, cfg: PlateConfig) -> "AdmissibleWeightRule":
-        area = domain_area(cfg)
         return cls(
             alpha=cfg.alpha,
             beta=cfg.beta,
-            target_mass=area,
-            sublevel_fraction=sublevel_fraction(cfg),
+            target_mass=2.0 * math.pi * cfg.ell,
+            sublevel_fraction=(cfg.beta - 1.0) / (cfg.beta - cfg.alpha),
         )
 
 

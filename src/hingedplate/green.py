@@ -20,6 +20,9 @@ from .optimize import PlateSystem
 
 POSITIVITY_LOADS = 50
 POSITIVITY_SEED = 2357
+# probe lattice of the kernel claims, x by y
+PROBES_X = 20
+PROBES_Y = 10
 
 
 def apply(system: PlateSystem, f: GridField) -> SpectralField:
@@ -83,7 +86,7 @@ def interior_probe_points(grid: QuadratureGrid, nx: int, ny: int,
     return np.column_stack([X.ravel(), Y.ravel()])
 
 
-def certify_green(system: PlateSystem, n_probe_x: int = 20, n_probe_y: int = 10) -> list:
+def certify_green(system: PlateSystem) -> list:
     """Run every kernel certification at the system's resolution.
 
     Each source block is evaluated and solved once, K^-1 B for the probes
@@ -95,7 +98,7 @@ def certify_green(system: PlateSystem, n_probe_x: int = 20, n_probe_y: int = 10)
     res = f"n_modes_x={cfg.n_modes_x}, n_basis_y={cfg.n_basis_y}"
     reports = []
 
-    probes = interior_probe_points(system.grid, n_probe_x, n_probe_y)
+    probes = interior_probe_points(system.grid, PROBES_X, PROBES_Y)
     B = basis.eval_matrix(probes)
     KiB = solve(B)
     G = B.T @ KiB
@@ -144,7 +147,7 @@ def certify_green(system: PlateSystem, n_probe_x: int = 20, n_probe_y: int = 10)
         "kernel-mirror-cross", G.size, 1e-12 - err_cross, res, bool(err_cross <= 1e-12),
     ))
 
-    half = interior_probe_points(system.grid, n_probe_x, n_probe_y, half_plane=True)
+    half = interior_probe_points(system.grid, PROBES_X, PROBES_Y, half_plane=True)
     gap = reflection_gap(system, half)
     reports.append(make_report(
         "kernel-reflection-gap", half.shape[0] ** 2, gap, res, bool(gap > 0.0),

@@ -50,11 +50,6 @@ class QuadratureGrid:
         """Node coordinates X, Y as (n_quad_x, n_quad_y) matrices."""
         return np.meshgrid(self.nodes_x, self.nodes_y, indexing="ij")
 
-    def flat_points(self) -> np.ndarray:
-        """All nodes as an (n_nodes, 2) array, x-major ordering."""
-        X, Y = self.meshgrid()
-        return np.column_stack([X.ravel(), Y.ravel()])
-
     def integrate(self, values: np.ndarray) -> float:
         """Quadrature of node values (matrix or flat vector)."""
         return float(np.sum(self.tensor_weights() * np.asarray(values).reshape(self.shape)))

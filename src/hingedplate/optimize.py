@@ -12,12 +12,12 @@ when the eigenvalue stagnates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import StiffnessFactor, assemble_weighted_mass
-from .basis import SpectralField, build_basis, evaluate_on_grid
+from .basis import SpectralBasis, SpectralField, evaluate_on_grid
 from .config import AdmissibleWeightRule, PlateConfig
 from .eigensolve import Eigenpair, solve_first
 from .grid import GridField, QuadratureGrid
@@ -244,11 +244,6 @@ class OptimizationTrace:
     status: str                 # 'fixed_point' | 'lambda_stagnant' | 'max_iter'
     final_density: DensityField
     final_eigenpair: Eigenpair
-    densities: list = field(default_factory=list)
-
-    @property
-    def lambdas(self):
-        return [rec.lambda1 for rec in self.records]
 
     @property
     def final_lambda(self) -> float:
@@ -267,9 +262,11 @@ class PlateSystem:
     def __init__(self, cfg: PlateConfig):
         self.cfg = cfg
         self.rule = AdmissibleWeightRule.from_config(cfg)
-        self.basis = build_basis(cfg)
+        self.basis = SpectralBasis.from_config(cfg)
         self.grid = QuadratureGrid.from_config(cfg)
         self.factor = StiffnessFactor.build(self.basis, self.grid, cfg.sigma)
+        # basis values on the grid, sin(m x_i) as S and psi_j(y_k) as L
+        self.S, self.L = self.basis.axis_tables(self.grid)
 
     def mass_matrix(self, p: DensityField) -> np.ndarray:
         return assemble_weighted_mass(self.basis, self.grid, p.as_grid_field())
@@ -281,12 +278,10 @@ class PlateSystem:
 
     def load_vector(self, f: GridField) -> np.ndarray:
         """Galerkin load, entry a = sum_nodes w f phi_a."""
-        S, L = self.basis.axis_tables(self.grid)
-        return (S @ (self.grid.tensor_weights() * f.values) @ L).ravel()
+        return (self.S @ (self.grid.tensor_weights() * f.values) @ self.L).ravel()
 
 
-def minimize(system: PlateSystem, initial_p: DensityField, *,
-             keep_densities: bool = False) -> OptimizationTrace:
+def minimize(system: PlateSystem, initial_p: DensityField) -> OptimizationTrace:
     """Run the rearrangement loop from one starting density.
 
     Each record holds one eigensolve plus the rearrangement computed from
@@ -301,7 +296,6 @@ def minimize(system: PlateSystem, initial_p: DensityField, *,
     cfg = system.cfg
     p = initial_p
     records = []
-    densities = []
     prev_assign = None
     prev_lambda = None
     status = None
@@ -327,8 +321,6 @@ def minimize(system: PlateSystem, initial_p: DensityField, *,
             residual=pair.residual,
             gap=pair.gap,
         ))
-        if keep_densities:
-            densities.append(new_p)
         if prev_assign is not None and change == 0.0 \
                 and np.array_equal(new_p.values, p.values):
             # rearranging reproduced the current density exactly
@@ -344,8 +336,7 @@ def minimize(system: PlateSystem, initial_p: DensityField, *,
         prev_lambda = pair.lambda1
         p = new_p
     return OptimizationTrace(
-        records=records, status=status, final_density=p,
-        final_eigenpair=pair, densities=densities,
+        records=records, status=status, final_density=p, final_eigenpair=pair,
     )
 
 

@@ -20,7 +20,9 @@ from .optimize import (DensityField, PlateSystem, bang_bang_from_values,
                        random_admissible_density, strip_density, uniform_density)
 
 POLARIZATION_SEED = 6121
+POLARIZATION_FIELDS = 100
 DUALITY_SEED = 997
+DUALITY_TRIALS = 100
 
 
 def polarize(v: GridField) -> GridField:
@@ -65,12 +67,12 @@ def polarization_energy_gap(u: GridField, system: PlateSystem) -> float:
             - quadratic_form(system, GridField(u.grid, p_u.values * u.values)))
 
 
-def certify_polarization(system: PlateSystem, n_fields: int = 100) -> list:
+def certify_polarization(system: PlateSystem) -> list:
     """Polarization identity suite on random positive fields; a polarized
     density whose threshold moved fails the product identity."""
     grid, rule = system.grid, system.rule
     rng = np.random.default_rng(POLARIZATION_SEED)
-    res = f"n_quad={grid.shape[0]}x{grid.shape[1]}, fields={n_fields}"
+    res = f"n_quad={grid.shape[0]}x{grid.shape[1]}, fields={POLARIZATION_FIELDS}"
     X, Y = grid.meshgrid()
     w = grid.flat_weights()
 
@@ -80,7 +82,7 @@ def certify_polarization(system: PlateSystem, n_fields: int = 100) -> list:
     mass_err = 0.0
     energy_err = 0.0
     gap_min = np.inf
-    for _ in range(n_fields):
+    for _ in range(POLARIZATION_FIELDS):
         u = GridField(grid, _random_positive_field(rng, X, Y, system.cfg.ell))
         u_h = polarize(u)
         again = polarize(u_h)
@@ -103,20 +105,21 @@ def certify_polarization(system: PlateSystem, n_fields: int = 100) -> list:
         gap_min = min(gap_min, quadratic_form(system, GridField(grid, rhs))
                       - quadratic_form(system, load))
 
+    n = POLARIZATION_FIELDS
     return [
-        make_report("polarize-idempotent", n_fields, -idem_err, res, idem_err == 0.0),
-        make_report("polarize-pair-sum", n_fields, -pairsum_err, res, pairsum_err == 0.0),
-        make_report("polarized-product-identity", n_fields, 1e-12 - product_err, res,
+        make_report("polarize-idempotent", n, -idem_err, res, idem_err == 0.0),
+        make_report("polarize-pair-sum", n, -pairsum_err, res, pairsum_err == 0.0),
+        make_report("polarized-product-identity", n, 1e-12 - product_err, res,
                     product_err <= 1e-12),
-        make_report("polarized-mass", n_fields, 1e-10 - mass_err, res, mass_err <= 1e-10),
-        make_report("polarized-energy-identity", n_fields, 1e-12 - energy_err, res,
+        make_report("polarized-mass", n, 1e-10 - mass_err, res, mass_err <= 1e-10),
+        make_report("polarized-energy-identity", n, 1e-12 - energy_err, res,
                     energy_err <= 1e-12),
-        make_report("polarization-form-inequality", n_fields, gap_min, res,
+        make_report("polarization-form-inequality", n, gap_min, res,
                     gap_min >= -1e-10),
     ]
 
 
-def certify_duality(system: PlateSystem, *, n_trials: int = 100) -> list:
+def certify_duality(system: PlateSystem) -> list:
     """Quotient of each density's eigenfunction equals 1/lambda_1; random
     trial fields never exceed it."""
     rng = np.random.default_rng(DUALITY_SEED)
@@ -125,10 +128,10 @@ def certify_duality(system: PlateSystem, *, n_trials: int = 100) -> list:
         strip_density(system.grid, system.rule, "left"),
         strip_density(system.grid, system.rule, "right"),
     ] + [random_admissible_density(system.grid, system.rule, rng) for _ in range(7)]
-    res = f"densities={len(densities)}, trials={n_trials}"
+    res = f"densities={len(densities)}, trials={DUALITY_TRIALS}"
     worst_eig = 0.0
     worst_excess = -np.inf
-    per_density = max(1, n_trials // len(densities))
+    per_density = DUALITY_TRIALS // len(densities)
     for p in densities:
         pair = system.solve_density(p)
         u = evaluate_on_grid(pair.u, system.grid)

@@ -92,36 +92,31 @@ class SeriesValue:
 
     value: float
     tail_bound: float
-    terms: int
 
 
-def _tail_bound(seq: CoefficientSequence, terms: int) -> float:
-    """Bound on everything past term L: the coefficients decrease, so the
-    omitted terms sum to at most c_L * sum_{m>L} 1/m^2 regardless of z."""
-    return float(seq.values[terms - 1]) * sum_inverse_squares_tail(terms)
+def _tail_bound(seq: CoefficientSequence) -> float:
+    """Bound on everything past the last term L: the coefficients decrease, so
+    the omitted terms sum to at most c_L * sum_{m>L} 1/m^2 regardless of z."""
+    return float(seq.values[-1]) * sum_inverse_squares_tail(len(seq))
 
 
-def _pointwise_series(seq: CoefficientSequence, z, truncation, alternating: bool) -> SeriesValue:
-    L = len(seq) if truncation is None else int(truncation)
-    if not 1 <= L <= len(seq):
-        raise ValueError(f"truncation {L} outside 1..{len(seq)}")
-    m = np.arange(1, L + 1, dtype=float)
-    coeff = seq.values[:L] / m ** 2
+def _pointwise_series(seq: CoefficientSequence, z, alternating: bool) -> SeriesValue:
+    m = np.arange(1, len(seq) + 1, dtype=float)
+    coeff = seq.values / m ** 2
     if alternating:
         coeff[::2] = -coeff[::2]                    # (-1)^m is -1 at odd m
     value = float(np.sum(coeff * np.sin(m * float(z))))
-    return SeriesValue(value=value, tail_bound=_tail_bound(seq, L), terms=L)
+    return SeriesValue(value=value, tail_bound=_tail_bound(seq))
 
 
-def edge_slope_series(seq: CoefficientSequence, z, truncation: int = None) -> SeriesValue:
+def edge_slope_series(seq: CoefficientSequence, z) -> SeriesValue:
     """Partial sum of sum_m c_m sin(m z) / m^2 with its tail bound."""
-    return _pointwise_series(seq, z, truncation, alternating=False)
+    return _pointwise_series(seq, z, alternating=False)
 
 
-def alternating_edge_slope_series(seq: CoefficientSequence, z,
-                                  truncation: int = None) -> SeriesValue:
+def alternating_edge_slope_series(seq: CoefficientSequence, z) -> SeriesValue:
     """Partial sum of sum_m (-1)^m c_m sin(m z) / m^2 with its tail bound."""
-    return _pointwise_series(seq, z, truncation, alternating=True)
+    return _pointwise_series(seq, z, alternating=True)
 
 
 def _series_values_on_grid(seq: CoefficientSequence, grid_points: int) -> np.ndarray:
@@ -142,7 +137,7 @@ def _series_values_on_grid(seq: CoefficientSequence, grid_points: int) -> np.nda
 
 def _positive_margin(seq: CoefficientSequence, vals: np.ndarray) -> float:
     """Smallest grid value of the series less the tail bound."""
-    return float(vals.min() - _tail_bound(seq, len(seq)))
+    return float(vals.min() - _tail_bound(seq))
 
 
 def constant_CN(n: int) -> float:
@@ -213,7 +208,7 @@ def _envelope_margin(seq: CoefficientSequence, zs: np.ndarray, vals: np.ndarray)
     """Smallest excess of the series values at zs, less the tail bound, over
     the envelope c_1 (sin z - (pi^2/6 - 1))."""
     envelope = seq.values[0] * (np.sin(zs) - (PI2_OVER_6 - 1.0))
-    return float(np.min(vals - _tail_bound(seq, len(seq)) - envelope))
+    return float(np.min(vals - _tail_bound(seq) - envelope))
 
 
 def certify_series(*, grid_points: int = 999, terms: int = 20000,

@@ -73,7 +73,7 @@ def test_criterion_1_monotone_traces(optimization_batch):
     n_runs = 0
     for cfg, _, runs in optimization_batch:
         for name, trace, seconds in runs:
-            lams = trace.lambdas
+            lams = [r.lambda1 for r in trace.records]
             assert len(lams) >= 2
             for a, b in zip(lams, lams[1:]):
                 assert b <= a * (1.0 + 1e-10), (cfg, name)
@@ -143,7 +143,7 @@ def test_criterion_5_positivity_preserving():
 
 
 def test_criterion_6_duality():
-    reports = certify_duality(PlateSystem(PlateConfig()), n_trials=100)
+    reports = certify_duality(PlateSystem(PlateConfig()))
     by_id = {r.claim_id: r for r in reports}
     rep = by_id["duality-inverse-eigenvalue"]
     assert rep.probe_count >= 10
@@ -181,7 +181,7 @@ def test_criterion_8_appendix_suite():
 
 
 def test_criterion_9_polarization_suite(optimization_batch):
-    reports = certify_polarization(PlateSystem(PlateConfig()), n_fields=100)
+    reports = certify_polarization(PlateSystem(PlateConfig()))
     by_id = {r.claim_id: r for r in reports}
     assert by_id["polarize-idempotent"].min_margin == 0.0          # bit exact
     assert by_id["polarize-pair-sum"].min_margin == 0.0            # bit exact

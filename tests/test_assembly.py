@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from hingedplate import (
     PlateSystem,
     QuadratureGrid,
     StiffnessFactor,
+    SpectralBasis,
     assemble_weighted_mass,
-    build_basis,
     random_admissible_density,
 )
 from hingedplate.assembly import AssemblyError, stiffness_blocks
@@ -27,7 +28,7 @@ def cfg():
 
 @pytest.fixture(scope="module")
 def parts(cfg):
-    basis = build_basis(cfg)
+    basis = SpectralBasis.from_config(cfg)
     grid = QuadratureGrid.from_config(cfg)
     return basis, grid
 
@@ -49,7 +50,8 @@ def test_stiffness_blocks_match_energy_form_on_grid(parts, cfg):
     # tensor grid from pointwise basis derivatives.  Matching the block
     # diagonal checks both the sine-mode decoupling and the per-mode formula.
     basis, grid = parts
-    pts, w = grid.flat_points(), grid.flat_weights()
+    X, Y = grid.meshgrid()
+    pts, w = np.column_stack([X.ravel(), Y.ravel()]), grid.flat_weights()
     xx = basis.eval_matrix(pts, dx=2)
     yy = basis.eval_matrix(pts, dy=2)
     xy = basis.eval_matrix(pts, dx=1, dy=1)
@@ -104,7 +106,7 @@ def test_mass_matrix_uniform_density(parts, cfg):
     M1 = assemble_weighted_mass(basis, grid, p1)
     assert np.allclose(M1, M1.T)
     # single-mode diagonal entry: int sin^2(x) dx dy = (pi/2) * 2 ell
-    a = basis.flat_index(1, 0)
+    a = 0  # flat index of (m=1, degree 0)
     assert M1[a, a] == pytest.approx(math.pi * cfg.ell, rel=1e-13)
     # trig orthogonality under quadrature: different m decouple
     J = basis.n_basis_y
@@ -149,7 +151,7 @@ def test_assembly_invariant_under_grid_relabeling(parts, cfg, rng):
 def test_quadrature_refinement_leaves_stiffness(parts, cfg):
     basis, grid = parts
     K = stiffness_blocks(basis, grid, cfg.sigma)
-    fine = QuadratureGrid.from_config(cfg.with_overrides(n_quad_y=2 * cfg.n_quad_y))
+    fine = QuadratureGrid.from_config(replace(cfg, n_quad_y=2 * cfg.n_quad_y))
     K_fine = stiffness_blocks(basis, fine, cfg.sigma)
     scale = max(np.abs(blk).max() for blk in K)
     for blk, blk_fine in zip(K, K_fine):
@@ -161,7 +163,8 @@ def test_mass_matrix_matches_dense_basis_product(parts, cfg, rng):
     basis, grid = parts
     p = random_admissible_density(grid, AdmissibleWeightRule.from_config(cfg), rng)
     M = assemble_weighted_mass(basis, grid, p.as_grid_field())
-    phi = basis.eval_matrix(grid.flat_points())
+    X, Y = grid.meshgrid()
+    phi = basis.eval_matrix(np.column_stack([X.ravel(), Y.ravel()]))
     ref = (phi * (grid.flat_weights() * p.values.ravel())) @ phi.T
     assert np.abs(M - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -169,7 +172,8 @@ def test_mass_matrix_matches_dense_basis_product(parts, cfg, rng):
 def test_load_vector_matches_dense_basis_product(cfg, rng):
     system = PlateSystem(cfg)
     f = GridField(system.grid, rng.standard_normal(system.grid.shape))
-    phi = system.basis.eval_matrix(system.grid.flat_points())
+    X, Y = system.grid.meshgrid()
+    phi = system.basis.eval_matrix(np.column_stack([X.ravel(), Y.ravel()]))
     ref = phi @ (system.grid.flat_weights() * f.flat())
     assert np.abs(system.load_vector(f) - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -177,7 +181,7 @@ def test_load_vector_matches_dense_basis_product(cfg, rng):
 def test_mass_assembly_allocates_less_than_dense_table(rng):
     # dim 400 on 4096 nodes: a dense float64 basis table would take 13.1 MB
     cfg = PlateConfig(n_modes_x=20, n_basis_y=20, n_quad_x=128, n_quad_y=32)
-    basis = build_basis(cfg)
+    basis = SpectralBasis.from_config(cfg)
     grid = QuadratureGrid.from_config(cfg)
     p = GridField(grid, rng.uniform(0.5, 3.0, size=grid.shape))
     table_bytes = 8 * basis.dimension * grid.shape[0] * grid.shape[1]

@@ -4,33 +4,32 @@ import math
 import numpy as np
 import pytest
 
-from hingedplate import (
-    AdmissibleWeightRule,
-    PlateConfig,
-    domain_area,
-    load_config,
-    sublevel_fraction,
-)
+from hingedplate import AdmissibleWeightRule, PlateConfig, load_config
 
 
-def test_domain_area_examples():
-    assert domain_area(PlateConfig(ell=math.pi / 5)) == pytest.approx(2 * math.pi ** 2 / 5)
-    assert domain_area(PlateConfig(ell=1.0)) == pytest.approx(2 * math.pi)
-    assert domain_area(PlateConfig(ell=0.5)) == pytest.approx(math.pi)
+def _rule(**kwargs):
+    return AdmissibleWeightRule.from_config(PlateConfig(**kwargs))
+
+
+def test_mass_target_examples():
+    # the mass target is the area 2*pi*ell of (0, pi) x (-ell, ell)
+    assert _rule(ell=math.pi / 5).target_mass == pytest.approx(2 * math.pi ** 2 / 5)
+    assert _rule(ell=1.0).target_mass == pytest.approx(2 * math.pi)
+    assert _rule(ell=0.5).target_mass == pytest.approx(math.pi)
 
 
 def test_sublevel_fraction_examples():
-    assert sublevel_fraction(PlateConfig(alpha=0.5, beta=3.0)) == pytest.approx(0.8)
-    assert sublevel_fraction(PlateConfig(alpha=0.5, beta=1.5)) == pytest.approx(0.5)
+    assert _rule(alpha=0.5, beta=3.0).sublevel_fraction == pytest.approx(0.8)
+    assert _rule(alpha=0.5, beta=1.5).sublevel_fraction == pytest.approx(0.5)
     # beta -> 1+ sends the fraction to 0+
-    assert sublevel_fraction(PlateConfig(alpha=0.5, beta=1.0 + 1e-9)) < 1e-8
+    assert _rule(alpha=0.5, beta=1.0 + 1e-9).sublevel_fraction < 1e-8
 
 
 def test_sublevel_fraction_increasing_in_beta():
     alphas = [0.1, 0.5, 0.9]
     betas = np.linspace(1.01, 8.0, 40)
     for a in alphas:
-        vals = [sublevel_fraction(PlateConfig(alpha=a, beta=float(b))) for b in betas]
+        vals = [_rule(alpha=a, beta=float(b)).sublevel_fraction for b in betas]
         assert np.all(np.diff(vals) > 0)
         assert all(0.0 < v < 1.0 for v in vals)
 

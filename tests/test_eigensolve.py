@@ -14,8 +14,8 @@ from hingedplate import (
     PlateSystem,
     QuadratureGrid,
     SpectralField,
+    SpectralBasis,
     StiffnessFactor,
-    build_basis,
     evaluate_on_grid,
     random_admissible_density,
     rayleigh_quotient,
@@ -232,12 +232,12 @@ def test_orientation_takes_no_grid_pass(small_system, rng, monkeypatch):
     import hingedplate.basis
     from hingedplate.eigensolve import _oriented
 
-    evaluate = hingedplate.basis.evaluate_on_grid
+    original = hingedplate.basis.evaluate_on_grid
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return evaluate(*args, **kwargs)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(hingedplate.basis, "evaluate_on_grid", counting)
     monkeypatch.setattr("hingedplate.eigensolve.evaluate_on_grid", counting, raising=False)
@@ -248,7 +248,7 @@ def test_orientation_takes_no_grid_pass(small_system, rng, monkeypatch):
     assert calls == []
 
     def integral(field):
-        return system.grid.integrate(evaluate(field, system.grid).values)
+        return system.grid.integrate(original(field, system.grid).values)
 
     for p, pair in zip(densities, pairs):
         Mp = system.mass_matrix(p)
@@ -343,7 +343,7 @@ def test_degenerate_single_y_function():
 
 def test_near_degenerate_pair_warns():
     cfg = PlateConfig(n_modes_x=2, n_basis_y=1, n_quad_x=8, n_quad_y=4)
-    basis = build_basis(cfg)
+    basis = SpectralBasis.from_config(cfg)
     one = np.eye(1)
     # K = I as two identical 1x1 blocks
     factor = StiffnessFactor(blocks=(one, one))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -149,7 +150,7 @@ def test_certify_green_all_pass(default_green_reports):
 
 def test_certify_green_underresolved_reports(default_cfg, default_green_reports):
     # a coarse run still reports every claim, each tagged with its resolution
-    cfg = default_cfg.with_overrides(n_modes_x=2, n_basis_y=3)
+    cfg = replace(default_cfg, n_modes_x=2, n_basis_y=3)
     reports = certify_green(PlateSystem(cfg))
     assert [r.claim_id for r in reports] == [r.claim_id for r in default_green_reports]
     for r in reports:
@@ -173,13 +174,29 @@ def test_certify_green_solves_each_source_block_once(small_system, monkeypatch):
 
     monkeypatch.setattr(StiffnessFactor, "solve", counting_solve)
     monkeypatch.setattr(SpectralBasis, "eval_matrix", counting_eval_matrix)
-    n = 6 * 4
-    certify_green(small_system, n_probe_x=6, n_probe_y=4)
-    # probes and mirrors, midline sources, half-plane probes and mirrors, loads
-    assert sum(solved) == 2 * n + 5 + 2 * n + 50
+    certify_green(small_system)
+    # 20 x 10 probes and their mirrors, five midline sources, 200 half-plane
+    # probes and their mirrors, 50 loads
+    assert sum(solved) == 2 * 200 + 5 + 2 * 200 + 50
     # probes, mirrors, three slope targets, midline sources, the half-plane
     # pair, and the two edge-slope tables of the load loop
     assert len(tables) == 10
+
+
+def test_load_vector_reuses_the_system_tables(small_system, rng, monkeypatch):
+    # the system builds its per-axis basis tables once; loads only read them
+    calls = []
+    axis_tables = SpectralBasis.axis_tables
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return axis_tables(self, *args, **kwargs)
+
+    monkeypatch.setattr(SpectralBasis, "axis_tables", counting)
+    for _ in range(3):
+        f = GridField(small_system.grid, rng.standard_normal(small_system.grid.shape))
+        quadratic_form(small_system, f)
+    assert calls == []
 
 
 def test_positivity_preserving_certification(default_system):

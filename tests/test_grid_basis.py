@@ -6,11 +6,8 @@ import pytest
 from hingedplate import (
     PlateConfig,
     QuadratureGrid,
+    SpectralBasis,
     SpectralField,
-    build_basis,
-    evaluate,
-    evaluate_dx,
-    evaluate_dy,
     evaluate_on_grid,
 )
 
@@ -27,7 +24,12 @@ def grid(cfg):
 
 @pytest.fixture(scope="module")
 def basis(cfg):
-    return build_basis(cfg)
+    return SpectralBasis.from_config(cfg)
+
+
+def _grid_points(grid):
+    X, Y = grid.meshgrid()
+    return np.column_stack([X.ravel(), Y.ravel()])
 
 
 def test_weight_sums(grid, cfg):
@@ -49,62 +51,80 @@ def test_nodes_interior_and_increasing(grid, cfg):
     assert np.all(np.diff(grid.nodes_y) > 0)
 
 
+def _legendre(j, s):
+    """P_j(s) by Bonnet's recurrence, independent of numpy's legendre module."""
+    prev, cur = np.ones_like(s), s
+    if j == 0:
+        return prev
+    for n in range(1, j):
+        prev, cur = cur, ((2 * n + 1) * s * cur - n * prev) / (n + 1)
+    return cur
+
+
 def test_basis_dimension_and_index_map():
-    cfg1 = PlateConfig(n_modes_x=1, n_basis_y=1)
-    b1 = build_basis(cfg1)
+    b1 = SpectralBasis.from_config(PlateConfig(n_modes_x=1, n_basis_y=1))
     assert b1.dimension == 1
-    cfg20 = PlateConfig(n_modes_x=20, n_basis_y=12)
-    b20 = build_basis(cfg20)
+    b20 = SpectralBasis.from_config(PlateConfig(n_modes_x=20, n_basis_y=12))
     assert b20.dimension == 240
-    for a in range(0, b20.dimension, 37):
-        m, j = b20.mode_of(a)
-        assert b20.flat_index(m, j) == a
+    # row (m-1)*J + j of eval_matrix holds sin(m x) * P_j(y/ell)
+    J = b20.n_basis_y
+    pts = np.array([[0.3, 0.1], [1.7, -0.4], [2.9, 0.6]])
+    rows = b20.eval_matrix(pts)
+    assert rows.shape == (240, 3)
+    for m in (1, 2, 7, 20):
+        for j in (0, 1, 4, 11):
+            ref = np.sin(m * pts[:, 0]) * _legendre(j, pts[:, 1] / b20.ell)
+            assert np.abs(rows[(m - 1) * J + j] - ref).max() < 1e-13
 
 
 def test_single_mode_evaluations(basis):
-    # coefficient 1 on (m=1, degree 0): field is sin(x)
+    # coefficient 1 on (m=1, degree 0), flat index 0: field is sin(x)
     c = np.zeros(basis.dimension)
-    c[basis.flat_index(1, 0)] = 1.0
-    f = SpectralField(basis, c)
-    assert evaluate(f, [[math.pi / 2, 0.0]])[0] == pytest.approx(1.0, abs=1e-15)
-    assert evaluate_dx(f, [[0.0, 0.1]])[0] == pytest.approx(1.0, abs=1e-15)
-    # m=2 vanishes at x=pi/2
+    c[0] = 1.0
+    assert (c @ basis.eval_matrix([[math.pi / 2, 0.0]]))[0] == pytest.approx(1.0, abs=1e-15)
+    assert (c @ basis.eval_matrix([[0.0, 0.1]], dx=1))[0] == pytest.approx(1.0, abs=1e-15)
+    # m=2, flat index J, vanishes at x=pi/2
     c2 = np.zeros(basis.dimension)
-    c2[basis.flat_index(2, 0)] = 1.0
-    f2 = SpectralField(basis, c2)
-    assert abs(evaluate(f2, [[math.pi / 2, 0.3]])[0]) < 1e-14
+    c2[basis.n_basis_y] = 1.0
+    assert abs((c2 @ basis.eval_matrix([[math.pi / 2, 0.3]]))[0]) < 1e-14
 
 
 def test_fields_vanish_on_hinged_edges(basis, rng):
-    f = SpectralField(basis, rng.standard_normal(basis.dimension))
+    c = rng.standard_normal(basis.dimension)
     ys = np.linspace(-basis.ell, basis.ell, 7)
     pts0 = np.column_stack([np.zeros(7), ys])
     ptspi = np.column_stack([np.full(7, math.pi), ys])
-    assert np.abs(evaluate(f, pts0)).max() < 1e-12
-    assert np.abs(evaluate(f, ptspi)).max() < 1e-12
+    assert np.abs(c @ basis.eval_matrix(pts0)).max() < 1e-12
+    assert np.abs(c @ basis.eval_matrix(ptspi)).max() < 1e-12
 
 
 def test_derivatives_match_finite_differences(basis, rng):
-    f = SpectralField(basis, rng.standard_normal(basis.dimension))
+    c = rng.standard_normal(basis.dimension)
+
+    def value(x, y):
+        return (c @ basis.eval_matrix([[x, y]]))[0]
+
     pts = np.array([[1.0, 0.1], [2.0, -0.3], [0.7, 0.5 * basis.ell]])
+    ux = c @ basis.eval_matrix(pts, dx=1)
+    uy = c @ basis.eval_matrix(pts, dy=1)
     h = 1e-6
     for k, (x, y) in enumerate(pts):
-        fd_x = (evaluate(f, [[x + h, y]])[0] - evaluate(f, [[x - h, y]])[0]) / (2 * h)
-        fd_y = (evaluate(f, [[x, y + h]])[0] - evaluate(f, [[x, y - h]])[0]) / (2 * h)
-        assert evaluate_dx(f, pts)[k] == pytest.approx(fd_x, rel=1e-8, abs=1e-8)
-        assert evaluate_dy(f, pts)[k] == pytest.approx(fd_y, rel=1e-8, abs=1e-8)
+        fd_x = (value(x + h, y) - value(x - h, y)) / (2 * h)
+        fd_y = (value(x, y + h) - value(x, y - h)) / (2 * h)
+        assert ux[k] == pytest.approx(fd_x, rel=1e-8, abs=1e-8)
+        assert uy[k] == pytest.approx(fd_y, rel=1e-8, abs=1e-8)
 
 
 def test_grid_evaluation_matches_pointwise(basis, grid, rng):
     f = SpectralField(basis, rng.standard_normal(basis.dimension))
     sampled = evaluate_on_grid(f, grid).values
-    pts = grid.flat_points()
-    assert np.allclose(sampled.ravel(), evaluate(f, pts), atol=1e-13)
+    ref = f.coefficients @ basis.eval_matrix(_grid_points(grid))
+    assert np.allclose(sampled.ravel(), ref, atol=1e-13)
 
 
 def test_grid_derivatives_match_eval_matrix(basis, grid, rng):
     f = SpectralField(basis, rng.standard_normal(basis.dimension))
-    pts = grid.flat_points()
+    pts = _grid_points(grid)
     for dx, dy in [(1, 0), (0, 1)]:
         sampled = evaluate_on_grid(f, grid, dx=dx, dy=dy).values
         ref = f.coefficients @ basis.eval_matrix(pts, dx=dx, dy=dy)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from hingedplate.optimize import LEFT_DOMINANT, RIGHT_DOMINANT, SYMMETRIC, Analy
 def _mode_field(system, terms):
     c = np.zeros(system.basis.dimension)
     for (m, j), coeff in terms.items():
-        c[system.basis.flat_index(m, j)] = coeff
+        c[(m - 1) * system.basis.n_basis_y + j] = coeff
     return SpectralField(system.basis, c)
 
 
@@ -102,15 +103,24 @@ def test_one_rearrangement_step_decreases_lambda(small_system, rng):
     assert pair_next.lambda1 <= pair.lambda1 * (1 + 1e-12)
 
 
-def test_minimize_trace_monotone_and_admissible(small_system):
+def test_minimize_trace_monotone_and_admissible(small_system, monkeypatch):
     system = small_system
-    trace = minimize(system, uniform_density(system.grid, system.rule),
-                     keep_densities=True)
+    densities = []
+    original = hingedplate.optimize.rearrange
+
+    def spy(*args):
+        density, t = original(*args)
+        densities.append(density)
+        return density, t
+
+    monkeypatch.setattr(hingedplate.optimize, "rearrange", spy)
+    trace = minimize(system, uniform_density(system.grid, system.rule))
     assert trace.status in ("fixed_point", "lambda_stagnant")
-    lams = trace.lambdas
+    lams = [r.lambda1 for r in trace.records]
     assert all(b <= a * (1 + 1e-10) for a, b in zip(lams, lams[1:]))
+    assert len(densities) == len(trace.records)
     area = system.rule.target_mass
-    for density in trace.densities:
+    for density in densities:
         assert density.mass == pytest.approx(area, rel=1e-10)
         assert density.gray_nodes() <= 1
         target = system.rule.sublevel_fraction * area
@@ -118,12 +128,12 @@ def test_minimize_trace_monotone_and_admissible(small_system):
 
 
 def test_minimize_single_iteration_cap(small_system):
-    capped = PlateSystem(small_system.cfg.with_overrides(opt_max_iter=1))
+    capped = PlateSystem(replace(small_system.cfg, opt_max_iter=1))
     start = strip_density(capped.grid, capped.rule, "left")
     trace = minimize(capped, start)
     assert trace.status == "max_iter"
     assert len(trace.records) == 2  # starting solve plus the capped sweep
-    lams = trace.lambdas
+    lams = [r.lambda1 for r in trace.records]
     assert lams[1] <= lams[0] * (1 + 1e-10)
     # the closing record carries the eigenvalue of the returned density
     check = small_system.solve_density(trace.final_density)
@@ -190,11 +200,11 @@ def test_midline_slope_signs(small_system):
 def test_midline_slope_check_evaluates_once(small_system, monkeypatch):
     # the mirror verdict and the slope threshold share one grid evaluation
     calls = []
-    evaluate = hingedplate.optimize.evaluate_on_grid
+    original = hingedplate.optimize.evaluate_on_grid
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return evaluate(*args, **kwargs)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(hingedplate.optimize, "evaluate_on_grid", counting)
     left = _mode_field(small_system, {(1, 0): 1.0, (2, 0): 0.3})

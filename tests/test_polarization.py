@@ -153,7 +153,7 @@ def test_energy_gap_vanishes_for_converged_optimal_pair(default_system):
 
 
 def test_certify_polarization_bundle(default_system):
-    reports = certify_polarization(default_system, n_fields=25)
+    reports = certify_polarization(default_system)
     ids = [r.claim_id for r in reports]
     assert len(ids) == len(set(ids))
     for rep in reports:
@@ -161,8 +161,9 @@ def test_certify_polarization_bundle(default_system):
 
 
 def test_certify_polarization_rearranges_each_field_once(small_system, monkeypatch):
-    # per field: one rearrangement of u and one of its polarization; one
-    # polarization of u, one of that (idempotence) and one of p_u u
+    # for each of the 100 fields: one rearrangement of u and one of its
+    # polarization; one polarization of u, one of that (idempotence) and one
+    # of p_u u
     import hingedplate.polarization as pol
 
     counts = {"bang_bang_from_values": 0, "polarize": 0}
@@ -174,8 +175,8 @@ def test_certify_polarization_rearranges_each_field_once(small_system, monkeypat
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(pol, name, counting)
-    certify_polarization(small_system, n_fields=7)
-    assert counts == {"bang_bang_from_values": 2 * 7, "polarize": 3 * 7}
+    certify_polarization(small_system)
+    assert counts == {"bang_bang_from_values": 2 * 100, "polarize": 3 * 100}
 
 
 @pytest.mark.parametrize("suite, builds", [
@@ -197,7 +198,7 @@ def test_certification_factors_energy_once(small_cfg, monkeypatch, suite, builds
 
 
 def test_certify_duality_bundle(default_system):
-    reports = certify_duality(default_system, n_trials=40)
+    reports = certify_duality(default_system)
     by_id = {r.claim_id: r for r in reports}
     assert by_id["duality-inverse-eigenvalue"].passed
     assert by_id["duality-trial-bound"].passed
