@@ -6,8 +6,8 @@ are exact sine/cosine orthogonality relations, so the stiffness matrix is
 block diagonal over the sine mode; only the y-integrals use quadrature,
 and those are exact too because the y-factors are polynomials.  The
 energy matrix is only ever held as one stacked array of its per-mode
-blocks; no factorization of it is kept.  The weighted mass matrix always
-goes through the tensor grid since the density is node-sampled.
+blocks; no factorization of it is kept.  The weighted mass form goes
+through the tensor grid (the density is node-sampled) and is only applied.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .grid import QuadratureGrid, GridField
 
 
 class AssemblyError(RuntimeError):
-    """Assembled matrix violates its contract (non-finite or not SPD)."""
+    """Assembled form violates its contract (non-finite, not SPD, or p <= 0)."""
 
 
 def stiffness_blocks(basis: SpectralBasis, grid: QuadratureGrid, sigma: float) -> np.ndarray:
@@ -51,28 +51,41 @@ def stiffness_blocks(basis: SpectralBasis, grid: QuadratureGrid, sigma: float) -
     return blocks
 
 
-def assemble_weighted_mass(basis: SpectralBasis, grid: QuadratureGrid,
-                           p: GridField) -> np.ndarray:
-    """Mass matrix of the weighted L2 form, entry (a,b) = sum_nodes w p phi_a phi_b.
+@dataclass(frozen=True)
+class WeightedMass:
+    """The weighted mass matrix M_p of one density, never formed densely.
 
-    Sum-factorized over the tensor grid: first the y-sums
-    A[i,j,j'] = sum_k wy_k p_ik psi_j(y_k) psi_j'(y_k), then the x-sums
-    M[(m,j),(m',j')] = sum_i wx_i sin(m x_i) sin(m' x_i) A[i,j,j'].
+    Entry ((m,j),(m',j')) is sum_i S[m,i] S[m',i] A[i,j,j'], so a product is
+    two sine-table contractions around one batched matmul over the x-nodes
+    (sum factorization; Deville, Fischer & Mund 2002, ch. 4).
     """
-    vals = p.values
-    if vals.min() <= 0.0:
+
+    S: np.ndarray    # (n_modes_x, n_quad_x) sine table
+    A: np.ndarray    # (n_quad_x, J, J): A[i] = wx_i L^T diag(wy p_i) L, symmetrized
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """M_p x for one vector or a (dimension, k) block of vectors."""
+        nx, J, _ = self.A.shape
+        Y = (self.S.T @ np.reshape(x, (self.S.shape[0], -1))).reshape(nx, J, -1)
+        return (self.S @ (self.A @ Y).reshape(nx, -1)).reshape(np.shape(x))
+
+    def diagonal_blocks(self) -> np.ndarray:
+        """The diagonal J x J blocks D_m of M_p, stacked as (n_modes_x, J, J)."""
+        nx, J, _ = self.A.shape
+        return ((self.S * self.S) @ self.A.reshape(nx, -1)).reshape(-1, J, J)
+
+
+def assemble_weighted_mass(basis: SpectralBasis, grid: QuadratureGrid, p: GridField,
+                           S: np.ndarray, L: np.ndarray) -> WeightedMass:
+    """M_p (entry (a,b) = sum_nodes w p phi_a phi_b) on the tables (S, L) of
+    basis.axis_tables(grid); only the per-node moments A are computed here."""
+    if p.values.min() <= 0.0:
         raise AssemblyError("density must be strictly positive at every node")
-    S, L = basis.axis_tables(grid)
-    nm, J = basis.n_modes_x, basis.n_basis_y
-    nx = grid.shape[0]
-    wpL = (vals * grid.weights_y)[:, :, None] * L          # (nx, ny, J)
-    A = np.matmul(wpL.transpose(0, 2, 1), L)               # (nx, J, J)
-    SS = (S * grid.weights_x)[:, None, :] * S[None, :, :]  # (M, M, nx)
-    M = (SS.reshape(nm * nm, nx) @ A.reshape(nx, J * J)) \
-        .reshape(nm, nm, J, J).transpose(0, 2, 1, 3).reshape(basis.dimension, -1)
-    if not np.all(np.isfinite(M)):
-        raise AssemblyError("non-finite mass matrix entries")
-    return 0.5 * (M + M.T)
+    wpL = (grid.tensor_weights() * p.values)[:, :, None] * L   # (nx, ny, J)
+    A = np.matmul(wpL.transpose(0, 2, 1), L)                   # (nx, J, J)
+    if not np.all(np.isfinite(A)):
+        raise AssemblyError("non-finite weighted mass moments")
+    return WeightedMass(S=S, A=0.5 * (A + A.transpose(0, 2, 1)))
 
 
 @dataclass(frozen=True)
@@ -89,9 +102,6 @@ class StiffnessFactor:
     """
 
     blocks: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", np.asarray(self.blocks, dtype=float))
 
     @classmethod
     def build(cls, basis: SpectralBasis, grid: QuadratureGrid, sigma: float) -> "StiffnessFactor":

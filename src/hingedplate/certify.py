@@ -53,7 +53,7 @@ CLAIM_STATEMENTS = {
         "sine series sum c_m sin(m z)/m^2 certified positive on (0, pi) "
         "for admissible decreasing coefficients",
     "series-alternating-negative":
-        "alternating variant certified negative on (0, pi) via the half-turn identity",
+        "alternating series certified negative on (0, pi) from its own fold on the DST-I grid",
     "series-lower-envelope":
         "series dominates c_1 (sin z - (pi^2/6 - 1)) pointwise",
     "tail-ratio-bound":

@@ -70,7 +70,7 @@ class PlateConfig:
         if self.n_quad_x < self.n_modes_x:
             # sin(m x) = sin(x) U_{m-1}(cos x): at n distinct interior nodes
             # the (n_modes_x, n_quad_x) sine table has full row rank iff
-            # n >= n_modes_x, and the weighted mass matrix needs it.
+            # n >= n_modes_x, and the weighted mass form needs it.
             raise ValueError(
                 f"n_quad_x={self.n_quad_x} is below n_modes_x={self.n_modes_x}; "
                 f"the x-quadrature needs at least one node per sine mode"
@@ -84,7 +84,7 @@ class PlateConfig:
                 f"x-nodes across x = pi/2 needs an even count"
             )
         if self.n_quad_y < self.n_basis_y:
-            # The weighted mass matrix is definite only if the (n_quad_y,
+            # The weighted mass form is definite only if the (n_quad_y,
             # n_basis_y) profile table has full column rank; n_quad_y >=
             # n_basis_y also makes Gauss exact to degree 2*n_basis_y - 2,
             # the top degree of every y-integrand.

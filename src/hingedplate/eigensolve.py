@@ -3,7 +3,7 @@
 Block inverse iteration with the exact blockwise solve and a Rayleigh-Ritz
 step on the block, which is LOBPCG with an exact preconditioner and no
 search directions (Knyazev, SIAM J. Sci. Comput. 23, 2001), converges in a
-few O(n^2) steps; no dense K and no n x n eigensolve is ever formed.
+few steps; no dense K or M_p and no n x n eigensolve is ever formed.
 
 The start block is the Rayleigh-Ritz projection of the pencil onto each
 sine mode's profiles: the lowest eigenvectors of the block-diagonal pencil
@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import StiffnessFactor
+from .assembly import StiffnessFactor, WeightedMass
 from .basis import SpectralField
-from .grid import QuadratureGrid
 
 # Relative gap below which the first pair counts as nearly degenerate.
 DEGENERATE_GAP = 1e-10
@@ -60,10 +59,10 @@ class Eigenpair:
     iterations: int
 
 
-def rayleigh_quotient(u: SpectralField, factor: StiffnessFactor, M_p: np.ndarray) -> float:
+def rayleigh_quotient(u: SpectralField, factor: StiffnessFactor, mass: WeightedMass) -> float:
     """Energy over weighted mass of a trial field; minimal at the first pair."""
     c = u.coefficients
-    denom = c @ M_p @ c
+    denom = c @ mass.apply(c)
     if denom <= 0.0:
         raise ValueError("trial field has vanishing weighted norm")
     return float(c @ factor.matvec(c)) / float(denom)
@@ -88,7 +87,7 @@ def _rayleigh_ritz(A, B):
     return theta, LiT @ Y
 
 
-def _block_diagonal_start(factor: StiffnessFactor, M_p: np.ndarray, k: int) -> np.ndarray:
+def _block_diagonal_start(factor: StiffnessFactor, mass: WeightedMass, k: int) -> np.ndarray:
     """The k lowest eigenvectors of the pencils (K_m, D_m), as (dimension, k).
 
     All sine modes go through one batched Rayleigh-Ritz call; the k lowest
@@ -96,9 +95,7 @@ def _block_diagonal_start(factor: StiffnessFactor, M_p: np.ndarray, k: int) -> n
     mode's rows.
     """
     nm, J, _ = factor.blocks.shape
-    modes = np.arange(nm)
-    D = M_p.reshape(nm, J, nm, J)[modes, :, modes, :]
-    theta, V = _rayleigh_ritz(factor.blocks, D)
+    theta, V = _rayleigh_ritz(factor.blocks, mass.diagonal_blocks())
     lowest = np.argsort(theta, axis=None, kind="stable")[:k]
     m, j = np.unravel_index(lowest, theta.shape)
     X = np.zeros((nm, J, k))
@@ -106,22 +103,21 @@ def _block_diagonal_start(factor: StiffnessFactor, M_p: np.ndarray, k: int) -> n
     return X.reshape(nm * J, k)
 
 
-def _inverse_iteration(X, factor, M_p, tol, max_steps):
+def _inverse_iteration(X, factor, mass, tol, max_steps):
     """Block inverse iteration with Rayleigh-Ritz, from the columns of X.
 
     Every step maps the block through K^{-1} M_p (one blockwise solve and
-    one M_p product) and replaces it by the M_p-orthonormal Ritz vectors of
+    one `mass.apply`) and replaces it by the M_p-orthonormal Ritz vectors of
     its span, in ascending order of Ritz value; step 0 only projects the
     given block.  Returns (Ritz values, Ritz block, relative residual of
     each Ritz pair, steps taken) as soon as `_converged` holds, or after
     max_steps steps.
     """
-    X = np.asarray(X, dtype=float)
-    MX = M_p @ X
+    MX = mass.apply(X)
     for step in range(max_steps + 1):
         if step:
             X = factor.solve(MX)
-            MX = M_p @ X
+            MX = mass.apply(X)
         KX = factor.matvec(X)
         theta, Q = _rayleigh_ritz(X.T @ KX, X.T @ MX)
         X, KX, MX = X @ Q, KX @ Q, MX @ Q
@@ -142,36 +138,33 @@ def _converged(res, tol) -> bool:
     return bool(res[0] <= tol and res[1:2].max(initial=0.0) <= np.sqrt(tol))
 
 
-def _oriented(c, M_p, basis, grid) -> SpectralField:
-    """Field of c at unit weighted norm, its sign making the quadrature mean
-    of u positive.
+def _oriented(c, system) -> SpectralField:
+    """Field of c, its sign making the quadrature mean of u positive.
 
-    The quadrature sum of u is (fx w_x)^T C (fy^T w_y) for the coefficient
+    The quadrature sum of u is (S w_x)^T C (L^T w_y) for the coefficient
     matrix C, so it is taken in coefficient space without a grid pass.
     """
-    c = c / np.sqrt(c @ M_p @ c)
-    fx, fy = basis.axis_tables(grid)
-    C = c.reshape(basis.n_modes_x, basis.n_basis_y)
-    mean = (fx @ grid.weights_x) @ C @ (fy.T @ grid.weights_y)
-    return SpectralField(basis, -c if mean < 0.0 else c)
+    S, L, grid = system.S, system.L, system.grid
+    mean = (S @ grid.weights_x) @ c.reshape(len(S), -1) @ (L.T @ grid.weights_y)
+    return SpectralField(system.basis, -c if mean < 0.0 else c)
 
 
-def solve_first(factor: StiffnessFactor, M_p: np.ndarray, cfg, *, basis,
-                grid: QuadratureGrid) -> Eigenpair:
-    """Smallest generalized eigenpair, to cfg.eig_tol relative residual.
+def solve_first(system, mass: WeightedMass) -> Eigenpair:
+    """Smallest eigenpair of K c = lambda M_p c, to eig_tol relative residual.
 
-    `factor` holds the per-mode blocks of the energy matrix K.  Block
+    `system` is the configuration's `PlateSystem` (its `factor` is K).  Block
     inverse iteration runs from `_block_diagonal_start` until `_converged`
     holds; not converging within MAX_STEPS steps raises SolverError.  The
     gap is theta_2/theta_1 - 1 of the final Ritz values.  The reported
     lambda1 is the Rayleigh quotient of the returned vector.
     """
-    k = min(RITZ_BLOCK, M_p.shape[0])
+    factor, tol = system.factor, system.cfg.eig_tol
+    k = min(RITZ_BLOCK, system.basis.dimension)
     theta, X, res, steps = _inverse_iteration(
-        _block_diagonal_start(factor, M_p, k), factor, M_p, cfg.eig_tol, MAX_STEPS)
-    if not _converged(res, cfg.eig_tol):
+        _block_diagonal_start(factor, mass, k), factor, mass, tol, MAX_STEPS)
+    if not _converged(res, tol):
         raise SolverError(
-            f"eigenpair residual {res[0]:.3e} (eig_tol {cfg.eig_tol:.1e}) not "
+            f"eigenpair residual {res[0]:.3e} (eig_tol {tol:.1e}) not "
             f"converged after {steps} inverse-iteration steps"
         )
     gap = float(theta[1] / theta[0] - 1.0) if k > 1 else np.inf
@@ -180,6 +173,7 @@ def solve_first(factor: StiffnessFactor, M_p: np.ndarray, cfg, *, basis,
             f"smallest eigenvalues nearly degenerate (relative gap {gap:.2e})",
             NearDegenerateWarning,
         )
-    u = _oriented(X[:, 0], M_p, basis, grid)
-    return Eigenpair(lambda1=rayleigh_quotient(u, factor, M_p), u=u,
+    c = X[:, 0]
+    u = _oriented(c / np.sqrt(c @ mass.apply(c)), system)
+    return Eigenpair(lambda1=rayleigh_quotient(u, factor, mass), u=u,
                      residual=float(res[0]), gap=gap, iterations=steps)

@@ -72,9 +72,6 @@ class DensityField:
     def mass(self) -> float:
         return self.grid.integrate(self.values)
 
-    def as_grid_field(self) -> GridField:
-        return GridField(self.grid, self.values)
-
     def alpha_assignment(self) -> np.ndarray:
         """Boolean mask of nodes carrying the light material (gray counts as
         alpha when below the midpoint)."""
@@ -159,19 +156,21 @@ def bang_bang_from_values(values: GridField, rule: AdmissibleWeightRule):
     return density, t
 
 
-def rearrange(u: SpectralField, rule: AdmissibleWeightRule, grid: QuadratureGrid):
+def rearrange(u: SpectralField, system: PlateSystem):
     """Optimal density for the current eigenfunction (one sweep of the loop).
 
-    Demands u strictly positive at every node; the returned density equals
-    alpha exactly where u <= sqrt(t) up to the single gray node.
+    Demands u strictly positive at every node (sampled from the system's
+    tables); the returned density equals alpha exactly where u <= sqrt(t)
+    up to the single gray node.
     """
-    uvals = evaluate_on_grid(u, grid)
+    S, L = system.S, system.L
+    uvals = GridField(system.grid, S.T @ u.coefficients.reshape(len(S), -1) @ L.T)
     if uvals.values.min() <= 0.0:
         raise AnalysisError(
             f"eigenfunction not strictly positive on the grid "
             f"(min {uvals.values.min():.3e}); cannot rearrange"
         )
-    return bang_bang_from_values(uvals, rule)
+    return bang_bang_from_values(uvals, system.rule)
 
 
 def random_admissible_density(grid: QuadratureGrid, rule: AdmissibleWeightRule,
@@ -268,13 +267,10 @@ class PlateSystem:
         # basis values on the grid, sin(m x_i) as S and psi_j(y_k) as L
         self.S, self.L = self.basis.axis_tables(self.grid)
 
-    def mass_matrix(self, p: DensityField) -> np.ndarray:
-        return assemble_weighted_mass(self.basis, self.grid, p.as_grid_field())
-
     def solve_density(self, p: DensityField) -> Eigenpair:
         """First pair at density p."""
-        return solve_first(self.factor, self.mass_matrix(p), self.cfg,
-                           basis=self.basis, grid=self.grid)
+        return solve_first(self, assemble_weighted_mass(
+            self.basis, self.grid, GridField(self.grid, p.values), self.S, self.L))
 
     def load_vector(self, f: GridField) -> np.ndarray:
         """Galerkin load, entry a = sum_nodes w f phi_a."""
@@ -305,7 +301,7 @@ def minimize(system: PlateSystem, initial_p: DensityField) -> OptimizationTrace:
             raise MonotonicityError(
                 f"sweep {it}: eigenvalue rose from {prev_lambda!r} to {pair.lambda1!r}"
             )
-        new_p, t = rearrange(pair.u, system.rule, system.grid)
+        new_p, t = rearrange(pair.u, system)
         assign = new_p.alpha_assignment()
         if prev_assign is None:
             change = float("nan")  # start density need not be two-material

@@ -17,6 +17,7 @@ from hingedplate import (
     SpectralBasis,
     assemble_weighted_mass,
     random_admissible_density,
+    strip_density,
 )
 from hingedplate.assembly import AssemblyError, stiffness_blocks
 
@@ -31,6 +32,17 @@ def parts(cfg):
     basis = SpectralBasis.from_config(cfg)
     grid = QuadratureGrid.from_config(cfg)
     return basis, grid
+
+
+def _mass(basis, grid, values):
+    """The weighted mass operator of node values, on the basis's own tables."""
+    return assemble_weighted_mass(basis, grid, GridField(grid, values),
+                                  *basis.axis_tables(grid))
+
+
+def _dense_mass(basis, grid, values):
+    """M_p as a dense matrix: the operator applied to the identity."""
+    return _mass(basis, grid, values).apply(np.eye(basis.dimension))
 
 
 def test_trig_orthogonality_oracle():
@@ -76,8 +88,7 @@ def test_stiffness_positive_definite_for_all_sigma(parts):
 def test_quotient_positive_for_random_fields(parts, cfg, rng):
     basis, grid = parts
     factor = StiffnessFactor.build(basis, grid, cfg.sigma)
-    p1 = GridField(grid, np.ones(grid.shape))
-    M1 = assemble_weighted_mass(basis, grid, p1)
+    M1 = _dense_mass(basis, grid, np.ones(grid.shape))
     for _ in range(25):
         c = rng.standard_normal(basis.dimension)
         energy = c @ factor.matvec(c)
@@ -102,8 +113,7 @@ def test_sigma_difference_confined_to_boundary_rank(parts):
 
 def test_mass_matrix_uniform_density(parts, cfg):
     basis, grid = parts
-    p1 = GridField(grid, np.ones(grid.shape))
-    M1 = assemble_weighted_mass(basis, grid, p1)
+    M1 = _dense_mass(basis, grid, np.ones(grid.shape))
     assert np.allclose(M1, M1.T)
     # single-mode diagonal entry: int sin^2(x) dx dy = (pi/2) * 2 ell
     a = 0  # flat index of (m=1, degree 0)
@@ -119,8 +129,8 @@ def test_mass_matrix_uniform_density(parts, cfg):
 def test_mass_matrix_scaling(parts, rng):
     basis, grid = parts
     vals = rng.uniform(0.5, 3.0, size=grid.shape)
-    M = assemble_weighted_mass(basis, grid, GridField(grid, vals))
-    M2 = assemble_weighted_mass(basis, grid, GridField(grid, 2.0 * vals))
+    M = _dense_mass(basis, grid, vals)
+    M2 = _dense_mass(basis, grid, 2.0 * vals)
     assert np.allclose(M2, 2.0 * M, rtol=1e-14)
 
 
@@ -131,10 +141,10 @@ def test_mass_matrix_bounds_enforced(parts):
     vals = np.full(grid.shape, 0.4)
     vals[3, 2] = 0.0
     with pytest.raises(AssemblyError, match="strictly positive"):
-        assemble_weighted_mass(basis, grid, GridField(grid, vals))
+        _mass(basis, grid, vals)
     vals[3, 2] = -0.4
     with pytest.raises(AssemblyError, match="strictly positive"):
-        assemble_weighted_mass(basis, grid, GridField(grid, vals))
+        _mass(basis, grid, vals)
 
 
 def test_assembly_invariant_under_grid_relabeling(parts, cfg, rng):
@@ -143,8 +153,8 @@ def test_assembly_invariant_under_grid_relabeling(parts, cfg, rng):
     basis, grid = parts
     vals = rng.uniform(0.5, 3.0, size=grid.shape)
     sym = 0.5 * (vals + vals[::-1, ::-1])
-    M = assemble_weighted_mass(basis, grid, GridField(grid, sym))
-    M_flip = assemble_weighted_mass(basis, grid, GridField(grid, sym[::-1, ::-1]))
+    M = _dense_mass(basis, grid, sym)
+    M_flip = _dense_mass(basis, grid, sym[::-1, ::-1])
     assert np.array_equal(M, M_flip)
 
 
@@ -159,14 +169,26 @@ def test_quadrature_refinement_leaves_stiffness(parts, cfg):
 
 
 def test_mass_matrix_matches_dense_basis_product(parts, cfg, rng):
-    # oracle: the explicit (dimension, n_nodes) basis table contracted with itself
+    # oracle: the explicit (dimension, n_nodes) basis table contracted with
+    # itself, against the operator's products and its diagonal blocks
     basis, grid = parts
     p = random_admissible_density(grid, AdmissibleWeightRule.from_config(cfg), rng)
-    M = assemble_weighted_mass(basis, grid, p.as_grid_field())
+    M = _mass(basis, grid, p.values)
     X, Y = grid.meshgrid()
     phi = basis.eval_matrix(np.column_stack([X.ravel(), Y.ravel()]))
     ref = (phi * (grid.flat_weights() * p.values.ravel())) @ phi.T
-    assert np.abs(M - ref).max() <= 1e-14 * np.abs(ref).max()
+    tol = 1e-14 * np.abs(ref).max()
+    n, J = basis.dimension, basis.n_basis_y
+    assert np.abs(M.apply(np.eye(n)) - ref).max() <= tol
+    block = rng.standard_normal((n, 3))
+    for x in (block, block[:, 0]):
+        out = M.apply(x)
+        assert out.shape == x.shape
+        assert np.abs(out - ref @ x).max() <= tol * np.abs(x).sum(axis=0).max()
+    D = M.diagonal_blocks()
+    assert D.shape == (basis.n_modes_x, J, J)
+    for m, blk in enumerate(D):
+        assert np.abs(blk - ref[m * J:(m + 1) * J, m * J:(m + 1) * J]).max() <= tol
 
 
 def test_load_vector_matches_dense_basis_product(cfg, rng):
@@ -184,10 +206,11 @@ def test_mass_assembly_allocates_less_than_dense_table(rng):
     basis = SpectralBasis.from_config(cfg)
     grid = QuadratureGrid.from_config(cfg)
     p = GridField(grid, rng.uniform(0.5, 3.0, size=grid.shape))
+    S, L = basis.axis_tables(grid)
     table_bytes = 8 * basis.dimension * grid.shape[0] * grid.shape[1]
     tracemalloc.start()
     try:
-        assemble_weighted_mass(basis, grid, p)
+        assemble_weighted_mass(basis, grid, p, S, L)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -197,6 +220,21 @@ def test_mass_assembly_allocates_less_than_dense_table(rng):
                     if not name.startswith("__")
                     and ("cache" in name.lower() or isinstance(value, (dict, list, set)))]
     assert module_state == []
+
+
+def test_solve_builds_no_dense_mass_matrix():
+    # dim 1600 on 80 x 20 nodes: a dense float64 M_p would take 20.5 MB
+    cfg = PlateConfig(n_modes_x=80, n_basis_y=20, n_quad_x=80, n_quad_y=20)
+    system = PlateSystem(cfg)
+    p = strip_density(system.grid, system.rule, "left")
+    dim = system.basis.dimension
+    tracemalloc.start()
+    try:
+        system.solve_density(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * dim * dim
 
 
 def test_stacked_factor_matches_block_diagonal_oracle(parts, cfg, rng, monkeypatch):

@@ -12,10 +12,9 @@ from hingedplate import (
     GridField,
     PlateConfig,
     PlateSystem,
-    QuadratureGrid,
     SpectralField,
-    SpectralBasis,
     StiffnessFactor,
+    assemble_weighted_mass,
     evaluate_on_grid,
     random_admissible_density,
     rayleigh_quotient,
@@ -23,6 +22,7 @@ from hingedplate import (
     strip_density,
     uniform_density,
 )
+from hingedplate.assembly import WeightedMass
 from hingedplate.cli import main
 from hingedplate.eigensolve import NearDegenerateWarning, SolverError
 from hingedplate.io import write_grid_csv
@@ -30,6 +30,17 @@ from hingedplate.io import write_grid_csv
 # First eigenvalue of the homogeneous plate at sigma=0.2, ell=pi/5, J=12,
 # frozen from the sine-mode ODE oracle below plus the basis convergence study.
 GOLDEN_LAMBDA_UNIFORM = 0.966672598128245
+
+
+def _mass(system, values):
+    """The weighted mass operator of node values, on the system's tables."""
+    return assemble_weighted_mass(system.basis, system.grid,
+                                  GridField(system.grid, values), system.S, system.L)
+
+
+def _dense_mass(system, values):
+    """M_p as a dense matrix: the operator applied to the identity."""
+    return _mass(system, values).apply(np.eye(system.basis.dimension))
 
 
 def uniform_plate_lambda_oracle(m: int, sigma: float, ell: float) -> float:
@@ -106,7 +117,7 @@ def test_residual_and_rayleigh_consistency(default_system, default_uniform_pair)
     pair = default_uniform_pair
     tol = default_system.cfg.eig_tol
     assert pair.residual <= tol
-    Mp = default_system.mass_matrix(uniform_density(default_system.grid, default_system.rule))
+    Mp = _dense_mass(default_system, np.ones(default_system.grid.shape))
     K = scipy.linalg.block_diag(*default_system.factor.blocks)
     c = pair.u.coefficients
     Kc = K @ c
@@ -124,13 +135,9 @@ def test_normalization_weighted_unit_norm(default_system, default_uniform_pair):
 
 
 def test_mass_scaling_halves_lambda(small_system):
-    p = uniform_density(small_system.grid, small_system.rule)
-    Mp = small_system.mass_matrix(p)
-    cfg = small_system.cfg
-    pair = solve_first(small_system.factor, Mp, cfg,
-                       grid=small_system.grid, basis=small_system.basis)
-    pair2 = solve_first(small_system.factor, 2.0 * Mp, cfg,
-                        grid=small_system.grid, basis=small_system.basis)
+    ones = np.ones(small_system.grid.shape)
+    pair = solve_first(small_system, _mass(small_system, ones))
+    pair2 = solve_first(small_system, _mass(small_system, 2.0 * ones))
     assert pair2.lambda1 == pytest.approx(0.5 * pair.lambda1, rel=1e-12)
 
 
@@ -138,21 +145,22 @@ def test_rayleigh_quotient_bounds(small_system, rng):
     p = uniform_density(small_system.grid, small_system.rule)
     factor = small_system.factor
     n = small_system.basis.dimension
-    Mp = small_system.mass_matrix(p)
+    mass = _mass(small_system, p.values)
+    Mp = mass.apply(np.eye(n))
     pair = small_system.solve_density(p)
     lam1 = pair.lambda1
     # every trial field sits at or above the minimum
     for _ in range(100):
         u = SpectralField(small_system.basis, rng.standard_normal(n))
-        assert rayleigh_quotient(u, factor, Mp) >= lam1 * (1 - 1e-12)
+        assert rayleigh_quotient(u, factor, mass) >= lam1 * (1 - 1e-12)
     # the second eigenvector sits at lambda2 >= lambda1
     K = scipy.linalg.block_diag(*factor.blocks)
     vals, vecs = scipy.linalg.eigh(K, Mp, subset_by_index=[0, 1])
     u2 = SpectralField(small_system.basis, vecs[:, 1])
-    assert rayleigh_quotient(u2, factor, Mp) == pytest.approx(vals[1], rel=1e-10)
+    assert rayleigh_quotient(u2, factor, mass) == pytest.approx(vals[1], rel=1e-10)
     assert vals[1] >= lam1
     with pytest.raises(ValueError):
-        rayleigh_quotient(SpectralField(small_system.basis, np.zeros(n)), factor, Mp)
+        rayleigh_quotient(SpectralField(small_system.basis, np.zeros(n)), factor, mass)
 
 
 def _densities(system, rng):
@@ -170,7 +178,7 @@ def _assert_matches_dense_oracle(system, p):
     # sigma=0.5, ell=0.22) while its vectors are accurate, so lambda1 and
     # the gap are compared with the Rayleigh quotients of the oracle's vectors.
     K = scipy.linalg.block_diag(*system.factor.blocks)
-    Mp = system.mass_matrix(p)
+    Mp = _dense_mass(system, p.values)
     pair = system.solve_density(p)
     assert pair.residual <= system.cfg.eig_tol
     _, vecs = scipy.linalg.eigh(K, Mp, subset_by_index=[0, 1])
@@ -216,7 +224,7 @@ def test_inertia_oracle_counts_the_two_lowest_modes(small_system, rng):
     K = scipy.linalg.block_diag(*system.factor.blocks)
     delta = 1e-8
     for p in _densities(system, rng):
-        Mp = system.mass_matrix(p)
+        Mp = _dense_mass(system, p.values)
         pair = system.solve_density(p)
         theta1, theta2 = pair.lambda1, pair.lambda1 * (1.0 + pair.gap)
         for shift, below in ((theta1 * (1 - delta), 0), (theta2 * (1 - delta), 1),
@@ -243,20 +251,18 @@ def test_orientation_takes_no_grid_pass(small_system, rng, monkeypatch):
     monkeypatch.setattr("hingedplate.eigensolve.evaluate_on_grid", counting, raising=False)
     system = small_system
     densities = _densities(system, rng)
-    pairs = [solve_first(system.factor, system.mass_matrix(p), system.cfg,
-                         basis=system.basis, grid=system.grid) for p in densities]
+    pairs = [solve_first(system, _mass(system, p.values)) for p in densities]
     assert calls == []
 
     def integral(field):
         return system.grid.integrate(original(field, system.grid).values)
 
     for p, pair in zip(densities, pairs):
-        Mp = system.mass_matrix(p)
         assert integral(pair.u) > 0.0
         c = pair.u.coefficients
-        assert np.array_equal(_oriented(-c, Mp, system.basis, system.grid).coefficients, c)
+        assert np.array_equal(_oriented(-c, system).coefficients, c)
         for _ in range(20):
-            u = _oriented(rng.standard_normal(c.size), Mp, system.basis, system.grid)
+            u = _oriented(rng.standard_normal(c.size), system)
             assert integral(u) > 0.0
 
 
@@ -307,23 +313,12 @@ def test_positivity_and_edge_slopes(default_system, rng):
 
 def test_lambda_monotone_in_weight(small_system, rng):
     # pointwise larger weight cannot raise the quotient minimum
-    basis, grid = small_system.basis, small_system.grid
-    cfg = small_system.cfg
-    from hingedplate import assemble_weighted_mass
-
+    grid = small_system.grid
     for _ in range(5):
         p = 0.5 + rng.uniform(0.0, 1.0, size=grid.shape)
         q = p + rng.uniform(0.0, 1.0, size=grid.shape)
-        lam_p = solve_first(
-            small_system.factor,
-            assemble_weighted_mass(basis, grid, GridField(grid, p)), cfg,
-            grid=grid, basis=basis,
-        ).lambda1
-        lam_q = solve_first(
-            small_system.factor,
-            assemble_weighted_mass(basis, grid, GridField(grid, q)), cfg,
-            grid=grid, basis=basis,
-        ).lambda1
+        lam_p = solve_first(small_system, _mass(small_system, p)).lambda1
+        lam_q = solve_first(small_system, _mass(small_system, q)).lambda1
         assert lam_p >= lam_q * (1 - 1e-12)
 
 
@@ -342,13 +337,11 @@ def test_degenerate_single_y_function():
 
 
 def test_near_degenerate_pair_warns():
-    cfg = PlateConfig(n_modes_x=2, n_basis_y=1, n_quad_x=8, n_quad_y=4)
-    basis = SpectralBasis.from_config(cfg)
-    one = np.eye(1)
-    # K = I as two identical 1x1 blocks
-    factor = StiffnessFactor(blocks=(one, one))
+    system = PlateSystem(PlateConfig(n_modes_x=2, n_basis_y=1, n_quad_x=8, n_quad_y=4))
+    # K = I as two identical 1x1 blocks, and M_p = I from a unit sine table
+    # and unit moments
+    system.factor = StiffnessFactor(blocks=np.ones((2, 1, 1)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NearDegenerateWarning):
-            solve_first(factor, np.eye(2), cfg, basis=basis,
-                        grid=QuadratureGrid.from_config(cfg))
+            solve_first(system, WeightedMass(S=np.eye(2), A=np.ones((2, 1, 1))))

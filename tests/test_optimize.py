@@ -34,7 +34,7 @@ def test_rearrange_sine_strip_threshold(small_system):
     # so the threshold is sin^2(0.4 pi) up to one quadrature cell
     system = small_system
     u = _mode_field(system, {(1, 0): 1.0})
-    density, t = rearrange(u, system.rule, system.grid)
+    density, t = rearrange(u, system)
     x0 = 0.4 * math.pi
     cell = np.max(np.diff(system.grid.nodes_x))
     slope = abs(math.sin(2 * x0))  # derivative of sin^2 at the cut
@@ -67,7 +67,7 @@ def test_rearrange_requires_positive_field(small_system):
     system = small_system
     u = _mode_field(system, {(2, 0): 1.0})  # sin(2x) changes sign
     with pytest.raises(AnalysisError, match="strictly positive"):
-        rearrange(u, system.rule, system.grid)
+        rearrange(u, system)
 
 
 def test_rearranged_density_is_admissible(small_system, rng):
@@ -98,7 +98,7 @@ def test_one_rearrangement_step_decreases_lambda(small_system, rng):
     system = small_system
     p = random_admissible_density(system.grid, system.rule, rng)
     pair = system.solve_density(p)
-    p_next, _ = rearrange(pair.u, system.rule, system.grid)
+    p_next, _ = rearrange(pair.u, system)
     pair_next = system.solve_density(p_next)
     assert pair_next.lambda1 <= pair.lambda1 * (1 + 1e-12)
 
