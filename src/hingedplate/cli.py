@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -105,17 +106,16 @@ def cmd_optimize(args) -> int:
     system = PlateSystem(cfg)
     rng = np.random.default_rng(args.seed)
 
-    named = [("uniform", uniform_density(system.grid, system.rule)),
-             ("left-heavy", strip_density(system.grid, system.rule, "left")),
-             ("right-heavy", strip_density(system.grid, system.rule, "right"))]
-    starts = []
+    named = {"uniform": partial(uniform_density, system.grid, system.rule),
+             "left-heavy": partial(strip_density, system.grid, system.rule, "left"),
+             "right-heavy": partial(strip_density, system.grid, system.rule, "right")}
     if args.init == "multistart":
-        starts = named[: min(len(named), args.starts)]
+        starts = [(name, build()) for name, build in list(named.items())[: args.starts]]
         for k in range(len(starts), args.starts):
             starts.append((f"random-{k}",
                            random_admissible_density(system.grid, system.rule, rng)))
-    elif args.init in dict(named):
-        starts = [(args.init, dict(named)[args.init])]
+    elif args.init in named:
+        starts = [(args.init, named[args.init]())]
     elif args.init == "random":
         starts = [("random-0", random_admissible_density(system.grid, system.rule, rng))]
     else:

@@ -10,7 +10,10 @@ sine mode's profiles: the lowest eigenvectors of the block-diagonal pencil
 (K_m, D_m), D_m the m-th diagonal J x J block of M_p.  K is block diagonal
 over the sine mode, and for p = 1 so is M_p up to rounding, so the start
 is the uniform plate's modes; a two-material density moves the sought
-pair only a few steps away from it.
+pair only a few steps away from it.  Only modes that can hold one of the
+lowest pencil eigenvalues are projected: p_min D_m(1) <= D_m(p) <= p_max
+D_m(1) puts theta_{m,j}(p) in [theta_{m,j}(1)/p_max, theta_{m,j}(1)/p_min]
+(Courant-Fischer), so the p = 1 spectrum and p_max/p_min certify the rest.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from .basis import SpectralField
 # Relative gap below which the first pair counts as nearly degenerate.
 DEGENERATE_GAP = 1e-10
 # Columns of the iterated block: the first pair, the second (for the gap),
-# and a guard vector that makes the second converge at the rate
-# lambda_2/lambda_4 instead of lambda_2/lambda_3.
-RITZ_BLOCK = 3
+# and two guard vectors, which make the first pair converge at the rate
+# lambda_1/lambda_5 and the second at lambda_2/lambda_5.
+RITZ_BLOCK = 4
 # Inverse-iteration steps allowed before the solve counts as failed.
 MAX_STEPS = 25
 
@@ -87,19 +90,26 @@ def _rayleigh_ritz(A, B):
     return theta, LiT @ Y
 
 
-def _block_diagonal_start(factor: StiffnessFactor, mass: WeightedMass, k: int) -> np.ndarray:
+def _block_diagonal_start(system, mass: WeightedMass, k: int) -> np.ndarray:
     """The k lowest eigenvectors of the pencils (K_m, D_m), as (dimension, k).
 
-    All sine modes go through one batched Rayleigh-Ritz call; the k lowest
-    eigenvalues over all modes pick the columns, each embedded in its own
-    mode's rows.
+    A mode whose lowest uniform value theta_{m,1}(1) exceeds contrast * T,
+    T the k-th smallest value of `system.uniform_spectrum`, has every
+    theta_{m,j}(p) above the k-th smallest theta(p), so it is left out; a
+    factor 2 on the bound covers rounding.  The kept modes go through one
+    batched Rayleigh-Ritz call, which solves each pencil on its own, so
+    the start equals the all-mode one bit for bit; the k lowest
+    eigenvalues pick the columns, each embedded in its own mode's rows.
     """
-    nm, J, _ = factor.blocks.shape
-    theta, V = _rayleigh_ritz(factor.blocks, mass.diagonal_blocks())
+    blocks, uniform = system.factor.blocks, system.uniform_spectrum
+    nm, J, _ = blocks.shape
+    bound = 2.0 * mass.contrast * np.sort(uniform, axis=None)[k - 1]
+    modes = np.flatnonzero(uniform[:, 0] <= bound)
+    theta, V = _rayleigh_ritz(blocks[modes], mass.diagonal_blocks()[modes])
     lowest = np.argsort(theta, axis=None, kind="stable")[:k]
-    m, j = np.unravel_index(lowest, theta.shape)
+    i, j = np.unravel_index(lowest, theta.shape)
     X = np.zeros((nm, J, k))
-    X[m, :, np.arange(k)] = V[m, :, j]
+    X[modes[i], :, np.arange(k)] = V[i, :, j]
     return X.reshape(nm * J, k)
 
 
@@ -161,7 +171,7 @@ def solve_first(system, mass: WeightedMass) -> Eigenpair:
     factor, tol = system.factor, system.cfg.eig_tol
     k = min(RITZ_BLOCK, system.basis.dimension)
     theta, X, res, steps = _inverse_iteration(
-        _block_diagonal_start(factor, mass, k), factor, mass, tol, MAX_STEPS)
+        _block_diagonal_start(system, mass, k), factor, mass, tol, MAX_STEPS)
     if not _converged(res, tol):
         raise SolverError(
             f"eigenpair residual {res[0]:.3e} (eig_tol {tol:.1e}) not "

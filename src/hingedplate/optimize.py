@@ -13,13 +13,14 @@ when the eigenvalue stagnates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .assembly import StiffnessFactor, assemble_weighted_mass
 from .basis import SpectralBasis, SpectralField, evaluate_on_grid
 from .config import AdmissibleWeightRule, PlateConfig
-from .eigensolve import Eigenpair, solve_first
+from .eigensolve import Eigenpair, _rayleigh_ritz, solve_first
 from .grid import GridField, QuadratureGrid
 
 LEFT_DOMINANT = "LEFT_DOMINANT"
@@ -266,6 +267,14 @@ class PlateSystem:
         self.factor = StiffnessFactor.build(self.basis, self.grid, cfg.sigma)
         # basis values on the grid, sin(m x_i) as S and psi_j(y_k) as L
         self.S, self.L = self.basis.axis_tables(self.grid)
+
+    @cached_property
+    def uniform_spectrum(self) -> np.ndarray:
+        """Eigenvalues of the pencils (K_m, D_m) at p = 1, where D_m is
+        (sum_i wx_i S[m,i]^2) L^T diag(wy) L; (n_modes_x, J), on first use."""
+        wyL = self.grid.weights_y[:, None] * self.L
+        D = ((self.S * self.S) @ self.grid.weights_x)[:, None, None] * (wyL.T @ self.L)
+        return _rayleigh_ritz(self.factor.blocks, D)[0]
 
     def solve_density(self, p: DensityField) -> Eigenpair:
         """First pair at density p."""

@@ -257,16 +257,38 @@ def test_stacked_factor_matches_block_diagonal_oracle(parts, cfg, rng, monkeypat
             assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
             assert np.array_equal(out, op(np.ascontiguousarray(x)))
 
+    # the blocks are factored once, at build: a solve calls no factorization
     calls = []
-    solve = np.linalg.solve
+    for name in ("solve", "inv", "cholesky"):
+        original = getattr(np.linalg, name)
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "solve", counting)
+        monkeypatch.setattr(np.linalg, name, counting)
     factor.solve(block)
-    assert len(calls) == 1
+    factor.solve(block[:, 0])
+    assert calls == []
+
+
+def test_stacked_solve_is_backward_stable_at_dim_1600(rng):
+    # the stored inverses are applied blockwise, so each block's normwise
+    # backward error ||K_m x_m - b_m|| / (||K_m|| ||x_m||) must stay at the
+    # rounding level (measured up to 1.6e-16; a batched LU gives 6.7e-17) although
+    # cond(K_1) is 2.8e7 at J = 20
+    cfg = PlateConfig(n_modes_x=80, n_basis_y=20, n_quad_x=160, n_quad_y=32)
+    basis, grid = SpectralBasis.from_config(cfg), QuadratureGrid.from_config(cfg)
+    factor = StiffnessFactor.build(basis, grid, cfg.sigma)
+    nm, J, _ = factor.blocks.shape
+    norms = np.linalg.norm(factor.blocks, 2, axis=(1, 2))
+    for rhs in (rng.standard_normal(nm * J), rng.standard_normal((nm * J, 8)),
+                np.ones(nm * J)):
+        x = factor.solve(rhs)
+        r = (factor.matvec(x) - rhs).reshape(nm, J, -1)
+        xs = x.reshape(nm, J, -1)
+        backward = np.linalg.norm(r, axis=1) / (norms[:, None] * np.linalg.norm(xs, axis=1))
+        assert backward.max() <= 1e-15
 
 
 def test_indefinite_energy_blocks_rejected(parts, cfg, monkeypatch):

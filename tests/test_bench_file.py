@@ -41,6 +41,14 @@ def test_reduces_pairs_per_metric_in_its_direction(tmp_path):
     assert bench["environment_differs"] == []
 
 
+def test_one_pair_reduces_to_its_own_values():
+    # a single traced pair per workload is a valid bench record
+    bench = bench_file.reduce_runs("t", [_run(0, 1.0, 2.0)], [_run(0, 0.5, 3.0)])
+    opt = bench["workloads"]["w"]["metrics"]["optimize_s"]
+    assert opt["parent"] == {"median": 1.0, "q1": 1.0, "q3": 1.0, "n": 1}
+    assert opt["change"]["median"] == 0.5 and opt["pairs_better"] == 1
+
+
 def test_rejects_runs_without_a_partner():
     with pytest.raises(ValueError, match="without a partner"):
         bench_file.reduce_runs("t", [_run(0, 1.0, 1.0), _run(1, 1.0, 1.0)],

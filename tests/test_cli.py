@@ -133,11 +133,24 @@ def test_solve_reproduces_optimized_lambda(tmp_path, small_config_file):
         assert repr(pair["lambda1"]) == last.split(",")[1]
 
 
-def test_optimize_single_named_start(tmp_path, small_config_file):
+def test_optimize_single_named_start(tmp_path, small_config_file, monkeypatch):
+    # only the selected start density is built
+    import hingedplate.cli
+
+    built = []
+    for name in ("uniform_density", "strip_density"):
+        original = getattr(hingedplate.cli, name)
+
+        def recording(*args, _name=name, _original=original):
+            built.append((_name,) + args[2:])
+            return _original(*args)
+
+        monkeypatch.setattr(hingedplate.cli, name, recording)
     out = tmp_path / "opt1"
     rc = main(["optimize", "--config", str(small_config_file), "--out", str(out),
                "--init", "left-heavy"])
     assert rc == 0
+    assert built == [("strip_density", "left")]
     summary = json.loads((out / "optimize_summary.json").read_text())
     assert list(summary["final_lambda_per_start"]) == ["left-heavy"]
 

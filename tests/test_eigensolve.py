@@ -24,7 +24,12 @@ from hingedplate import (
 )
 from hingedplate.assembly import WeightedMass
 from hingedplate.cli import main
-from hingedplate.eigensolve import NearDegenerateWarning, SolverError
+from hingedplate.eigensolve import (
+    NearDegenerateWarning,
+    SolverError,
+    _block_diagonal_start,
+    _rayleigh_ritz,
+)
 from hingedplate.io import write_grid_csv
 
 # First eigenvalue of the homogeneous plate at sigma=0.2, ell=pi/5, J=12,
@@ -233,6 +238,70 @@ def test_inertia_oracle_counts_the_two_lowest_modes(small_system, rng):
             assert int(np.sum(np.linalg.eigvalsh(D) < 0.0)) == below
 
 
+def _all_mode_start(factor, mass, k):
+    """The start block from every sine mode's pencil (K_m, D_m): the
+    reference the certified start must reproduce bit for bit."""
+    nm, J, _ = factor.blocks.shape
+    theta, V = _rayleigh_ritz(factor.blocks, mass.diagonal_blocks())
+    lowest = np.argsort(theta, axis=None, kind="stable")[:k]
+    m, j = np.unravel_index(lowest, theta.shape)
+    X = np.zeros((nm, J, k))
+    X[m, :, np.arange(k)] = V[m, :, j]
+    return X.reshape(nm * J, k)
+
+
+DIM_1600 = {"n_modes_x": 80, "n_basis_y": 20, "n_quad_x": 160, "n_quad_y": 32}
+START_CONFIGS = {
+    "default": {},
+    "dim-1600": DIM_1600,
+    "ell-0.1": {"ell": 0.1},
+    "ell-3": {"ell": 3.0},
+    "ell-0.1-contrast-100": {"ell": 0.1, "alpha": 0.1, "beta": 10.0},
+    "contrast-5000": {"alpha": 0.01, "beta": 50.0},
+    "6x5": {"n_modes_x": 6, "n_basis_y": 5, "n_quad_x": 40, "n_quad_y": 20},
+    "2x3": {"n_modes_x": 2, "n_basis_y": 3, "n_quad_x": 16, "n_quad_y": 8},
+}
+
+
+@pytest.mark.parametrize("name", sorted(START_CONFIGS))
+def test_certified_start_is_the_all_mode_start(name):
+    # the uniform-spectrum bound only leaves out modes that cannot hold one
+    # of the k lowest pencil eigenvalues, so the start is unchanged.  Heavy
+    # bands on the nodal lines of sin(3x) pull mode 4 below mode 3 in the
+    # narrow high-contrast plate, which only the contrast factor admits.
+    system = PlateSystem(PlateConfig(**START_CONFIGS[name]))
+    grid, rule = system.grid, system.rule
+    X, _ = grid.meshgrid()
+    bands = (np.abs(X - np.pi / 3) < 0.1) | (np.abs(X - 2 * np.pi / 3) < 0.1)
+    densities = [p.values for p in (
+        uniform_density(grid, rule), strip_density(grid, rule, "left"),
+        strip_density(grid, rule, "right"),
+        random_admissible_density(grid, rule, np.random.default_rng(7)))]
+    for values in densities + [np.where(bands, rule.beta, rule.alpha)]:
+        mass = _mass(system, values)
+        for k in (3, 4):
+            assert np.array_equal(_block_diagonal_start(system, mass, k),
+                                  _all_mode_start(system.factor, mass, k))
+
+
+def test_certified_start_projects_few_modes_at_dim_1600(monkeypatch):
+    # the speed-up of the start: a strip density at dim 1600 projects at
+    # most 5 of the 80 sine-mode pencils
+    system = PlateSystem(PlateConfig(**DIM_1600))
+    projected = []
+
+    def recording(A, B):
+        if A.ndim == 3:
+            projected.append(A.shape[0])
+        return _rayleigh_ritz(A, B)
+
+    monkeypatch.setattr("hingedplate.eigensolve._rayleigh_ritz", recording)
+    for side in ("left", "right"):
+        system.solve_density(strip_density(system.grid, system.rule, side))
+    assert len(projected) == 2
+    assert max(projected) <= 5
+
+
 def test_orientation_takes_no_grid_pass(small_system, rng, monkeypatch):
     # the sign of u comes from its quadrature mean taken in coefficient
     # space, so no solve evaluates a field on the grid, and the mean's sign
@@ -338,10 +407,10 @@ def test_degenerate_single_y_function():
 
 def test_near_degenerate_pair_warns():
     system = PlateSystem(PlateConfig(n_modes_x=2, n_basis_y=1, n_quad_x=8, n_quad_y=4))
-    # K = I as two identical 1x1 blocks, and M_p = I from a unit sine table
-    # and unit moments
-    system.factor = StiffnessFactor(blocks=np.ones((2, 1, 1)))
+    # K = I as two identical 1x1 blocks with their inverses, and M_p = I
+    # from a unit sine table and unit moments of a uniform density
+    system.factor = StiffnessFactor(blocks=np.ones((2, 1, 1)), inverse=np.ones((2, 1, 1)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NearDegenerateWarning):
-            solve_first(system, WeightedMass(S=np.eye(2), A=np.ones((2, 1, 1))))
+            solve_first(system, WeightedMass(S=np.eye(2), A=np.ones((2, 1, 1)), contrast=1.0))

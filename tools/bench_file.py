@@ -38,7 +38,9 @@ def _directions() -> dict:
 
 
 def _spread(values: list) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    """Median and quartiles; one run (a single traced pair) is all three."""
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
