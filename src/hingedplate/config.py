@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, asdict, fields
 
 
@@ -54,6 +55,19 @@ class PlateConfig:
     eig_tol: float = 1e-12
 
     def __post_init__(self):
+        # annotations are strings under `from __future__ import annotations`
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type == "int":
+                if isinstance(v, bool) or not isinstance(v, int):
+                    raise ValueError(f"{f.name} must be an integer, got {v!r}")
+                if v < 1:
+                    raise ValueError(f"{f.name} must be a positive integer, got {v!r}")
+            else:
+                if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                    raise ValueError(f"{f.name} must be a number, got {v!r}")
+                # an int bound would make int arrays of np.full(n, beta)
+                object.__setattr__(self, f.name, float(v))
         if not 0.0 <= self.sigma < 1.0:
             raise ValueError(f"sigma must lie in [0, 1), got {self.sigma}")
         if not self.ell > 0.0:
@@ -63,10 +77,6 @@ class PlateConfig:
                 f"density bounds must satisfy 0 < alpha < 1 < beta, "
                 f"got alpha={self.alpha}, beta={self.beta}"
             )
-        for name in _INT_KEYS:
-            v = getattr(self, name)
-            if not (isinstance(v, int) and v >= 1):
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
         if self.n_quad_x < self.n_modes_x:
             # sin(m x) = sin(x) U_{m-1}(cos x): at n distinct interior nodes
             # the (n_modes_x, n_quad_x) sine table has full row rank iff
@@ -129,9 +139,6 @@ class AdmissibleWeightRule:
 
 CONFIG_KEYS = tuple(f.name for f in fields(PlateConfig))
 
-# annotations are strings under `from __future__ import annotations`
-_INT_KEYS = tuple(f.name for f in fields(PlateConfig) if f.type == "int")
-
 
 def load_config(path) -> PlateConfig:
     """Read a JSON config file; keys absent from the file keep their defaults.
@@ -146,14 +153,4 @@ def load_config(path) -> PlateConfig:
     unknown = sorted(set(raw) - set(CONFIG_KEYS))
     if unknown:
         raise ValueError(f"unknown config keys {unknown}; accepted keys: {list(CONFIG_KEYS)}")
-    clean = {}
-    for key, value in raw.items():
-        if key in _INT_KEYS:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"config key {key} must be an integer, got {value!r}")
-            clean[key] = value
-        else:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"config key {key} must be a number, got {value!r}")
-            clean[key] = float(value)
-    return PlateConfig(**clean)
+    return PlateConfig(**raw)

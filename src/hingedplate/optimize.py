@@ -91,53 +91,44 @@ def uniform_density(grid: QuadratureGrid, rule: AdmissibleWeightRule) -> Density
     return DensityField(grid, np.ones(grid.shape), rule)
 
 
-def _quantile_assignment(values_flat, grid: QuadratureGrid, target_measure):
-    """Sorted-node assignment filling `target_measure` from the bottom.
-
-    Nodes enter in ascending (value, x, y) order until the cumulative tensor
-    weight reaches the target; returns the sorted order, the number of whole
-    nodes admitted, and the weight still missing from the last (gray) node.
-    """
-    nx, ny = grid.shape
-    xs = np.repeat(grid.nodes_x, ny)
-    ys = np.tile(grid.nodes_y, nx)
-    order = np.lexsort((ys, xs, values_flat))
-    w = grid.flat_weights()[order]
-    cum = np.cumsum(w)
-    if not 0.0 < target_measure < cum[-1]:
-        raise ValueError("target measure outside the grid total")
-    r = int(np.searchsorted(cum, target_measure))
-    w_before = float(cum[r - 1]) if r > 0 else 0.0
-    return order, r, target_measure - w_before
-
-
 def _fill_with_gray_node(values_flat, grid: QuadratureGrid, rule: AdmissibleWeightRule,
                          target_measure, fill, rest):
     """(flat density, gray node): `fill` on the lowest-value nodes up to
-    `target_measure`, `rest` elsewhere, one gray node making the mass exact."""
-    order, r, w_gray = _quantile_assignment(values_flat, grid, target_measure)
-    p = np.full(values_flat.size, rest)
+    `target_measure`, `rest` elsewhere, one gray node making the mass exact.
+
+    Nodes enter in ascending (value, x, y) order until the cumulative tensor
+    weight reaches the target; the node straddling it is the gray node.
+    """
+    nx, ny = grid.shape
+    order = np.lexsort((np.tile(grid.nodes_y, nx), np.repeat(grid.nodes_x, ny), values_flat))
+    cum = np.cumsum(grid.flat_weights()[order])
+    if not 0.0 < target_measure < cum[-1]:
+        raise ValueError("target measure outside the grid total")
+    r = int(np.searchsorted(cum, target_measure))
+    p = np.full(values_flat.size, rest, dtype=float)
     p[order[:r]] = fill
-    gray_node = order[r]
-    w_node = grid.flat_weights()[gray_node]
-    p[gray_node] = rest + (fill - rest) * (w_gray / w_node)
-    _absorb_mass_defect(p, grid, rule.target_mass, gray_node, rule.alpha, rule.beta)
+    gray_node = int(order[r])
+    _close_mass(p, grid, rule, gray_node)
     return p, gray_node
 
 
-def _absorb_mass_defect(p_flat, grid: QuadratureGrid, target_mass, node, lo, hi):
-    """Retouch one node so the quadrature mass matches the target bitwise.
+def _close_mass(p_flat, grid: QuadratureGrid, rule: AdmissibleWeightRule, node):
+    """Set p_flat[node] to (target mass - mass of every other node) / w_node.
 
-    The cumulative sums used to place the quantile and the pairwise sum
-    used to validate the mass round differently at the few-eps level; two
-    or three corrections against the validating sum close the gap.
+    The other nodes' mass is 0.5 * sum(q + q[::-1]) with q = w * p and the
+    node zeroed: each entry of q + q[::-1] is the sum of one mirror pair
+    across x = pi/2, and float addition commutes, so values swapped within
+    mirror pairs (what polarization does) give the same bits and the same
+    node value.  This needs weights_x equal to its reverse bit for bit, as
+    the Gauss-Legendre weights are for every even n_quad_x from 2 to 1024;
+    PlateConfig rejects odd counts.  The value is clipped to [alpha, beta],
+    which it leaves only by the sum's rounding over w_node, when the cut
+    falls on a node boundary (a strip of heavy share 1/2 ends at the midline).
     """
-    w_node = grid.flat_weights()[node]
-    for _ in range(3):
-        defect = target_mass - float(np.sum(grid.flat_weights() * p_flat))
-        if defect == 0.0:
-            break
-        p_flat[node] = min(hi, max(lo, p_flat[node] + defect / w_node))
+    p_flat[node] = 0.0
+    q = grid.tensor_weights() * p_flat.reshape(grid.shape)
+    value = (rule.target_mass - 0.5 * float(np.sum(q + q[::-1]))) / grid.flat_weights()[node]
+    p_flat[node] = min(rule.beta, max(rule.alpha, value))
 
 
 def bang_bang_from_values(values: GridField, rule: AdmissibleWeightRule):
@@ -184,17 +175,17 @@ def random_admissible_density(grid: QuadratureGrid, rule: AdmissibleWeightRule,
     def mass(shift):
         return float(np.sum(w * np.clip(raw + shift, rule.alpha, rule.beta)))
 
-    target = rule.target_mass
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mass(mid) < target:
+        if mid == lo or mid == hi:
+            break  # lo and hi are adjacent floats: no later step moves them
+        if mass(mid) < rule.target_mass:
             lo = mid
         else:
             hi = mid
     vals = np.clip(raw + 0.5 * (lo + hi), rule.alpha, rule.beta).ravel()
-    # Bisection leaves a sub-1e-10 mass defect; absorb it in one mid-range node.
-    node = int(np.argmin(np.abs(vals - 1.0)))
-    _absorb_mass_defect(vals, grid, target, node, rule.alpha, rule.beta)
+    # Bisection leaves a sub-1e-10 mass defect; one mid-range node absorbs it.
+    _close_mass(vals, grid, rule, int(np.argmin(np.abs(vals - 1.0))))
     return DensityField(grid, vals.reshape(grid.shape), rule)
 
 

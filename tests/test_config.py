@@ -106,3 +106,23 @@ def test_load_config_rejects_unknown_and_bad_types(tmp_path):
     path.write_text(json.dumps([1, 2]))
     with pytest.raises(ValueError, match="JSON object"):
         load_config(path)
+
+
+def test_int_bounds_are_stored_as_floats():
+    cfg = PlateConfig(alpha=1 / 2, beta=3, ell=1)
+    assert type(cfg.beta) is float and cfg.beta == 3.0
+    assert type(cfg.ell) is float and cfg.ell == 1.0
+    assert cfg == PlateConfig(alpha=0.5, beta=3.0, ell=1.0)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (dict(n_modes_x=True), "n_modes_x must be an integer"),
+    (dict(n_quad_x=96.0), "n_quad_x must be an integer"),
+    (dict(beta=True), "beta must be a number"),
+    (dict(sigma="0.2"), "sigma must be a number"),
+    (dict(eig_tol=None), "eig_tol must be a number"),
+])
+def test_field_types_checked_at_construction(bad, message):
+    # a bool is an int to Python, but True as a mode count is a typo
+    with pytest.raises(ValueError, match=message):
+        PlateConfig(**bad)

@@ -6,10 +6,12 @@ import pytest
 
 import hingedplate.optimize
 from hingedplate import (
+    AdmissibleWeightRule,
     DensityField,
     GridField,
     PlateConfig,
     PlateSystem,
+    QuadratureGrid,
     SpectralField,
     bang_bang_from_values,
     midline_slope_check,
@@ -245,6 +247,37 @@ def test_random_admissible_density_exact(small_system, rng):
         assert p.values.max() <= small_system.rule.beta + 1e-12
 
 
+def test_random_start_bisection_stops_where_the_full_loop_lands(rng):
+    # the shift after the early stop equals that of all 200 halvings, bit
+    # for bit; alpha 0.5, beta 1.5 puts the root near 0
+    for cfg in (PlateConfig(n_modes_x=8, n_basis_y=6, n_quad_x=32, n_quad_y=16),
+                PlateConfig(n_modes_x=8, n_basis_y=6, n_quad_x=32, n_quad_y=16,
+                            alpha=0.5, beta=1.5),
+                PlateConfig(n_modes_x=8, n_basis_y=6, n_quad_x=32, n_quad_y=16,
+                            alpha=0.1, beta=10.0)):
+        grid = QuadratureGrid.from_config(cfg)
+        rule = AdmissibleWeightRule.from_config(cfg)
+        for _ in range(5):
+            state = rng.bit_generator.state
+            p = random_admissible_density(grid, rule, rng)
+            rng.bit_generator.state = state
+            raw = rng.uniform(rule.alpha, rule.beta, size=grid.shape)
+            lo, hi = rule.alpha - rule.beta, rule.beta - rule.alpha
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                clipped = np.clip(raw + mid, rule.alpha, rule.beta)
+                if float(np.sum(grid.tensor_weights() * clipped)) < rule.target_mass:
+                    lo = mid
+                else:
+                    hi = mid
+            full = np.clip(raw + 0.5 * (lo + hi), rule.alpha, rule.beta)
+            node = np.unravel_index(np.argmin(np.abs(full - 1.0)), grid.shape)
+            # every node but the one closing the mass is the shifted value
+            keep = np.ones(grid.shape, dtype=bool)
+            keep[node] = False
+            assert np.array_equal(p.values[keep], full[keep])
+
+
 def test_produced_densities_mass_at_machine_precision(default_system, rng):
     # every construction path lands within 10 eps of the exact total mass
     system = default_system
@@ -276,6 +309,21 @@ def test_strip_density_shapes(small_system):
         strip_density(small_system.grid, small_system.rule, "middle")
 
 
+def test_strip_of_heavy_share_one_half_ends_at_the_midline():
+    # the cut falls on the last node of the middle column, so the gray
+    # value is beta up to the mass sum's rounding over a small node weight
+    # and must be clipped into the bounds
+    cfg = PlateConfig(alpha=0.5, beta=1.5)
+    grid = QuadratureGrid.from_config(cfg)
+    rule = AdmissibleWeightRule.from_config(cfg)
+    nx = grid.shape[0]
+    for side in ("left", "right"):
+        p = strip_density(grid, rule, side)
+        heavy = p.values[: nx // 2] if side == "left" else p.values[nx // 2:]
+        assert np.all(heavy == rule.beta)
+        assert abs(p.mass - rule.target_mass) <= 10 * np.finfo(float).eps * rule.target_mass
+
+
 def test_gradient_sign_diagnostic_reports(small_system):
     from hingedplate.optimize import gradient_sign_diagnostic
 
@@ -287,3 +335,13 @@ def test_gradient_sign_diagnostic_reports(small_system):
     for entry in table.values():
         assert 0.0 <= entry["fraction"] <= 1.0
         assert entry["nodes"] > 0
+
+
+def test_int_beta_runs_like_float_beta(small_cfg):
+    # an int bound once filled int arrays, truncating every alpha node to 0
+    traces = []
+    for beta in (3, 3.0):
+        system = PlateSystem(replace(small_cfg, beta=beta))
+        traces.append(minimize(system, uniform_density(system.grid, system.rule)))
+    assert np.array_equal(traces[0].final_density.values, traces[1].final_density.values)
+    assert traces[0].final_lambda == traces[1].final_lambda

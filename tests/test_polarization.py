@@ -19,7 +19,8 @@ from hingedplate import (
 )
 from hingedplate.assembly import StiffnessFactor
 from hingedplate.certify import run_suite
-from hingedplate.polarization import certify_duality, certify_polarization
+from hingedplate.polarization import (POLARIZATION_SEED, _random_positive_field,
+                                      certify_duality, certify_polarization)
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +85,23 @@ def test_polarized_two_material_identities(seed):
     e_u = float(np.sum(w * p_u.values * u.values ** 2))
     e_h = float(np.sum(w * p_h.values * u_h.values ** 2))
     assert e_h == pytest.approx(e_u, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_quad", [(256, 64), (512, 128)], ids=["256x64", "512x128"])
+def test_rearrangement_commutes_with_polarization_bitwise(n_quad):
+    # the gray node's value comes from a mass sum that mirror swaps cannot
+    # reorder, so the polarized field's density is the polarized density
+    # bit for bit, gray node included, also on fine grids
+    cfg = PlateConfig(n_quad_x=n_quad[0], n_quad_y=n_quad[1])
+    grid = QuadratureGrid.from_config(cfg)
+    rule = AdmissibleWeightRule.from_config(cfg)
+    rng = np.random.default_rng(POLARIZATION_SEED)
+    X, Y = grid.meshgrid()
+    for _ in range(15):
+        u = GridField(grid, _random_positive_field(rng, X, Y, cfg.ell))
+        p_u, _ = bang_bang_from_values(u, rule)
+        p_h, _ = bang_bang_from_values(polarize(u), rule)
+        assert np.array_equal(polarize(GridField(grid, p_u.values)).values, p_h.values)
 
 
 def test_theta1_quotient_duality(default_system, default_uniform_pair):
