@@ -25,7 +25,8 @@ class AssemblyError(RuntimeError):
     """Assembled form violates its contract (non-finite, not SPD, or p <= 0)."""
 
 
-def stiffness_blocks(basis: SpectralBasis, grid: QuadratureGrid, sigma: float) -> np.ndarray:
+def stiffness_blocks(basis: SpectralBasis, grid: QuadratureGrid, sigma: float,
+                     y_tables=None) -> np.ndarray:
     """Per-sine-mode blocks of the energy matrix, stacked as (n_modes_x, J, J).
 
     For u = sin(m x) f(y), v = sin(m x) g(y) the energy form reduces, after
@@ -33,10 +34,15 @@ def stiffness_blocks(basis: SpectralBasis, grid: QuadratureGrid, sigma: float) -
 
         (pi/2) * int [ f'' g'' + m^4 f g - sigma m^2 (f'' g + f g'')
                        + 2 (1 - sigma) m^2 f' g' ] dy.
+
+    `y_tables` are the y-factors and their first two derivatives on
+    grid.nodes_y, _legendre_tables(..., max_deriv=2), if the caller holds them.
     """
     if not 0.0 <= sigma < 1.0:
         raise ValueError(f"sigma must lie in [0, 1), got {sigma}")
-    V0, V1, V2 = _legendre_tables(grid.nodes_y, basis.n_basis_y, basis.ell, max_deriv=2)
+    if y_tables is None:
+        y_tables = _legendre_tables(grid.nodes_y, basis.n_basis_y, basis.ell, max_deriv=2)
+    V0, V1, V2 = y_tables
     wy = grid.weights_y[:, None]
     bend = (V2 * wy).T @ V2
     mass = (V0 * wy).T @ V0
@@ -111,8 +117,9 @@ class StiffnessFactor:
     inverse: np.ndarray
 
     @classmethod
-    def build(cls, basis: SpectralBasis, grid: QuadratureGrid, sigma: float) -> "StiffnessFactor":
-        blocks = stiffness_blocks(basis, grid, sigma)
+    def build(cls, basis: SpectralBasis, grid: QuadratureGrid, sigma: float,
+              y_tables=None) -> "StiffnessFactor":
+        blocks = stiffness_blocks(basis, grid, sigma, y_tables)
         try:  # the definiteness check; the Cholesky factor itself is not kept
             np.linalg.cholesky(blocks)
         except np.linalg.LinAlgError as exc:

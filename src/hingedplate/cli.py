@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import AssemblyError
-from .basis import evaluate_on_grid
 from .certify import SUITES, run_suite
 from .config import PlateConfig, load_config
 from .eigensolve import SolverError
@@ -63,16 +62,14 @@ def _resolve_density(spec: str, system: PlateSystem) -> DensityField:
 
 
 def _write_field_outputs(manifest, out, system, pair):
-    u_grid = evaluate_on_grid(pair.u, system.grid)
+    u = system.grid_values(pair.u)
     write_vector_csv(manifest.register(out / "coefficients.csv"),
                      "coefficient", pair.u.coefficients)
     write_grid_csv(manifest.register(out / "eigenfunction.csv"),
-                   system.grid, u_grid.values, value_name="u")
-    levels = level_bands(u_grid.values, 10)
-    polys = [iso_contours(system.grid.nodes_x, system.grid.nodes_y,
-                          u_grid.values, lv) for lv in levels]
-    write_contours_csv(manifest.register(out / "levelsets.csv"), levels, polys)
-    return u_grid
+                   system.grid, u, value_name="u")
+    levels = level_bands(u, 10)
+    write_contours_csv(manifest.register(out / "levelsets.csv"), levels,
+                       iso_contours(system.grid.nodes_x, system.grid.nodes_y, u, levels))
 
 
 def cmd_solve(args) -> int:
@@ -138,7 +135,7 @@ def cmd_optimize(args) -> int:
 
     best = min(results, key=lambda r: r[2].final_lambda)
     trace = best[2]
-    slope = midline_slope_check(trace.final_eigenpair.u, system.grid)
+    slope = midline_slope_check(trace.final_eigenpair.u, system)
     verdict = slope.verdict
     lam_vals = list(lambdas.values())
     agreement = (max(lam_vals) - min(lam_vals)) / min(lam_vals)
@@ -158,7 +155,7 @@ def cmd_optimize(args) -> int:
         "statuses": {name: tr.status for name, _, tr in results},
         # observed, never asserted: conjectured monotonicity of the optimum
         "gradient_sign_table": gradient_sign_diagnostic(
-            trace.final_eigenpair.u, system.grid),
+            trace.final_eigenpair.u, system),
     })
     manifest.add_summary("lambda_best", trace.final_lambda)
     manifest.write()

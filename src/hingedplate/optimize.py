@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .assembly import StiffnessFactor, assemble_weighted_mass
-from .basis import SpectralBasis, SpectralField, evaluate_on_grid
+from .basis import SpectralBasis, SpectralField, _legendre_tables, _sine_table
 from .config import AdmissibleWeightRule, PlateConfig
 from .eigensolve import Eigenpair, _rayleigh_ritz, solve_first
 from .grid import GridField, QuadratureGrid
@@ -155,8 +155,7 @@ def rearrange(u: SpectralField, system: PlateSystem):
     tables); the returned density equals alpha exactly where u <= sqrt(t)
     up to the single gray node.
     """
-    S, L = system.S, system.L
-    uvals = GridField(system.grid, S.T @ u.coefficients.reshape(len(S), -1) @ L.T)
+    uvals = GridField(system.grid, system.grid_values(u))
     if uvals.values.min() <= 0.0:
         raise AnalysisError(
             f"eigenfunction not strictly positive on the grid "
@@ -255,9 +254,14 @@ class PlateSystem:
         self.rule = AdmissibleWeightRule.from_config(cfg)
         self.basis = SpectralBasis.from_config(cfg)
         self.grid = QuadratureGrid.from_config(cfg)
-        self.factor = StiffnessFactor.build(self.basis, self.grid, cfg.sigma)
+        # psi_j(y_k) and its first two y-derivatives, one table each; the
+        # energy blocks and every grid sample read them
+        self.y_tables = _legendre_tables(self.grid.nodes_y, cfg.n_basis_y, cfg.ell,
+                                         max_deriv=2)
+        self.factor = StiffnessFactor.build(self.basis, self.grid, cfg.sigma, self.y_tables)
         # basis values on the grid, sin(m x_i) as S and psi_j(y_k) as L
-        self.S, self.L = self.basis.axis_tables(self.grid)
+        self.S = _sine_table(self.basis.modes_x, self.grid.nodes_x, 0)
+        self.L = self.y_tables[0]
 
     @cached_property
     def uniform_spectrum(self) -> np.ndarray:
@@ -266,6 +270,13 @@ class PlateSystem:
         wyL = self.grid.weights_y[:, None] * self.L
         D = ((self.S * self.S) @ self.grid.weights_x)[:, None, None] * (wyL.T @ self.L)
         return _rayleigh_ritz(self.factor.blocks, D)[0]
+
+    def grid_values(self, u: SpectralField, dx: int = 0, dy: int = 0) -> np.ndarray:
+        """u, or its dx-th x- and dy-th y-derivative (0 to 2 each), at the
+        grid nodes from the system's tables: evaluate_on_grid's values, bit
+        for bit, with no y-table built (an x-derivative builds its sines)."""
+        fx = self.S if dx == 0 else _sine_table(self.basis.modes_x, self.grid.nodes_x, dx)
+        return fx.T @ u.coefficients.reshape(len(fx), -1) @ self.y_tables[dy].T
 
     def solve_density(self, p: DensityField) -> Eigenpair:
         """First pair at density p."""
@@ -366,14 +377,15 @@ class MidlineSlopeReport:
     max_abs_slope: float
 
 
-def midline_slope_check(u: SpectralField, grid: QuadratureGrid) -> MidlineSlopeReport:
+def midline_slope_check(u: SpectralField, system: PlateSystem) -> MidlineSlopeReport:
     """Sign of u_x on the midline x = pi/2, checked against the mirror class.
 
     A left-dominant field must slope downward across the midline at every y,
     a right-dominant one upward, and a symmetric one must be flat there; any
-    disagreement raises.
+    disagreement raises.  The mirror class reads u on the system's grid.
     """
-    vals = evaluate_on_grid(u, grid).values
+    grid = system.grid
+    vals = system.grid_values(u)
     verdict = _mirror_verdict(vals)
     pts = np.column_stack([np.full(grid.shape[1], np.pi / 2), grid.nodes_y])
     slopes = u.coefficients @ u.basis.eval_matrix(pts, dx=1)
@@ -395,16 +407,17 @@ def midline_slope_check(u: SpectralField, grid: QuadratureGrid) -> MidlineSlopeR
     )
 
 
-def gradient_sign_diagnostic(u: SpectralField, grid: QuadratureGrid) -> dict:
-    """Observed sign pattern of u_x and u_y over the four quarter-plates.
+def gradient_sign_diagnostic(u: SpectralField, system: PlateSystem) -> dict:
+    """Observed sign pattern of u_x and u_y over the four quarter-plates of
+    the system's grid.
 
     Reported, never asserted: the conjectured monotonicity (rising toward
     the midline in x, toward the centerline in y) is an open question, so
     the table only counts violating nodes.
     """
-    ux = evaluate_on_grid(u, grid, dx=1).values
-    uy = evaluate_on_grid(u, grid, dy=1).values
-    X, Y = grid.meshgrid()
+    ux = system.grid_values(u, dx=1)
+    uy = system.grid_values(u, dy=1)
+    X, Y = system.grid.meshgrid()
     left, right = X < np.pi / 2, X > np.pi / 2
     lower, upper = Y < 0, Y > 0
     return {

@@ -194,7 +194,7 @@ def test_criterion_9_polarization_suite(optimization_batch):
     verdicts = []
     for cfg, system, runs in optimization_batch[:2]:
         for name, trace, _ in runs:
-            report = midline_slope_check(trace.final_eigenpair.u, system.grid)
+            report = midline_slope_check(trace.final_eigenpair.u, system)
             verdicts.append(report.verdict)
     assert len(set(verdicts)) >= 1
     print(f"\nCRITERION 9 PASS: identities bit-exact, form inequality >= -1e-10 "

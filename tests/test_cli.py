@@ -75,6 +75,17 @@ def test_solve_rejects_non_finite_density(tmp_path, small_config_file, capsys):
     assert "density values contain non-finite entries" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["solve", "--density"], ["optimize", "--init"]])
+def test_empty_density_file_exits_2(tmp_path, small_config_file, capsys, flag):
+    # an empty file has no header row; reading it once escaped as StopIteration
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    rc = main([flag[0], "--config", str(small_config_file),
+               "--out", str(tmp_path / "run"), flag[1], str(empty)])
+    assert rc == 2
+    assert "must have columns x, y, <value>" in capsys.readouterr().err
+
+
 def test_solve_rejects_bad_config(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"alpha": 1.5}))

@@ -9,15 +9,17 @@ from hingedplate import PlateConfig, QuadratureGrid, evaluate_on_grid, uniform_d
 from hingedplate.io import (
     RunManifest,
     read_density_csv,
+    write_contours_csv,
     write_grid_csv,
     write_reports_json,
     write_trace_csv,
+    write_vector_csv,
 )
 from hingedplate.levelsets import _segments, iso_contours, level_bands
 
 
-# Per-cell marching squares and coordinate-keyed chaining: the reference the
-# vectorized iso_contours must reproduce bit for bit.
+# Per-cell marching squares and coordinate-keyed chaining, one level at a
+# time: the reference the all-levels iso_contours must reproduce bit for bit.
 
 def _ref_interp(p1, p2, v1, v2, level):
     s = (level - v1) / (v2 - v1)
@@ -123,25 +125,30 @@ def _rounded_key_names_edges(x, y, Z, level):
     return all(len(v) == 1 for v in (*edges_of_key.values(), *keys_of_edge.values()))
 
 
-def _assert_matches_reference(x, y, Z, level):
-    new = iso_contours(x, y, Z, level)
-    px, py, _, ia, ib = _segments(np.asarray(x, float), np.asarray(y, float),
-                                  _nudged(Z, level), level)
-    segs = [((px[a], py[a]), (px[b], py[b])) for a, b in zip(ia, ib)]
-    assert segs == _ref_segments(x, y, Z, level)
-    ref = _ref_iso_contours(x, y, Z, level)
-    if _rounded_key_names_edges(x, y, Z, level):
-        assert new == ref
-    else:
-        # the rounded key joined crossings of different edges, or left the
-        # two copies of one crossing apart; the same segments are chained,
-        # and each vertex is one of the reference's up to rounding
-        assert sum(len(line) - 1 for line in new) == len(segs)
-        a = np.array([p for line in new for p in line])
-        b = np.array([p for line in ref for p in line])
-        for u, v in ((a, b), (b, a)):
-            gap = np.abs(u[:, None, :] - v[None, :, :]).max(axis=-1).min(axis=1)
-            assert gap.max() <= 1e-12
+def _assert_matches_reference(x, y, Z, levels):
+    """One iso_contours call for all levels, checked level by level against
+    the per-cell reference; returns the polylines of each level."""
+    new = iso_contours(x, y, Z, levels)
+    assert len(new) == len(levels)
+    px, py, _, ia, ib, seg_levels = _segments(
+        np.asarray(x, float), np.asarray(y, float), np.asarray(Z, float), np.asarray(levels, float))
+    for n, (level, lines) in enumerate(zip(levels, new)):
+        mine = seg_levels == n
+        segs = [((px[a], py[a]), (px[b], py[b])) for a, b in zip(ia[mine], ib[mine])]
+        assert segs == _ref_segments(x, y, Z, level)
+        ref = _ref_iso_contours(x, y, Z, level)
+        if _rounded_key_names_edges(x, y, Z, level):
+            assert lines == ref
+        else:
+            # the rounded key joined crossings of different edges, or left the
+            # two copies of one crossing apart; the same segments are chained,
+            # and each vertex is one of the reference's up to rounding
+            assert sum(len(line) - 1 for line in lines) == len(segs)
+            a = np.array([p for line in lines for p in line])
+            b = np.array([p for line in ref for p in line])
+            for u, v in ((a, b), (b, a)):
+                gap = np.abs(u[:, None, :] - v[None, :, :]).max(axis=-1).min(axis=1)
+                assert gap.max() <= 1e-12
     return new
 
 
@@ -149,8 +156,8 @@ def test_contour_of_linear_field_is_vertical_line():
     x = np.linspace(0.0, 1.0, 21)
     y = np.linspace(0.0, 1.0, 13)
     Z = np.broadcast_to(x[:, None], (21, 13)).copy()
-    for level in (0.25, 0.5, 0.77):
-        lines = iso_contours(x, y, Z, level)
+    levels = (0.25, 0.5, 0.77)
+    for level, lines in zip(levels, iso_contours(x, y, Z, levels)):
         pts = np.array([p for line in lines for p in line])
         assert pts.size > 0
         assert np.abs(pts[:, 0] - level).max() < 1e-12
@@ -162,7 +169,7 @@ def test_contour_of_radial_field_is_circle():
     X, Y = np.meshgrid(x, y, indexing="ij")
     Z = X ** 2 + Y ** 2
     r = 0.6
-    lines = iso_contours(x, y, Z, r ** 2)
+    [lines] = iso_contours(x, y, Z, [r ** 2])
     pts = np.array([p for line in lines for p in line])
     radii = np.hypot(pts[:, 0], pts[:, 1])
     assert abs(radii.mean() - r) < 1e-3
@@ -175,16 +182,32 @@ def test_contour_level_outside_range_empty():
     x = np.linspace(0, 1, 5)
     y = np.linspace(0, 1, 5)
     Z = np.zeros((5, 5))
-    assert iso_contours(x, y, Z, 1.0) == []
+    assert iso_contours(x, y, Z, [1.0]) == [[]]
+    # levels beyond the field's range give [] beside one inside it
+    Z = np.add.outer(x, y)
+    outside = [-1.0, 2.5, np.inf, -np.inf, np.nan, -1e-300, 2.0 + 1e-15]
+    lines = _assert_matches_reference(x, y, Z, outside[:3] + [0.7] + outside[3:])
+    assert lines[3] and all(not lv for lv in lines[:3] + lines[4:])
+    assert iso_contours(x, y, Z, []) == []
+
+
+def test_iso_contours_levels_must_be_one_dimensional():
+    x = np.linspace(0, 1, 5)
+    Z = np.add.outer(x, x)
+    with pytest.raises(ValueError, match="1-D"):
+        iso_contours(x, x, Z, 0.5)
+    with pytest.raises(ValueError, match="1-D"):
+        iso_contours(x, x, Z, [[0.5]])
 
 
 def test_iso_contours_match_reference_on_eigenfunction_bands(default_system,
                                                             default_uniform_pair):
     grid = default_system.grid
     u = evaluate_on_grid(default_uniform_pair.u, grid).values
-    for level in level_bands(u, 10):
+    levels = level_bands(u, 10)
+    for level in levels:
         assert _rounded_key_names_edges(grid.nodes_x, grid.nodes_y, u, level)
-        lines = _assert_matches_reference(grid.nodes_x, grid.nodes_y, u, level)
+    for lines in _assert_matches_reference(grid.nodes_x, grid.nodes_y, u, levels):
         assert lines and all(type(c) is float for line in lines for p in line for c in p)
 
 
@@ -192,8 +215,7 @@ def test_iso_contours_match_reference_on_checkerboard_saddles():
     x = np.linspace(0.0, 1.0, 9)
     y = np.linspace(0.0, 1.0, 7)
     Z = (-1.0) ** np.add.outer(np.arange(9), np.arange(7)) + 0.3 * np.add.outer(x, y)
-    for level in (0.0, 0.3, 0.55, -0.2):
-        _assert_matches_reference(x, y, Z, level)
+    _assert_matches_reference(x, y, Z, [0.0, 0.3, 0.55, -0.2])
     # level 0.3 puts every cell's centre above the level: saddle cells whose
     # corner (i, k) lies above take pairs (0, 3), (1, 2), the others (0, 1), (2, 3)
     branches = set()
@@ -211,10 +233,11 @@ def test_iso_contours_match_reference_with_nodes_on_the_level():
     x = np.linspace(0.0, 1.0, 21)
     y = np.linspace(0.0, 1.0, 13)
     Z = np.broadcast_to(x[:, None], (21, 13)) + 0.0 * y
-    for level in (x[5], x[10], x[16]):
+    levels = [x[5], x[10], x[16]]
+    for level in levels:
         assert np.any(Z == level)
         assert _rounded_key_names_edges(x, y, Z, level)
-        _assert_matches_reference(x, y, Z, level)
+    _assert_matches_reference(x, y, Z, levels)
 
 
 def test_iso_contours_join_crossings_next_to_a_node_by_edge():
@@ -226,7 +249,7 @@ def test_iso_contours_join_crossings_next_to_a_node_by_edge():
     Z = np.add.outer(x, 0.37 * y)
     level = Z[4, 3]
     assert not _rounded_key_names_edges(x, y, Z, level)
-    lines = _assert_matches_reference(x, y, Z, level)
+    [lines] = _assert_matches_reference(x, y, Z, [level])
     assert len(lines) == 1
 
 
@@ -235,7 +258,8 @@ def test_iso_contours_of_flat_field_empty():
     y = np.linspace(0.0, 1.0, 4)
     for value, level in ((0.0, 0.0), (2.5, 2.5), (2.5, 1.0)):
         Z = np.full((6, 4), value)
-        assert iso_contours(x, y, Z, level) == [] == _ref_iso_contours(x, y, Z, level)
+        assert iso_contours(x, y, Z, [level]) == [[]]
+        assert _ref_iso_contours(x, y, Z, level) == []
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -245,8 +269,11 @@ def test_iso_contours_match_reference_on_random_fields(nx, ny, data):
     Z = np.array(data.draw(st.lists(values, min_size=nx * ny, max_size=nx * ny))).reshape(nx, ny)
     x = np.cumsum(data.draw(st.lists(st.floats(0.01, 1.0), min_size=nx, max_size=nx)))
     y = np.cumsum(data.draw(st.lists(st.floats(0.01, 1.0), min_size=ny, max_size=ny)))
-    level = data.draw(st.one_of(values, st.sampled_from(Z.ravel().tolist())))
-    _assert_matches_reference(x, y, Z, level)
+    levels = data.draw(st.lists(st.one_of(values, st.sampled_from(Z.ravel().tolist())),
+                                min_size=1, max_size=5))
+    lines = _assert_matches_reference(x, y, Z, levels)
+    # each level's polylines do not depend on the other levels of the call
+    assert lines == [iso_contours(x, y, Z, [level])[0] for level in levels]
 
 
 def test_level_bands_interior():
@@ -286,6 +313,63 @@ def test_grid_csv_matches_csv_writer_reference(tmp_path):
             writer.writerow(["x", "y", "p"])
             for xi, yi, vi in zip(X.ravel(), Y.ravel(), np.asarray(values).ravel()):
                 writer.writerow([repr(float(xi)), repr(float(yi)), repr(float(vi))])
+        assert path.read_bytes() == ref.read_bytes()
+
+
+# Values whose repr is easy to get wrong: -0.0 beside 0.0 (equal under ==,
+# different text), subnormals, infinities and NaNs of different bits.
+_SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e300, np.inf, -np.inf, np.nan, -np.nan,
+            np.array(0x7FF8000000000001).view(float).item(), 1.0 / 3.0, 2.0 ** 53]
+
+
+def _write_reference(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def test_vector_csv_matches_csv_writer_reference(tmp_path):
+    cases = [
+        np.array(_SPECIAL + _SPECIAL[::-1]),
+        np.arange(5),                      # integers are written as floats
+        np.linspace(-1.0, 1.0, 7, dtype=np.float32),
+        np.array([[1.5, -0.0], [0.0, 1.5]]),
+        np.zeros(0),
+    ]
+    for values in cases:
+        path, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        write_vector_csv(path, "coefficient", values)
+        _write_reference(ref, ["index", "coefficient"],
+                         [[i, repr(float(v))] for i, v in enumerate(np.ravel(values))])
+        assert path.read_bytes() == ref.read_bytes()
+
+
+def test_contours_csv_matches_csv_writer_reference(tmp_path):
+    x = np.linspace(0.0, 1.0, 9)
+    Z = np.add.outer(np.sin(3.0 * x), x ** 2)
+    field_levels = level_bands(Z, 4)
+    cases = [
+        ([-0.0, 0.5, 1e300, np.nan, np.inf, 5e-324], [
+            [[(-0.0, 0.0), (0.0, -0.0)]],                    # a two-vertex polyline
+            [],                                              # an empty level
+            [[(5e-324, 1e300), (np.inf, -np.inf), (np.nan, -np.nan)], [],
+             [(1.0, 2.0), (1.0, 2.0)]],
+            [[(np.float64(0.1), np.float64(0.2)), (0.3, 0.4), (0.1, 0.2)]],
+            [],
+            [[(-5e-324, 2.0 ** 53), (1.0 / 3.0, 0.0)]],
+        ]),
+        (field_levels, iso_contours(x, x, Z, field_levels)),
+        ([], []),
+    ]
+    for levels, polylines_per_level in cases:
+        path, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        write_contours_csv(path, levels, polylines_per_level)
+        _write_reference(ref, ["level", "polyline", "vertex", "x", "y"], [
+            [repr(float(level)), pid, vid, repr(float(px)), repr(float(py))]
+            for level, polylines in zip(levels, polylines_per_level)
+            for pid, line in enumerate(polylines)
+            for vid, (px, py) in enumerate(line)])
         assert path.read_bytes() == ref.read_bytes()
 
 

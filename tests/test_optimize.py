@@ -12,8 +12,10 @@ from hingedplate import (
     PlateConfig,
     PlateSystem,
     QuadratureGrid,
+    SpectralBasis,
     SpectralField,
     bang_bang_from_values,
+    evaluate_on_grid,
     midline_slope_check,
     minimize,
     random_admissible_density,
@@ -166,52 +168,69 @@ def test_multistart_reaches_common_limit(rng):
 def test_mirror_verdict_modes(small_system):
     system = small_system
     sym = _mode_field(system, {(1, 0): 1.0, (1, 1): 0.2})
-    assert midline_slope_check(sym, system.grid).verdict == SYMMETRIC
+    assert midline_slope_check(sym, system).verdict == SYMMETRIC
     left = _mode_field(system, {(1, 0): 1.0, (2, 0): 0.3})
-    assert midline_slope_check(left, system.grid).verdict == LEFT_DOMINANT
+    assert midline_slope_check(left, system).verdict == LEFT_DOMINANT
     right = _mode_field(system, {(1, 0): 1.0, (2, 0): -0.3})
-    assert midline_slope_check(right, system.grid).verdict == RIGHT_DOMINANT
+    assert midline_slope_check(right, system).verdict == RIGHT_DOMINANT
 
 
 def test_mirror_verdict_mixed_sign_errors(small_system):
     system = small_system
     mixed = _mode_field(system, {(1, 0): 1.0, (2, 1): 0.3})  # gap odd in y
     with pytest.raises(AnalysisError, match="mixed sign"):
-        midline_slope_check(mixed, system.grid)
+        midline_slope_check(mixed, system)
 
 
 def test_midline_slope_signs(small_system):
     system = small_system
     sym = _mode_field(system, {(1, 0): 1.0, (3, 1): 0.1})
-    rep = midline_slope_check(sym, system.grid)
+    rep = midline_slope_check(sym, system)
     assert rep.verdict == SYMMETRIC
     assert rep.max_abs_slope <= 1e-6
 
     left = _mode_field(system, {(1, 0): 1.0, (2, 0): 0.3})
-    rep = midline_slope_check(left, system.grid)
+    rep = midline_slope_check(left, system)
     assert rep.verdict == LEFT_DOMINANT
     # u_x(pi/2, y) = cos(pi/2) + 0.6 cos(pi) = -0.6
     assert np.allclose(rep.slopes, -0.6, atol=1e-12)
 
     right = _mode_field(system, {(1, 0): 1.0, (2, 0): -0.3})
-    rep = midline_slope_check(right, system.grid)
+    rep = midline_slope_check(right, system)
     assert rep.verdict == RIGHT_DOMINANT
     assert np.allclose(rep.slopes, 0.6, atol=1e-12)
 
 
 def test_midline_slope_check_evaluates_once(small_system, monkeypatch):
-    # the mirror verdict and the slope threshold share one grid evaluation
-    calls = []
-    original = hingedplate.optimize.evaluate_on_grid
+    # the mirror verdict and the slope threshold share one grid evaluation,
+    # made on the system's tables: no basis table is built for it
+    calls, built = [], []
+    grid_values, axis_tables = PlateSystem.grid_values, SpectralBasis.axis_tables
 
-    def counting(*args, **kwargs):
+    def counting(self, *args, **kwargs):
         calls.append(args)
-        return original(*args, **kwargs)
+        return grid_values(self, *args, **kwargs)
 
-    monkeypatch.setattr(hingedplate.optimize, "evaluate_on_grid", counting)
+    def counting_tables(self, *args, **kwargs):
+        built.append(args)
+        return axis_tables(self, *args, **kwargs)
+
+    monkeypatch.setattr(PlateSystem, "grid_values", counting)
+    monkeypatch.setattr(SpectralBasis, "axis_tables", counting_tables)
     left = _mode_field(small_system, {(1, 0): 1.0, (2, 0): 0.3})
-    assert midline_slope_check(left, small_system.grid).verdict == LEFT_DOMINANT
+    assert midline_slope_check(left, small_system).verdict == LEFT_DOMINANT
     assert len(calls) == 1
+    assert built == []
+
+
+def test_grid_values_match_evaluate_on_grid_bitwise(small_system, rng):
+    # the system's tables sample u and its derivatives with the bits of
+    # evaluate_on_grid, which builds its tables per call
+    basis = small_system.basis
+    u = SpectralField(basis, rng.standard_normal(basis.dimension))
+    for dx, dy in ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)):
+        assert np.array_equal(small_system.grid_values(u, dx=dx, dy=dy),
+                              evaluate_on_grid(u, small_system.grid, dx=dx, dy=dy).values)
 
 
 def test_density_field_validation(small_system):
@@ -329,7 +348,7 @@ def test_gradient_sign_diagnostic_reports(small_system):
 
     trace = minimize(small_system,
                      uniform_density(small_system.grid, small_system.rule))
-    table = gradient_sign_diagnostic(trace.final_eigenpair.u, small_system.grid)
+    table = gradient_sign_diagnostic(trace.final_eigenpair.u, small_system)
     assert set(table) == {"ux_positive_left", "ux_negative_right",
                           "uy_positive_upper", "uy_negative_lower"}
     for entry in table.values():
