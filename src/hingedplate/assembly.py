@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SpectralBasis, _legendre_tables
+from .basis import SpectralBasis
 from .grid import QuadratureGrid, GridField
 
 
@@ -26,7 +26,7 @@ class AssemblyError(RuntimeError):
 
 
 def stiffness_blocks(basis: SpectralBasis, grid: QuadratureGrid, sigma: float,
-                     y_tables=None) -> np.ndarray:
+                     y_tables) -> np.ndarray:
     """Per-sine-mode blocks of the energy matrix, stacked as (n_modes_x, J, J).
 
     For u = sin(m x) f(y), v = sin(m x) g(y) the energy form reduces, after
@@ -36,12 +36,10 @@ def stiffness_blocks(basis: SpectralBasis, grid: QuadratureGrid, sigma: float,
                        + 2 (1 - sigma) m^2 f' g' ] dy.
 
     `y_tables` are the y-factors and their first two derivatives on
-    grid.nodes_y, _legendre_tables(..., max_deriv=2), if the caller holds them.
+    grid.nodes_y, as _legendre_tables(..., max_deriv=2) returns them.
     """
     if not 0.0 <= sigma < 1.0:
         raise ValueError(f"sigma must lie in [0, 1), got {sigma}")
-    if y_tables is None:
-        y_tables = _legendre_tables(grid.nodes_y, basis.n_basis_y, basis.ell, max_deriv=2)
     V0, V1, V2 = y_tables
     wy = grid.weights_y[:, None]
     bend = (V2 * wy).T @ V2
@@ -118,7 +116,7 @@ class StiffnessFactor:
 
     @classmethod
     def build(cls, basis: SpectralBasis, grid: QuadratureGrid, sigma: float,
-              y_tables=None) -> "StiffnessFactor":
+              y_tables) -> "StiffnessFactor":
         blocks = stiffness_blocks(basis, grid, sigma, y_tables)
         try:  # the definiteness check; the Cholesky factor itself is not kept
             np.linalg.cholesky(blocks)

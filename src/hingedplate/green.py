@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import SpectralField, evaluate_on_grid
+from .basis import SpectralField
 from .certify import make_report
 from .grid import GridField, QuadratureGrid
 from .optimize import PlateSystem
@@ -171,7 +171,7 @@ def certify_positivity_preserving(system: PlateSystem) -> list:
     for _ in range(POSITIVITY_LOADS):
         f = _random_nonnegative_load(rng, X, Y, cfg.ell)
         u = apply(system, GridField(system.grid, f))
-        uvals = evaluate_on_grid(u, system.grid).values
+        uvals = system.grid_values(u)
         min_u = min(min_u, float(uvals.min()))
         s0 = u.coefficients @ D0
         spi = u.coefficients @ Dpi

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import evaluate_on_grid
 from .certify import make_report
 from .green import quadratic_form
 from .grid import GridField
@@ -134,7 +133,7 @@ def certify_duality(system: PlateSystem) -> list:
     per_density = DUALITY_TRIALS // len(densities)
     for p in densities:
         pair = system.solve_density(p)
-        u = evaluate_on_grid(pair.u, system.grid)
+        u = GridField(system.grid, system.grid_values(pair.u))
         q = theta1_quotient(p, u, system)
         worst_eig = max(worst_eig, abs(q * pair.lambda1 - 1.0))
         for _ in range(per_density):

@@ -34,6 +34,12 @@ def parts(cfg):
     return basis, grid
 
 
+def _y_tables(basis, grid):
+    """psi_j and its first two y-derivatives on the grid, as PlateSystem holds them."""
+    return hingedplate.basis._legendre_tables(grid.nodes_y, basis.n_basis_y, basis.ell,
+                                              max_deriv=2)
+
+
 def _mass(basis, grid, values):
     """The weighted mass operator of node values, on the basis's own tables."""
     return assemble_weighted_mass(basis, grid, GridField(grid, values),
@@ -70,16 +76,16 @@ def test_stiffness_blocks_match_energy_form_on_grid(parts, cfg):
     lap = xx + yy
     ref = (lap * w) @ lap.T + (1.0 - cfg.sigma) * (
         2.0 * (xy * w) @ xy.T - (xx * w) @ yy.T - (yy * w) @ xx.T)
-    K = block_diag(*stiffness_blocks(basis, grid, cfg.sigma))
+    K = block_diag(*stiffness_blocks(basis, grid, cfg.sigma, _y_tables(basis, grid)))
     assert np.abs(K - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_stiffness_positive_definite_for_all_sigma(parts):
     basis, grid = parts
     for sigma in (0.0, 0.2, 0.5, 0.9, 0.999):
-        for blk in stiffness_blocks(basis, grid, sigma):
+        for blk in stiffness_blocks(basis, grid, sigma, _y_tables(basis, grid)):
             assert np.linalg.eigvalsh(blk).min() > 0.0
-    factor = StiffnessFactor.build(basis, grid, 0.999)
+    factor = StiffnessFactor.build(basis, grid, 0.999, _y_tables(basis, grid))
     rhs = np.ones(basis.dimension)
     assert np.allclose(factor.matvec(factor.solve(rhs)), rhs,
                        rtol=0, atol=1e-8 * np.abs(rhs).max())
@@ -87,7 +93,7 @@ def test_stiffness_positive_definite_for_all_sigma(parts):
 
 def test_quotient_positive_for_random_fields(parts, cfg, rng):
     basis, grid = parts
-    factor = StiffnessFactor.build(basis, grid, cfg.sigma)
+    factor = StiffnessFactor.build(basis, grid, cfg.sigma, _y_tables(basis, grid))
     M1 = _dense_mass(basis, grid, np.ones(grid.shape))
     for _ in range(25):
         c = rng.standard_normal(basis.dimension)
@@ -100,9 +106,10 @@ def test_sigma_difference_confined_to_boundary_rank(parts):
     # K depends affinely on sigma and the sigma-derivative reduces to a
     # y-boundary term of rank <= 4 inside each sine-mode block
     basis, grid = parts
-    K0 = stiffness_blocks(basis, grid, 0.0)
-    K2 = stiffness_blocks(basis, grid, 0.2)
-    K5 = stiffness_blocks(basis, grid, 0.5)
+    tables = _y_tables(basis, grid)
+    K0 = stiffness_blocks(basis, grid, 0.0, tables)
+    K2 = stiffness_blocks(basis, grid, 0.2, tables)
+    K5 = stiffness_blocks(basis, grid, 0.5, tables)
     scale = max(np.abs(blk).max() for blk in K0)
     for b0, b2, b5 in zip(K0, K2, K5):
         B = (b0 - b5) / 0.5
@@ -160,9 +167,9 @@ def test_assembly_invariant_under_grid_relabeling(parts, cfg, rng):
 
 def test_quadrature_refinement_leaves_stiffness(parts, cfg):
     basis, grid = parts
-    K = stiffness_blocks(basis, grid, cfg.sigma)
+    K = stiffness_blocks(basis, grid, cfg.sigma, _y_tables(basis, grid))
     fine = QuadratureGrid.from_config(replace(cfg, n_quad_y=2 * cfg.n_quad_y))
-    K_fine = stiffness_blocks(basis, fine, cfg.sigma)
+    K_fine = stiffness_blocks(basis, fine, cfg.sigma, _y_tables(basis, fine))
     scale = max(np.abs(blk).max() for blk in K)
     for blk, blk_fine in zip(K, K_fine):
         assert np.abs(blk - blk_fine).max() <= 1e-10 * scale
@@ -241,7 +248,7 @@ def test_stacked_factor_matches_block_diagonal_oracle(parts, cfg, rng, monkeypat
     # oracle: the dense block-diagonal K assembled from the stack, solved
     # through its dense Cholesky factor
     basis, grid = parts
-    factor = StiffnessFactor.build(basis, grid, cfg.sigma)
+    factor = StiffnessFactor.build(basis, grid, cfg.sigma, _y_tables(basis, grid))
     assert factor.blocks.shape == (basis.n_modes_x, basis.n_basis_y, basis.n_basis_y)
     K = block_diag(*factor.blocks)
     KR = cho_factor(K)
@@ -279,7 +286,7 @@ def test_stacked_solve_is_backward_stable_at_dim_1600(rng):
     # cond(K_1) is 2.8e7 at J = 20
     cfg = PlateConfig(n_modes_x=80, n_basis_y=20, n_quad_x=160, n_quad_y=32)
     basis, grid = SpectralBasis.from_config(cfg), QuadratureGrid.from_config(cfg)
-    factor = StiffnessFactor.build(basis, grid, cfg.sigma)
+    factor = StiffnessFactor.build(basis, grid, cfg.sigma, _y_tables(basis, grid))
     nm, J, _ = factor.blocks.shape
     norms = np.linalg.norm(factor.blocks, 2, axis=(1, 2))
     for rhs in (rng.standard_normal(nm * J), rng.standard_normal((nm * J, 8)),
@@ -294,8 +301,8 @@ def test_stacked_solve_is_backward_stable_at_dim_1600(rng):
 def test_indefinite_energy_blocks_rejected(parts, cfg, monkeypatch):
     # the definiteness check of build: a block with a negative eigenvalue
     basis, grid = parts
-    blocks = stiffness_blocks(basis, grid, cfg.sigma)
+    blocks = stiffness_blocks(basis, grid, cfg.sigma, _y_tables(basis, grid))
     blocks[-1] = -blocks[-1]
     monkeypatch.setattr("hingedplate.assembly.stiffness_blocks", lambda *args: blocks)
     with pytest.raises(AssemblyError, match="not positive definite"):
-        StiffnessFactor.build(basis, grid, cfg.sigma)
+        StiffnessFactor.build(basis, grid, cfg.sigma, _y_tables(basis, grid))

@@ -20,6 +20,7 @@ from hingedplate import (
     uniform_density,
 )
 from hingedplate.green import certify_green, certify_positivity_preserving, interior_probe_points
+from hingedplate.polarization import certify_duality
 
 
 def test_apply_linearity(default_system, rng):
@@ -185,8 +186,9 @@ def test_certify_green_solves_each_source_block_once(small_system, monkeypatch):
 
 
 def test_load_vector_reuses_the_system_tables(small_system, rng, monkeypatch):
-    # the system builds its per-axis basis tables once; loads and every
-    # sweep of the rearrangement loop only read them
+    # the system builds its per-axis basis tables once; loads, every sweep
+    # of the rearrangement loop and the certifications' field samples only
+    # read them
     calls = []
     axis_tables = SpectralBasis.axis_tables
 
@@ -200,6 +202,9 @@ def test_load_vector_reuses_the_system_tables(small_system, rng, monkeypatch):
         quadratic_form(small_system, f)
     assert calls == []
     minimize(small_system, uniform_density(small_system.grid, small_system.rule))
+    assert calls == []
+    certify_positivity_preserving(small_system)
+    certify_duality(small_system)
     assert calls == []
 
 
