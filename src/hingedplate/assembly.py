@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import SpectralBasis
-from .grid import QuadratureGrid, GridField
+from .grid import QuadratureGrid
 
 
 class AssemblyError(RuntimeError):
@@ -81,15 +81,17 @@ class WeightedMass:
         return ((self.S * self.S) @ self.A.reshape(nx, -1)).reshape(-1, J, J)
 
 
-def assemble_weighted_mass(basis: SpectralBasis, grid: QuadratureGrid, p: GridField,
+def assemble_weighted_mass(basis: SpectralBasis, grid: QuadratureGrid, p,
                            S: np.ndarray, L: np.ndarray) -> WeightedMass:
     """M_p (entry (a,b) = sum_nodes w p phi_a phi_b) on the tables (S, L) of
-    basis.axis_tables(grid); only the per-node moments A are computed here."""
+    basis.axis_tables(grid); only the per-node moments A are computed here.
+    `p` is any node field on the grid with finite `values` (a GridField or a
+    DensityField)."""
     p_min = p.values.min()
     if p_min <= 0.0:
         raise AssemblyError("density must be strictly positive at every node")
-    wpL = (grid.tensor_weights() * p.values)[:, :, None] * L   # (nx, ny, J)
-    A = np.matmul(wpL.transpose(0, 2, 1), L)                   # (nx, J, J)
+    wpL = (grid.weights * p.values)[:, :, None] * L   # (nx, ny, J)
+    A = np.matmul(wpL.transpose(0, 2, 1), L)          # (nx, J, J)
     if not np.all(np.isfinite(A)):
         raise AssemblyError("non-finite weighted mass moments")
     return WeightedMass(S=S, A=0.5 * (A + A.transpose(0, 2, 1)),

@@ -141,8 +141,8 @@ def cmd_optimize(args) -> int:
     agreement = (max(lam_vals) - min(lam_vals)) / min(lam_vals)
     assign = trace.final_density.alpha_assignment()
     asym_nodes = int(np.sum(assign != assign[::-1, :]))
-    heavy_x = np.repeat(system.grid.nodes_x, system.grid.shape[1])[~assign.ravel()]
-    heavy_y = np.tile(system.grid.nodes_y, system.grid.shape[0])[~assign.ravel()]
+    heavy_x = system.grid.nodes_x[~assign.all(axis=1)]  # rows with a heavy node
+    heavy_y = system.grid.nodes_y[~assign.all(axis=0)]
     write_json(manifest.register(out / "optimize_summary.json"), {
         "final_lambda_per_start": lambdas,
         "cross_start_relative_spread": agreement,

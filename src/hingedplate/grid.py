@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,7 +21,7 @@ class QuadratureGrid:
 
     Nodes are open-interval (no boundary points) and symmetric under the
     reflections x -> pi - x and y -> -y; the tensor weight of node (i, k)
-    is weights_x[i] * weights_y[k].
+    is weights[i, k] = weights_x[i] * weights_y[k].
     """
 
     nodes_x: np.ndarray
@@ -39,12 +40,12 @@ class QuadratureGrid:
     def shape(self):
         return (self.nodes_x.size, self.nodes_y.size)
 
-    def tensor_weights(self) -> np.ndarray:
-        """Node weights as an (n_quad_x, n_quad_y) matrix."""
-        return np.outer(self.weights_x, self.weights_y)
-
-    def flat_weights(self) -> np.ndarray:
-        return self.tensor_weights().ravel()
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Node weights as an (n_quad_x, n_quad_y) matrix, built once, read-only."""
+        w = np.outer(self.weights_x, self.weights_y)
+        w.flags.writeable = False
+        return w
 
     def meshgrid(self):
         """Node coordinates X, Y as (n_quad_x, n_quad_y) matrices."""
@@ -52,10 +53,7 @@ class QuadratureGrid:
 
     def integrate(self, values: np.ndarray) -> float:
         """Quadrature of node values (matrix or flat vector)."""
-        return float(np.sum(self.tensor_weights() * np.asarray(values).reshape(self.shape)))
-
-    def max_node_weight(self) -> float:
-        return float(self.weights_x.max() * self.weights_y.max())
+        return float(np.sum(self.weights * np.asarray(values).reshape(self.shape)))
 
 
 @dataclass(frozen=True)

@@ -79,7 +79,7 @@ class DensityField:
         return self.values < 0.5 * (self.rule.alpha + self.rule.beta)
 
     def sublevel_measure(self) -> float:
-        return float(np.sum(self.grid.tensor_weights()[self.alpha_assignment()]))
+        return float(np.sum(self.grid.weights[self.alpha_assignment()]))
 
     def gray_nodes(self) -> int:
         strict = (self.values > self.rule.alpha + 1e-12) \
@@ -91,21 +91,20 @@ def uniform_density(grid: QuadratureGrid, rule: AdmissibleWeightRule) -> Density
     return DensityField(grid, np.ones(grid.shape), rule)
 
 
-def _fill_with_gray_node(values_flat, grid: QuadratureGrid, rule: AdmissibleWeightRule,
+def _fill_with_gray_node(order, grid: QuadratureGrid, rule: AdmissibleWeightRule,
                          target_measure, fill, rest):
-    """(flat density, gray node): `fill` on the lowest-value nodes up to
+    """(flat density, gray node): `fill` on the first nodes of `order` up to
     `target_measure`, `rest` elsewhere, one gray node making the mass exact.
 
-    Nodes enter in ascending (value, x, y) order until the cumulative tensor
-    weight reaches the target; the node straddling it is the gray node.
+    `order` is a permutation of the flat node indices.  Nodes enter in that
+    order until the cumulative tensor weight reaches the target; the node
+    straddling it is the gray node.
     """
-    nx, ny = grid.shape
-    order = np.lexsort((np.tile(grid.nodes_y, nx), np.repeat(grid.nodes_x, ny), values_flat))
-    cum = np.cumsum(grid.flat_weights()[order])
+    cum = np.cumsum(grid.weights.ravel()[order])
     if not 0.0 < target_measure < cum[-1]:
         raise ValueError("target measure outside the grid total")
     r = int(np.searchsorted(cum, target_measure))
-    p = np.full(values_flat.size, rest, dtype=float)
+    p = np.full(order.size, rest, dtype=float)
     p[order[:r]] = fill
     gray_node = int(order[r])
     _close_mass(p, grid, rule, gray_node)
@@ -126,26 +125,24 @@ def _close_mass(p_flat, grid: QuadratureGrid, rule: AdmissibleWeightRule, node):
     falls on a node boundary (a strip of heavy share 1/2 ends at the midline).
     """
     p_flat[node] = 0.0
-    q = grid.tensor_weights() * p_flat.reshape(grid.shape)
-    value = (rule.target_mass - 0.5 * float(np.sum(q + q[::-1]))) / grid.flat_weights()[node]
+    q = grid.weights * p_flat.reshape(grid.shape)
+    value = (rule.target_mass - 0.5 * float(np.sum(q + q[::-1]))) / grid.weights.flat[node]
     p_flat[node] = min(rule.beta, max(rule.alpha, value))
 
 
 def bang_bang_from_values(values: GridField, rule: AdmissibleWeightRule):
     """Two-material density from node values: alpha on the low-value quantile.
 
-    The sublevel set S collects nodes in ascending (value, x, y) order until
-    its measure reaches sublevel_fraction * area; the one node straddling
-    the target gets the gray value restoring the exact mass.  Returns the
-    density and the squared threshold value t.
+    The sublevel set S collects nodes in ascending value, ties by flat node
+    index (x-major), until its measure reaches sublevel_fraction * area; the
+    one node straddling the target gets the gray value restoring the exact
+    mass.  Returns the density and the squared threshold value t.
     """
-    grid = values.grid
-    flat = values.flat()
+    grid, flat = values.grid, values.flat()
     target = rule.sublevel_fraction * rule.target_mass
-    p, gray_node = _fill_with_gray_node(flat, grid, rule, target, rule.alpha, rule.beta)
-    t = float(flat[gray_node]) ** 2
-    density = DensityField(grid, p.reshape(grid.shape), rule)
-    return density, t
+    p, gray_node = _fill_with_gray_node(np.argsort(flat, kind="stable"), grid, rule,
+                                        target, rule.alpha, rule.beta)
+    return DensityField(grid, p.reshape(grid.shape), rule), float(flat[gray_node]) ** 2
 
 
 def rearrange(u: SpectralField, system: PlateSystem):
@@ -168,7 +165,7 @@ def random_admissible_density(grid: QuadratureGrid, rule: AdmissibleWeightRule,
                               rng: np.random.Generator) -> DensityField:
     """Uniformly random node values shifted and clipped to the exact mass."""
     raw = rng.uniform(rule.alpha, rule.beta, size=grid.shape)
-    w = grid.tensor_weights()
+    w = grid.weights
     lo, hi = rule.alpha - rule.beta, rule.beta - rule.alpha
 
     def mass(shift):
@@ -193,18 +190,16 @@ def strip_density(grid: QuadratureGrid, rule: AdmissibleWeightRule,
     """All heavy material packed against one short edge (an asymmetric start).
 
     The heavy strip gets the measure (1-alpha)/(beta-alpha) * area that the
-    mass constraint allows; one gray node makes the mass exact.
+    mass constraint allows; one gray node makes the mass exact.  The left
+    strip fills in flat (x-major) order; the right strip is its mirror image,
+    gray value included, as _close_mass sums over mirror pairs.
     """
-    xs = np.repeat(grid.nodes_x, grid.shape[1])
-    if side == "left":
-        key = xs
-    elif side == "right":
-        key = -xs
-    else:
+    if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     heavy_measure = (1.0 - rule.alpha) / (rule.beta - rule.alpha) * rule.target_mass
-    p, _ = _fill_with_gray_node(key, grid, rule, heavy_measure, rule.beta, rule.alpha)
-    return DensityField(grid, p.reshape(grid.shape), rule)
+    p = _fill_with_gray_node(np.arange(grid.weights.size), grid, rule, heavy_measure,
+                             rule.beta, rule.alpha)[0].reshape(grid.shape)
+    return DensityField(grid, p if side == "left" else p[::-1].copy(), rule)
 
 
 @dataclass(frozen=True)
@@ -280,12 +275,12 @@ class PlateSystem:
 
     def solve_density(self, p: DensityField) -> Eigenpair:
         """First pair at density p."""
-        return solve_first(self, assemble_weighted_mass(
-            self.basis, self.grid, GridField(self.grid, p.values), self.S, self.L))
+        return solve_first(self, assemble_weighted_mass(self.basis, self.grid, p,
+                                                        self.S, self.L))
 
     def load_vector(self, f: GridField) -> np.ndarray:
         """Galerkin load, entry a = sum_nodes w f phi_a."""
-        return (self.S @ (self.grid.tensor_weights() * f.values) @ self.L).ravel()
+        return (self.S @ (self.grid.weights * f.values) @ self.L).ravel()
 
 
 def minimize(system: PlateSystem, initial_p: DensityField) -> OptimizationTrace:
@@ -303,21 +298,18 @@ def minimize(system: PlateSystem, initial_p: DensityField) -> OptimizationTrace:
     cfg = system.cfg
     p = initial_p
     records = []
-    prev_assign = None
-    prev_lambda = None
     status = None
     for it in range(cfg.opt_max_iter + 1):
         pair = system.solve_density(p)
-        if prev_lambda is not None and pair.lambda1 > prev_lambda * (1.0 + 1e-10):
+        last = records[-1].lambda1 if records else float("nan")  # NaN: no comparison holds
+        if pair.lambda1 > last * (1.0 + 1e-10):
             raise MonotonicityError(
-                f"sweep {it}: eigenvalue rose from {prev_lambda!r} to {pair.lambda1!r}"
+                f"sweep {it}: eigenvalue rose from {last!r} to {pair.lambda1!r}"
             )
         new_p, t = rearrange(pair.u, system)
-        assign = new_p.alpha_assignment()
-        if prev_assign is None:
-            change = float("nan")  # start density need not be two-material
-        else:
-            change = float(np.sum(system.grid.tensor_weights()[assign != prev_assign]))
+        changed = new_p.alpha_assignment() != p.alpha_assignment()
+        # the start density need not be two-material: its sweep records NaN
+        change = float(np.sum(system.grid.weights[changed])) if records else float("nan")
         records.append(TraceRecord(
             iteration=it,
             lambda1=pair.lambda1,
@@ -328,19 +320,16 @@ def minimize(system: PlateSystem, initial_p: DensityField) -> OptimizationTrace:
             residual=pair.residual,
             gap=pair.gap,
         ))
-        if prev_assign is not None and change == 0.0 \
-                and np.array_equal(new_p.values, p.values):
+        if change == 0.0 and np.array_equal(new_p.values, p.values):
             # rearranging reproduced the current density exactly
             status = "fixed_point"
             break
-        if prev_lambda is not None and abs(pair.lambda1 - prev_lambda) <= cfg.opt_tol * prev_lambda:
+        if abs(pair.lambda1 - last) <= cfg.opt_tol * last:
             status = "lambda_stagnant"
             break
         if it == cfg.opt_max_iter:
             status = "max_iter"
             break
-        prev_assign = assign
-        prev_lambda = pair.lambda1
         p = new_p
     return OptimizationTrace(
         records=records, status=status, final_density=p, final_eigenpair=pair,

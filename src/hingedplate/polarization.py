@@ -43,7 +43,7 @@ def theta1_quotient(p: DensityField, v: GridField, system: PlateSystem) -> float
     Maximized exactly by the first eigenfunction, where it equals the
     inverse of the first eigenvalue.
     """
-    w = p.grid.flat_weights()
+    w = p.grid.weights.ravel()
     pv = p.values.ravel() * v.flat()
     denom = float(np.sum(w * p.values.ravel() * v.flat() ** 2))
     if denom <= 0.0:
@@ -73,7 +73,7 @@ def certify_polarization(system: PlateSystem) -> list:
     rng = np.random.default_rng(POLARIZATION_SEED)
     res = f"n_quad={grid.shape[0]}x{grid.shape[1]}, fields={POLARIZATION_FIELDS}"
     X, Y = grid.meshgrid()
-    w = grid.flat_weights()
+    w = grid.weights.ravel()
 
     idem_err = 0.0
     pairsum_err = 0.0

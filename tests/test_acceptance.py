@@ -90,10 +90,10 @@ def test_criterion_2_multistart_agreement_and_symmetry(optimization_batch):
     lams = [trace.final_lambda for _, trace, _ in runs]
     spread = (max(lams) - min(lams)) / min(lams)
     assert spread <= 1e-8, f"multistart spread {spread:.3e}"
-    w_node = system.grid.max_node_weight()
+    w_node = system.grid.weights.max()
     for name, trace, _ in runs:
         assign = trace.final_density.alpha_assignment()
-        asym_w = float(np.sum(system.grid.tensor_weights()[assign != assign[::-1, :]]))
+        asym_w = float(np.sum(system.grid.weights[assign != assign[::-1, :]]))
         assert asym_w <= 8.0 * w_node, (name, asym_w)
         heavy_x = np.repeat(system.grid.nodes_x,
                             system.grid.shape[1])[~assign.ravel()]
@@ -111,7 +111,7 @@ def test_criterion_3_bang_bang_structure(optimization_batch):
             density = trace.final_density
             assert density.gray_nodes() <= 1, (cfg, name)
             assert abs(density.sublevel_measure() - target) \
-                <= system.grid.max_node_weight()
+                <= system.grid.weights.max()
             assert density.mass == pytest.approx(system.rule.target_mass, rel=1e-10)
             checked += 1
     print(f"\nCRITERION 3 PASS: {checked} converged densities two-valued "

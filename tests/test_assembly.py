@@ -69,7 +69,7 @@ def test_stiffness_blocks_match_energy_form_on_grid(parts, cfg):
     # diagonal checks both the sine-mode decoupling and the per-mode formula.
     basis, grid = parts
     X, Y = grid.meshgrid()
-    pts, w = np.column_stack([X.ravel(), Y.ravel()]), grid.flat_weights()
+    pts, w = np.column_stack([X.ravel(), Y.ravel()]), grid.weights.ravel()
     xx = basis.eval_matrix(pts, dx=2)
     yy = basis.eval_matrix(pts, dy=2)
     xy = basis.eval_matrix(pts, dx=1, dy=1)
@@ -183,7 +183,7 @@ def test_mass_matrix_matches_dense_basis_product(parts, cfg, rng):
     M = _mass(basis, grid, p.values)
     X, Y = grid.meshgrid()
     phi = basis.eval_matrix(np.column_stack([X.ravel(), Y.ravel()]))
-    ref = (phi * (grid.flat_weights() * p.values.ravel())) @ phi.T
+    ref = (phi * (grid.weights.ravel() * p.values.ravel())) @ phi.T
     tol = 1e-14 * np.abs(ref).max()
     n, J = basis.dimension, basis.n_basis_y
     assert np.abs(M.apply(np.eye(n)) - ref).max() <= tol
@@ -203,7 +203,7 @@ def test_load_vector_matches_dense_basis_product(cfg, rng):
     f = GridField(system.grid, rng.standard_normal(system.grid.shape))
     X, Y = system.grid.meshgrid()
     phi = system.basis.eval_matrix(np.column_stack([X.ravel(), Y.ravel()]))
-    ref = phi @ (system.grid.flat_weights() * f.flat())
+    ref = phi @ (system.grid.weights.ravel() * f.flat())
     assert np.abs(system.load_vector(f) - ref).max() <= 1e-14 * np.abs(ref).max()
 
 

@@ -86,6 +86,34 @@ def test_empty_density_file_exits_2(tmp_path, small_config_file, capsys, flag):
     assert "must have columns x, y, <value>" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["blank-line", "non-numeric", "extra-field", "short"])
+def test_malformed_density_file_exits_2_naming_file_and_line(tmp_path, small_config_file,
+                                                             capsys, case):
+    grid = QuadratureGrid.from_config(PlateConfig(**SMALL))
+    density_path = tmp_path / "density.csv"
+    write_grid_csv(density_path, grid, np.ones(grid.shape), value_name="p")
+    lines = density_path.read_bytes().split(b"\r\n")  # the last entry is empty
+    n_rows = grid.shape[0] * grid.shape[1]
+    if case == "blank-line":
+        lines.append(b"")  # a second CRLF after the last row
+        expected = f"line {n_rows + 2}:"
+    elif case == "non-numeric":
+        lines[5] = lines[5].rsplit(b",", 1)[0] + b",abc"
+        expected = "line 6:"
+    elif case == "extra-field":
+        lines[3] += b",7"
+        expected = "line 4:"
+    else:
+        lines = lines[:5] + [b""]
+        expected = f"has 4 rows, grid needs {n_rows}"
+    density_path.write_bytes(b"\r\n".join(lines))
+    rc = main(["solve", "--config", str(small_config_file),
+               "--out", str(tmp_path / "run"), "--density", str(density_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"density file {density_path}" in err and expected in err, err
+
+
 def test_solve_rejects_bad_config(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"alpha": 1.5}))

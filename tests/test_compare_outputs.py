@@ -1,0 +1,41 @@
+import importlib.util
+from pathlib import Path
+
+_TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
+_spec = importlib.util.spec_from_file_location("compare_outputs", _TOOL)
+compare_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_outputs)
+
+
+def _tree(root: Path, files: dict) -> Path:
+    for name, data in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    return root
+
+
+FILES = {"solve/eigenpair.json": b'{"lambda1": 1.0}\n',
+         "optimize/uniform/trace.csv": b"iter,lambda1\r\n0,1.0\r\n",
+         "manifest.jsonl": b'{"wall_clock_seconds": 0.1}\n'}
+
+
+def test_identical_trees_have_no_differences(tmp_path):
+    old = _tree(tmp_path / "old", FILES)
+    # manifests carry wall-clock time and are skipped
+    new = _tree(tmp_path / "new", {**FILES, "manifest.jsonl": b'{"wall_clock_seconds": 0.2}\n'})
+    assert compare_outputs.compare_dirs(old, new) == []
+
+
+def test_one_changed_byte_is_a_difference(tmp_path):
+    old = _tree(tmp_path / "old", FILES)
+    new = _tree(tmp_path / "new", {**FILES, "optimize/uniform/trace.csv":
+                                   b"iter,lambda1\r\n0,1.1\r\n"})
+    assert compare_outputs.compare_dirs(old, new) == ["differs: optimize/uniform/trace.csv"]
+
+
+def test_missing_file_is_a_difference(tmp_path):
+    old = _tree(tmp_path / "old", FILES)
+    new = _tree(tmp_path / "new", {k: v for k, v in FILES.items() if not k.startswith("solve")})
+    assert compare_outputs.compare_dirs(old, new) == ["only in old: solve/eigenpair.json"]
+    assert compare_outputs.compare_dirs(new, old) == ["only in new: solve/eigenpair.json"]

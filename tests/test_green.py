@@ -130,7 +130,7 @@ def test_reflection_gap_positive_inside_half(default_system):
 def test_quadratic_form_matches_direct_pairing(default_system, rng):
     f = GridField(default_system.grid, rng.standard_normal(default_system.grid.shape))
     u = apply(default_system, f)
-    w = default_system.grid.tensor_weights()
+    w = default_system.grid.weights
     direct = float(np.sum(w * evaluate_on_grid(u, default_system.grid).values * f.values))
     assert quadratic_form(default_system, f) == pytest.approx(direct, rel=1e-12)
 

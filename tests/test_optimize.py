@@ -67,6 +67,41 @@ def test_rearrange_constant_tie_break(small_system):
     assert not col_has_beta[:first_beta].any()
 
 
+def _lexsort_order(grid, key_flat):
+    # reference fill order: ascending (key, x, y), the coordinates as keys
+    nx, ny = grid.shape
+    return np.lexsort((np.tile(grid.nodes_y, nx), np.repeat(grid.nodes_x, ny), key_flat))
+
+
+@pytest.mark.parametrize("cfg", [None, PlateConfig(n_quad_x=160, n_quad_y=32)],
+                         ids=["32x16", "160x32"])
+def test_fill_order_is_lexsort_on_value_x_y(small_system, rng, monkeypatch, cfg):
+    # the stable sort on the value alone orders nodes as the (value, x, y)
+    # lexsort does, on fields with no ties, many ties, signed zeros and
+    # exact mirror symmetry; the density is the lexsort fill bit for bit
+    grid = small_system.grid if cfg is None else QuadratureGrid.from_config(cfg)
+    rule = small_system.rule
+    fill = hingedplate.optimize._fill_with_gray_node
+    orders = []
+    monkeypatch.setattr(hingedplate.optimize, "_fill_with_gray_node",
+                        lambda order, *args: orders.append(order) or fill(order, *args))
+    raw = rng.uniform(0.05, 2.0, size=grid.shape)
+    fields = {
+        "random": raw,
+        "tied": np.round(raw, 1),
+        "signed-zero": rng.choice([-0.0, 0.0, 1.0], size=grid.shape),
+        "mirror": raw + raw[::-1],
+        "constant": np.ones(grid.shape),
+    }
+    for name, vals in fields.items():
+        density, _ = bang_bang_from_values(GridField(grid, vals), rule)
+        ref = _lexsort_order(grid, vals.ravel())
+        assert np.array_equal(orders.pop(), ref), name
+        p, _ = fill(ref, grid, rule, rule.sublevel_fraction * rule.target_mass,
+                    rule.alpha, rule.beta)
+        assert np.array_equal(density.values.ravel().view(np.int64), p.view(np.int64)), name
+
+
 def test_rearrange_requires_positive_field(small_system):
     system = small_system
     u = _mode_field(system, {(2, 0): 1.0})  # sin(2x) changes sign
@@ -83,7 +118,7 @@ def test_rearranged_density_is_admissible(small_system, rng):
         assert density.mass == pytest.approx(area, rel=1e-12)
         assert density.gray_nodes() <= 1
         target = system.rule.sublevel_fraction * area
-        assert abs(density.sublevel_measure() - target) <= system.grid.max_node_weight()
+        assert abs(density.sublevel_measure() - target) <= system.grid.weights.max()
 
 
 def test_rearrange_maximizes_weighted_mass(small_system, rng):
@@ -91,7 +126,7 @@ def test_rearrange_maximizes_weighted_mass(small_system, rng):
     system = small_system
     vals = rng.uniform(0.05, 2.0, size=system.grid.shape)
     density, _ = bang_bang_from_values(GridField(system.grid, vals), system.rule)
-    w = system.grid.tensor_weights()
+    w = system.grid.weights
     best = np.sum(w * density.values * vals ** 2)
     for _ in range(200):
         q = random_admissible_density(system.grid, system.rule, rng)
@@ -128,7 +163,7 @@ def test_minimize_trace_monotone_and_admissible(small_system, monkeypatch):
         assert density.mass == pytest.approx(area, rel=1e-10)
         assert density.gray_nodes() <= 1
         target = system.rule.sublevel_fraction * area
-        assert abs(density.sublevel_measure() - target) <= system.grid.max_node_weight()
+        assert abs(density.sublevel_measure() - target) <= system.grid.weights.max()
 
 
 def test_minimize_single_iteration_cap(small_system):
@@ -285,7 +320,7 @@ def test_random_start_bisection_stops_where_the_full_loop_lands(rng):
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
                 clipped = np.clip(raw + mid, rule.alpha, rule.beta)
-                if float(np.sum(grid.tensor_weights() * clipped)) < rule.target_mass:
+                if float(np.sum(grid.weights * clipped)) < rule.target_mass:
                     lo = mid
                 else:
                     hi = mid
@@ -326,6 +361,23 @@ def test_strip_density_shapes(small_system):
     assert left.values[: nx // 4].mean() > left.values[-nx // 4:].mean()
     with pytest.raises(ValueError):
         strip_density(small_system.grid, small_system.rule, "middle")
+
+
+@pytest.mark.parametrize("cfg", [PlateConfig(n_modes_x=8, n_basis_y=6, n_quad_x=32, n_quad_y=16),
+                                 PlateConfig(), PlateConfig(alpha=0.5, beta=1.5)],
+                         ids=["small", "default", "share-one-half"])
+def test_right_strip_is_the_mirrored_left_strip_bit_for_bit(cfg):
+    # also the right strip of the (-x, x, y) lexsort fill, gray node included
+    grid = QuadratureGrid.from_config(cfg)
+    rule = AdmissibleWeightRule.from_config(cfg)
+    left = strip_density(grid, rule, "left").values
+    right = strip_density(grid, rule, "right").values
+    assert np.array_equal(right.view(np.int64), left[::-1].view(np.int64))
+    heavy = (1.0 - rule.alpha) / (rule.beta - rule.alpha) * rule.target_mass
+    ref, _ = hingedplate.optimize._fill_with_gray_node(
+        _lexsort_order(grid, -np.repeat(grid.nodes_x, grid.shape[1])), grid, rule,
+        heavy, rule.beta, rule.alpha)
+    assert np.array_equal(right.ravel().view(np.int64), ref.view(np.int64))
 
 
 def test_strip_of_heavy_share_one_half_ends_at_the_midline():

@@ -81,7 +81,7 @@ def test_polarized_two_material_identities(seed):
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=0.0)
     # mass and weighted energy preserved
     assert p_h.mass == pytest.approx(rule.target_mass, rel=1e-10)
-    w = grid.tensor_weights()
+    w = grid.weights
     e_u = float(np.sum(w * p_u.values * u.values ** 2))
     e_h = float(np.sum(w * p_h.values * u_h.values ** 2))
     assert e_h == pytest.approx(e_u, rel=1e-12)

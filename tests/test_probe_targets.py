@@ -4,8 +4,8 @@ still fits the probe's counters.
 perfbench/probes.py patches hingedplate's public names from outside the
 package and its counters read their arguments; a renamed function or a
 changed signature would only surface in a traced benchmark run.
-Installing the probes and running two commands under them here turns that
-into a test failure.
+Installing the probes and running solve, optimize and certify under them
+here turns that into a test failure.
 """
 
 import json
@@ -24,7 +24,8 @@ rec = probes.SpanRecorder(0)
 probes.install(rec)
 cfg, out = sys.argv[1], sys.argv[2]
 codes = [main(["solve", "--config", cfg, "--out", out + "/solve"]),
-         main(["optimize", "--config", cfg, "--init", "uniform", "--out", out + "/optimize"])]
+         main(["optimize", "--config", cfg, "--init", "uniform", "--out", out + "/optimize"]),
+         main(["certify", "--config", cfg, "--suite", "all", "--out", out + "/certify"])]
 print(json.dumps({"codes": codes, "layers": rec.layer_metrics()}))
 """
 
@@ -40,5 +41,9 @@ def test_probes_install_on_current_package(tmp_path):
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 0]
-    assert result["layers"]["assembly.assemble_weighted_mass.calls"] > 0
+    assert result["codes"] == [0, 0, 0]
+    layers = result["layers"]
+    assert layers["assembly.assemble_weighted_mass.calls"] > 0
+    # run_suite's reports and certify_series' keywords reach their counters
+    assert layers["certify.claims"] == 25
+    assert layers["series.certify_series.computed_sin_evaluations"] > 0

@@ -1,0 +1,95 @@
+"""Check that two source trees write byte-identical CLI outputs.
+
+Usage, from the root of a checkout:
+
+    python3 tools/compare_outputs.py OLD_SRC NEW_SRC CONFIG [CONFIG ...]
+
+OLD_SRC and NEW_SRC are directories holding the ``hingedplate`` package
+(a checkout's ``src``).  Each CONFIG is a config JSON path, or ``default``
+for the built-in config.  For every config, each tree runs, in its own
+Python subprocess,
+
+    solve
+    optimize --seed 7
+    optimize --init right-heavy
+    certify --suite all
+
+into a fresh output directory.  The two directories are then compared file
+by file, bytes and file sets, skipping the run manifests
+(``manifest.jsonl``), which carry wall-clock time.  A command whose exit
+code differs between the trees counts as a difference too.  Every
+difference is listed; the exit code is 1 if there is any, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+COMMANDS = {
+    "solve": ["solve"],
+    "optimize-seed-7": ["optimize", "--seed", "7"],
+    "optimize-right-heavy": ["optimize", "--init", "right-heavy"],
+    "certify-all": ["certify", "--suite", "all"],
+}
+SKIPPED = {"manifest.jsonl"}
+
+
+def compare_dirs(old: Path, new: Path) -> list:
+    """Differences between two output directories, one line each: files
+    present on one side only and files whose bytes differ."""
+    def files(root):
+        return {p.relative_to(root).as_posix() for p in Path(root).rglob("*")
+                if p.is_file() and p.name not in SKIPPED}
+
+    old_files, new_files = files(old), files(new)
+    diffs = [f"only in old: {f}" for f in sorted(old_files - new_files)]
+    diffs += [f"only in new: {f}" for f in sorted(new_files - old_files)]
+    diffs += [f"differs: {f}" for f in sorted(old_files & new_files)
+              if (Path(old) / f).read_bytes() != (Path(new) / f).read_bytes()]
+    return diffs
+
+
+def run_tree(src: Path, config: str, out: Path) -> dict:
+    """Run every command with the package from `src`; command -> exit code."""
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+    cfg = [] if config == "default" else ["--config", str(Path(config).resolve())]
+    codes = {}
+    for name, argv in COMMANDS.items():
+        proc = subprocess.run([sys.executable, "-m", "hingedplate.cli", *argv, *cfg,
+                               "--out", str(out / name)],
+                              env=env, capture_output=True, text=True)
+        codes[name] = proc.returncode
+    return codes
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    parser.add_argument("configs", nargs="+", help="config JSON paths or 'default'")
+    args = parser.parse_args(argv)
+    differences = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, config in enumerate(args.configs):
+            old, new = Path(tmp) / f"{k}-old", Path(tmp) / f"{k}-new"
+            old_codes = run_tree(args.old_src, config, old)
+            new_codes = run_tree(args.new_src, config, new)
+            diffs = [f"exit code of {name}: {old_codes[name]} -> {new_codes[name]}"
+                     for name in COMMANDS if old_codes[name] != new_codes[name]]
+            diffs += compare_dirs(old, new)
+            n_files = sum(1 for p in new.rglob("*") if p.is_file())
+            print(f"{config}: {len(diffs)} differences, {n_files} files, "
+                  f"exit codes {new_codes}")
+            for line in diffs:
+                print(f"  {line}")
+            differences += len(diffs)
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
