@@ -11,10 +11,8 @@ precisely for symmetric or wholly one-sided fields.
 import numpy as np
 
 from hingedplate import (
-    GridField,
     PlateConfig,
     PlateSystem,
-    evaluate_on_grid,
     polarization_energy_gap,
     polarize,
     theta1_quotient,
@@ -26,7 +24,7 @@ system = PlateSystem(cfg)
 
 p = uniform_density(system.grid, system.rule)
 pair = system.solve_density(p)
-u = evaluate_on_grid(pair.u, system.grid)
+u = system.grid_values(pair.u)
 q = theta1_quotient(p, u, system)
 print("dual quotient at the first eigenfunction:")
 print(f"  quotient * lambda1 = {q * pair.lambda1:.15f}  (exactly 1 in theory)")
@@ -34,7 +32,7 @@ print(f"  quotient * lambda1 = {q * pair.lambda1:.15f}  (exactly 1 in theory)")
 rng = np.random.default_rng(3)
 worst = -np.inf
 for _ in range(200):
-    v = GridField(system.grid, rng.standard_normal(system.grid.shape))
+    v = rng.standard_normal(system.grid.shape)
     worst = max(worst, theta1_quotient(p, v, system) * pair.lambda1)
 print(f"  best of 200 random trial fields: {worst:.6f}  (below 1)")
 
@@ -47,7 +45,7 @@ cases = {
 }
 print("\nkernel-form gain from polarizing the two-material load:")
 for name, vals in cases.items():
-    u_case = GridField(system.grid, vals - min(vals.min(), 0.0) + 0.02)
+    u_case = vals - min(vals.min(), 0.0) + 0.02
     gap = polarization_energy_gap(u_case, system)
     print(f"  {name:>14}: gap = {gap:+.3e}")
 print("(zero for symmetric and one-sided fields, strictly positive when the")
@@ -55,4 +53,4 @@ print(" dominance genuinely mixes sides)")
 
 u_h = polarize(u)
 print(f"\nthe optimal eigenfunction is already balanced: polarizing it moves")
-print(f"values by at most {np.abs(u_h.values - u.values).max():.2e}")
+print(f"values by at most {np.abs(u_h - u).max():.2e}")

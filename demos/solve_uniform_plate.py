@@ -9,7 +9,7 @@ beyond 1 changes nothing, which is a nice sanity check of the assembly.
 
 import numpy as np
 
-from hingedplate import PlateConfig, PlateSystem, evaluate_on_grid, uniform_density
+from hingedplate import PlateConfig, PlateSystem, uniform_density
 
 print("basis convergence of lambda1 for the homogeneous plate")
 print(f"{'M':>4} {'J':>4} {'lambda1':>22} {'residual':>12}")
@@ -22,7 +22,7 @@ for M, J in [(4, 4), (4, 8), (4, 12), (10, 12), (20, 12)]:
 cfg = PlateConfig()
 system = PlateSystem(cfg)
 pair = system.solve_density(uniform_density(system.grid, system.rule))
-u = evaluate_on_grid(pair.u, system.grid).values
+u = system.grid_values(pair.u)
 
 print("\nfirst eigenfunction at the default resolution:")
 print(f"  min over nodes        {u.min():.6f}   (positive throughout)")

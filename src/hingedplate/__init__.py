@@ -11,7 +11,7 @@ properties that underpin the symmetry analysis of the optimal plate.
 __version__ = "0.1.0"
 
 from .config import AdmissibleWeightRule, PlateConfig, load_config
-from .grid import GridField, QuadratureGrid
+from .grid import QuadratureGrid
 from .basis import SpectralBasis, SpectralField, evaluate_on_grid
 from .assembly import StiffnessFactor, assemble_weighted_mass
 from .eigensolve import Eigenpair, SolverError, rayleigh_quotient, solve_first

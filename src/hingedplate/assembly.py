@@ -81,21 +81,20 @@ class WeightedMass:
         return ((self.S * self.S) @ self.A.reshape(nx, -1)).reshape(-1, J, J)
 
 
-def assemble_weighted_mass(basis: SpectralBasis, grid: QuadratureGrid, p,
+def assemble_weighted_mass(basis: SpectralBasis, grid: QuadratureGrid, p: np.ndarray,
                            S: np.ndarray, L: np.ndarray) -> WeightedMass:
     """M_p (entry (a,b) = sum_nodes w p phi_a phi_b) on the tables (S, L) of
     basis.axis_tables(grid); only the per-node moments A are computed here.
-    `p` is any node field on the grid with finite `values` (a GridField or a
-    DensityField)."""
-    p_min = p.values.min()
+    `p` is the (n_quad_x, n_quad_y) array of density values at the nodes."""
+    p_min = p.min()
     if p_min <= 0.0:
         raise AssemblyError("density must be strictly positive at every node")
-    wpL = (grid.weights * p.values)[:, :, None] * L   # (nx, ny, J)
+    wpL = (grid.weights * p)[:, :, None] * L          # (nx, ny, J)
     A = np.matmul(wpL.transpose(0, 2, 1), L)          # (nx, J, J)
     if not np.all(np.isfinite(A)):
         raise AssemblyError("non-finite weighted mass moments")
     return WeightedMass(S=S, A=0.5 * (A + A.transpose(0, 2, 1)),
-                        contrast=float(p.values.max() / p_min))
+                        contrast=float(p.max() / p_min))
 
 
 @dataclass(frozen=True)

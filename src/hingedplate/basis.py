@@ -16,7 +16,7 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from .config import PlateConfig
-from .grid import QuadratureGrid, GridField
+from .grid import QuadratureGrid
 
 
 def _legendre_tables(y: np.ndarray, n_funcs: int, ell: float, max_deriv: int = 0):
@@ -117,9 +117,9 @@ class SpectralField:
 
 
 def evaluate_on_grid(field: SpectralField, grid: QuadratureGrid,
-                     dx: int = 0, dy: int = 0) -> GridField:
+                     dx: int = 0, dy: int = 0) -> np.ndarray:
     """Field (or a derivative) sampled at all quadrature nodes."""
     basis = field.basis
     fx, fy = basis.axis_tables(grid, dx=dx, dy=dy)
     coeffs = field.coefficients.reshape(basis.n_modes_x, basis.n_basis_y)
-    return GridField(grid, fx.T @ coeffs @ fy.T)
+    return fx.T @ coeffs @ fy.T

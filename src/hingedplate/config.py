@@ -67,11 +67,20 @@ class PlateConfig:
                 if isinstance(v, bool) or not isinstance(v, numbers.Real):
                     raise ValueError(f"{f.name} must be a number, got {v!r}")
                 # an int bound would make int arrays of np.full(n, beta)
-                object.__setattr__(self, f.name, float(v))
+                try:
+                    v = float(v)
+                except OverflowError:  # an int beyond the float range
+                    v = math.inf
+                if not math.isfinite(v):
+                    raise ValueError(f"{f.name} must be finite, got {v!r}")
+                object.__setattr__(self, f.name, v)
         if not 0.0 <= self.sigma < 1.0:
             raise ValueError(f"sigma must lie in [0, 1), got {self.sigma}")
         if not self.ell > 0.0:
             raise ValueError(f"ell must be positive, got {self.ell}")
+        if not math.isfinite(self.ell * self.ell):
+            # the y-derivative tables divide by ell**2: OverflowError above ~1.34e154
+            raise ValueError(f"ell={self.ell} is too large: ell**2 overflows")
         if not 0.0 < self.alpha < 1.0 < self.beta:
             raise ValueError(
                 f"density bounds must satisfy 0 < alpha < 1 < beta, "

@@ -15,7 +15,7 @@ import numpy as np
 
 from .basis import SpectralField
 from .certify import make_report
-from .grid import GridField, QuadratureGrid
+from .grid import QuadratureGrid
 from .optimize import PlateSystem
 
 POSITIVITY_LOADS = 50
@@ -25,14 +25,14 @@ PROBES_X = 20
 PROBES_Y = 10
 
 
-def apply(system: PlateSystem, f: GridField) -> SpectralField:
-    """Solve the plate problem with load f."""
+def apply(system: PlateSystem, f: np.ndarray) -> SpectralField:
+    """Solve the plate problem with the load of node values f."""
     c = system.factor.solve(system.load_vector(f))
     return SpectralField(system.basis, c)
 
 
-def quadratic_form(system: PlateSystem, f: GridField) -> float:
-    """Energy pairing int (G f) f, evaluated as load^T K^{-1} load."""
+def quadratic_form(system: PlateSystem, f: np.ndarray) -> float:
+    """Energy pairing int (G f) f of node values f, as load^T K^{-1} load."""
     load = system.load_vector(f)
     return float(load @ system.factor.solve(load))
 
@@ -170,7 +170,7 @@ def certify_positivity_preserving(system: PlateSystem) -> list:
     total = 0
     for _ in range(POSITIVITY_LOADS):
         f = _random_nonnegative_load(rng, X, Y, cfg.ell)
-        u = apply(system, GridField(system.grid, f))
+        u = apply(system, f)
         uvals = system.grid_values(u)
         min_u = min(min_u, float(uvals.min()))
         s0 = u.coefficients @ D0

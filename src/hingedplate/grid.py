@@ -1,4 +1,5 @@
-"""Tensor Gauss-Legendre quadrature grid and node-sampled fields."""
+"""Tensor Gauss-Legendre quadrature grid; a field's node values on it are
+one (n_quad_x, n_quad_y) array, row i at nodes_x[i]."""
 
 from __future__ import annotations
 
@@ -54,22 +55,3 @@ class QuadratureGrid:
     def integrate(self, values: np.ndarray) -> float:
         """Quadrature of node values (matrix or flat vector)."""
         return float(np.sum(self.weights * np.asarray(values).reshape(self.shape)))
-
-
-@dataclass(frozen=True)
-class GridField:
-    """Values of a scalar function at the quadrature nodes."""
-
-    grid: QuadratureGrid
-    values: np.ndarray  # (n_quad_x, n_quad_y)
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != self.grid.shape:
-            raise ValueError(f"values shape {vals.shape} does not match grid {self.grid.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("field contains non-finite values")
-        object.__setattr__(self, "values", vals)
-
-    def flat(self) -> np.ndarray:
-        return self.values.ravel()

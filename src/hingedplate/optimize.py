@@ -21,7 +21,7 @@ from .assembly import StiffnessFactor, assemble_weighted_mass
 from .basis import SpectralBasis, SpectralField, _legendre_tables, _sine_table
 from .config import AdmissibleWeightRule, PlateConfig
 from .eigensolve import Eigenpair, _rayleigh_ritz, solve_first
-from .grid import GridField, QuadratureGrid
+from .grid import QuadratureGrid
 
 LEFT_DOMINANT = "LEFT_DOMINANT"
 RIGHT_DOMINANT = "RIGHT_DOMINANT"
@@ -130,7 +130,8 @@ def _close_mass(p_flat, grid: QuadratureGrid, rule: AdmissibleWeightRule, node):
     p_flat[node] = min(rule.beta, max(rule.alpha, value))
 
 
-def bang_bang_from_values(values: GridField, rule: AdmissibleWeightRule):
+def bang_bang_from_values(values: np.ndarray, grid: QuadratureGrid,
+                          rule: AdmissibleWeightRule):
     """Two-material density from node values: alpha on the low-value quantile.
 
     The sublevel set S collects nodes in ascending value, ties by flat node
@@ -138,7 +139,7 @@ def bang_bang_from_values(values: GridField, rule: AdmissibleWeightRule):
     one node straddling the target gets the gray value restoring the exact
     mass.  Returns the density and the squared threshold value t.
     """
-    grid, flat = values.grid, values.flat()
+    flat = values.ravel()
     target = rule.sublevel_fraction * rule.target_mass
     p, gray_node = _fill_with_gray_node(np.argsort(flat, kind="stable"), grid, rule,
                                         target, rule.alpha, rule.beta)
@@ -152,13 +153,13 @@ def rearrange(u: SpectralField, system: PlateSystem):
     tables); the returned density equals alpha exactly where u <= sqrt(t)
     up to the single gray node.
     """
-    uvals = GridField(system.grid, system.grid_values(u))
-    if uvals.values.min() <= 0.0:
+    uvals = system.grid_values(u)
+    if uvals.min() <= 0.0:
         raise AnalysisError(
             f"eigenfunction not strictly positive on the grid "
-            f"(min {uvals.values.min():.3e}); cannot rearrange"
+            f"(min {uvals.min():.3e}); cannot rearrange"
         )
-    return bang_bang_from_values(uvals, system.rule)
+    return bang_bang_from_values(uvals, system.grid, system.rule)
 
 
 def random_admissible_density(grid: QuadratureGrid, rule: AdmissibleWeightRule,
@@ -275,12 +276,12 @@ class PlateSystem:
 
     def solve_density(self, p: DensityField) -> Eigenpair:
         """First pair at density p."""
-        return solve_first(self, assemble_weighted_mass(self.basis, self.grid, p,
+        return solve_first(self, assemble_weighted_mass(self.basis, self.grid, p.values,
                                                         self.S, self.L))
 
-    def load_vector(self, f: GridField) -> np.ndarray:
-        """Galerkin load, entry a = sum_nodes w f phi_a."""
-        return (self.S @ (self.grid.weights * f.values) @ self.L).ravel()
+    def load_vector(self, f: np.ndarray) -> np.ndarray:
+        """Galerkin load of node values f, entry a = sum_nodes w f phi_a."""
+        return (self.S @ (self.grid.weights * f) @ self.L).ravel()
 
 
 def minimize(system: PlateSystem, initial_p: DensityField) -> OptimizationTrace:

@@ -14,7 +14,6 @@ import numpy as np
 
 from .certify import make_report
 from .green import quadratic_form
-from .grid import GridField
 from .optimize import (DensityField, PlateSystem, bang_bang_from_values,
                        random_admissible_density, strip_density, uniform_density)
 
@@ -24,46 +23,46 @@ DUALITY_SEED = 997
 DUALITY_TRIALS = 100
 
 
-def polarize(v: GridField) -> GridField:
+def polarize(v: np.ndarray) -> np.ndarray:
     """Larger of (v, mirrored v) on the left half, smaller on the right.
 
-    Gauss x-nodes are mirror symmetric, so the mirror image is the rows
-    reversed.  Pure selection between existing floats: idempotent bit for
-    bit, and the pair sum v + v(mirror) is preserved nodewise exactly.
+    The Gauss x-nodes ascend and are mirror symmetric, so the mirror image
+    of the node values v is the rows reversed and the left half x < pi/2 is
+    the first n_quad_x // 2 rows.  Pure selection between existing floats:
+    idempotent bit for bit, and the pair sum v + v(mirror) is preserved
+    nodewise exactly.
     """
-    vm = v.values[::-1, :]
-    left = (v.grid.nodes_x < np.pi / 2)[:, None]
-    out = np.where(left, np.maximum(v.values, vm), np.minimum(v.values, vm))
-    return GridField(v.grid, out)
+    vm = v[::-1, :]
+    half = v.shape[0] // 2
+    out = np.minimum(v, vm)
+    out[:half] = np.maximum(v[:half], vm[:half])
+    return out
 
 
-def theta1_quotient(p: DensityField, v: GridField, system: PlateSystem) -> float:
-    """Kernel form quotient int G(p v) p v / int p v^2 of a trial field.
+def theta1_quotient(p: DensityField, v: np.ndarray, system: PlateSystem) -> float:
+    """Kernel form quotient int G(p v) p v / int p v^2 of trial node values v.
 
     Maximized exactly by the first eigenfunction, where it equals the
     inverse of the first eigenvalue.
     """
     w = p.grid.weights.ravel()
-    pv = p.values.ravel() * v.flat()
-    denom = float(np.sum(w * p.values.ravel() * v.flat() ** 2))
+    denom = float(np.sum(w * p.values.ravel() * v.ravel() ** 2))
     if denom <= 0.0:
         raise ValueError("trial field has vanishing weighted norm")
-    numer = quadratic_form(system, GridField(p.grid, pv.reshape(p.grid.shape)))
-    return numer / denom
+    return quadratic_form(system, p.values * v) / denom
 
 
-def polarization_energy_gap(u: GridField, system: PlateSystem) -> float:
+def polarization_energy_gap(u: np.ndarray, system: PlateSystem) -> float:
     """Kernel form of the polarized two-material load minus the original.
 
     Each load is the field weighted by its own two-material density.
     Expected nonnegative up to solver noise; zero exactly when the field is
     symmetric or entirely one-side dominant.
     """
-    p_u, _ = bang_bang_from_values(u, system.rule)
+    p_u, _ = bang_bang_from_values(u, system.grid, system.rule)
     u_h = polarize(u)
-    p_h, _ = bang_bang_from_values(u_h, system.rule)
-    return (quadratic_form(system, GridField(u.grid, p_h.values * u_h.values))
-            - quadratic_form(system, GridField(u.grid, p_u.values * u.values)))
+    p_h, _ = bang_bang_from_values(u_h, system.grid, system.rule)
+    return quadratic_form(system, p_h.values * u_h) - quadratic_form(system, p_u.values * u)
 
 
 def certify_polarization(system: PlateSystem) -> list:
@@ -82,27 +81,26 @@ def certify_polarization(system: PlateSystem) -> list:
     energy_err = 0.0
     gap_min = np.inf
     for _ in range(POLARIZATION_FIELDS):
-        u = GridField(grid, _random_positive_field(rng, X, Y, system.cfg.ell))
+        u = _random_positive_field(rng, X, Y, system.cfg.ell)
         u_h = polarize(u)
         again = polarize(u_h)
-        idem_err = max(idem_err, float(np.abs(again.values - u_h.values).max()))
-        pair = u.values + u.values[::-1, :]
-        pair_h = u_h.values + u_h.values[::-1, :]
+        idem_err = max(idem_err, float(np.abs(again - u_h).max()))
+        pair = u + u[::-1, :]
+        pair_h = u_h + u_h[::-1, :]
         pairsum_err = max(pairsum_err, float(np.abs(pair - pair_h).max()))
 
-        p_u, _ = bang_bang_from_values(u, rule)
-        p_h, _ = bang_bang_from_values(u_h, rule)
-        load = GridField(grid, p_u.values * u.values)
-        lhs = polarize(load).values
-        rhs = p_h.values * u_h.values
+        p_u, _ = bang_bang_from_values(u, grid, rule)
+        p_h, _ = bang_bang_from_values(u_h, grid, rule)
+        load = p_u.values * u
+        lhs = polarize(load)
+        rhs = p_h.values * u_h
         scale = float(np.abs(rhs).max())
         product_err = max(product_err, float(np.abs(lhs - rhs).max()) / scale)
         mass_err = max(mass_err, abs(p_h.mass - rule.target_mass) / rule.target_mass)
-        e_u = float(np.sum(w * p_u.values.ravel() * u.flat() ** 2))
-        e_h = float(np.sum(w * p_h.values.ravel() * u_h.flat() ** 2))
+        e_u = float(np.sum(w * p_u.values.ravel() * u.ravel() ** 2))
+        e_h = float(np.sum(w * p_h.values.ravel() * u_h.ravel() ** 2))
         energy_err = max(energy_err, abs(e_h - e_u) / e_u)
-        gap_min = min(gap_min, quadratic_form(system, GridField(grid, rhs))
-                      - quadratic_form(system, load))
+        gap_min = min(gap_min, quadratic_form(system, rhs) - quadratic_form(system, load))
 
     n = POLARIZATION_FIELDS
     return [
@@ -133,11 +131,10 @@ def certify_duality(system: PlateSystem) -> list:
     per_density = DUALITY_TRIALS // len(densities)
     for p in densities:
         pair = system.solve_density(p)
-        u = GridField(system.grid, system.grid_values(pair.u))
-        q = theta1_quotient(p, u, system)
+        q = theta1_quotient(p, system.grid_values(pair.u), system)
         worst_eig = max(worst_eig, abs(q * pair.lambda1 - 1.0))
         for _ in range(per_density):
-            v = GridField(system.grid, rng.standard_normal(system.grid.shape))
+            v = rng.standard_normal(system.grid.shape)
             worst_excess = max(worst_excess,
                                theta1_quotient(p, v, system) - 1.0 / pair.lambda1)
     return [

@@ -9,7 +9,6 @@ from scipy.linalg import block_diag, cho_factor, cho_solve
 import hingedplate.basis
 from hingedplate import (
     AdmissibleWeightRule,
-    GridField,
     PlateConfig,
     PlateSystem,
     QuadratureGrid,
@@ -42,8 +41,7 @@ def _y_tables(basis, grid):
 
 def _mass(basis, grid, values):
     """The weighted mass operator of node values, on the basis's own tables."""
-    return assemble_weighted_mass(basis, grid, GridField(grid, values),
-                                  *basis.axis_tables(grid))
+    return assemble_weighted_mass(basis, grid, values, *basis.axis_tables(grid))
 
 
 def _dense_mass(basis, grid, values):
@@ -200,10 +198,10 @@ def test_mass_matrix_matches_dense_basis_product(parts, cfg, rng):
 
 def test_load_vector_matches_dense_basis_product(cfg, rng):
     system = PlateSystem(cfg)
-    f = GridField(system.grid, rng.standard_normal(system.grid.shape))
+    f = rng.standard_normal(system.grid.shape)
     X, Y = system.grid.meshgrid()
     phi = system.basis.eval_matrix(np.column_stack([X.ravel(), Y.ravel()]))
-    ref = phi @ (system.grid.weights.ravel() * f.flat())
+    ref = phi @ (system.grid.weights.ravel() * f.ravel())
     assert np.abs(system.load_vector(f) - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
@@ -212,7 +210,7 @@ def test_mass_assembly_allocates_less_than_dense_table(rng):
     cfg = PlateConfig(n_modes_x=20, n_basis_y=20, n_quad_x=128, n_quad_y=32)
     basis = SpectralBasis.from_config(cfg)
     grid = QuadratureGrid.from_config(cfg)
-    p = GridField(grid, rng.uniform(0.5, 3.0, size=grid.shape))
+    p = rng.uniform(0.5, 3.0, size=grid.shape)
     S, L = basis.axis_tables(grid)
     table_bytes = 8 * basis.dimension * grid.shape[0] * grid.shape[1]
     tracemalloc.start()

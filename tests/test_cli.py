@@ -287,6 +287,19 @@ def test_odd_x_quadrature_exits_2(tmp_path, capsys, command):
     assert "n_quad_x=31 is odd" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"ell": 1e155}, "ell=1e+155 is too large"),
+    ({"beta": math.inf}, "beta must be finite"),
+], ids=["ell-squared-overflows", "beta-infinite"])
+@pytest.mark.parametrize("command", [["solve"], ["optimize"], ["certify", "--suite", "all"]])
+def test_non_finite_config_exits_2(tmp_path, capsys, command, bad, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(SMALL, **bad)))  # math.inf is written as Infinity
+    rc = main(command + ["--config", str(path), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
 def test_analysis_failure_exit_code(tmp_path, small_config_file, monkeypatch):
     # an analysis outcome (here a mixed mirror pattern) is not a validation error
     def mixed(vals):

@@ -39,3 +39,17 @@ def test_missing_file_is_a_difference(tmp_path):
     new = _tree(tmp_path / "new", {k: v for k, v in FILES.items() if not k.startswith("solve")})
     assert compare_outputs.compare_dirs(old, new) == ["only in old: solve/eigenpair.json"]
     assert compare_outputs.compare_dirs(new, old) == ["only in new: solve/eigenpair.json"]
+
+
+DEMOS = {"solve_uniform_plate.py": (0, b"lambda1 1.0\nresidual 1e-13\n"),
+         "series_certification.py": (0, b"ok\n")}
+
+
+def test_identical_demo_outputs_have_no_differences():
+    assert compare_outputs.compare_demos(DEMOS, dict(DEMOS)) == []
+
+
+def test_one_changed_demo_line_is_a_difference():
+    new = {**DEMOS, "solve_uniform_plate.py": (0, b"lambda1 1.0\nresidual 2e-13\n")}
+    assert compare_outputs.compare_demos(DEMOS, new) == [
+        "demo stdout differs: solve_uniform_plate.py"]

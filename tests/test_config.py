@@ -121,8 +121,20 @@ def test_int_bounds_are_stored_as_floats():
     (dict(beta=True), "beta must be a number"),
     (dict(sigma="0.2"), "sigma must be a number"),
     (dict(eig_tol=None), "eig_tol must be a number"),
+    (dict(beta=math.inf), "beta must be finite"),
+    (dict(ell=math.inf), "ell must be finite"),
+    (dict(sigma=math.nan), "sigma must be finite"),
+    (dict(eig_tol=math.inf), "eig_tol must be finite"),
+    (dict(opt_tol=math.inf), "opt_tol must be finite"),
+    (dict(alpha=-math.inf), "alpha must be finite"),
+    (dict(beta=10 ** 400), "beta must be finite"),
+    (dict(ell=1e155), "ell=1e\\+155 is too large"),
 ])
 def test_field_types_checked_at_construction(bad, message):
     # a bool is an int to Python, but True as a mode count is a typo
     with pytest.raises(ValueError, match=message):
         PlateConfig(**bad)
+
+
+def test_largest_ell_with_a_finite_square_is_accepted():
+    assert PlateConfig(ell=1e154).ell == 1e154

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from hingedplate import (
-    GridField,
     PlateConfig,
     PlateSystem,
     SpectralField,
@@ -39,8 +38,7 @@ GOLDEN_LAMBDA_UNIFORM = 0.966672598128245
 
 def _mass(system, values):
     """The weighted mass operator of node values, on the system's tables."""
-    return assemble_weighted_mass(system.basis, system.grid,
-                                  GridField(system.grid, values), system.S, system.L)
+    return assemble_weighted_mass(system.basis, system.grid, values, system.S, system.L)
 
 
 def _dense_mass(system, values):
@@ -136,7 +134,7 @@ def test_residual_and_rayleigh_consistency(default_system, default_uniform_pair)
 def test_normalization_weighted_unit_norm(default_system, default_uniform_pair):
     u = evaluate_on_grid(default_uniform_pair.u, default_system.grid)
     # p = 1: || sqrt(p) u ||_2^2 = quadrature of u^2
-    assert default_system.grid.integrate(u.values ** 2) == pytest.approx(1.0, rel=1e-12)
+    assert default_system.grid.integrate(u ** 2) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_mass_scaling_halves_lambda(small_system):
@@ -324,7 +322,7 @@ def test_orientation_takes_no_grid_pass(small_system, rng, monkeypatch):
     assert calls == []
 
     def integral(field):
-        return system.grid.integrate(original(field, system.grid).values)
+        return system.grid.integrate(original(field, system.grid))
 
     for p, pair in zip(densities, pairs):
         assert integral(pair.u) > 0.0
@@ -370,7 +368,7 @@ def test_positivity_and_edge_slopes(default_system, rng):
     ys = system.grid.nodes_y
     for p in densities:
         pair = system.solve_density(p)
-        uvals = evaluate_on_grid(pair.u, system.grid).values
+        uvals = evaluate_on_grid(pair.u, system.grid)
         assert uvals.min() > 0.0
         s0 = pair.u.coefficients @ system.basis.eval_matrix(
             np.column_stack([np.zeros(ys.size), ys]), dx=1)

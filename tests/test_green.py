@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from hingedplate import (
-    GridField,
     PlateConfig,
     PlateSystem,
     SpectralBasis,
@@ -26,9 +25,9 @@ from hingedplate.polarization import certify_duality
 def test_apply_linearity(default_system, rng):
     f = rng.standard_normal(default_system.grid.shape)
     g = rng.standard_normal(default_system.grid.shape)
-    u_sum = apply(default_system, GridField(default_system.grid, f + g)).coefficients
-    u_f = apply(default_system, GridField(default_system.grid, f)).coefficients
-    u_g = apply(default_system, GridField(default_system.grid, g)).coefficients
+    u_sum = apply(default_system, f + g).coefficients
+    u_f = apply(default_system, f).coefficients
+    u_g = apply(default_system, g).coefficients
     scale = np.abs(u_sum).max()
     assert np.abs(u_sum - u_f - u_g).max() <= 1e-12 * scale
 
@@ -48,20 +47,20 @@ def test_apply_positive_loads_positive_solutions(default_system, rng):
     for _ in range(50):
         f = rng.uniform(0.0, 1.0, size=default_system.grid.shape)
         f[f < 0.3] = 0.0
-        u = apply(default_system, GridField(default_system.grid, f))
-        uvals = evaluate_on_grid(u, default_system.grid).values
+        u = apply(default_system, f)
+        uvals = evaluate_on_grid(u, default_system.grid)
         assert uvals.min() > 0.0
 
 
 def test_inverse_consistency(default_system, rng):
     # energy matrix applied to the solution returns the load
-    f = GridField(default_system.grid, rng.standard_normal(default_system.grid.shape))
+    f = rng.standard_normal(default_system.grid.shape)
     load = default_system.load_vector(f)
     u = apply(default_system, f)
     back = default_system.factor.matvec(u.coefficients)
     assert np.abs(back - load).max() <= 1e-10 * np.abs(load).max()
     # the kernel quadratic pairing is exactly symmetric in its two loads
-    g = GridField(default_system.grid, rng.standard_normal(default_system.grid.shape))
+    g = rng.standard_normal(default_system.grid.shape)
     load_g = default_system.load_vector(g)
     pair_fg = load_g @ default_system.factor.solve(load)
     pair_gf = load @ default_system.factor.solve(load_g)
@@ -128,10 +127,10 @@ def test_reflection_gap_positive_inside_half(default_system):
 
 
 def test_quadratic_form_matches_direct_pairing(default_system, rng):
-    f = GridField(default_system.grid, rng.standard_normal(default_system.grid.shape))
+    f = rng.standard_normal(default_system.grid.shape)
     u = apply(default_system, f)
     w = default_system.grid.weights
-    direct = float(np.sum(w * evaluate_on_grid(u, default_system.grid).values * f.values))
+    direct = float(np.sum(w * evaluate_on_grid(u, default_system.grid) * f))
     assert quadratic_form(default_system, f) == pytest.approx(direct, rel=1e-12)
 
 
@@ -198,8 +197,7 @@ def test_load_vector_reuses_the_system_tables(small_system, rng, monkeypatch):
 
     monkeypatch.setattr(SpectralBasis, "axis_tables", counting)
     for _ in range(3):
-        f = GridField(small_system.grid, rng.standard_normal(small_system.grid.shape))
-        quadratic_form(small_system, f)
+        quadratic_form(small_system, rng.standard_normal(small_system.grid.shape))
     assert calls == []
     minimize(small_system, uniform_density(small_system.grid, small_system.rule))
     assert calls == []

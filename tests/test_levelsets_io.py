@@ -203,7 +203,7 @@ def test_iso_contours_levels_must_be_one_dimensional():
 def test_iso_contours_match_reference_on_eigenfunction_bands(default_system,
                                                             default_uniform_pair):
     grid = default_system.grid
-    u = evaluate_on_grid(default_uniform_pair.u, grid).values
+    u = evaluate_on_grid(default_uniform_pair.u, grid)
     levels = level_bands(u, 10)
     for level in levels:
         assert _rounded_key_names_edges(grid.nodes_x, grid.nodes_y, u, level)

@@ -8,7 +8,6 @@ import hingedplate.optimize
 from hingedplate import (
     AdmissibleWeightRule,
     DensityField,
-    GridField,
     PlateConfig,
     PlateSystem,
     QuadratureGrid,
@@ -54,8 +53,7 @@ def test_rearrange_sine_strip_threshold(small_system):
 def test_rearrange_constant_tie_break(small_system):
     # all nodes tie: lexicographic order admits whole low-x columns first
     system = small_system
-    u = GridField(system.grid, np.ones(system.grid.shape))
-    density, t = bang_bang_from_values(u, system.rule)
+    density, t = bang_bang_from_values(np.ones(system.grid.shape), system.grid, system.rule)
     assert t == pytest.approx(1.0)
     assign = density.alpha_assignment()
     per_column = assign.all(axis=1) | (~assign).any(axis=1)
@@ -94,7 +92,7 @@ def test_fill_order_is_lexsort_on_value_x_y(small_system, rng, monkeypatch, cfg)
         "constant": np.ones(grid.shape),
     }
     for name, vals in fields.items():
-        density, _ = bang_bang_from_values(GridField(grid, vals), rule)
+        density, _ = bang_bang_from_values(vals, grid, rule)
         ref = _lexsort_order(grid, vals.ravel())
         assert np.array_equal(orders.pop(), ref), name
         p, _ = fill(ref, grid, rule, rule.sublevel_fraction * rule.target_mass,
@@ -114,7 +112,7 @@ def test_rearranged_density_is_admissible(small_system, rng):
     area = system.rule.target_mass
     for _ in range(10):
         vals = rng.uniform(0.05, 2.0, size=system.grid.shape)
-        density, t = bang_bang_from_values(GridField(system.grid, vals), system.rule)
+        density, t = bang_bang_from_values(vals, system.grid, system.rule)
         assert density.mass == pytest.approx(area, rel=1e-12)
         assert density.gray_nodes() <= 1
         target = system.rule.sublevel_fraction * area
@@ -125,7 +123,7 @@ def test_rearrange_maximizes_weighted_mass(small_system, rng):
     # the returned density beats 200 random admissible competitors on int p u^2
     system = small_system
     vals = rng.uniform(0.05, 2.0, size=system.grid.shape)
-    density, _ = bang_bang_from_values(GridField(system.grid, vals), system.rule)
+    density, _ = bang_bang_from_values(vals, system.grid, system.rule)
     w = system.grid.weights
     best = np.sum(w * density.values * vals ** 2)
     for _ in range(200):
@@ -265,7 +263,7 @@ def test_grid_values_match_evaluate_on_grid_bitwise(small_system, rng):
     u = SpectralField(basis, rng.standard_normal(basis.dimension))
     for dx, dy in ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)):
         assert np.array_equal(small_system.grid_values(u, dx=dx, dy=dy),
-                              evaluate_on_grid(u, small_system.grid, dx=dx, dy=dy).values)
+                              evaluate_on_grid(u, small_system.grid, dx=dx, dy=dy))
 
 
 def test_density_field_validation(small_system):
@@ -345,8 +343,7 @@ def test_produced_densities_mass_at_machine_precision(default_system, rng):
     ]
     for _ in range(10):
         vals = rng.uniform(0.05, 2.0, size=system.grid.shape)
-        produced.append(bang_bang_from_values(GridField(system.grid, vals),
-                                              system.rule)[0])
+        produced.append(bang_bang_from_values(vals, system.grid, system.rule)[0])
     for p in produced:
         assert abs(p.mass - area) <= tol
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from hingedplate import (
     AdmissibleWeightRule,
-    GridField,
     PlateConfig,
     QuadratureGrid,
     bang_bang_from_values,
@@ -31,16 +30,14 @@ def small_grid(small_cfg):
 def test_polarize_symmetric_fixed(small_grid):
     X, Y = small_grid.meshgrid()
     raw = np.sin(X) * (1 + 0.5 * np.cos(Y))
-    v = GridField(small_grid, 0.5 * (raw + raw[::-1, :]))  # exact mirror symmetry
-    out = polarize(v)
-    assert np.array_equal(out.values, v.values)
+    v = 0.5 * (raw + raw[::-1, :])  # exact mirror symmetry
+    assert np.array_equal(polarize(v), v)
 
 
 def test_polarize_monotone_coordinate(small_grid):
     # v = x is right dominant, so its polarization is the full reflection
     X, _ = small_grid.meshgrid()
-    out = polarize(GridField(small_grid, X.copy()))
-    assert np.allclose(out.values, math.pi - X, atol=1e-14)
+    assert np.allclose(polarize(X), math.pi - X, atol=1e-14)
 
 
 @settings(max_examples=25, deadline=None)
@@ -49,17 +46,32 @@ def test_polarize_idempotent_and_pair_sum_bitexact(seed):
     grid = QuadratureGrid.from_config(
         PlateConfig(n_modes_x=8, n_basis_y=8, n_quad_x=16, n_quad_y=8))
     rng = np.random.default_rng(seed)
-    v = GridField(grid, rng.standard_normal(grid.shape))
+    v = rng.standard_normal(grid.shape)
     v_h = polarize(v)
     again = polarize(v_h)
-    assert np.array_equal(again.values, v_h.values)
-    pair = v.values + v.values[::-1, :]
-    pair_h = v_h.values + v_h.values[::-1, :]
+    assert np.array_equal(again, v_h)
+    pair = v + v[::-1, :]
+    pair_h = v_h + v_h[::-1, :]
     assert np.array_equal(pair, pair_h)
     # left half holds the pointwise larger member of each mirror pair
     nx = grid.shape[0]
-    left, right = v_h.values[: nx // 2], v_h.values[::-1, :][: nx // 2]
+    left, right = v_h[: nx // 2], v_h[::-1, :][: nx // 2]
     assert np.all(left >= right)
+    # the row split equals the coordinate mask x < pi/2, bit for bit
+    reference = np.where((grid.nodes_x < np.pi / 2)[:, None],
+                         np.maximum(v, v[::-1]), np.minimum(v, v[::-1]))
+    assert np.array_equal(v_h, reference)
+
+
+@pytest.mark.parametrize("n_quad", [(16, 8), (96, 48), (512, 128)],
+                         ids=["16x8", "96x48", "512x128"])
+def test_first_half_of_x_nodes_is_left_of_midline(n_quad):
+    # polarize takes the first n_quad_x // 2 rows as the left half x < pi/2
+    grid = QuadratureGrid.from_config(
+        PlateConfig(n_modes_x=8, n_basis_y=8, n_quad_x=n_quad[0], n_quad_y=n_quad[1]))
+    half = grid.shape[0] // 2
+    assert np.all(grid.nodes_x[:half] < np.pi / 2)
+    assert np.all(grid.nodes_x[half:] > np.pi / 2)
 
 
 @settings(max_examples=20, deadline=None)
@@ -69,21 +81,21 @@ def test_polarized_two_material_identities(seed):
     grid = QuadratureGrid.from_config(cfg)
     rule = AdmissibleWeightRule.from_config(cfg)
     rng = np.random.default_rng(seed)
-    u = GridField(grid, rng.uniform(0.01, 1.0, size=grid.shape))
-    p_u, t = bang_bang_from_values(u, rule)
+    u = rng.uniform(0.01, 1.0, size=grid.shape)
+    p_u, t = bang_bang_from_values(u, grid, rule)
     u_h = polarize(u)
-    p_h, t_h = bang_bang_from_values(u_h, rule)
+    p_h, t_h = bang_bang_from_values(u_h, grid, rule)
     # the polarized field lands on the threshold of the original
     assert t_h == pytest.approx(t, rel=1e-12, abs=0.0)
     # weighting then polarizing equals polarizing then weighting, nodewise
-    lhs = polarize(GridField(grid, p_u.values * u.values)).values
-    rhs = p_h.values * u_h.values
+    lhs = polarize(p_u.values * u)
+    rhs = p_h.values * u_h
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=0.0)
     # mass and weighted energy preserved
     assert p_h.mass == pytest.approx(rule.target_mass, rel=1e-10)
     w = grid.weights
-    e_u = float(np.sum(w * p_u.values * u.values ** 2))
-    e_h = float(np.sum(w * p_h.values * u_h.values ** 2))
+    e_u = float(np.sum(w * p_u.values * u ** 2))
+    e_h = float(np.sum(w * p_h.values * u_h ** 2))
     assert e_h == pytest.approx(e_u, rel=1e-12)
 
 
@@ -98,10 +110,10 @@ def test_rearrangement_commutes_with_polarization_bitwise(n_quad):
     rng = np.random.default_rng(POLARIZATION_SEED)
     X, Y = grid.meshgrid()
     for _ in range(15):
-        u = GridField(grid, _random_positive_field(rng, X, Y, cfg.ell))
-        p_u, _ = bang_bang_from_values(u, rule)
-        p_h, _ = bang_bang_from_values(polarize(u), rule)
-        assert np.array_equal(polarize(GridField(grid, p_u.values)).values, p_h.values)
+        u = _random_positive_field(rng, X, Y, cfg.ell)
+        p_u, _ = bang_bang_from_values(u, grid, rule)
+        p_h, _ = bang_bang_from_values(polarize(u), grid, rule)
+        assert np.array_equal(polarize(p_u.values), p_h.values)
 
 
 def test_theta1_quotient_duality(default_system, default_uniform_pair):
@@ -115,7 +127,7 @@ def test_theta1_quotient_never_exceeds_inverse_lambda(default_system, default_un
     p = uniform_density(default_system.grid, default_system.rule)
     bound = 1.0 / default_uniform_pair.lambda1
     for _ in range(100):
-        v = GridField(default_system.grid, rng.standard_normal(default_system.grid.shape))
+        v = rng.standard_normal(default_system.grid.shape)
         assert theta1_quotient(p, v, default_system) <= bound + 1e-9
 
 
@@ -123,8 +135,8 @@ def test_theta1_quotient_improves_under_absolute_value(default_system, rng):
     p = uniform_density(default_system.grid, default_system.rule)
     for _ in range(20):
         vals = rng.standard_normal(default_system.grid.shape)
-        q_signed = theta1_quotient(p, GridField(default_system.grid, vals), default_system)
-        q_abs = theta1_quotient(p, GridField(default_system.grid, np.abs(vals)), default_system)
+        q_signed = theta1_quotient(p, vals, default_system)
+        q_abs = theta1_quotient(p, np.abs(vals), default_system)
         assert q_abs >= q_signed - 1e-12
 
 
@@ -133,27 +145,27 @@ def test_energy_gap_cases(default_system, rng):
     X, Y = grid.meshgrid()
 
     # symmetric field: equality
-    u_sym = GridField(grid, np.sin(X) * (1.0 + 0.2 * np.cos(Y)))
+    u_sym = np.sin(X) * (1.0 + 0.2 * np.cos(Y))
     assert abs(polarization_energy_gap(u_sym, default_system)) <= 1e-10
 
     # already polarized (left dominant): bitwise equality of both forms
-    u_left = GridField(grid, (np.sin(X) + 0.3 * np.sin(2 * X)) * (1 + 0.1 * np.cos(Y)))
+    u_left = (np.sin(X) + 0.3 * np.sin(2 * X)) * (1 + 0.1 * np.cos(Y))
     assert polarization_energy_gap(u_left, default_system) == 0.0
 
     # pure right dominant: the polarization is the exact mirror image, and
     # mirror invariance of the kernel forces equality (not strict gain)
-    u_right = GridField(grid, (np.sin(X) - 0.3 * np.sin(2 * X)) * (1 + 0.1 * np.cos(Y)))
+    u_right = (np.sin(X) - 0.3 * np.sin(2 * X)) * (1 + 0.1 * np.cos(Y))
     assert abs(polarization_energy_gap(u_right, default_system)) <= 1e-10
 
     # genuinely mixed dominance: strictly positive gain
     u_mix = np.sin(X) * (1 + 0.1 * np.cos(2 * Y)) + 0.3 * np.sin(2 * X) * (Y / grid.ell)
-    u_mix = GridField(grid, u_mix - u_mix.min() + 0.05)
+    u_mix = u_mix - u_mix.min() + 0.05
     assert polarization_energy_gap(u_mix, default_system) > 1e-4
 
     # random positive fields: never below -1e-10
     for _ in range(30):
         vals = rng.uniform(0.02, 1.0, size=grid.shape)
-        assert polarization_energy_gap(GridField(grid, vals), default_system) >= -1e-10
+        assert polarization_energy_gap(vals, default_system) >= -1e-10
 
 
 def test_energy_gap_vanishes_for_converged_optimal_pair(default_system):

@@ -1,4 +1,4 @@
-"""Check that two source trees write byte-identical CLI outputs.
+"""Check that two source trees write byte-identical CLI and demo outputs.
 
 Usage, from the root of a checkout:
 
@@ -17,8 +17,12 @@ Python subprocess,
 into a fresh output directory.  The two directories are then compared file
 by file, bytes and file sets, skipping the run manifests
 (``manifest.jsonl``), which carry wall-clock time.  A command whose exit
-code differs between the trees counts as a difference too.  Every
-difference is listed; the exit code is 1 if there is any, else 0.
+code differs between the trees counts as a difference too.
+
+Once per tree, every script in the ``demos`` directory beside the tree's
+``src`` runs with that tree's package, and the two trees' stdout must match
+byte for byte, as must the exit codes.  Every difference is listed; the
+exit code is 1 if there is any, else 0.
 """
 
 from __future__ import annotations
@@ -67,6 +71,33 @@ def run_tree(src: Path, config: str, out: Path) -> dict:
     return codes
 
 
+def run_demos(src: Path) -> dict:
+    """Run every demo beside `src` with the package from `src`; script name
+    -> (exit code, stdout bytes)."""
+    root = Path(src).resolve().parent
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+    captured = {}
+    for script in sorted((root / "demos").glob("*.py")):
+        proc = subprocess.run([sys.executable, str(script)], cwd=root, env=env,
+                              capture_output=True)
+        captured[script.name] = (proc.returncode, proc.stdout)
+    return captured
+
+
+def compare_demos(old: dict, new: dict) -> list:
+    """Differences between two captures of run_demos, one line each: demos
+    present on one side only, differing exit codes and differing stdout."""
+    diffs = [f"demo only in old: {n}" for n in sorted(old.keys() - new.keys())]
+    diffs += [f"demo only in new: {n}" for n in sorted(new.keys() - old.keys())]
+    for name in sorted(old.keys() & new.keys()):
+        (old_code, old_out), (new_code, new_out) = old[name], new[name]
+        if old_code != new_code:
+            diffs.append(f"exit code of demo {name}: {old_code} -> {new_code}")
+        if old_out != new_out:
+            diffs.append(f"demo stdout differs: {name}")
+    return diffs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src", type=Path)
@@ -88,6 +119,13 @@ def main(argv=None) -> int:
             for line in diffs:
                 print(f"  {line}")
             differences += len(diffs)
+    new_demos = run_demos(args.new_src)
+    diffs = compare_demos(run_demos(args.old_src), new_demos)
+    codes = {name: code for name, (code, _) in new_demos.items()}
+    print(f"demos: {len(diffs)} differences, {len(new_demos)} scripts, exit codes {codes}")
+    for line in diffs:
+        print(f"  {line}")
+    differences += len(diffs)
     return 1 if differences else 0
 
 
