@@ -20,7 +20,7 @@ system = PlateSystem(cfg)
 
 probes = interior_probe_points(system.grid, 20, 10)
 G = green_matrix(system, probes, probes)
-print(f"kernel on {probes.shape[0]}^2 interior probe pairs:")
+print(f"kernel on {G.shape[0]}^2 interior probe pairs:")
 print(f"  min {G.min():.3e}   max {G.max():.3e}   symmetric to "
       f"{np.abs(G - G.T).max():.1e}")
 
@@ -30,8 +30,9 @@ print(f"  at x=0  : min {green_dx(system, 0.0, ys, probes).min():.3e}  (all posi
 print(f"  at x=pi : max {green_dx(system, math.pi, ys, probes).max():.3e}  (all negative)")
 
 mid = green_dx(system, math.pi / 2, ys, probes)
-left = mid[:, probes[:, 0] < math.pi / 2 - 1e-9]
-right = mid[:, probes[:, 0] > math.pi / 2 + 1e-9]
+source_x = np.repeat(probes[0], probes[1].size)  # the lattice is x-major
+left = mid[:, source_x < math.pi / 2 - 1e-9]
+right = mid[:, source_x > math.pi / 2 + 1e-9]
 print("\nslope on the midline x = pi/2, split by source side:")
 print(f"  sources left  of the midline: max {left.max():.3e}  (negative)")
 print(f"  sources right of the midline: min {right.min():.3e}  (positive)")

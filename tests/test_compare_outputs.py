@@ -1,5 +1,8 @@
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
 _spec = importlib.util.spec_from_file_location("compare_outputs", _TOOL)
@@ -53,3 +56,41 @@ def test_one_changed_demo_line_is_a_difference():
     new = {**DEMOS, "solve_uniform_plate.py": (0, b"lambda1 1.0\nresidual 2e-13\n")}
     assert compare_outputs.compare_demos(DEMOS, new) == [
         "demo stdout differs: solve_uniform_plate.py"]
+
+
+
+REPORT = {"claim_id": "kernel-positive", "min_margin": 0.5, "pass": True, "probe_count": 200}
+
+
+def _json(doc) -> bytes:
+    return json.dumps(doc).encode()
+
+
+def test_a_changed_json_number_reports_its_size(tmp_path):
+    old = _tree(tmp_path / "old", {**FILES, "certify/certify_all.json": _json([REPORT])})
+    new = _tree(tmp_path / "new", {**FILES, "certify/certify_all.json":
+                                   _json([{**REPORT, "min_margin": 0.625}])})
+    assert compare_outputs.compare_dirs(old, new) == [
+        "differs: certify/certify_all.json (max abs diff 1.250e-01, max rel diff 2.000e-01; "
+        "non-numeric leaves match)"]
+
+
+@pytest.mark.parametrize("changed", [
+    {**REPORT, "pass": False},
+    {**REPORT, "claim_id": "kernel-negative"},
+    {**REPORT, "probe_count": True},           # a flag where a number stood
+    {"passed" if k == "pass" else k: v for k, v in REPORT.items()},
+    {k: REPORT[k] for k in reversed(REPORT)},  # the same keys in another order
+], ids=["flag", "string", "type", "key", "key-order"])
+def test_every_other_json_leaf_must_match(changed):
+    assert compare_outputs.json_differences(_json([REPORT]), _json([changed])).endswith(
+        "non-numeric leaves differ")
+    assert compare_outputs.json_differences(_json([REPORT]), _json([REPORT, REPORT])).endswith(
+        "non-numeric leaves differ")
+
+
+def test_nan_leaves_match_only_each_other():
+    assert compare_outputs.json_differences(b"[NaN]", b"[NaN]") == (
+        "max abs diff 0.000e+00, max rel diff 0.000e+00; non-numeric leaves match")
+    assert compare_outputs.json_differences(b"[NaN]", b"[1.0]").startswith(
+        "max abs diff inf, max rel diff inf")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,6 @@ from hingedplate import (
     PlateConfig,
     PlateSystem,
     SpectralBasis,
-    StiffnessFactor,
     apply,
     evaluate_on_grid,
     green_dx,
@@ -20,6 +20,14 @@ from hingedplate import (
 )
 from hingedplate.green import certify_green, certify_positivity_preserving, interior_probe_points
 from hingedplate.polarization import certify_duality
+
+
+DIM_1600 = {"n_modes_x": 80, "n_basis_y": 20, "n_quad_x": 160, "n_quad_y": 32}
+
+
+@pytest.fixture(scope="module")
+def dim_1600_system():
+    return PlateSystem(PlateConfig(**DIM_1600))
 
 
 def test_apply_linearity(default_system, rng):
@@ -73,7 +81,7 @@ def test_kernel_symmetry_and_boundary(default_system, rng):
     assert np.abs(G - G.T).max() <= 1e-13 * np.abs(G).max()
     ys = np.linspace(-default_system.grid.ell, default_system.grid.ell, 5)
     for x_edge in (0.0, math.pi):
-        edge = np.column_stack([np.full(5, x_edge), ys])
+        edge = ([x_edge], ys)
         G_edge = green_matrix(default_system, pts, edge)
         assert np.abs(G_edge).max() <= 1e-13
 
@@ -81,7 +89,7 @@ def test_kernel_symmetry_and_boundary(default_system, rng):
 def test_kernel_positive_on_probe_lattice(default_system):
     pts = interior_probe_points(default_system.grid, 20, 10)
     G = green_matrix(default_system, pts, pts)
-    assert pts.shape[0] >= 200
+    assert G.shape == (200, 200)
     assert G.min() > 0.0
 
 
@@ -91,17 +99,17 @@ def test_green_dx_signs(default_system):
     assert green_dx(default_system, 0.0, ys, probes).min() > 0.0
     assert green_dx(default_system, math.pi, ys, probes).max() < 0.0
     mid = green_dx(default_system, math.pi / 2, ys, probes)
-    rho = probes[:, 0]
+    rho = np.repeat(probes[0], probes[1].size)  # source x of each column
     assert mid[:, rho < math.pi / 2 - 1e-9].max() < 0.0
     assert mid[:, rho > math.pi / 2 + 1e-9].min() > 0.0
     # source on the midline: derivative vanishes there
-    on_mid = green_dx(default_system, math.pi / 2, ys, np.array([[math.pi / 2, 0.1]]))
+    on_mid = green_dx(default_system, math.pi / 2, ys, ([math.pi / 2], [0.1]))
     assert np.abs(on_mid).max() <= 1e-12
 
 
 def test_reflection_identities_exact(default_system):
     pts = interior_probe_points(default_system.grid, 10, 5)
-    mirrored = np.column_stack([math.pi - pts[:, 0], pts[:, 1]])
+    mirrored = (math.pi - pts[0], pts[1])
     G = green_matrix(default_system, pts, pts)
     G_pair = green_matrix(default_system, mirrored, mirrored)
     assert np.abs(G - G_pair).max() <= 1e-12 * np.abs(G).max()
@@ -114,16 +122,50 @@ def test_reflection_gap_positive_inside_half(default_system):
     half = interior_probe_points(default_system.grid, 12, 6, half_plane=True)
     assert reflection_gap(default_system, half) > 0.0
     # single interior pair keeps a visible margin
-    single = np.array([[math.pi / 4, 0.0]])
+    single = ([math.pi / 4], [0.0])
     assert reflection_gap(default_system, single) > 1e-8
     # on the midline the reflection is the identity: gap exactly zero
-    mid = np.array([[math.pi / 2, 0.0]])
+    mid = ([math.pi / 2], [0.0])
     G_mid = green_matrix(default_system, mid, mid).item()
-    mirrored = np.array([[math.pi - math.pi / 2, 0.0]])
+    mirrored = ([math.pi - math.pi / 2], [0.0])
     G_mirror = green_matrix(default_system, mid, mirrored).item()
     assert G_mid - G_mirror == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        reflection_gap(default_system, np.array([[2.0, 0.0]]))
+    for x in (0.0, math.pi / 2, 2.0, -0.1):
+        with pytest.raises(ValueError):
+            reflection_gap(default_system, ([x], [0.0]))
+    with pytest.raises(ValueError):  # one bad abscissa in a lattice
+        reflection_gap(default_system, ([0.3, 0.6, 1.6], [0.0, 0.1]))
+
+
+def _dense_kernel(system, sources, targets, dx=0):
+    """Bt^T K^-1 Bs from (dimension x points) basis matrices of two lattices."""
+    def points(lattice):
+        xs, ys = (np.atleast_1d(np.asarray(a, dtype=float)) for a in lattice)
+        return np.column_stack([np.repeat(xs, ys.size), np.tile(ys, xs.size)])
+
+    Bs = system.basis.eval_matrix(points(sources))
+    Bt = system.basis.eval_matrix(points(targets), dx=dx)
+    return Bt.T @ system.factor.solve(Bs)
+
+
+@pytest.mark.parametrize("size", ["default", "dim-1600"])
+def test_kernel_matches_the_dense_reference(size, default_system, dim_1600_system):
+    system = default_system if size == "default" else dim_1600_system
+    probes = interior_probe_points(system.grid, 20, 10)
+    mirrored = (math.pi - probes[0], probes[1])
+    point, other = ([1.0], [0.2]), ([2.0], [-0.3])
+    ys = np.linspace(-system.grid.ell, system.grid.ell, 7)
+    pairs = [(probes, probes), (mirrored, probes), (probes, mirrored), (point, other),
+             (probes, ([0.0], ys)), (probes, ([math.pi], ys))]
+    scale = np.abs(green_matrix(system, probes, probes)).max()
+    for sources, targets in pairs:
+        G = green_matrix(system, sources, targets)
+        assert np.abs(G - _dense_kernel(system, sources, targets)).max() <= 1e-13 * scale
+    for x0 in (0.0, math.pi / 2, math.pi):
+        dG = green_dx(system, x0, ys, probes)
+        ref = _dense_kernel(system, probes, ([x0], ys), dx=1)
+        assert dG.shape == ref.shape == (ys.size, 200)
+        assert np.abs(dG - ref).max() <= 1e-13 * scale
 
 
 def test_quadratic_form_matches_direct_pairing(default_system, rng):
@@ -158,30 +200,22 @@ def test_certify_green_underresolved_reports(default_cfg, default_green_reports)
         assert "n_modes_x=2" in r.resolution  # failures attributable to resolution
 
 
-def test_certify_green_solves_each_source_block_once(small_system, monkeypatch):
-    # K^-1 B is solved once for the probes, once for their mirror images,
-    # once for the five midline sources and once per load; the kernel tables
-    # reuse them, and the load loop reuses its two edge-slope tables
-    solved, tables = [], []
-    solve, eval_matrix = StiffnessFactor.solve, SpectralBasis.eval_matrix
+def test_certify_green_builds_no_basis_matrix(dim_1600_system, monkeypatch):
+    # every kernel table is summed mode by mode from per-axis tables: no
+    # (dimension x points) basis matrix, so the suite's working memory at
+    # dim 1600 stays a few MB (21.8 MB with basis matrices and their K^-1
+    # images)
+    def no_eval_matrix(self, *args, **kwargs):
+        raise AssertionError("certify_green built a basis matrix")
 
-    def counting_solve(self, rhs):
-        solved.append(1 if np.ndim(rhs) == 1 else np.shape(rhs)[1])
-        return solve(self, rhs)
-
-    def counting_eval_matrix(self, *args, **kwargs):
-        tables.append(args)
-        return eval_matrix(self, *args, **kwargs)
-
-    monkeypatch.setattr(StiffnessFactor, "solve", counting_solve)
-    monkeypatch.setattr(SpectralBasis, "eval_matrix", counting_eval_matrix)
-    certify_green(small_system)
-    # 20 x 10 probes and their mirrors, five midline sources, 200 half-plane
-    # probes and their mirrors, 50 loads
-    assert sum(solved) == 2 * 200 + 5 + 2 * 200 + 50
-    # probes, mirrors, three slope targets, midline sources, the half-plane
-    # pair, and the two edge-slope tables of the load loop
-    assert len(tables) == 10
+    monkeypatch.setattr(SpectralBasis, "eval_matrix", no_eval_matrix)
+    tracemalloc.start()
+    try:
+        certify_green(dim_1600_system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
 
 
 def test_load_vector_reuses_the_system_tables(small_system, rng, monkeypatch):

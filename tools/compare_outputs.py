@@ -17,7 +17,10 @@ Python subprocess,
 into a fresh output directory.  The two directories are then compared file
 by file, bytes and file sets, skipping the run manifests
 (``manifest.jsonl``), which carry wall-clock time.  A command whose exit
-code differs between the trees counts as a difference too.
+code differs between the trees counts as a difference too.  For a JSON
+file that differs, the line also gives the largest absolute and relative
+difference over its numeric leaves and says whether every other leaf
+(keys, list lengths, strings, booleans, nulls) matches.
 
 Once per tree, every script in the ``demos`` directory beside the tree's
 ``src`` runs with that tree's package, and the two trees' stdout must match
@@ -28,6 +31,8 @@ exit code is 1 if there is any, else 0.
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import os
 import subprocess
 import sys
@@ -43,6 +48,46 @@ COMMANDS = {
 SKIPPED = {"manifest.jsonl"}
 
 
+def _leaves(doc, path=()):
+    """(path, leaf) pairs of a parsed JSON document; each object's key list
+    and each array's length count as leaves too."""
+    if isinstance(doc, dict):
+        yield path, ("keys", list(doc))
+        for key, value in doc.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(doc, list):
+        yield path, ("length", len(doc))
+        for k, value in enumerate(doc):
+            yield from _leaves(value, path + (k,))
+    else:
+        yield path, doc
+
+
+def _is_number(leaf) -> bool:
+    return isinstance(leaf, (int, float)) and not isinstance(leaf, bool)
+
+
+def json_differences(old: bytes, new: bytes) -> str:
+    """Largest absolute and relative difference over the numeric leaves of
+    two JSON documents, and whether every non-numeric leaf matches."""
+    old_leaves = dict(_leaves(json.loads(old)))
+    new_leaves = dict(_leaves(json.loads(new)))
+    max_abs = max_rel = 0.0
+    same = old_leaves.keys() == new_leaves.keys()
+    for path in old_leaves.keys() & new_leaves.keys():
+        a, b = old_leaves[path], new_leaves[path]
+        if not (_is_number(a) and _is_number(b)):
+            same = same and type(a) is type(b) and a == b
+        elif a != b and not (math.isnan(a) and math.isnan(b)):
+            diff = abs(a - b)
+            if not math.isfinite(diff):  # NaN against a number, or an infinity
+                diff = math.inf
+            max_abs = max(max_abs, diff)
+            max_rel = max(max_rel, diff / max(abs(a), abs(b)) if diff < math.inf else diff)
+    return (f"max abs diff {max_abs:.3e}, max rel diff {max_rel:.3e}; non-numeric "
+            f"leaves {'match' if same else 'differ'}")
+
+
 def compare_dirs(old: Path, new: Path) -> list:
     """Differences between two output directories, one line each: files
     present on one side only and files whose bytes differ."""
@@ -53,8 +98,11 @@ def compare_dirs(old: Path, new: Path) -> list:
     old_files, new_files = files(old), files(new)
     diffs = [f"only in old: {f}" for f in sorted(old_files - new_files)]
     diffs += [f"only in new: {f}" for f in sorted(new_files - old_files)]
-    diffs += [f"differs: {f}" for f in sorted(old_files & new_files)
-              if (Path(old) / f).read_bytes() != (Path(new) / f).read_bytes()]
+    for f in sorted(old_files & new_files):
+        a, b = (Path(old) / f).read_bytes(), (Path(new) / f).read_bytes()
+        if a != b:
+            diffs.append(f"differs: {f} ({json_differences(a, b)})" if f.endswith(".json")
+                         else f"differs: {f}")
     return diffs
 
 
