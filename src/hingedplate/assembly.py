@@ -66,7 +66,7 @@ class WeightedMass:
     """
 
     S: np.ndarray    # (n_modes_x, n_quad_x) sine table
-    A: np.ndarray    # (n_quad_x, J, J): A[i] = wx_i L^T diag(wy p_i) L, symmetrized
+    A: np.ndarray    # (n_quad_x, J, J): A[i] = wx_i L^T diag(wy p_i) L, exactly symmetric
     contrast: float  # max p / min p over the nodes
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -85,16 +85,21 @@ def assemble_weighted_mass(basis: SpectralBasis, grid: QuadratureGrid, p: np.nda
                            S: np.ndarray, L: np.ndarray) -> WeightedMass:
     """M_p (entry (a,b) = sum_nodes w p phi_a phi_b) on the tables (S, L) of
     basis.axis_tables(grid); only the per-node moments A are computed here.
-    `p` is the (n_quad_x, n_quad_y) array of density values at the nodes."""
+    `p` is the (n_quad_x, n_quad_y) array of density values at the nodes.
+
+    The moments are one GEMM of the weighted density with the row-wise
+    Kronecker (Khatri-Rao) table LL[k, (j, j')] = L[k, j] L[k, j'].  Its
+    (j, j') and (j', j) columns are equal bit for bit, so A is exactly
+    symmetric without a symmetrizing step."""
     p_min = p.min()
     if p_min <= 0.0:
         raise AssemblyError("density must be strictly positive at every node")
-    wpL = (grid.weights * p)[:, :, None] * L          # (nx, ny, J)
-    A = np.matmul(wpL.transpose(0, 2, 1), L)          # (nx, J, J)
+    ny, J = L.shape
+    LL = (L[:, :, None] * L[:, None, :]).reshape(ny, J * J)
+    A = ((grid.weights * p) @ LL).reshape(-1, J, J)
     if not np.all(np.isfinite(A)):
         raise AssemblyError("non-finite weighted mass moments")
-    return WeightedMass(S=S, A=0.5 * (A + A.transpose(0, 2, 1)),
-                        contrast=float(p.max() / p_min))
+    return WeightedMass(S=S, A=A, contrast=float(p.max() / p_min))
 
 
 @dataclass(frozen=True)

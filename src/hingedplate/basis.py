@@ -22,16 +22,17 @@ from .grid import QuadratureGrid
 def _legendre_tables(y: np.ndarray, n_funcs: int, ell: float, max_deriv: int = 0):
     """Values (and y-derivatives up to max_deriv) of P_0..P_{n-1}(y/ell).
 
-    Returns a list of (len(y), n_funcs) arrays, one per derivative order.
+    Returns a list of C-contiguous (len(y), n_funcs) arrays, one per
+    derivative order.  Each order is one Clenshaw pass of npleg.legval,
+    broadcast over the points (rows) and the columns of the identity's
+    derivative coefficients; a column's zero high coefficients leave the
+    recurrence exactly where a call on that column alone starts, so every
+    entry has the bits of a per-column evaluation.
     """
-    s = np.asarray(y, dtype=float) / ell
-    tables = [np.empty((s.size, n_funcs)) for _ in range(max_deriv + 1)]
-    for j in range(n_funcs):
-        coeff = np.zeros(j + 1)
-        coeff[j] = 1.0
-        for d in range(max_deriv + 1):
-            tables[d][:, j] = npleg.legval(s, npleg.legder(coeff, d) if d else coeff) / ell**d
-    return tables
+    s = np.asarray(y, dtype=float).reshape(-1, 1) / ell
+    eye = np.eye(n_funcs)
+    return [npleg.legval(s, npleg.legder(eye, d), tensor=False) / ell**d
+            for d in range(max_deriv + 1)]
 
 
 def _sine_table(modes: np.ndarray, x: np.ndarray, dx: int) -> np.ndarray:

@@ -96,27 +96,33 @@ def cmd_solve(args) -> int:
 def cmd_optimize(args) -> int:
     if args.starts < 1:
         raise ValueError(f"--starts must be at least 1, got {args.starts}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     cfg = _load_cfg(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest("optimize", cfg, out)
     system = PlateSystem(cfg)
-    rng = np.random.default_rng(args.seed)
 
     named = {"uniform": partial(uniform_density, system.grid, system.rule),
              "left-heavy": partial(strip_density, system.grid, system.rule, "left"),
              "right-heavy": partial(strip_density, system.grid, system.rule, "right")}
+    n_random = 0
     if args.init == "multistart":
         starts = [(name, build()) for name, build in list(named.items())[: args.starts]]
-        for k in range(len(starts), args.starts):
-            starts.append((f"random-{k}",
-                           random_admissible_density(system.grid, system.rule, rng)))
+        n_random = args.starts - len(starts)
     elif args.init in named:
         starts = [(args.init, named[args.init]())]
     elif args.init == "random":
-        starts = [("random-0", random_admissible_density(system.grid, system.rule, rng))]
+        starts, n_random = [], 1
     else:
         starts = [("file", _resolve_density(args.init, system))]
+    if n_random:
+        # built only here: its first use imports numpy.random, which no
+        # named or file start needs
+        rng = np.random.default_rng(args.seed)
+        starts += [(f"random-{k}", random_admissible_density(system.grid, system.rule, rng))
+                   for k in range(len(starts), len(starts) + n_random)]
 
     results = []
     for name, density in starts:

@@ -205,6 +205,23 @@ def test_load_vector_matches_dense_basis_product(cfg, rng):
     assert np.abs(system.load_vector(f) - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("config", [{}, {"n_modes_x": 80, "n_basis_y": 20,
+                                         "n_quad_x": 160, "n_quad_y": 32}],
+                         ids=["default", "dim-1600"])
+def test_mass_moments_symmetric_and_match_batched_reference(config):
+    # reference: the per-node batched products wx_i L^T diag(wy p_i) L, symmetrized
+    system = PlateSystem(PlateConfig(**config))
+    L = system.L
+    for p in (strip_density(system.grid, system.rule, "left"),
+              random_admissible_density(system.grid, system.rule, np.random.default_rng(19))):
+        A = assemble_weighted_mass(system.basis, system.grid, p.values, system.S, L).A
+        wpL = (system.grid.weights * p.values)[:, :, None] * L
+        ref = np.matmul(wpL.transpose(0, 2, 1), L)
+        ref = 0.5 * (ref + ref.transpose(0, 2, 1))
+        assert np.array_equal(A, A.transpose(0, 2, 1))
+        assert np.abs(A - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
 def test_mass_assembly_allocates_less_than_dense_table(rng):
     # dim 400 on 4096 nodes: a dense float64 basis table would take 13.1 MB
     cfg = PlateConfig(n_modes_x=20, n_basis_y=20, n_quad_x=128, n_quad_y=32)

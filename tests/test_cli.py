@@ -15,7 +15,7 @@ import hingedplate
 from hingedplate import PlateConfig, QuadratureGrid
 from hingedplate.cli import main
 from hingedplate.io import write_grid_csv
-from hingedplate.optimize import AnalysisError
+from hingedplate.optimize import AnalysisError, random_admissible_density
 
 SMALL = {"n_modes_x": 8, "n_basis_y": 6, "n_quad_x": 32, "n_quad_y": 16}
 
@@ -25,6 +25,13 @@ def small_config_file(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(SMALL))
     return path
+
+
+def _package_env() -> dict:
+    """The environment for a subprocess that imports this checkout's package."""
+    src = Path(hingedplate.__file__).resolve().parents[1]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 def _result_bytes(root: Path) -> dict:
@@ -204,6 +211,49 @@ def test_optimize_rejects_starts_below_one(tmp_path, small_config_file, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("init", [["--init", "left-heavy"], ["--starts", "4"]],
+                         ids=["left-heavy", "multistart"])
+def test_optimize_rejects_negative_seed(tmp_path, small_config_file, capsys, init):
+    out = tmp_path / "opt"
+    rc = main(["optimize", "--config", str(small_config_file), "--out", str(out),
+               *init, "--seed", "-1"])
+    assert rc == 2
+    assert "--seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("start, loaded", [(["--init", "left-heavy"], False),
+                                           (["--starts", "3"], False),
+                                           (["--starts", "4"], True)],
+                         ids=["left-heavy", "three-named", "one-random"])
+def test_only_random_starts_import_numpy_random(tmp_path, small_config_file, start, loaded):
+    code = ("import sys; from hingedplate.cli import main; "
+            "assert main(sys.argv[1:]) == 0; print('numpy.random' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code, "optimize", "--config",
+                           str(small_config_file), "--out", str(tmp_path / "opt"), *start],
+                          env=_package_env(), capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == str(loaded)
+
+
+def test_random_start_is_first_draw_of_seeded_generator(tmp_path, small_config_file,
+                                                         monkeypatch):
+    import hingedplate.cli
+
+    started = []
+    original = hingedplate.cli.minimize
+
+    def recording(system, density):
+        started.append((system, density))
+        return original(system, density)
+
+    monkeypatch.setattr(hingedplate.cli, "minimize", recording)
+    assert main(["optimize", "--config", str(small_config_file), "--out", str(tmp_path / "o"),
+                 "--starts", "4", "--seed", "5"]) == 0
+    system, density = started[3]
+    ref = random_admissible_density(system.grid, system.rule, np.random.default_rng(5))
+    assert np.array_equal(density.values.view(np.int64), ref.values.view(np.int64))
+
+
 def test_optimize_deterministic(tmp_path, small_config_file):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     for out in (out1, out2):
@@ -246,10 +296,7 @@ def test_cli_import_loads_no_scipy():
     # the runtime needs numpy alone; scipy serves only the tests' dense oracles
     code = ("import sys, hingedplate.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    src = Path(hingedplate.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    done = subprocess.run([sys.executable, "-c", code], env=_package_env(),
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
 

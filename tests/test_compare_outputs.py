@@ -34,7 +34,9 @@ def test_one_changed_byte_is_a_difference(tmp_path):
     old = _tree(tmp_path / "old", FILES)
     new = _tree(tmp_path / "new", {**FILES, "optimize/uniform/trace.csv":
                                    b"iter,lambda1\r\n0,1.1\r\n"})
-    assert compare_outputs.compare_dirs(old, new) == ["differs: optimize/uniform/trace.csv"]
+    assert compare_outputs.compare_dirs(old, new) == [
+        "differs: optimize/uniform/trace.csv (max abs diff 1.000e-01, max rel diff 9.091e-02; "
+        "header matches, row count matches, non-numeric cells match)"]
 
 
 def test_missing_file_is_a_difference(tmp_path):
@@ -56,7 +58,6 @@ def test_one_changed_demo_line_is_a_difference():
     new = {**DEMOS, "solve_uniform_plate.py": (0, b"lambda1 1.0\nresidual 2e-13\n")}
     assert compare_outputs.compare_demos(DEMOS, new) == [
         "demo stdout differs: solve_uniform_plate.py"]
-
 
 
 REPORT = {"claim_id": "kernel-positive", "min_margin": 0.5, "pass": True, "probe_count": 200}
@@ -94,3 +95,29 @@ def test_nan_leaves_match_only_each_other():
         "max abs diff 0.000e+00, max rel diff 0.000e+00; non-numeric leaves match")
     assert compare_outputs.json_differences(b"[NaN]", b"[1.0]").startswith(
         "max abs diff inf, max rel diff inf")
+
+
+TRACE = b"iter,lambda1,status\r\n0,1.0,nan\r\n1,0.5,fixed_point\r\n"
+
+
+def test_a_changed_csv_number_reports_its_size():
+    new = b"iter,lambda1,status\r\n0,1.0,nan\r\n1,0.625,fixed_point\r\n"
+    assert compare_outputs.csv_differences(TRACE, new) == (
+        "max abs diff 1.250e-01, max rel diff 2.000e-01; header matches, "
+        "row count matches, non-numeric cells match")
+
+
+@pytest.mark.parametrize("changed, verdict", [
+    (b"iter,lambda,status\r\n0,1.0,nan\r\n1,0.5,fixed_point\r\n", "header differs"),
+    (b"iter,lambda1,status\r\n0,1.0,nan\r\n", "row count differs (2 -> 1)"),
+    (b"iter,lambda1,status\r\n0,1.0,nan\r\n1,0.5,max_iter\r\n",
+     "non-numeric cells differ"),
+    (b"iter,lambda1,status\r\n0,1.0,nan\r\n1,0.5\r\n", "non-numeric cells differ"),
+], ids=["header", "rows", "string", "row-length"])
+def test_every_other_csv_cell_must_match(changed, verdict):
+    assert verdict in compare_outputs.csv_differences(TRACE, changed)
+
+
+def test_nan_cells_match_only_each_other():
+    assert compare_outputs.csv_differences(TRACE, TRACE.replace(b"0,1.0,nan", b"0,nan,nan")) \
+        .startswith("max abs diff inf, max rel diff inf")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre as npleg
 
 from hingedplate import (
     PlateConfig,
@@ -10,6 +11,7 @@ from hingedplate import (
     SpectralField,
     evaluate_on_grid,
 )
+from hingedplate.basis import _legendre_tables
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +62,34 @@ def _legendre(j, s):
     for n in range(1, j):
         prev, cur = cur, ((2 * n + 1) * s * cur - n * prev) / (n + 1)
     return cur
+
+
+def _legendre_tables_per_column(y, n_funcs, ell, max_deriv):
+    """The reference loop: one legval call per column and derivative order."""
+    s = np.asarray(y, dtype=float) / ell
+    tables = [np.empty((s.size, n_funcs)) for _ in range(max_deriv + 1)]
+    for j in range(n_funcs):
+        coeff = np.zeros(j + 1)
+        coeff[j] = 1.0
+        for d in range(max_deriv + 1):
+            tables[d][:, j] = npleg.legval(s, npleg.legder(coeff, d) if d else coeff) / ell**d
+    return tables
+
+
+@pytest.mark.parametrize("n_funcs", [1, 5, 20])
+@pytest.mark.parametrize("max_deriv", [0, 1, 2])
+def test_legendre_tables_match_per_column_loop(grid, cfg, n_funcs, max_deriv):
+    # an odd point count with a node at y = 0, then the Gauss nodes
+    odd = cfg.ell * np.linspace(-1.0, 1.0, 33)
+    assert odd[16] == 0.0
+    for y in (odd, grid.nodes_y):
+        tables = _legendre_tables(y, n_funcs, cfg.ell, max_deriv=max_deriv)
+        ref = _legendre_tables_per_column(y, n_funcs, cfg.ell, max_deriv)
+        assert len(tables) == max_deriv + 1
+        for table, expected in zip(tables, ref):
+            assert table.shape == (y.size, n_funcs)
+            assert table.flags.c_contiguous
+            assert np.array_equal(table.view(np.int64), expected.view(np.int64))
 
 
 def test_basis_dimension_and_index_map():

@@ -20,7 +20,9 @@ by file, bytes and file sets, skipping the run manifests
 code differs between the trees counts as a difference too.  For a JSON
 file that differs, the line also gives the largest absolute and relative
 difference over its numeric leaves and says whether every other leaf
-(keys, list lengths, strings, booleans, nulls) matches.
+(keys, list lengths, strings, booleans, nulls) matches.  For a CSV file
+that differs, it gives the same two differences over the numeric cells and
+says whether the header, the row count and every non-numeric cell match.
 
 Once per tree, every script in the ``demos`` directory beside the tree's
 ``src`` runs with that tree's package, and the two trees' stdout must match
@@ -31,6 +33,7 @@ exit code is 1 if there is any, else 0.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -67,25 +70,69 @@ def _is_number(leaf) -> bool:
     return isinstance(leaf, (int, float)) and not isinstance(leaf, bool)
 
 
+def _largest_differences(pairs) -> tuple:
+    """Largest absolute and relative difference over (old, new) number pairs.
+    NaN matches NaN; against a number, or where an infinity differs, the
+    difference is infinite."""
+    max_abs = max_rel = 0.0
+    for a, b in pairs:
+        if a != b and not (math.isnan(a) and math.isnan(b)):
+            diff = abs(a - b)
+            if not math.isfinite(diff):
+                diff = math.inf
+            max_abs = max(max_abs, diff)
+            max_rel = max(max_rel, diff / max(abs(a), abs(b)) if diff < math.inf else diff)
+    return max_abs, max_rel
+
+
 def json_differences(old: bytes, new: bytes) -> str:
     """Largest absolute and relative difference over the numeric leaves of
     two JSON documents, and whether every non-numeric leaf matches."""
     old_leaves = dict(_leaves(json.loads(old)))
     new_leaves = dict(_leaves(json.loads(new)))
-    max_abs = max_rel = 0.0
+    numbers = []
     same = old_leaves.keys() == new_leaves.keys()
     for path in old_leaves.keys() & new_leaves.keys():
         a, b = old_leaves[path], new_leaves[path]
-        if not (_is_number(a) and _is_number(b)):
+        if _is_number(a) and _is_number(b):
+            numbers.append((a, b))
+        else:
             same = same and type(a) is type(b) and a == b
-        elif a != b and not (math.isnan(a) and math.isnan(b)):
-            diff = abs(a - b)
-            if not math.isfinite(diff):  # NaN against a number, or an infinity
-                diff = math.inf
-            max_abs = max(max_abs, diff)
-            max_rel = max(max_rel, diff / max(abs(a), abs(b)) if diff < math.inf else diff)
+    max_abs, max_rel = _largest_differences(numbers)
     return (f"max abs diff {max_abs:.3e}, max rel diff {max_rel:.3e}; non-numeric "
             f"leaves {'match' if same else 'differ'}")
+
+
+def _cell_number(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def csv_differences(old: bytes, new: bytes) -> str:
+    """Largest absolute and relative difference over the numeric cells of two
+    CSV files with one header row, and whether the header, the row count and
+    every non-numeric cell match.  A cell is numeric when both sides parse
+    as floats; rows beyond the shorter file are not compared cell by cell."""
+    old_rows = list(csv.reader(old.decode().splitlines()))
+    new_rows = list(csv.reader(new.decode().splitlines()))
+    numbers = []
+    same = True
+    for a_row, b_row in zip(old_rows[1:], new_rows[1:]):
+        same = same and len(a_row) == len(b_row)
+        for a, b in zip(a_row, b_row):
+            x, y = _cell_number(a), _cell_number(b)
+            if x is None or y is None:
+                same = same and a == b
+            else:
+                numbers.append((x, y))
+    max_abs, max_rel = _largest_differences(numbers)
+    rows = ("matches" if len(old_rows) == len(new_rows)
+            else f"differs ({len(old_rows) - 1} -> {len(new_rows) - 1})")
+    return (f"max abs diff {max_abs:.3e}, max rel diff {max_rel:.3e}; header "
+            f"{'matches' if old_rows[:1] == new_rows[:1] else 'differs'}, row count "
+            f"{rows}, non-numeric cells {'match' if same else 'differ'}")
 
 
 def compare_dirs(old: Path, new: Path) -> list:
@@ -101,8 +148,8 @@ def compare_dirs(old: Path, new: Path) -> list:
     for f in sorted(old_files & new_files):
         a, b = (Path(old) / f).read_bytes(), (Path(new) / f).read_bytes()
         if a != b:
-            diffs.append(f"differs: {f} ({json_differences(a, b)})" if f.endswith(".json")
-                         else f"differs: {f}")
+            report = {".json": json_differences, ".csv": csv_differences}.get(Path(f).suffix)
+            diffs.append(f"differs: {f} ({report(a, b)})" if report else f"differs: {f}")
     return diffs
 
 
