@@ -12,14 +12,14 @@ import math
 
 import numpy as np
 
-from hingedplate import PlateConfig, PlateSystem, green_dx, green_matrix, reflection_gap
+from hingedplate import PlateConfig, PlateSystem, kernel, reflection_gap
 from hingedplate.green import interior_probe_points
 
 cfg = PlateConfig()
 system = PlateSystem(cfg)
 
 probes = interior_probe_points(system.grid, 20, 10)
-G = green_matrix(system, probes, probes)
+G = kernel(system, probes, probes)
 # a bound, not the rounding residue max|G - G^T|, which moves with the last bits
 asymmetry = np.abs(G - G.T).max()
 symmetry = "below 1e-13" if asymmetry < 1e-13 else f"{asymmetry:.1e} only"
@@ -27,11 +27,13 @@ print(f"kernel on {G.shape[0]}^2 interior probe pairs:")
 print(f"  min {G.min():.3e}   max {G.max():.3e}   symmetric to {symmetry}")
 
 ys = np.linspace(-cfg.ell, cfg.ell, 7)
+slope_0 = kernel(system, ([0.0], ys), probes, dx=1)
+slope_pi = kernel(system, ([math.pi], ys), probes, dx=1)
 print("\nx-slope of the kernel at the hinged edges:")
-print(f"  at x=0  : min {green_dx(system, 0.0, ys, probes).min():.3e}  (all positive)")
-print(f"  at x=pi : max {green_dx(system, math.pi, ys, probes).max():.3e}  (all negative)")
+print(f"  at x=0  : min {slope_0.min():.3e}  (all positive)")
+print(f"  at x=pi : max {slope_pi.max():.3e}  (all negative)")
 
-mid = green_dx(system, math.pi / 2, ys, probes)
+mid = kernel(system, ([math.pi / 2], ys), probes, dx=1)
 source_x = np.repeat(probes[0], probes[1].size)  # the lattice is x-major
 left = mid[:, source_x < math.pi / 2 - 1e-9]
 right = mid[:, source_x > math.pi / 2 + 1e-9]

@@ -26,8 +26,11 @@ p = uniform_density(system.grid, system.rule)
 pair = system.solve_density(p)
 u = system.grid_values(pair.u)
 q = theta1_quotient(p, u, system)
+# bounds, not the rounding residues, which move with the last bits
+error = abs(q * pair.lambda1 - 1.0)
+error = "< 1e-12" if error < 1e-12 else f"= {error:.1e}"
 print("dual quotient at the first eigenfunction:")
-print(f"  quotient * lambda1 = {q * pair.lambda1:.15f}  (exactly 1 in theory)")
+print(f"  |quotient * lambda1 - 1| {error}  (0 in theory)")
 
 rng = np.random.default_rng(3)
 worst = -np.inf
@@ -51,6 +54,7 @@ for name, vals in cases.items():
 print("(zero for symmetric and one-sided fields, strictly positive when the")
 print(" dominance genuinely mixes sides)")
 
-u_h = polarize(u)
+moved = np.abs(polarize(u) - u).max()
+moved = "less than 1e-13" if moved < 1e-13 else f"at most {moved:.2e}"
 print(f"\nthe optimal eigenfunction is already balanced: polarizing it moves")
-print(f"values by at most {np.abs(u_h - u).max():.2e}")
+print(f"values by {moved}")

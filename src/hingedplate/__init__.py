@@ -31,8 +31,7 @@ from .optimize import (
 )
 from .green import (
     apply,
-    green_dx,
-    green_matrix,
+    kernel,
     quadratic_form,
     reflection_gap,
 )

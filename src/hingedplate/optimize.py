@@ -20,7 +20,7 @@ import numpy as np
 from .assembly import StiffnessFactor, assemble_weighted_mass
 from .basis import SpectralBasis, SpectralField, _legendre_tables, _sine_table
 from .config import AdmissibleWeightRule, PlateConfig
-from .eigensolve import Eigenpair, _rayleigh_ritz, solve_first
+from .eigensolve import Eigenpair, SolverError, _rayleigh_ritz, solve_first
 from .grid import QuadratureGrid
 
 LEFT_DOMINANT = "LEFT_DOMINANT"
@@ -262,10 +262,21 @@ class PlateSystem:
     @cached_property
     def uniform_spectrum(self) -> np.ndarray:
         """Eigenvalues of the pencils (K_m, D_m) at p = 1, where D_m is
-        (sum_i wx_i S[m,i]^2) L^T diag(wy) L; (n_modes_x, J), on first use."""
+        (sum_i wx_i S[m,i]^2) L^T diag(wy) L; (n_modes_x, J), on first use.
+
+        Both pencils are positive definite, so a value that is not positive
+        (NaN included) is rounding gone wrong, as on a plate too thin for
+        double precision: SolverError.  A positive spectrum keeps at least
+        one mode in the eigensolver's start, since the contrast is >= 1.
+        """
         wyL = self.grid.weights_y[:, None] * self.L
         D = ((self.S * self.S) @ self.grid.weights_x)[:, None, None] * (wyL.T @ self.L)
-        return _rayleigh_ritz(self.factor.blocks, D)[0]
+        theta = _rayleigh_ritz(self.factor.blocks, D)[0]
+        if not np.all(theta > 0.0):
+            raise SolverError(f"uniform plate spectrum is not positive (minimum "
+                              f"{np.min(theta):.3e}); the plate is too thin or too "
+                              f"ill-conditioned for double precision")
+        return theta
 
     def grid_values(self, u: SpectralField, dx: int = 0, dy: int = 0) -> np.ndarray:
         """u, or its dx-th x- and dy-th y-derivative (0 to 2 each), at the

@@ -170,11 +170,8 @@ def check_sine_lower_bound(xs: np.ndarray):
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0 or xs.min() <= 0.0 or xs.max() > math.pi / 6 + 1e-15:
         raise ValueError("grid must lie in (0, pi/6]")
-    margin = float(np.min(np.sin(xs) - (3.0 / math.pi) * xs))
-    return make_report(
-        "sine-chord-bound", xs.size, margin, f"grid={xs.size}",
-        bool(margin >= -1e-15),
-    )
+    return make_report("sine-chord-bound", xs.size, np.min(np.sin(xs) - (3.0 / math.pi) * xs),
+                       f"grid={xs.size}")
 
 
 def pair_term_margin(m: int, z) -> float:
@@ -198,10 +195,8 @@ def certify_pair_term_margin():
     worst = np.inf
     for m in range(3, PAIR_TERM_N + 1):
         worst = min(worst, float(np.min(pair_term_margin(m, zs))))
-    return make_report(
-        "pair-term-margin-positive", (PAIR_TERM_N - 2) * PAIR_TERM_GRID, worst,
-        f"N={PAIR_TERM_N}, grid={PAIR_TERM_GRID}", bool(worst > 0.0),
-    )
+    return make_report("pair-term-margin-positive", (PAIR_TERM_N - 2) * PAIR_TERM_GRID, worst,
+                       f"N={PAIR_TERM_N}, grid={PAIR_TERM_GRID}")
 
 
 def _envelope_margin(seq: CoefficientSequence, zs: np.ndarray, vals: np.ndarray) -> float:
@@ -230,26 +225,23 @@ def certify_series(*, grid_points: int = 999, terms: int = 20000,
         worst_neg = min(worst_neg, _positive_margin(seq, -alternating))
         worst_env = min(worst_env, _envelope_margin(seq, zs, vals))
     res = f"families={len(families)}, terms={terms}, grid={grid_points}"
-    reports.append(make_report("series-positive", len(families) * grid_points,
-                               worst_pos, res, bool(worst_pos > 0.0)))
-    reports.append(make_report("series-alternating-negative", len(families) * grid_points,
-                               worst_neg, res, bool(worst_neg > 0.0)))
-    reports.append(make_report("series-lower-envelope", len(families) * grid_points,
-                               worst_env, res, bool(worst_env > -1e-12)))
+    probes = len(families) * grid_points
+    reports.append(make_report("series-positive", probes, worst_pos, res))
+    reports.append(make_report("series-alternating-negative", probes, worst_neg, res))
+    reports.append(make_report("series-lower-envelope", probes, worst_env, res))
 
     ns = np.arange(2, 501)
     margins = np.array([1.0 / n - constant_CN(n) for n in ns])
-    reports.append(make_report("tail-ratio-bound", ns.size, float(margins.min()),
-                               "N=2..500", bool(margins.min() > 0.0)))
+    reports.append(make_report("tail-ratio-bound", ns.size, margins.min(), "N=2..500"))
 
     odd = np.arange(3, 200, 2)
     margins = np.array([4.0 / (3.0 * (n + 1.0)) - constant_CbarN(int(n)) for n in odd])
-    reports.append(make_report("paired-tail-ratio-bound", odd.size, float(margins.min()),
-                               "odd N=3..199", bool(margins.min() > 0.0)))
+    reports.append(make_report("paired-tail-ratio-bound", odd.size, margins.min(),
+                               "odd N=3..199"))
 
+    # the 0.005 is part of the statement, not a tolerance
     z3 = ratio_crossing_angle(3)
-    reports.append(make_report("ratio-crossing-angle", 1, 0.005 - abs(z3 - 0.21),
-                               "N=3", bool(abs(z3 - 0.21) < 0.005)))
+    reports.append(make_report("ratio-crossing-angle", 1, 0.005 - abs(z3 - 0.21), "N=3"))
 
     xs = np.linspace(math.pi / 6 / 400, math.pi / 6, 400)
     reports.append(check_sine_lower_bound(xs))

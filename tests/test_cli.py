@@ -282,9 +282,9 @@ def test_certify_all_unique_claims(tmp_path, small_config_file):
     reports = json.loads((out / "certify_all.json").read_text())
     ids = [r["claim_id"] for r in reports]
     assert len(ids) == len(set(ids))
-    from hingedplate.certify import CLAIM_STATEMENTS
+    from hingedplate.certify import CLAIMS
 
-    assert set(ids) == set(CLAIM_STATEMENTS)
+    assert set(ids) == set(CLAIMS)
     if any(not r["pass"] for r in reports):
         assert rc == 4
         for r in reports:
@@ -404,6 +404,20 @@ def test_cli_exit_codes_on_small_configs(cfg):
                         ["certify", "--suite", "polarization"]):
             rc = main(command + ["--config", str(path), "--out", str(Path(tmp) / "run")])
             assert rc in (0, 2, 3, 4), (cfg, command, rc)
+
+
+@pytest.mark.parametrize("command", ["solve", "optimize"])
+def test_thin_plate_exits_3_without_traceback(tmp_path, command):
+    # at ell = 1e-8 rounding makes the p = 1 spectrum negative, which used to
+    # leave the eigensolver's start with no mode and end in an IndexError
+    path = tmp_path / "thin.json"
+    path.write_text(json.dumps(dict(SMALL, ell=1e-8)))
+    proc = subprocess.run([sys.executable, "-m", "hingedplate.cli", command, "--config",
+                           str(path), "--out", str(tmp_path / "run")],
+                          env=_package_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert "solver error: uniform plate spectrum is not positive" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_solver_failure_exit_code(tmp_path):

@@ -51,13 +51,28 @@ DEMOS = {"solve_uniform_plate.py": (0, b"lambda1 1.0\nresidual 1e-13\n"),
 
 
 def test_identical_demo_outputs_have_no_differences():
-    assert compare_outputs.compare_demos(DEMOS, dict(DEMOS)) == []
+    assert compare_outputs.compare_runs(DEMOS, dict(DEMOS), "demo") == []
 
 
 def test_one_changed_demo_line_is_a_difference():
     new = {**DEMOS, "solve_uniform_plate.py": (0, b"lambda1 1.0\nresidual 2e-13\n")}
-    assert compare_outputs.compare_demos(DEMOS, new) == [
+    assert compare_outputs.compare_runs(DEMOS, new, "demo") == [
         "demo stdout differs: solve_uniform_plate.py"]
+
+
+def test_a_changed_command_stdout_is_a_difference(tmp_path):
+    # the output files and exit codes agree; only a printed PASS line moved
+    old_out = _tree(tmp_path / "old", FILES)
+    new_out = _tree(tmp_path / "new", FILES)
+    old = {"solve": (0, b"lambda1 = 1\n"),
+           "certify-all": (0, b"[PASS] kernel-positive: margin 5.000e-01 (M=20)\n")}
+    new = {**old, "certify-all": (0, b"[PASS] kernel-positive: margin 6.250e-01 (M=20)\n")}
+    assert compare_outputs.compare_dirs(old_out, new_out) == []
+    assert compare_outputs.compare_runs(old, new, "command") == [
+        "command stdout differs: certify-all"]
+    assert compare_outputs.compare_runs(old, {**new, "solve": (3, b"")}, "command") == [
+        "command stdout differs: certify-all", "exit code of command solve: 0 -> 3",
+        "command stdout differs: solve"]
 
 
 REPORT = {"claim_id": "kernel-positive", "min_margin": 0.5, "pass": True, "probe_count": 200}

@@ -11,8 +11,7 @@ from hingedplate import (
     SpectralBasis,
     apply,
     evaluate_on_grid,
-    green_dx,
-    green_matrix,
+    kernel,
     minimize,
     quadratic_form,
     reflection_gap,
@@ -77,44 +76,44 @@ def test_inverse_consistency(default_system, rng):
 
 def test_kernel_symmetry_and_boundary(default_system, rng):
     pts = interior_probe_points(default_system.grid, 8, 5)
-    G = green_matrix(default_system, pts, pts)
+    G = kernel(default_system, pts, pts)
     assert np.abs(G - G.T).max() <= 1e-13 * np.abs(G).max()
     ys = np.linspace(-default_system.grid.ell, default_system.grid.ell, 5)
     for x_edge in (0.0, math.pi):
         edge = ([x_edge], ys)
-        G_edge = green_matrix(default_system, pts, edge)
+        G_edge = kernel(default_system, edge, pts)
         assert np.abs(G_edge).max() <= 1e-13
 
 
 def test_kernel_positive_on_probe_lattice(default_system):
     pts = interior_probe_points(default_system.grid, 20, 10)
-    G = green_matrix(default_system, pts, pts)
+    G = kernel(default_system, pts, pts)
     assert G.shape == (200, 200)
     assert G.min() > 0.0
 
 
-def test_green_dx_signs(default_system):
+def test_kernel_dx_signs(default_system):
     probes = interior_probe_points(default_system.grid, 15, 7)
     ys = np.linspace(-default_system.grid.ell, default_system.grid.ell, 5)
-    assert green_dx(default_system, 0.0, ys, probes).min() > 0.0
-    assert green_dx(default_system, math.pi, ys, probes).max() < 0.0
-    mid = green_dx(default_system, math.pi / 2, ys, probes)
+    assert kernel(default_system, ([0.0], ys), probes, dx=1).min() > 0.0
+    assert kernel(default_system, ([math.pi], ys), probes, dx=1).max() < 0.0
+    mid = kernel(default_system, ([math.pi / 2], ys), probes, dx=1)
     rho = np.repeat(probes[0], probes[1].size)  # source x of each column
     assert mid[:, rho < math.pi / 2 - 1e-9].max() < 0.0
     assert mid[:, rho > math.pi / 2 + 1e-9].min() > 0.0
     # source on the midline: derivative vanishes there
-    on_mid = green_dx(default_system, math.pi / 2, ys, ([math.pi / 2], [0.1]))
+    on_mid = kernel(default_system, ([math.pi / 2], ys), ([math.pi / 2], [0.1]), dx=1)
     assert np.abs(on_mid).max() <= 1e-12
 
 
 def test_reflection_identities_exact(default_system):
     pts = interior_probe_points(default_system.grid, 10, 5)
     mirrored = (math.pi - pts[0], pts[1])
-    G = green_matrix(default_system, pts, pts)
-    G_pair = green_matrix(default_system, mirrored, mirrored)
+    G = kernel(default_system, pts, pts)
+    G_pair = kernel(default_system, mirrored, mirrored)
     assert np.abs(G - G_pair).max() <= 1e-12 * np.abs(G).max()
-    G_src = green_matrix(default_system, mirrored, pts)
-    G_tgt = green_matrix(default_system, pts, mirrored)
+    G_src = kernel(default_system, pts, mirrored)
+    G_tgt = kernel(default_system, mirrored, pts)
     assert np.abs(G_src - G_tgt).max() <= 1e-12 * np.abs(G).max()
 
 
@@ -126,9 +125,9 @@ def test_reflection_gap_positive_inside_half(default_system):
     assert reflection_gap(default_system, single) > 1e-8
     # on the midline the reflection is the identity: gap exactly zero
     mid = ([math.pi / 2], [0.0])
-    G_mid = green_matrix(default_system, mid, mid).item()
+    G_mid = kernel(default_system, mid, mid).item()
     mirrored = ([math.pi - math.pi / 2], [0.0])
-    G_mirror = green_matrix(default_system, mid, mirrored).item()
+    G_mirror = kernel(default_system, mirrored, mid).item()
     assert G_mid - G_mirror == pytest.approx(0.0, abs=1e-15)
     for x in (0.0, math.pi / 2, 2.0, -0.1):
         with pytest.raises(ValueError):
@@ -137,7 +136,7 @@ def test_reflection_gap_positive_inside_half(default_system):
         reflection_gap(default_system, ([0.3, 0.6, 1.6], [0.0, 0.1]))
 
 
-def _dense_kernel(system, sources, targets, dx=0):
+def _dense_kernel(system, targets, sources, dx=0):
     """Bt^T K^-1 Bs from (dimension x points) basis matrices of two lattices."""
     def points(lattice):
         xs, ys = (np.atleast_1d(np.asarray(a, dtype=float)) for a in lattice)
@@ -157,13 +156,13 @@ def test_kernel_matches_the_dense_reference(size, default_system, dim_1600_syste
     ys = np.linspace(-system.grid.ell, system.grid.ell, 7)
     pairs = [(probes, probes), (mirrored, probes), (probes, mirrored), (point, other),
              (probes, ([0.0], ys)), (probes, ([math.pi], ys))]
-    scale = np.abs(green_matrix(system, probes, probes)).max()
+    scale = np.abs(kernel(system, probes, probes)).max()
     for sources, targets in pairs:
-        G = green_matrix(system, sources, targets)
-        assert np.abs(G - _dense_kernel(system, sources, targets)).max() <= 1e-13 * scale
+        G = kernel(system, targets, sources)
+        assert np.abs(G - _dense_kernel(system, targets, sources)).max() <= 1e-13 * scale
     for x0 in (0.0, math.pi / 2, math.pi):
-        dG = green_dx(system, x0, ys, probes)
-        ref = _dense_kernel(system, probes, ([x0], ys), dx=1)
+        dG = kernel(system, ([x0], ys), probes, dx=1)
+        ref = _dense_kernel(system, ([x0], ys), probes, dx=1)
         assert dG.shape == ref.shape == (ys.size, 200)
         assert np.abs(dG - ref).max() <= 1e-13 * scale
 

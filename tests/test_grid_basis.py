@@ -12,6 +12,7 @@ from hingedplate import (
     evaluate_on_grid,
 )
 from hingedplate.basis import _legendre_tables
+from hingedplate.grid import _gauss_nodes
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +46,11 @@ def test_node_symmetry(grid):
     # bit for bit: the gray node's mirror-pair mass sum relies on it
     assert np.array_equal(grid.weights_x, grid.weights_x[::-1])
     assert np.all(grid.weights_x > 0) and np.all(grid.weights_y > 0)
+    # and so for every even n_quad_x up to 256, and at 512 and 1024
+    for n in [*range(2, 257, 2), 512, 1024]:
+        nodes_x, weights_x = _gauss_nodes(n, 0.0, math.pi)
+        assert np.allclose(nodes_x + nodes_x[::-1], math.pi, atol=1e-13), n
+        assert np.array_equal(weights_x, weights_x[::-1]), n
 
 
 def test_nodes_interior_and_increasing(grid, cfg):

@@ -17,12 +17,14 @@ Python subprocess,
 into a fresh output directory.  The two directories are then compared file
 by file, bytes and file sets, skipping the run manifests
 (``manifest.jsonl``), which carry wall-clock time.  A command whose exit
-code differs between the trees counts as a difference too.  For a JSON
-file that differs, the line also gives the largest absolute and relative
-difference over its numeric leaves and says whether every other leaf
-(keys, list lengths, strings, booleans, nulls) matches.  For a CSV file
-that differs, it gives the same two differences over the numeric cells and
-says whether the header, the row count and every non-numeric cell match.
+code or stdout differs between the trees counts as a difference too.  Its
+stderr is not compared, because warnings name each tree's source path.
+For a JSON file that differs, the line also gives the largest absolute
+and relative difference over its numeric leaves and says whether every
+other leaf (keys, list lengths, strings, booleans, nulls) matches.  For a
+CSV file that differs, it gives the same two differences over the numeric
+cells and says whether the header, the row count and every non-numeric
+cell match.
 
 Once per tree, every script in the ``demos`` directory beside the tree's
 ``src`` runs with that tree's package, and the two trees' stdout must match
@@ -154,16 +156,17 @@ def compare_dirs(old: Path, new: Path) -> list:
 
 
 def run_tree(src: Path, config: str, out: Path) -> dict:
-    """Run every command with the package from `src`; command -> exit code."""
+    """Run every command with the package from `src`; command -> (exit code,
+    stdout bytes)."""
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
     cfg = [] if config == "default" else ["--config", str(Path(config).resolve())]
-    codes = {}
+    captured = {}
     for name, argv in COMMANDS.items():
         proc = subprocess.run([sys.executable, "-m", "hingedplate.cli", *argv, *cfg,
                                "--out", str(out / name)],
-                              env=env, capture_output=True, text=True)
-        codes[name] = proc.returncode
-    return codes
+                              env=env, capture_output=True)
+        captured[name] = (proc.returncode, proc.stdout)
+    return captured
 
 
 def run_demos(src: Path) -> dict:
@@ -179,17 +182,18 @@ def run_demos(src: Path) -> dict:
     return captured
 
 
-def compare_demos(old: dict, new: dict) -> list:
-    """Differences between two captures of run_demos, one line each: demos
-    present on one side only, differing exit codes and differing stdout."""
-    diffs = [f"demo only in old: {n}" for n in sorted(old.keys() - new.keys())]
-    diffs += [f"demo only in new: {n}" for n in sorted(new.keys() - old.keys())]
+def compare_runs(old: dict, new: dict, kind: str) -> list:
+    """Differences between two captures of run_tree or run_demos, one line
+    each: runs of this kind present on one side only, differing exit codes
+    and differing stdout."""
+    diffs = [f"{kind} only in old: {n}" for n in sorted(old.keys() - new.keys())]
+    diffs += [f"{kind} only in new: {n}" for n in sorted(new.keys() - old.keys())]
     for name in sorted(old.keys() & new.keys()):
         (old_code, old_out), (new_code, new_out) = old[name], new[name]
         if old_code != new_code:
-            diffs.append(f"exit code of demo {name}: {old_code} -> {new_code}")
+            diffs.append(f"exit code of {kind} {name}: {old_code} -> {new_code}")
         if old_out != new_out:
-            diffs.append(f"demo stdout differs: {name}")
+            diffs.append(f"{kind} stdout differs: {name}")
     return diffs
 
 
@@ -203,19 +207,19 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for k, config in enumerate(args.configs):
             old, new = Path(tmp) / f"{k}-old", Path(tmp) / f"{k}-new"
-            old_codes = run_tree(args.old_src, config, old)
-            new_codes = run_tree(args.new_src, config, new)
-            diffs = [f"exit code of {name}: {old_codes[name]} -> {new_codes[name]}"
-                     for name in COMMANDS if old_codes[name] != new_codes[name]]
+            old_runs = run_tree(args.old_src, config, old)
+            new_runs = run_tree(args.new_src, config, new)
+            diffs = compare_runs(old_runs, new_runs, "command")
             diffs += compare_dirs(old, new)
             n_files = sum(1 for p in new.rglob("*") if p.is_file())
+            codes = {name: code for name, (code, _) in new_runs.items()}
             print(f"{config}: {len(diffs)} differences, {n_files} files, "
-                  f"exit codes {new_codes}")
+                  f"exit codes {codes}")
             for line in diffs:
                 print(f"  {line}")
             differences += len(diffs)
     new_demos = run_demos(args.new_src)
-    diffs = compare_demos(run_demos(args.old_src), new_demos)
+    diffs = compare_runs(run_demos(args.old_src), new_demos, "demo")
     codes = {name: code for name, (code, _) in new_demos.items()}
     print(f"demos: {len(diffs)} differences, {len(new_demos)} scripts, exit codes {codes}")
     for line in diffs:
