@@ -71,6 +71,11 @@ def rayleigh_quotient(u: SpectralField, factor: StiffnessFactor, mass: WeightedM
     return float(c @ factor.matvec(c)) / float(denom)
 
 
+def _sym(S):
+    """The symmetric part of S, batched over leading axes."""
+    return 0.5 * (S + S.swapaxes(-1, -2))
+
+
 def _rayleigh_ritz(A, B):
     """Eigenpairs of the symmetric pencil (A, B), batched over leading axes.
 
@@ -78,13 +83,10 @@ def _rayleigh_ritz(A, B):
     factor B = L L^T and the standard problem L^-1 A L^-T (Golub & Van
     Loan, Matrix Computations, 4th ed., sec. 8.7).
     """
-    def sym(S):
-        return 0.5 * (S + S.swapaxes(-1, -2))
-
     try:
-        Li = np.linalg.inv(np.linalg.cholesky(sym(B)))
+        Li = np.linalg.inv(np.linalg.cholesky(_sym(B)))
         LiT = Li.swapaxes(-1, -2)
-        theta, Y = np.linalg.eigh(sym(Li @ A @ LiT))
+        theta, Y = np.linalg.eigh(_sym(Li @ A @ LiT))
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"Rayleigh-Ritz projection failed: {exc}") from exc
     return theta, LiT @ Y

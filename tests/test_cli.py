@@ -301,6 +301,20 @@ def test_cli_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_cli_import_and_solve_leave_random_and_scipy_unloaded(tmp_path, small_config_file):
+    # numpy.random costs megabytes of resident memory and milliseconds of
+    # import; only a random start or the certification suites draw from it
+    code = ("import sys\n"
+            "import hingedplate.cli\n"
+            f"rc = hingedplate.cli.main(['solve', '--config', {str(small_config_file)!r},\n"
+            f"                           '--out', {str(tmp_path / 'run')!r}])\n"
+            "print(rc, sorted(m for m in sys.modules\n"
+            "                 if m == 'scipy' or m.startswith(('numpy.random', 'scipy.'))))\n")
+    done = subprocess.run([sys.executable, "-c", code], env=_package_env(),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.splitlines()[-1] == "0 []"
+
+
 def test_unknown_suite_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["certify", "--suite", "bogus", "--out", str(tmp_path)])
@@ -406,18 +420,29 @@ def test_cli_exit_codes_on_small_configs(cfg):
             assert rc in (0, 2, 3, 4), (cfg, command, rc)
 
 
-@pytest.mark.parametrize("command", ["solve", "optimize"])
+@pytest.mark.parametrize("command", ["solve", "optimize", "certify --suite green",
+                                     "certify --suite polarization", "certify --suite all"])
 def test_thin_plate_exits_3_without_traceback(tmp_path, command):
     # at ell = 1e-8 rounding makes the p = 1 spectrum negative, which used to
-    # leave the eigensolver's start with no mode and end in an IndexError
+    # leave the eigensolver's start with no mode and end in an IndexError,
+    # and let the kernel suite pass claims about an indefinite operator
     path = tmp_path / "thin.json"
     path.write_text(json.dumps(dict(SMALL, ell=1e-8)))
-    proc = subprocess.run([sys.executable, "-m", "hingedplate.cli", command, "--config",
-                           str(path), "--out", str(tmp_path / "run")],
+    proc = subprocess.run([sys.executable, "-m", "hingedplate.cli", *command.split(),
+                           "--config", str(path), "--out", str(tmp_path / "run")],
                           env=_package_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 3
     assert "solver error: uniform plate spectrum is not positive" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "PASS" not in proc.stdout
+
+
+def test_thin_plate_series_suite_still_certifies(tmp_path):
+    # the series suite reads no operator, so a thin plate does not stop it
+    path = tmp_path / "thin.json"
+    path.write_text(json.dumps(dict(SMALL, ell=1e-8)))
+    assert main(["certify", "--suite", "series", "--config", str(path),
+                 "--out", str(tmp_path / "run")]) == 0
 
 
 def test_solver_failure_exit_code(tmp_path):

@@ -282,6 +282,24 @@ def test_certified_start_is_the_all_mode_start(name):
                                   _all_mode_start(system.factor, mass, k))
 
 
+@pytest.mark.parametrize("name", sorted(START_CONFIGS))
+def test_uniform_spectrum_matches_rayleigh_ritz(name):
+    # one y-Gram factor for all modes against a generalized Rayleigh-Ritz
+    # solve of each pencil (K_m, D_m(1)): both carry an absolute error of
+    # about eps * max_j theta_{m,j}, and the start keeps the same modes
+    system = PlateSystem(PlateConfig(**START_CONFIGS[name]))
+    wyL = system.grid.weights_y[:, None] * system.L
+    c = (system.S * system.S) @ system.grid.weights_x
+    ref = _rayleigh_ritz(system.factor.blocks, c[:, None, None] * (wyL.T @ system.L))[0]
+    theta = system.uniform_spectrum
+    assert np.all(np.abs(theta - ref) <= 1e-13 * ref.max(axis=1, keepdims=True))
+    k = min(4, system.basis.dimension)
+    for contrast in (2.0, 12.0, 200.0, 1e4):
+        kept = [np.flatnonzero(t[:, 0] <= 2.0 * contrast * np.sort(t, axis=None)[k - 1])
+                for t in (theta, ref)]
+        assert np.array_equal(*kept), contrast
+
+
 def test_certified_start_projects_few_modes_at_dim_1600(monkeypatch):
     # the speed-up of the start: a strip density at dim 1600 projects at
     # most 5 of the 80 sine-mode pencils

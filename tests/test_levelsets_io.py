@@ -296,16 +296,22 @@ def test_density_csv_roundtrip(tmp_path):
 
 
 def test_grid_csv_matches_csv_writer_reference(tmp_path):
-    grid = QuadratureGrid(nodes_x=np.array([-0.0, 5e-324, 1.0, 1e300]), weights_x=np.ones(4),
-                          nodes_y=np.array([-2.0, 0.0, 0.1]), weights_y=np.ones(3), ell=1.0)
+    small = QuadratureGrid(nodes_x=np.array([-0.0, 5e-324, 1.0, 1e300]), weights_x=np.ones(4),
+                           nodes_y=np.array([-2.0, 0.0, 0.1]), weights_y=np.ones(3), ell=1.0)
+    # 70 x-rows: more than two of the writer's blocks, the last one partial
+    wide = QuadratureGrid(nodes_x=np.linspace(0.0, np.pi, 70), weights_x=np.ones(70),
+                          nodes_y=np.array([-0.5, -0.0, 1.0 / 3.0]), weights_y=np.ones(3),
+                          ell=1.0)
     cases = [
-        np.array([[-0.0, 5e-324, 1e300], [3.0, -2.0, 0.0],
-                  [1.0 / 3.0, -1e-300, 2.0 ** 53], [np.inf, -np.inf, np.nan]]),
-        np.arange(12).reshape(4, 3),     # integers are written as floats
-        np.linspace(-1.0, 1.0, 12, dtype=np.float32),
+        (small, np.array([[-0.0, 5e-324, 1e300], [3.0, -2.0, 0.0],
+                          [1.0 / 3.0, -1e-300, 2.0 ** 53], [np.inf, -np.inf, np.nan]])),
+        (small, np.arange(12).reshape(4, 3)),     # integers are written as floats
+        (small, np.linspace(-1.0, 1.0, 12, dtype=np.float32)),
+        (wide, np.resize(np.array(_SPECIAL), (70, 3))),
+        (wide, np.random.default_rng(5).standard_normal((70, 3))),
     ]
-    X, Y = grid.meshgrid()
-    for values in cases:
+    for grid, values in cases:
+        X, Y = grid.meshgrid()
         path, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
         write_grid_csv(path, grid, values, value_name="p")
         with open(ref, "w", newline="", encoding="utf-8") as fh:

@@ -18,7 +18,7 @@ from hingedplate import (
 )
 from hingedplate.assembly import StiffnessFactor
 from hingedplate.certify import run_suite
-from hingedplate.polarization import (POLARIZATION_SEED, _random_positive_field,
+from hingedplate.polarization import (POLARIZATION_SEED, _positive_field_sampler,
                                       certify_duality, certify_polarization)
 
 
@@ -108,12 +108,38 @@ def test_rearrangement_commutes_with_polarization_bitwise(n_quad):
     grid = QuadratureGrid.from_config(cfg)
     rule = AdmissibleWeightRule.from_config(cfg)
     rng = np.random.default_rng(POLARIZATION_SEED)
-    X, Y = grid.meshgrid()
+    sample = _positive_field_sampler(*grid.meshgrid(), cfg.ell)
     for _ in range(15):
-        u = _random_positive_field(rng, X, Y, cfg.ell)
+        u = sample(rng)
         p_u, _ = bang_bang_from_values(u, grid, rule)
         p_h, _ = bang_bang_from_values(polarize(u), grid, rule)
         assert np.array_equal(polarize(p_u.values), p_h.values)
+
+
+def _inline_positive_field(rng, X, Y, ell):
+    # the sampler's draw with every term computed in the expression itself
+    kind = rng.integers(0, 2)
+    if kind == 0:
+        a = rng.uniform(-0.5, 0.5, size=3)
+        f = np.sin(X) * (1.0 + 0.3 * np.sin(2.0 * Y / ell)) \
+            + a[0] * np.sin(2 * X) + a[1] * np.sin(3 * X) \
+            + a[2] * np.sin(2 * X) * (Y / ell)
+        return f - f.min() + 0.05
+    f = rng.uniform(0.0, 1.0, size=X.shape)
+    return f + 0.05
+
+
+@pytest.mark.parametrize("ell", [math.pi / 5, 0.1, 3.0], ids=["pi/5", "0.1", "3"])
+def test_sampled_fields_match_the_inline_expression_bitwise(small_grid, ell):
+    # the sampler's terms, computed once, give every draw the bits of the
+    # expression written out in full, for sine mixes and noise alike
+    X, Y = small_grid.meshgrid()
+    sample = _positive_field_sampler(X, Y, ell)
+    for seed in (POLARIZATION_SEED, 0, 1, 7, 997):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(10):
+            assert np.array_equal(sample(rng).view(np.int64),
+                                  _inline_positive_field(ref, X, Y, ell).view(np.int64))
 
 
 def test_theta1_quotient_duality(default_system, default_uniform_pair):
