@@ -33,6 +33,6 @@ print(f"  max over nodes        {u.max():.6f}")
 print(f"  weighted L2 norm      {system.grid.integrate(u ** 2):.12f} (normalized to 1)")
 
 ys = system.grid.nodes_y
-slopes0 = pair.u.coefficients @ system.basis.eval_matrix(
+slopes0 = pair.u @ system.basis.eval_matrix(
     np.column_stack([np.zeros(ys.size), ys]), dx=1)
 print(f"  edge slope at x=0     min {slopes0.min():.6f}  (rises off the hinge)")

@@ -83,8 +83,9 @@ class WeightedMass:
 
 def assemble_weighted_mass(basis: SpectralBasis, grid: QuadratureGrid, p: np.ndarray,
                            S: np.ndarray, L: np.ndarray) -> WeightedMass:
-    """M_p (entry (a,b) = sum_nodes w p phi_a phi_b) on the tables (S, L) of
-    basis.axis_tables(grid); only the per-node moments A are computed here.
+    """M_p (entry (a,b) = sum_nodes w p phi_a phi_b) on the grid tables S
+    (sin(m x_i)) and L (psi_j(y_k)) of the basis, as `PlateSystem` holds
+    them; only the per-node moments A are computed here.
     `p` is the (n_quad_x, n_quad_y) array of density values at the nodes.
 
     The moments are one GEMM of the weighted density with the row-wise

@@ -5,7 +5,7 @@ closed rectangle, and the x-factors are mutually orthogonal on (0, pi),
 which makes the energy matrix exactly block diagonal over the sine mode.
 The y-factors are Legendre polynomials mapped to (-ell, ell); the free-edge
 conditions are natural for the weak form, so no boundary constraint is
-needed in y.
+needed in y.  A field is its flat (dimension,) coefficient vector.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from .config import PlateConfig
-from .grid import QuadratureGrid
 
 
 def _legendre_tables(y: np.ndarray, n_funcs: int, ell: float, max_deriv: int = 0):
@@ -53,24 +52,20 @@ class SpectralBasis:
     """Tensor basis sin(m x) * psi_j(y), flat index a = (m-1)*n_basis_y + j."""
 
     modes_x: np.ndarray      # sine wavenumbers 1..M
-    y_degrees: np.ndarray    # polynomial degrees 0..J-1
+    n_basis_y: int           # Legendre profiles P_0..P_{J-1}
     ell: float
 
     @classmethod
     def from_config(cls, cfg: PlateConfig) -> "SpectralBasis":
         return cls(
             modes_x=np.arange(1, cfg.n_modes_x + 1),
-            y_degrees=np.arange(cfg.n_basis_y),
+            n_basis_y=cfg.n_basis_y,
             ell=cfg.ell,
         )
 
     @property
     def n_modes_x(self) -> int:
         return self.modes_x.size
-
-    @property
-    def n_basis_y(self) -> int:
-        return self.y_degrees.size
 
     @property
     def dimension(self) -> int:
@@ -86,41 +81,15 @@ class SpectralBasis:
         fy = _legendre_tables(pts[:, 1], self.n_basis_y, self.ell, max_deriv=dy)[dy]
         return np.einsum("mk,kj->mjk", fx, fy).reshape(self.dimension, pts.shape[0])
 
-    def axis_tables(self, grid: QuadratureGrid, dx: int = 0, dy: int = 0):
-        """Per-axis factors of the basis on the tensor grid.
 
-        Returns fx (n_modes_x, n_quad_x) holding the dx-th derivative of
-        sin(m x_i) and fy (n_quad_y, n_basis_y) holding the dy-th derivative
-        of psi_j(y_k); the basis value of (m, j) at node (i, k) is
-        fx[m, i] * fy[k, j], so every grid transform is two 1-D contractions.
-        """
-        fx = _sine_table(self.modes_x, grid.nodes_x, dx)
-        fy = _legendre_tables(grid.nodes_y, self.n_basis_y, self.ell, max_deriv=dy)[dy]
-        return fx, fy
+def evaluate_on_grid(c: np.ndarray, x_table: np.ndarray, y_table: np.ndarray) -> np.ndarray:
+    """The field of the coefficient vector c on a tensor lattice xs x ys,
+    shape (len(xs), len(ys)).
 
-
-@dataclass(frozen=True)
-class SpectralField:
-    """A function in the Galerkin space, held as its coefficient vector."""
-
-    basis: SpectralBasis
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=float)
-        if c.shape != (self.basis.dimension,):
-            raise ValueError(
-                f"coefficient vector has shape {c.shape}, expected ({self.basis.dimension},)"
-            )
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients contain non-finite entries")
-        object.__setattr__(self, "coefficients", c)
-
-
-def evaluate_on_grid(field: SpectralField, grid: QuadratureGrid,
-                     dx: int = 0, dy: int = 0) -> np.ndarray:
-    """Field (or a derivative) sampled at all quadrature nodes."""
-    basis = field.basis
-    fx, fy = basis.axis_tables(grid, dx=dx, dy=dy)
-    coeffs = field.coefficients.reshape(basis.n_modes_x, basis.n_basis_y)
-    return fx.T @ coeffs @ fy.T
+    x_table (n_modes_x, len(xs)) holds a derivative of sin(m x) at xs (a
+    `_sine_table`) and y_table (len(ys), n_basis_y) one of psi_j(y) at ys
+    (a `_legendre_tables` entry); the basis value of (m, j) at (x_a, y_b)
+    is x_table[m, a] * y_table[b, j], so the lattice costs two 1-D
+    contractions and no (dimension x points) matrix.
+    """
+    return x_table.T @ c.reshape(len(x_table), -1) @ y_table.T

@@ -64,7 +64,7 @@ def _resolve_density(spec: str, system: PlateSystem) -> DensityField:
 def _write_field_outputs(manifest, out, system, pair):
     u = system.grid_values(pair.u)
     write_vector_csv(manifest.register(out / "coefficients.csv"),
-                     "coefficient", pair.u.coefficients)
+                     "coefficient", pair.u)
     write_grid_csv(manifest.register(out / "eigenfunction.csv"),
                    system.grid, u, value_name="u")
     levels = level_bands(u, 10)
@@ -91,6 +91,13 @@ def cmd_solve(args) -> int:
     manifest.write()
     print(f"lambda1 = {pair.lambda1:.12g}  (residual {pair.residual:.2e})")
     return EXIT_OK
+
+
+def _node_range(nodes):
+    """[min, max] of the nodes, or None (JSON null) when there are none: a
+    heavy share below one node's weight leaves only the gray node heavy,
+    and its value sits below the midpoint, so no node counts as heavy."""
+    return [float(nodes.min()), float(nodes.max())] if nodes.size else None
 
 
 def cmd_optimize(args) -> int:
@@ -156,8 +163,8 @@ def cmd_optimize(args) -> int:
         "symmetry_verdict": verdict,
         "midline_max_abs_slope": slope.max_abs_slope,
         "density_mirror_asymmetry_nodes": asym_nodes,
-        "heavy_region_x_range": [float(heavy_x.min()), float(heavy_x.max())],
-        "heavy_region_y_range": [float(heavy_y.min()), float(heavy_y.max())],
+        "heavy_region_x_range": _node_range(heavy_x),
+        "heavy_region_y_range": _node_range(heavy_y),
         "statuses": {name: tr.status for name, _, tr in results},
         # observed, never asserted: conjectured monotonicity of the optimum
         "gradient_sign_table": gradient_sign_diagnostic(

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import StiffnessFactor, WeightedMass
-from .basis import SpectralField
 
 # Relative gap below which the first pair counts as nearly degenerate.
 DEGENERATE_GAP = 1e-10
@@ -46,7 +45,8 @@ class NearDegenerateWarning(UserWarning):
 
 @dataclass(frozen=True)
 class Eigenpair:
-    """First eigenvalue with its eigenfunction, normalized so ||sqrt(p) u||_2 = 1.
+    """First eigenvalue with its eigenfunction's coefficient vector u,
+    normalized so ||sqrt(p) u||_2 = 1.
 
     `lambda1` is the Rayleigh quotient of the returned vector and the sign
     is fixed so the quadrature mean of u is positive; `residual` is
@@ -56,15 +56,15 @@ class Eigenpair:
     """
 
     lambda1: float
-    u: SpectralField
+    u: np.ndarray
     residual: float
     gap: float
     iterations: int
 
 
-def rayleigh_quotient(u: SpectralField, factor: StiffnessFactor, mass: WeightedMass) -> float:
-    """Energy over weighted mass of a trial field; minimal at the first pair."""
-    c = u.coefficients
+def rayleigh_quotient(c: np.ndarray, factor: StiffnessFactor, mass: WeightedMass) -> float:
+    """Energy over weighted mass of a trial coefficient vector; minimal at
+    the first pair."""
     denom = c @ mass.apply(c)
     if denom <= 0.0:
         raise ValueError("trial field has vanishing weighted norm")
@@ -150,15 +150,15 @@ def _converged(res, tol) -> bool:
     return bool(res[0] <= tol and res[1:2].max(initial=0.0) <= np.sqrt(tol))
 
 
-def _oriented(c, system) -> SpectralField:
-    """Field of c, its sign making the quadrature mean of u positive.
+def _oriented(c, system) -> np.ndarray:
+    """c or -c, whichever makes the quadrature mean of its field positive.
 
     The quadrature sum of u is (S w_x)^T C (L^T w_y) for the coefficient
     matrix C, so it is taken in coefficient space without a grid pass.
     """
     S, L, grid = system.S, system.L, system.grid
     mean = (S @ grid.weights_x) @ c.reshape(len(S), -1) @ (L.T @ grid.weights_y)
-    return SpectralField(system.basis, -c if mean < 0.0 else c)
+    return -c if mean < 0.0 else c
 
 
 def solve_first(system, mass: WeightedMass) -> Eigenpair:

@@ -72,8 +72,8 @@ def read_density_csv(path, grid: QuadratureGrid) -> np.ndarray:
         raise ValueError(f"density file {path} has {len(rows)} rows, grid needs {nx * ny}")
     data = np.asarray(rows)
     X, Y = grid.meshgrid()
-    if not (np.allclose(data[:, 0], X.ravel(), atol=1e-12)
-            and np.allclose(data[:, 1], Y.ravel(), atol=1e-12)):
+    if not (np.allclose(data[:, 0], X.ravel(), rtol=0.0, atol=1e-12)
+            and np.allclose(data[:, 1], Y.ravel(), rtol=0.0, atol=1e-12)):
         raise ValueError(f"density file {path}: nodes do not match the configured grid")
     return data[:, 2].reshape(grid.shape)
 

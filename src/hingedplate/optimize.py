@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .assembly import StiffnessFactor, assemble_weighted_mass
-from .basis import SpectralBasis, SpectralField, _legendre_tables, _sine_table
+from .basis import SpectralBasis, _legendre_tables, _sine_table, evaluate_on_grid
 from .config import AdmissibleWeightRule, PlateConfig
 from .eigensolve import Eigenpair, SolverError, _sym, solve_first
 from .grid import QuadratureGrid
@@ -154,12 +154,12 @@ def bang_bang_from_values(values: np.ndarray, grid: QuadratureGrid,
     return DensityField(grid, p.reshape(grid.shape), rule), float(flat[gray_node]) ** 2
 
 
-def rearrange(u: SpectralField, system: PlateSystem):
+def rearrange(u: np.ndarray, system: PlateSystem):
     """Optimal density for the current eigenfunction (one sweep of the loop).
 
-    Demands u strictly positive at every node (sampled from the system's
-    tables); the returned density equals alpha exactly where u <= sqrt(t)
-    up to the single gray node.
+    u is its coefficient vector.  Demands u strictly positive at every node
+    (sampled from the system's tables); the returned density equals alpha
+    exactly where u <= sqrt(t) up to the single gray node.
     """
     uvals = system.grid_values(u)
     if uvals.min() <= 0.0:
@@ -300,12 +300,12 @@ class PlateSystem:
                               f"ill-conditioned for double precision")
         return theta
 
-    def grid_values(self, u: SpectralField, dx: int = 0, dy: int = 0) -> np.ndarray:
-        """u, or its dx-th x- and dy-th y-derivative (0 to 2 each), at the
-        grid nodes from the system's tables: evaluate_on_grid's values, bit
-        for bit, with no y-table built (an x-derivative builds its sines)."""
+    def grid_values(self, u: np.ndarray, dx: int = 0, dy: int = 0) -> np.ndarray:
+        """The field of coefficient vector u, or its dx-th x- and dy-th
+        y-derivative (0 to 2 each), at the grid nodes from the system's
+        tables; no y-table is built (an x-derivative builds its sines)."""
         fx = self.S if dx == 0 else _sine_table(self.basis.modes_x, self.grid.nodes_x, dx)
-        return fx.T @ u.coefficients.reshape(len(fx), -1) @ self.y_tables[dy].T
+        return evaluate_on_grid(u, fx, self.y_tables[dy])
 
     def solve_density(self, p: DensityField) -> Eigenpair:
         """First pair at density p."""
@@ -400,18 +400,18 @@ class MidlineSlopeReport:
     max_abs_slope: float
 
 
-def midline_slope_check(u: SpectralField, system: PlateSystem) -> MidlineSlopeReport:
-    """Sign of u_x on the midline x = pi/2, checked against the mirror class.
+def midline_slope_check(u: np.ndarray, system: PlateSystem) -> MidlineSlopeReport:
+    """Sign of u_x on the midline x = pi/2 (u a coefficient vector), checked
+    against the mirror class.
 
     A left-dominant field must slope downward across the midline at every y,
     a right-dominant one upward, and a symmetric one must be flat there; any
     disagreement raises.  The mirror class reads u on the system's grid.
     """
-    grid = system.grid
     vals = system.grid_values(u)
     verdict = _mirror_verdict(vals)
-    pts = np.column_stack([np.full(grid.shape[1], np.pi / 2), grid.nodes_y])
-    slopes = u.coefficients @ u.basis.eval_matrix(pts, dx=1)
+    mid = _sine_table(system.basis.modes_x, np.array([np.pi / 2]), 1)
+    slopes = evaluate_on_grid(u, mid, system.L)[0]
     thr = MIRROR_TOL * float(np.abs(vals).max())
     if verdict == SYMMETRIC:
         ok = bool(np.all(np.abs(slopes) <= thr))
@@ -430,9 +430,9 @@ def midline_slope_check(u: SpectralField, system: PlateSystem) -> MidlineSlopeRe
     )
 
 
-def gradient_sign_diagnostic(u: SpectralField, system: PlateSystem) -> dict:
-    """Observed sign pattern of u_x and u_y over the four quarter-plates of
-    the system's grid.
+def gradient_sign_diagnostic(u: np.ndarray, system: PlateSystem) -> dict:
+    """Observed sign pattern of u_x and u_y, u a coefficient vector, over
+    the four quarter-plates of the system's grid.
 
     Reported, never asserted: the conjectured monotonicity (rising toward
     the midline in x, toward the centerline in y) is an open question, so

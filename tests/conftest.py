@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+import hingedplate.basis
 from hingedplate import PlateConfig, PlateSystem, uniform_density
 
 
@@ -34,3 +37,24 @@ def default_uniform_pair(default_system):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(name) -> a list that collects the positional arguments of
+    every call to the function `name` of hingedplate.basis, wrapped at each
+    module of the package that binds it."""
+    def install(name):
+        original = getattr(hingedplate.basis, name)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for key, module in list(sys.modules.items()):
+            if key.split(".")[0] == "hingedplate" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+        return calls
+
+    return install

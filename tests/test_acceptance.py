@@ -15,7 +15,6 @@ import pytest
 from hingedplate import (
     PlateConfig,
     PlateSystem,
-    evaluate_on_grid,
     midline_slope_check,
     minimize,
     random_admissible_density,

@@ -162,6 +162,22 @@ def test_optimize_multistart(tmp_path, small_config_file):
                    for r in rows)
 
 
+def test_optimize_with_no_heavy_node_writes_null_heavy_ranges(tmp_path):
+    # at alpha = 0.99999 the heavy share (1 - alpha)/(beta - alpha) = 5e-6
+    # of the area is below one node's weight: only the gray node holds
+    # beta-side material, below the midpoint, so no node counts as heavy
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"alpha": 0.99999}))
+    out = tmp_path / "opt"
+    assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "optimize_summary.json").read_text())
+    assert summary["heavy_region_x_range"] is None
+    assert summary["heavy_region_y_range"] is None
+    assert summary["symmetry_verdict"] == "SYMMETRIC"
+    assert set(summary["statuses"].values()) == {"fixed_point"}
+    assert (out / "manifest.jsonl").exists()
+
+
 def test_solve_reproduces_optimized_lambda(tmp_path, small_config_file):
     # one eigensolve path: a density's eigenpair depends on the density
     # alone, so re-solving each start's final density gives its last

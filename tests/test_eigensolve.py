@@ -11,10 +11,8 @@ from scipy.optimize import brentq
 from hingedplate import (
     PlateConfig,
     PlateSystem,
-    SpectralField,
     StiffnessFactor,
     assemble_weighted_mass,
-    evaluate_on_grid,
     random_admissible_density,
     rayleigh_quotient,
     solve_first,
@@ -122,7 +120,7 @@ def test_residual_and_rayleigh_consistency(default_system, default_uniform_pair)
     assert pair.residual <= tol
     Mp = _dense_mass(default_system, np.ones(default_system.grid.shape))
     K = scipy.linalg.block_diag(*default_system.factor.blocks)
-    c = pair.u.coefficients
+    c = pair.u
     Kc = K @ c
     assert np.linalg.norm(Kc - pair.lambda1 * (Mp @ c)) <= tol * np.linalg.norm(Kc)
     _, vecs = scipy.linalg.eigh(K, Mp, subset_by_index=[0, 0])
@@ -132,7 +130,7 @@ def test_residual_and_rayleigh_consistency(default_system, default_uniform_pair)
 
 
 def test_normalization_weighted_unit_norm(default_system, default_uniform_pair):
-    u = evaluate_on_grid(default_uniform_pair.u, default_system.grid)
+    u = default_system.grid_values(default_uniform_pair.u)
     # p = 1: || sqrt(p) u ||_2^2 = quadrature of u^2
     assert default_system.grid.integrate(u ** 2) == pytest.approx(1.0, rel=1e-12)
 
@@ -154,16 +152,15 @@ def test_rayleigh_quotient_bounds(small_system, rng):
     lam1 = pair.lambda1
     # every trial field sits at or above the minimum
     for _ in range(100):
-        u = SpectralField(small_system.basis, rng.standard_normal(n))
+        u = rng.standard_normal(n)
         assert rayleigh_quotient(u, factor, mass) >= lam1 * (1 - 1e-12)
     # the second eigenvector sits at lambda2 >= lambda1
     K = scipy.linalg.block_diag(*factor.blocks)
     vals, vecs = scipy.linalg.eigh(K, Mp, subset_by_index=[0, 1])
-    u2 = SpectralField(small_system.basis, vecs[:, 1])
-    assert rayleigh_quotient(u2, factor, mass) == pytest.approx(vals[1], rel=1e-10)
+    assert rayleigh_quotient(vecs[:, 1], factor, mass) == pytest.approx(vals[1], rel=1e-10)
     assert vals[1] >= lam1
     with pytest.raises(ValueError):
-        rayleigh_quotient(SpectralField(small_system.basis, np.zeros(n)), factor, mass)
+        rayleigh_quotient(np.zeros(n), factor, mass)
 
 
 def _densities(system, rng):
@@ -189,7 +186,7 @@ def _assert_matches_dense_oracle(system, p):
     assert abs(pair.lambda1 - lam_ref[0]) <= 1e-12 * lam_ref[0]
     assert pair.gap == pytest.approx(lam_ref[1] / lam_ref[0] - 1.0, rel=1e-10)
     ref = vecs[:, 0]  # M_p-normalized, like the returned coefficients
-    c = pair.u.coefficients
+    c = pair.u
     err = min(np.abs(c - ref).max(), np.abs(c + ref).max())
     assert err <= 1e-10 * np.abs(ref).max()
 
@@ -318,34 +315,25 @@ def test_certified_start_projects_few_modes_at_dim_1600(monkeypatch):
     assert max(projected) <= 5
 
 
-def test_orientation_takes_no_grid_pass(small_system, rng, monkeypatch):
+def test_orientation_takes_no_grid_pass(small_system, rng, count_calls):
     # the sign of u comes from its quadrature mean taken in coefficient
-    # space, so no solve evaluates a field on the grid, and the mean's sign
-    # is the sign of the grid integral
-    import hingedplate.basis
+    # space, so no solve evaluates a field on the grid or builds a y-table,
+    # and the mean's sign is the sign of the grid integral
     from hingedplate.eigensolve import _oriented
 
-    original = hingedplate.basis.evaluate_on_grid
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(hingedplate.basis, "evaluate_on_grid", counting)
-    monkeypatch.setattr("hingedplate.eigensolve.evaluate_on_grid", counting, raising=False)
+    built, sampled = count_calls("_legendre_tables"), count_calls("evaluate_on_grid")
     system = small_system
     densities = _densities(system, rng)
     pairs = [solve_first(system, _mass(system, p.values)) for p in densities]
-    assert calls == []
+    assert built == [] and sampled == []
 
-    def integral(field):
-        return system.grid.integrate(original(field, system.grid))
+    def integral(c):
+        return system.grid.integrate(system.grid_values(c))
 
     for p, pair in zip(densities, pairs):
         assert integral(pair.u) > 0.0
-        c = pair.u.coefficients
-        assert np.array_equal(_oriented(-c, system).coefficients, c)
+        c = pair.u
+        assert np.array_equal(_oriented(-c, system), c)
         for _ in range(20):
             u = _oriented(rng.standard_normal(c.size), system)
             assert integral(u) > 0.0
@@ -386,11 +374,11 @@ def test_positivity_and_edge_slopes(default_system, rng):
     ys = system.grid.nodes_y
     for p in densities:
         pair = system.solve_density(p)
-        uvals = evaluate_on_grid(pair.u, system.grid)
+        uvals = system.grid_values(pair.u)
         assert uvals.min() > 0.0
-        s0 = pair.u.coefficients @ system.basis.eval_matrix(
+        s0 = pair.u @ system.basis.eval_matrix(
             np.column_stack([np.zeros(ys.size), ys]), dx=1)
-        spi = pair.u.coefficients @ system.basis.eval_matrix(
+        spi = pair.u @ system.basis.eval_matrix(
             np.column_stack([np.full(ys.size, math.pi), ys]), dx=1)
         assert s0.min() > 0.0
         assert spi.max() < 0.0

@@ -10,14 +10,18 @@ from hingedplate import (
     PlateSystem,
     SpectralBasis,
     apply,
-    evaluate_on_grid,
     kernel,
     minimize,
     quadratic_form,
     reflection_gap,
     uniform_density,
 )
-from hingedplate.green import certify_green, certify_positivity_preserving, interior_probe_points
+from hingedplate.green import (
+    POSITIVITY_LOADS,
+    certify_green,
+    certify_positivity_preserving,
+    interior_probe_points,
+)
 from hingedplate.polarization import certify_duality
 
 
@@ -32,9 +36,9 @@ def dim_1600_system():
 def test_apply_linearity(default_system, rng):
     f = rng.standard_normal(default_system.grid.shape)
     g = rng.standard_normal(default_system.grid.shape)
-    u_sum = apply(default_system, f + g).coefficients
-    u_f = apply(default_system, f).coefficients
-    u_g = apply(default_system, g).coefficients
+    u_sum = apply(default_system, f + g)
+    u_f = apply(default_system, f)
+    u_g = apply(default_system, g)
     scale = np.abs(u_sum).max()
     assert np.abs(u_sum - u_f - u_g).max() <= 1e-12 * scale
 
@@ -42,10 +46,10 @@ def test_apply_linearity(default_system, rng):
 def test_apply_eigen_fixed_point(default_system, default_uniform_pair):
     # the first eigenpair satisfies u = lambda1 * (solution of load p u)
     pair = default_uniform_pair
-    u_grid = evaluate_on_grid(pair.u, default_system.grid)
+    u_grid = default_system.grid_values(pair.u)
     back = apply(default_system, u_grid)  # p = 1
-    recovered = pair.lambda1 * back.coefficients
-    err = np.abs(recovered - pair.u.coefficients).max() / np.abs(pair.u.coefficients).max()
+    recovered = pair.lambda1 * back
+    err = np.abs(recovered - pair.u).max() / np.abs(pair.u).max()
     assert err <= 1e-9
 
 
@@ -55,7 +59,7 @@ def test_apply_positive_loads_positive_solutions(default_system, rng):
         f = rng.uniform(0.0, 1.0, size=default_system.grid.shape)
         f[f < 0.3] = 0.0
         u = apply(default_system, f)
-        uvals = evaluate_on_grid(u, default_system.grid)
+        uvals = default_system.grid_values(u)
         assert uvals.min() > 0.0
 
 
@@ -64,7 +68,7 @@ def test_inverse_consistency(default_system, rng):
     f = rng.standard_normal(default_system.grid.shape)
     load = default_system.load_vector(f)
     u = apply(default_system, f)
-    back = default_system.factor.matvec(u.coefficients)
+    back = default_system.factor.matvec(u)
     assert np.abs(back - load).max() <= 1e-10 * np.abs(load).max()
     # the kernel quadratic pairing is exactly symmetric in its two loads
     g = rng.standard_normal(default_system.grid.shape)
@@ -171,7 +175,7 @@ def test_quadratic_form_matches_direct_pairing(default_system, rng):
     f = rng.standard_normal(default_system.grid.shape)
     u = apply(default_system, f)
     w = default_system.grid.weights
-    direct = float(np.sum(w * evaluate_on_grid(u, default_system.grid) * f))
+    direct = float(np.sum(w * default_system.grid_values(u) * f))
     assert quadratic_form(default_system, f) == pytest.approx(direct, rel=1e-12)
 
 
@@ -217,26 +221,21 @@ def test_certify_green_builds_no_basis_matrix(dim_1600_system, monkeypatch):
     assert peak < 6e6
 
 
-def test_load_vector_reuses_the_system_tables(small_system, rng, monkeypatch):
-    # the system builds its per-axis basis tables once; loads, every sweep
-    # of the rearrangement loop and the certifications' field samples only
-    # read them
-    calls = []
-    axis_tables = SpectralBasis.axis_tables
-
-    def counting(self, *args, **kwargs):
-        calls.append(args)
-        return axis_tables(self, *args, **kwargs)
-
-    monkeypatch.setattr(SpectralBasis, "axis_tables", counting)
+def test_load_vector_reuses_the_system_tables(small_system, rng, count_calls):
+    # the system builds its y-tables once; loads, every sweep of the
+    # rearrangement loop and the certifications' field samples only read
+    # them, and every sample is one call of the lattice sampler
+    built, sampled = count_calls("_legendre_tables"), count_calls("evaluate_on_grid")
     for _ in range(3):
         quadratic_form(small_system, rng.standard_normal(small_system.grid.shape))
-    assert calls == []
-    minimize(small_system, uniform_density(small_system.grid, small_system.rule))
-    assert calls == []
+    assert built == [] and sampled == []
+    trace = minimize(small_system, uniform_density(small_system.grid, small_system.rule))
+    assert built == [] and len(sampled) == len(trace.records)  # one rearrange a sweep
+    sampled.clear()
     certify_positivity_preserving(small_system)
+    assert len(sampled) == 2 * POSITIVITY_LOADS  # the grid and the two edges, per load
     certify_duality(small_system)
-    assert calls == []
+    assert built == []
 
 
 def test_positivity_preserving_certification(default_system):

@@ -6,12 +6,12 @@ from numpy.polynomial import legendre as npleg
 
 from hingedplate import (
     PlateConfig,
+    PlateSystem,
     QuadratureGrid,
     SpectralBasis,
-    SpectralField,
     evaluate_on_grid,
 )
-from hingedplate.basis import _legendre_tables
+from hingedplate.basis import _legendre_tables, _sine_table
 from hingedplate.grid import _gauss_nodes
 
 
@@ -152,19 +152,23 @@ def test_derivatives_match_finite_differences(basis, rng):
         assert uy[k] == pytest.approx(fd_y, rel=1e-8, abs=1e-8)
 
 
-def test_grid_evaluation_matches_pointwise(basis, grid, rng):
-    f = SpectralField(basis, rng.standard_normal(basis.dimension))
-    sampled = evaluate_on_grid(f, grid)
-    ref = f.coefficients @ basis.eval_matrix(_grid_points(grid))
-    assert np.allclose(sampled.ravel(), ref, atol=1e-13)
-
-
-def test_grid_derivatives_match_eval_matrix(basis, grid, rng):
-    f = SpectralField(basis, rng.standard_normal(basis.dimension))
-    pts = _grid_points(grid)
-    for dx, dy in [(1, 0), (0, 1)]:
-        sampled = evaluate_on_grid(f, grid, dx=dx, dy=dy)
-        ref = f.coefficients @ basis.eval_matrix(pts, dx=dx, dy=dy)
+@pytest.mark.parametrize("dx, dy", [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)])
+def test_lattice_sampler_matches_eval_matrix(cfg, dx, dy, rng):
+    # every field sample is one evaluate_on_grid call: on the grid through
+    # PlateSystem.grid_values, and on the x-lines of the edge and midline
+    # slopes (x = 0, pi/2, pi at the grid's y nodes) from a sine table
+    system = PlateSystem(cfg)
+    basis, grid = system.basis, system.grid
+    c = rng.standard_normal(basis.dimension)
+    lines = np.array([0.0, math.pi / 2, math.pi])
+    Xl, Yl = np.meshgrid(lines, grid.nodes_y, indexing="ij")
+    cases = [
+        (system.grid_values(c, dx=dx, dy=dy), _grid_points(grid)),
+        (evaluate_on_grid(c, _sine_table(basis.modes_x, lines, dx), system.y_tables[dy]),
+         np.column_stack([Xl.ravel(), Yl.ravel()])),
+    ]
+    for sampled, pts in cases:
+        ref = c @ basis.eval_matrix(pts, dx=dx, dy=dy)
         assert np.abs(sampled.ravel() - ref).max() <= 1e-13 * np.abs(ref).max()
 
 

@@ -1,11 +1,12 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hingedplate import PlateConfig, QuadratureGrid, evaluate_on_grid, uniform_density
+from hingedplate import PlateConfig, QuadratureGrid, uniform_density
 from hingedplate.io import (
     RunManifest,
     read_density_csv,
@@ -203,7 +204,7 @@ def test_iso_contours_levels_must_be_one_dimensional():
 def test_iso_contours_match_reference_on_eigenfunction_bands(default_system,
                                                             default_uniform_pair):
     grid = default_system.grid
-    u = evaluate_on_grid(default_uniform_pair.u, grid)
+    u = default_system.grid_values(default_uniform_pair.u)
     levels = level_bands(u, 10)
     for level in levels:
         assert _rounded_key_names_edges(grid.nodes_x, grid.nodes_y, u, level)
@@ -389,6 +390,12 @@ def test_density_csv_rejects_wrong_grid(tmp_path):
     smaller = QuadratureGrid.from_config(PlateConfig(n_modes_x=8, n_basis_y=8, n_quad_x=8, n_quad_y=8))
     with pytest.raises(ValueError, match="rows"):
         read_density_csv(tmp_path / "d.csv", smaller)
+    # x-nodes off by 1e-7 relative (about 3e-7 absolute) are not the grid's
+    shifted = replace(grid, nodes_x=grid.nodes_x * (1.0 + 1e-7))
+    write_grid_csv(tmp_path / "s.csv", shifted, np.ones(grid.shape), value_name="p")
+    with pytest.raises(ValueError, match="do not match"):
+        read_density_csv(tmp_path / "s.csv", grid)
+    assert np.array_equal(read_density_csv(tmp_path / "d.csv", grid), np.ones(grid.shape))
 
 
 def test_writers_are_deterministic(tmp_path, small_system):

@@ -11,10 +11,7 @@ from hingedplate import (
     PlateConfig,
     PlateSystem,
     QuadratureGrid,
-    SpectralBasis,
-    SpectralField,
     bang_bang_from_values,
-    evaluate_on_grid,
     midline_slope_check,
     minimize,
     random_admissible_density,
@@ -29,7 +26,7 @@ def _mode_field(system, terms):
     c = np.zeros(system.basis.dimension)
     for (m, j), coeff in terms.items():
         c[(m - 1) * system.basis.n_basis_y + j] = coeff
-    return SpectralField(system.basis, c)
+    return c
 
 
 def test_rearrange_sine_strip_threshold(small_system):
@@ -234,36 +231,24 @@ def test_midline_slope_signs(small_system):
     assert np.allclose(rep.slopes, 0.6, atol=1e-12)
 
 
-def test_midline_slope_check_evaluates_once(small_system, monkeypatch):
+def test_midline_slope_check_evaluates_once(small_system, monkeypatch, count_calls):
     # the mirror verdict and the slope threshold share one grid evaluation,
-    # made on the system's tables: no basis table is built for it
-    calls, built = [], []
-    grid_values, axis_tables = PlateSystem.grid_values, SpectralBasis.axis_tables
+    # made on the system's tables: no y-table is built for it, and the
+    # midline slopes are the one other lattice sample
+    calls = []
+    grid_values = PlateSystem.grid_values
 
     def counting(self, *args, **kwargs):
         calls.append(args)
         return grid_values(self, *args, **kwargs)
 
-    def counting_tables(self, *args, **kwargs):
-        built.append(args)
-        return axis_tables(self, *args, **kwargs)
-
     monkeypatch.setattr(PlateSystem, "grid_values", counting)
-    monkeypatch.setattr(SpectralBasis, "axis_tables", counting_tables)
+    built, sampled = count_calls("_legendre_tables"), count_calls("evaluate_on_grid")
     left = _mode_field(small_system, {(1, 0): 1.0, (2, 0): 0.3})
     assert midline_slope_check(left, small_system).verdict == LEFT_DOMINANT
     assert len(calls) == 1
     assert built == []
-
-
-def test_grid_values_match_evaluate_on_grid_bitwise(small_system, rng):
-    # the system's tables sample u and its derivatives with the bits of
-    # evaluate_on_grid, which builds its tables per call
-    basis = small_system.basis
-    u = SpectralField(basis, rng.standard_normal(basis.dimension))
-    for dx, dy in ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)):
-        assert np.array_equal(small_system.grid_values(u, dx=dx, dy=dy),
-                              evaluate_on_grid(u, small_system.grid, dx=dx, dy=dy))
+    assert len(sampled) == 2
 
 
 def test_density_field_validation(small_system):

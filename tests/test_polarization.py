@@ -10,7 +10,6 @@ from hingedplate import (
     PlateConfig,
     QuadratureGrid,
     bang_bang_from_values,
-    evaluate_on_grid,
     polarization_energy_gap,
     polarize,
     theta1_quotient,
@@ -144,7 +143,7 @@ def test_sampled_fields_match_the_inline_expression_bitwise(small_grid, ell):
 
 def test_theta1_quotient_duality(default_system, default_uniform_pair):
     p = uniform_density(default_system.grid, default_system.rule)
-    u = evaluate_on_grid(default_uniform_pair.u, default_system.grid)
+    u = default_system.grid_values(default_uniform_pair.u)
     q = theta1_quotient(p, u, default_system)
     assert abs(q * default_uniform_pair.lambda1 - 1.0) <= 1e-9
 
@@ -202,7 +201,7 @@ def test_energy_gap_vanishes_for_converged_optimal_pair(default_system):
     trace = minimize(default_system,
                      uniform_density(default_system.grid, default_system.rule))
     assert trace.status == "fixed_point"
-    u = evaluate_on_grid(trace.final_eigenpair.u, default_system.grid)
+    u = default_system.grid_values(trace.final_eigenpair.u)
     gap = polarization_energy_gap(u, default_system)
     form = abs(theta1_quotient(trace.final_density, u, default_system))
     assert abs(gap) <= 1e-8 * max(form, 1.0)

@@ -44,6 +44,8 @@ def test_probes_install_on_current_package(tmp_path):
     assert result["codes"] == [0, 0, 0]
     layers = result["layers"]
     assert layers["assembly.assemble_weighted_mass.calls"] > 0
+    # every field sample goes through the probed lattice sampler
+    assert layers["basis.evaluate_on_grid.calls"] > 0
     # run_suite's reports and certify_series' keywords reach their counters
     assert layers["certify.claims"] == 25
     assert layers["series.certify_series.computed_sin_evaluations"] > 0
