@@ -9,7 +9,8 @@ beta in a strip straddling x = pi/2.
 
 import numpy as np
 
-from hingedplate import PlateConfig, PlateSystem, minimize, strip_density, uniform_density
+from hingedplate import (PlateConfig, PlateSystem, analyze_optimum, minimize, strip_density,
+                         uniform_density)
 
 cfg = PlateConfig(n_modes_x=16, n_basis_y=10, n_quad_x=128, n_quad_y=48)
 system = PlateSystem(cfg)
@@ -33,8 +34,8 @@ step_x = max(1, assign.shape[0] // 64)
 row = assign[::step_x, assign.shape[1] // 2]
 print("\nfinal layout along the centerline y = 0 (# = heavy material):")
 print("  " + "".join("." if a else "#" for a in row))
-heavy_x = np.repeat(system.grid.nodes_x, system.grid.shape[1])[~assign.ravel()]
-print(f"  heavy band x-extent: [{heavy_x.min():.3f}, {heavy_x.max():.3f}], "
-      f"midline pi/2 = {np.pi / 2:.3f}")
-asym = int(np.sum(assign != assign[::-1, :]))
-print(f"  mirror-asymmetric assignment nodes: {asym} of {assign.size}")
+record = analyze_optimum(system, {"left-heavy": trace})
+lo, hi = record["heavy_region_x_range"]
+print(f"  heavy band x-extent: [{lo:.3f}, {hi:.3f}], midline pi/2 = {np.pi / 2:.3f}")
+print(f"  mirror-asymmetric assignment nodes: "
+      f"{record['density_mirror_asymmetry_nodes']} of {assign.size}")

@@ -21,6 +21,7 @@ from .optimize import (
     MonotonicityError,
     OptimizationTrace,
     PlateSystem,
+    analyze_optimum,
     bang_bang_from_values,
     midline_slope_check,
     minimize,

@@ -34,8 +34,7 @@ from .optimize import (
     DensityField,
     MonotonicityError,
     PlateSystem,
-    gradient_sign_diagnostic,
-    midline_slope_check,
+    analyze_optimum,
     minimize,
     random_admissible_density,
     strip_density,
@@ -75,10 +74,10 @@ def _write_field_outputs(manifest, out, system, pair):
 def cmd_solve(args) -> int:
     cfg = _load_cfg(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest("solve", cfg, out)
     system = PlateSystem(cfg)
     density = _resolve_density(args.density, system)
+    out.mkdir(parents=True, exist_ok=True)
     pair = system.solve_density(density)
     _write_field_outputs(manifest, out, system, pair)
     write_json(manifest.register(out / "eigenpair.json"), {
@@ -93,13 +92,6 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _node_range(nodes):
-    """[min, max] of the nodes, or None (JSON null) when there are none: a
-    heavy share below one node's weight leaves only the gray node heavy,
-    and its value sits below the midpoint, so no node counts as heavy."""
-    return [float(nodes.min()), float(nodes.max())] if nodes.size else None
-
-
 def cmd_optimize(args) -> int:
     if args.starts < 1:
         raise ValueError(f"--starts must be at least 1, got {args.starts}")
@@ -107,7 +99,6 @@ def cmd_optimize(args) -> int:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
     cfg = _load_cfg(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest("optimize", cfg, out)
     system = PlateSystem(cfg)
 
@@ -131,49 +122,26 @@ def cmd_optimize(args) -> int:
         starts += [(f"random-{k}", random_admissible_density(system.grid, system.rule, rng))
                    for k in range(len(starts), len(starts) + n_random)]
 
-    results = []
+    traces = {}
     for name, density in starts:
         sub = out / name
         sub.mkdir(parents=True, exist_ok=True)
-        results.append((name, sub, minimize(system, density)))
-
-    lambdas = {}
-    for name, sub, trace in results:
+        trace = traces[name] = minimize(system, density)
         write_trace_csv(manifest.register(sub / "trace.csv"), trace)
         write_eigensolve_csv(manifest.register(sub / "eigensolve.csv"), trace)
         write_grid_csv(manifest.register(sub / "final_density.csv"),
                        system.grid, trace.final_density.values, value_name="p")
         _write_field_outputs(manifest, sub, system, trace.final_eigenpair)
-        lambdas[name] = trace.final_lambda
 
-    best = min(results, key=lambda r: r[2].final_lambda)
-    trace = best[2]
-    slope = midline_slope_check(trace.final_eigenpair.u, system)
-    verdict = slope.verdict
-    lam_vals = list(lambdas.values())
-    agreement = (max(lam_vals) - min(lam_vals)) / min(lam_vals)
-    assign = trace.final_density.alpha_assignment()
-    asym_nodes = int(np.sum(assign != assign[::-1, :]))
-    heavy_x = system.grid.nodes_x[~assign.all(axis=1)]  # rows with a heavy node
-    heavy_y = system.grid.nodes_y[~assign.all(axis=0)]
-    write_json(manifest.register(out / "optimize_summary.json"), {
-        "final_lambda_per_start": lambdas,
-        "cross_start_relative_spread": agreement,
-        "best_start": best[0],
-        "symmetry_verdict": verdict,
-        "midline_max_abs_slope": slope.max_abs_slope,
-        "density_mirror_asymmetry_nodes": asym_nodes,
-        "heavy_region_x_range": _node_range(heavy_x),
-        "heavy_region_y_range": _node_range(heavy_y),
-        "statuses": {name: tr.status for name, _, tr in results},
-        # observed, never asserted: conjectured monotonicity of the optimum
-        "gradient_sign_table": gradient_sign_diagnostic(
-            trace.final_eigenpair.u, system),
-    })
-    manifest.add_summary("lambda_best", trace.final_lambda)
+    record = analyze_optimum(system, traces)
+    write_json(manifest.register(out / "optimize_summary.json"), record)
+    best = record["best_start"]
+    lambda_best = record["final_lambda_per_start"][best]
+    manifest.add_summary("lambda_best", lambda_best)
     manifest.write()
-    print(f"best lambda1 = {trace.final_lambda:.12g} ({best[0]}); "
-          f"spread {agreement:.2e}; symmetry {verdict}")
+    print(f"best lambda1 = {lambda_best:.12g} ({best}); "
+          f"spread {record['cross_start_relative_spread']:.2e}; "
+          f"symmetry {record['symmetry_verdict']}")
     return EXIT_OK
 
 

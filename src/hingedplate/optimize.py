@@ -189,8 +189,10 @@ def random_admissible_density(grid: QuadratureGrid, rule: AdmissibleWeightRule,
         else:
             hi = mid
     vals = np.clip(raw + 0.5 * (lo + hi), rule.alpha, rule.beta).ravel()
-    # Bisection leaves a sub-1e-10 mass defect; one mid-range node absorbs it.
-    _close_mass(vals, grid, rule, int(np.argmin(np.abs(vals - 1.0))))
+    # Bisection leaves a sub-1e-10 mass defect; the node nearest 1 strictly
+    # inside (alpha, beta) absorbs it (one clipped at a bound might not).
+    inside = (vals > rule.alpha) & (vals < rule.beta)
+    _close_mass(vals, grid, rule, int(np.argmin(np.where(inside, np.abs(vals - 1.0), np.inf))))
     return DensityField(grid, vals.reshape(grid.shape), rule)
 
 
@@ -455,3 +457,36 @@ def _share(good: np.ndarray, region: np.ndarray) -> dict:
     total = int(np.sum(region))
     holds = int(np.sum(good & region))
     return {"nodes": total, "holding": holds, "fraction": holds / total if total else 1.0}
+
+
+def _node_range(nodes):
+    """[min, max] of the nodes, or None (JSON null) when there are none: a
+    heavy share below one node's weight leaves only the gray node heavy,
+    and its value sits below the midpoint, so no node counts as heavy."""
+    return [float(nodes.min()), float(nodes.max())] if nodes.size else None
+
+
+def analyze_optimum(system: PlateSystem, traces: dict) -> dict:
+    """The optimize summary of `traces` (start name -> OptimizationTrace, in
+    start order): each start's eigenvalue, status and gray nodes, their spread,
+    and for the best start (a tie goes to the first) the verdict, asymmetric
+    nodes, x and y ranges of heavy nodes and the gradient sign table."""
+    lambdas = {n: tr.final_lambda for n, tr in traces.items()}
+    best = min(traces, key=lambdas.get)
+    trace = traces[best]
+    slope = midline_slope_check(trace.final_eigenpair.u, system)
+    assign = trace.final_density.alpha_assignment()
+    return {
+        "final_lambda_per_start": lambdas,
+        "cross_start_relative_spread": (max(lambdas.values()) - lambdas[best]) / lambdas[best],
+        "best_start": best,
+        "symmetry_verdict": slope.verdict,
+        "midline_max_abs_slope": slope.max_abs_slope,
+        "density_mirror_asymmetry_nodes": int(np.sum(assign != assign[::-1, :])),
+        "heavy_region_x_range": _node_range(system.grid.nodes_x[~assign.all(axis=1)]),
+        "heavy_region_y_range": _node_range(system.grid.nodes_y[~assign.all(axis=0)]),
+        "statuses": {n: tr.status for n, tr in traces.items()},
+        "gray_nodes_per_start": {n: tr.final_density.gray_nodes() for n, tr in traces.items()},
+        # observed, never asserted: conjectured monotonicity of the optimum
+        "gradient_sign_table": gradient_sign_diagnostic(trace.final_eigenpair.u, system),
+    }

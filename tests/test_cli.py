@@ -12,9 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hingedplate
-from hingedplate import PlateConfig, QuadratureGrid
+from hingedplate import (
+    PlateConfig,
+    PlateSystem,
+    QuadratureGrid,
+    analyze_optimum,
+    minimize,
+    strip_density,
+    uniform_density,
+)
 from hingedplate.cli import main
-from hingedplate.io import write_grid_csv
+from hingedplate.io import write_grid_csv, write_json
 from hingedplate.optimize import AnalysisError, random_admissible_density
 
 SMALL = {"n_modes_x": 8, "n_basis_y": 6, "n_quad_x": 32, "n_quad_y": 16}
@@ -67,6 +75,7 @@ def test_solve_rejects_inadmissible_density(tmp_path, small_config_file):
     rc = main(["solve", "--config", str(small_config_file),
                "--out", str(tmp_path / "run"), "--density", str(density_path)])
     assert rc == 2
+    assert not (tmp_path / "run").exists()
 
 
 def test_solve_rejects_non_finite_density(tmp_path, small_config_file, capsys):
@@ -91,6 +100,8 @@ def test_empty_density_file_exits_2(tmp_path, small_config_file, capsys, flag):
                "--out", str(tmp_path / "run"), flag[1], str(empty)])
     assert rc == 2
     assert "must have columns x, y, <value>" in capsys.readouterr().err
+    # the file is read before the output directory is made
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("case", ["blank-line", "non-numeric", "extra-field", "short"])
@@ -160,6 +171,34 @@ def test_optimize_multistart(tmp_path, small_config_file):
         assert [r[0] for r in rows] == [line.split(",")[0] for line in trace_lines[1:]]
         assert all(int(r[1]) >= 0 and float(r[2]) <= 1e-12 and float(r[3]) > 0.0
                    for r in rows)
+
+
+def test_optimize_summary_is_the_analysis_record(tmp_path, small_config_file):
+    # the summary is analyze_optimum's record of the same starts, byte for byte
+    out = tmp_path / "opt"
+    assert main(["optimize", "--config", str(small_config_file), "--out", str(out),
+                 "--starts", "4", "--seed", "3"]) == 0
+    system = PlateSystem(PlateConfig(**SMALL))
+    grid, rule = system.grid, system.rule
+    starts = {"uniform": uniform_density(grid, rule),
+              "left-heavy": strip_density(grid, rule, "left"),
+              "right-heavy": strip_density(grid, rule, "right"),
+              "random-3": random_admissible_density(grid, rule, np.random.default_rng(3))}
+    record = analyze_optimum(system, {n: minimize(system, p) for n, p in starts.items()})
+    write_json(tmp_path / "record.json", record)
+    assert (tmp_path / "record.json").read_bytes() == \
+        (out / "optimize_summary.json").read_bytes()
+
+
+@pytest.mark.parametrize("seed", ["1", "2", "3"])
+def test_random_start_at_extreme_contrast_exits_0(tmp_path, seed):
+    # at beta = 1e12 the node nearest 1 sits clipped at alpha; it once took
+    # the bisection's mass defect and failed the mass check with exit 2
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(
+        {"beta": 1e12, "n_modes_x": 6, "n_basis_y": 4, "n_quad_x": 16, "n_quad_y": 8}))
+    assert main(["optimize", "--config", str(path), "--out", str(tmp_path / "opt"),
+                 "--seed", seed]) == 0
 
 
 def test_optimize_with_no_heavy_node_writes_null_heavy_ranges(tmp_path):

@@ -11,6 +11,7 @@ from hingedplate import (
     PlateConfig,
     PlateSystem,
     QuadratureGrid,
+    analyze_optimum,
     bang_bang_from_values,
     midline_slope_check,
     minimize,
@@ -183,16 +184,33 @@ def test_multistart_reaches_common_limit(rng):
         strip_density(system.grid, system.rule, "right"),
         random_admissible_density(system.grid, system.rule, rng),
     ]
-    finals = [minimize(system, p) for p in starts]
-    lams = [tr.final_lambda for tr in finals]
-    assert (max(lams) - min(lams)) / min(lams) <= 1e-8
+    names = ["uniform", "left-heavy", "right-heavy", "random"]
+    record = analyze_optimum(system, {n: minimize(system, p) for n, p in zip(names, starts)})
+    assert record["cross_start_relative_spread"] <= 1e-8
     # heavy material ends in an x-centered region straddling the midline
-    assign = finals[0].final_density.alpha_assignment()
-    heavy_x = np.repeat(system.grid.nodes_x, system.grid.shape[1])[~assign.ravel()]
-    assert heavy_x.min() < math.pi / 2 < heavy_x.max()
+    lo, hi = record["heavy_region_x_range"]
+    assert lo < math.pi / 2 < hi
     # final assignment symmetric under x -> pi - x within one cell
-    asym = int(np.sum(assign != assign[::-1, :]))
-    assert asym <= 2
+    assert record["density_mirror_asymmetry_nodes"] <= 2
+    assert all(n <= 1 for n in record["gray_nodes_per_start"].values())
+
+
+def test_analyze_optimum_tie_goes_to_the_first_start(small_system):
+    system = small_system
+    left = minimize(system, strip_density(system.grid, system.rule, "left"))
+    right = minimize(system, strip_density(system.grid, system.rule, "right"))
+    # the right start's trace closing on the left start's eigenvalue: an exact tie
+    tied = replace(right, records=right.records[:-1]
+                   + [replace(right.records[-1], lambda1=left.final_lambda)])
+    traces = {"left-heavy": left, "right-heavy": tied}
+    for first, second in (("left-heavy", "right-heavy"), ("right-heavy", "left-heavy")):
+        record = analyze_optimum(system, {first: traces[first], second: traces[second]})
+        assert list(record["final_lambda_per_start"]) == [first, second]
+        assert record["best_start"] == first
+        assert record["cross_start_relative_spread"] == 0.0
+        slope = midline_slope_check(traces[first].final_eigenpair.u, system)
+        assert record["symmetry_verdict"] == slope.verdict
+        assert record["midline_max_abs_slope"] == slope.max_abs_slope
 
 
 def test_mirror_verdict_modes(small_system):
@@ -282,6 +300,18 @@ def test_random_admissible_density_exact(small_system, rng):
         assert p.mass == pytest.approx(small_system.rule.target_mass, rel=1e-12)
         assert p.values.min() >= small_system.rule.alpha - 1e-12
         assert p.values.max() <= small_system.rule.beta + 1e-12
+
+
+@pytest.mark.parametrize("beta", [1e6, 1e12, 1e100])
+def test_random_admissible_density_at_extreme_contrast(beta):
+    # the node nearest 1 can sit clipped at alpha here; the mass defect goes
+    # to a node inside (alpha, beta), and DensityField checks the mass
+    cfg = PlateConfig(n_modes_x=6, n_basis_y=4, n_quad_x=16, n_quad_y=8, beta=beta)
+    grid, rule = QuadratureGrid.from_config(cfg), AdmissibleWeightRule.from_config(cfg)
+    gen = np.random.default_rng(1)
+    for _ in range(20):
+        p = random_admissible_density(grid, rule, gen)
+        assert rule.alpha <= p.values.min() and p.values.max() <= rule.beta
 
 
 def test_random_start_bisection_stops_where_the_full_loop_lands(rng):
