@@ -10,15 +10,14 @@ properties that underpin the symmetry analysis of the optimal plate.
 
 __version__ = "0.1.0"
 
-from .config import AdmissibleWeightRule, PlateConfig, load_config
+from .config import AdmissibleWeightRule, InputError, PlateConfig, load_config
 from .grid import QuadratureGrid
 from .basis import SpectralBasis, evaluate_on_grid
 from .assembly import StiffnessFactor, assemble_weighted_mass
-from .eigensolve import Eigenpair, SolverError, rayleigh_quotient, solve_first
+from .eigensolve import EIG_TOL, Eigenpair, SolverError, rayleigh_quotient, solve_first
 from .optimize import (
     AnalysisError,
     DensityField,
-    MonotonicityError,
     OptimizationTrace,
     PlateSystem,
     analyze_optimum,

@@ -38,8 +38,6 @@ def stiffness_blocks(basis: SpectralBasis, grid: QuadratureGrid, sigma: float,
     `y_tables` are the y-factors and their first two derivatives on
     grid.nodes_y, as _legendre_tables(..., max_deriv=2) returns them.
     """
-    if not 0.0 <= sigma < 1.0:
-        raise ValueError(f"sigma must lie in [0, 1), got {sigma}")
     V0, V1, V2 = y_tables
     wy = grid.weights_y[:, None]
     bend = (V2 * wy).T @ V2

@@ -1,7 +1,11 @@
 """Command line surface: solve | optimize | certify.
 
-Exit codes: 0 success, 2 validation error, 3 solver failure or analysis
-outcome, 4 certification failure.
+Exit codes: 0 success; 2 invalid input only: an InputError from PlateConfig,
+load_config, read_density_csv, a density file's admissibility check or the
+--starts/--seed flags, all raised before the output directory is made, or an
+OSError (an unreadable path, an unwritable --out); 3 a SolverError,
+AssemblyError or AnalysisError, an outcome of an accepted input; 4 a failed
+certification claim.  Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 
 from .assembly import AssemblyError
 from .certify import SUITES, run_suite
-from .config import PlateConfig, load_config
+from .config import InputError, PlateConfig, load_config
 from .eigensolve import SolverError
 from .io import (
     RunManifest,
@@ -32,7 +36,6 @@ from .levelsets import iso_contours, level_bands
 from .optimize import (
     AnalysisError,
     DensityField,
-    MonotonicityError,
     PlateSystem,
     analyze_optimum,
     minimize,
@@ -57,7 +60,10 @@ def _resolve_density(spec: str, system: PlateSystem) -> DensityField:
     if spec == "uniform":
         return uniform_density(system.grid, system.rule)
     values = read_density_csv(spec, system.grid)
-    return DensityField(system.grid, values, system.rule)
+    try:
+        return DensityField(system.grid, values, system.rule)
+    except ValueError as exc:  # the file's values are not an admissible density
+        raise InputError(f"density file {spec}: {exc}") from exc
 
 
 def _write_field_outputs(manifest, out, system, pair):
@@ -94,9 +100,9 @@ def cmd_solve(args) -> int:
 
 def cmd_optimize(args) -> int:
     if args.starts < 1:
-        raise ValueError(f"--starts must be at least 1, got {args.starts}")
+        raise InputError(f"--starts must be at least 1, got {args.starts}")
     if args.seed < 0:
-        raise ValueError(f"--seed must be non-negative, got {args.seed}")
+        raise InputError(f"--seed must be non-negative, got {args.seed}")
     cfg = _load_cfg(args)
     out = Path(args.out)
     manifest = RunManifest("optimize", cfg, out)
@@ -201,10 +207,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, AssemblyError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (SolverError, MonotonicityError) as exc:
+    except (SolverError, AssemblyError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except AnalysisError as exc:

@@ -14,6 +14,10 @@ import numbers
 from dataclasses import dataclass, asdict, fields
 
 
+class InputError(ValueError):
+    """Invalid input from outside the program; the CLI exits 2 on it."""
+
+
 @dataclass(frozen=True)
 class PlateConfig:
     """Physical and discretization parameters of one plate problem.
@@ -34,12 +38,6 @@ class PlateConfig:
         Gauss-Legendre node counts of the tensor quadrature grid;
         n_quad_x must be even and at least n_modes_x, and n_quad_y at least
         n_basis_y.
-    opt_max_iter : int
-        Iteration cap of the density-rearrangement loop.
-    opt_tol : float
-        Relative eigenvalue-stagnation tolerance that stops the loop.
-    eig_tol : float
-        Relative residual demanded of the returned eigenpair.
     """
 
     sigma: float = 0.2
@@ -50,9 +48,6 @@ class PlateConfig:
     n_basis_y: int = 12
     n_quad_x: int = 96
     n_quad_y: int = 48
-    opt_max_iter: int = 100
-    opt_tol: float = 1e-10
-    eig_tol: float = 1e-12
 
     def __post_init__(self):
         # annotations are strings under `from __future__ import annotations`
@@ -60,29 +55,29 @@ class PlateConfig:
             v = getattr(self, f.name)
             if f.type == "int":
                 if isinstance(v, bool) or not isinstance(v, int):
-                    raise ValueError(f"{f.name} must be an integer, got {v!r}")
+                    raise InputError(f"{f.name} must be an integer, got {v!r}")
                 if v < 1:
-                    raise ValueError(f"{f.name} must be a positive integer, got {v!r}")
+                    raise InputError(f"{f.name} must be a positive integer, got {v!r}")
             else:
                 if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                    raise ValueError(f"{f.name} must be a number, got {v!r}")
+                    raise InputError(f"{f.name} must be a number, got {v!r}")
                 # an int bound would make int arrays of np.full(n, beta)
                 try:
                     v = float(v)
                 except OverflowError:  # an int beyond the float range
                     v = math.inf
                 if not math.isfinite(v):
-                    raise ValueError(f"{f.name} must be finite, got {v!r}")
+                    raise InputError(f"{f.name} must be finite, got {v!r}")
                 object.__setattr__(self, f.name, v)
         if not 0.0 <= self.sigma < 1.0:
-            raise ValueError(f"sigma must lie in [0, 1), got {self.sigma}")
+            raise InputError(f"sigma must lie in [0, 1), got {self.sigma}")
         if not self.ell > 0.0:
-            raise ValueError(f"ell must be positive, got {self.ell}")
+            raise InputError(f"ell must be positive, got {self.ell}")
         if not math.isfinite(self.ell * self.ell):
             # the y-derivative tables divide by ell**2: OverflowError above ~1.34e154
-            raise ValueError(f"ell={self.ell} is too large: ell**2 overflows")
+            raise InputError(f"ell={self.ell} is too large: ell**2 overflows")
         if not 0.0 < self.alpha < 1.0 < self.beta:
-            raise ValueError(
+            raise InputError(
                 f"density bounds must satisfy 0 < alpha < 1 < beta, "
                 f"got alpha={self.alpha}, beta={self.beta}"
             )
@@ -90,7 +85,7 @@ class PlateConfig:
             # sin(m x) = sin(x) U_{m-1}(cos x): at n distinct interior nodes
             # the (n_modes_x, n_quad_x) sine table has full row rank iff
             # n >= n_modes_x, and the weighted mass form needs it.
-            raise ValueError(
+            raise InputError(
                 f"n_quad_x={self.n_quad_x} is below n_modes_x={self.n_modes_x}; "
                 f"the x-quadrature needs at least one node per sine mode"
             )
@@ -98,7 +93,7 @@ class PlateConfig:
             # Gauss nodes on (0, pi) pair off across x = pi/2 only for an
             # even count; an odd one puts a node on the midline that the
             # mirror and polarization analysis cannot pair.
-            raise ValueError(
+            raise InputError(
                 f"n_quad_x={self.n_quad_x} is odd; the mirror pairing of "
                 f"x-nodes across x = pi/2 needs an even count"
             )
@@ -107,14 +102,10 @@ class PlateConfig:
             # n_basis_y) profile table has full column rank; n_quad_y >=
             # n_basis_y also makes Gauss exact to degree 2*n_basis_y - 2,
             # the top degree of every y-integrand.
-            raise ValueError(
+            raise InputError(
                 f"n_quad_y={self.n_quad_y} is below n_basis_y={self.n_basis_y}; "
                 f"the y-quadrature needs at least one node per cross profile"
             )
-        if not self.opt_tol > 0.0:
-            raise ValueError(f"opt_tol must be positive, got {self.opt_tol}")
-        if not self.eig_tol > 0.0:
-            raise ValueError(f"eig_tol must be positive, got {self.eig_tol}")
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -156,10 +147,13 @@ def load_config(path) -> PlateConfig:
     else is rejected so typos cannot silently fall back to a default.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # malformed, too deep or not UTF-8
+            raise InputError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ValueError(f"config file {path} must contain a JSON object")
+        raise InputError(f"config file {path} must contain a JSON object")
     unknown = sorted(set(raw) - set(CONFIG_KEYS))
     if unknown:
-        raise ValueError(f"unknown config keys {unknown}; accepted keys: {list(CONFIG_KEYS)}")
+        raise InputError(f"unknown config keys {unknown}; accepted keys: {list(CONFIG_KEYS)}")
     return PlateConfig(**raw)

@@ -78,8 +78,9 @@ def reflection_gap(system: PlateSystem, probes) -> float:
 
 def interior_probe_points(grid: QuadratureGrid, nx: int, ny: int, half_plane: bool = False):
     """Probe lattice one quadrature cell away from the open x-boundaries, as
-    its (xs, ys) axes."""
-    x_lo, x_hi = grid.nodes_x[1], grid.nodes_x[-2]
+    its (xs, ys) axes; on two x-nodes, between the outermost nodes."""
+    k = min(1, grid.nodes_x.size // 2 - 1)
+    x_lo, x_hi = grid.nodes_x[k], grid.nodes_x[-1 - k]
     if half_plane:
         x_hi = np.pi / 2 - (np.pi / 2 - x_lo) / 50.0
     return np.linspace(x_lo, x_hi, nx), np.linspace(-grid.ell, grid.ell, ny)
@@ -137,7 +138,9 @@ def certify_positivity_preserving(system: PlateSystem) -> list:
     min_u, min_slope = np.inf, np.inf
     total = 0
     for _ in range(POSITIVITY_LOADS):
-        f = _random_nonnegative_load(rng, X, Y, cfg.ell)
+        f = np.zeros(X.shape)
+        while not f.any():  # the claims cover nonzero loads only
+            f = _random_nonnegative_load(rng, X, Y, cfg.ell)
         u = apply(system, f)
         uvals = system.grid_values(u)
         min_u = min(min_u, float(uvals.min()))

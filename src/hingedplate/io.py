@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import PlateConfig
+from .config import InputError, PlateConfig
 from .grid import QuadratureGrid
 from .optimize import OptimizationTrace
 
@@ -60,21 +60,21 @@ def write_grid_csv(path, grid: QuadratureGrid, values: np.ndarray,
 
 def read_density_csv(path, grid: QuadratureGrid) -> np.ndarray:
     """Read a density dump back; nodes must match the grid exactly.  Any row
-    but three numbers, a blank line too, is rejected with its 1-based line."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    but three numbers, a blank line or a non-UTF-8 byte too, fails by line."""
+    with open(path, "r", newline="", encoding="utf-8", errors="replace") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])  # an empty file has no header row
         if len(header) != 3 or header[:2] != ["x", "y"]:
-            raise ValueError(f"density file {path} must have columns x, y, <value>")
+            raise InputError(f"density file {path} must have columns x, y, <value>")
         rows = [_density_row(path, reader.line_num, row) for row in reader]
     nx, ny = grid.shape
     if len(rows) != nx * ny:
-        raise ValueError(f"density file {path} has {len(rows)} rows, grid needs {nx * ny}")
+        raise InputError(f"density file {path} has {len(rows)} rows, grid needs {nx * ny}")
     data = np.asarray(rows)
     X, Y = grid.meshgrid()
     if not (np.allclose(data[:, 0], X.ravel(), rtol=0.0, atol=1e-12)
             and np.allclose(data[:, 1], Y.ravel(), rtol=0.0, atol=1e-12)):
-        raise ValueError(f"density file {path}: nodes do not match the configured grid")
+        raise InputError(f"density file {path}: nodes do not match the configured grid")
     return data[:, 2].reshape(grid.shape)
 
 
@@ -84,7 +84,7 @@ def _density_row(path, line: int, row: list) -> tuple:
             return tuple(map(float, row))
         except ValueError:
             pass
-    raise ValueError(f"density file {path}, line {line}: expected 3 numbers, got {row!r}")
+    raise InputError(f"density file {path}, line {line}: expected 3 numbers, got {row!r}")
 
 
 def write_vector_csv(path, name: str, values: np.ndarray) -> None:

@@ -28,10 +28,10 @@ RIGHT_DOMINANT = "RIGHT_DOMINANT"
 SYMMETRIC = "SYMMETRIC"
 # Mirror gaps and midline slopes below this fraction of max|u| count as zero.
 MIRROR_TOL = 1e-6
-
-
-class MonotonicityError(RuntimeError):
-    """The eigenvalue sequence increased beyond tolerance; the sweep is broken."""
+# Sweeps per start; one that neither settles nor stagnates ends as max_iter.
+MAX_SWEEPS = 100
+# Relative lambda1 change within rounding: a smaller fall stagnates, a larger rise fails.
+STAGNATION_TOL = 1e-10
 
 
 class AnalysisError(RuntimeError):
@@ -98,12 +98,10 @@ def _fill_with_gray_node(order, grid: QuadratureGrid, rule: AdmissibleWeightRule
 
     `order` is a permutation of the flat node indices.  Nodes enter in that
     order until the cumulative tensor weight reaches the target; the node
-    straddling it is the gray node.
+    straddling it, or the last if none does (beta = 1e100), is the gray node.
     """
     cum = np.cumsum(grid.weights.ravel()[order])
-    if not 0.0 < target_measure < cum[-1]:
-        raise ValueError("target measure outside the grid total")
-    r = int(np.searchsorted(cum, target_measure))
+    r = min(int(np.searchsorted(cum, target_measure)), order.size - 1)
     p = np.full(order.size, rest, dtype=float)
     p[order[:r]] = fill
     gray_node = int(order[r])
@@ -324,22 +322,21 @@ def minimize(system: PlateSystem, initial_p: DensityField) -> OptimizationTrace:
 
     Each record holds one eigensolve plus the rearrangement computed from
     it.  The loop stops at an exact assignment fixed point, at relative
-    eigenvalue stagnation below cfg.opt_tol, or after cfg.opt_max_iter
-    rearrangement sweeps, with cfg = system.cfg (so the trace carries at
-    most opt_max_iter + 1 records and always closes with the eigenvalue of
-    the final density).  A step that increases the eigenvalue beyond 1e-10
-    relative aborts: the variational chain guarantees decrease, so growth
-    means broken inputs.
+    eigenvalue stagnation below STAGNATION_TOL, or after MAX_SWEEPS
+    rearrangement sweeps (so the trace carries at most MAX_SWEEPS + 1
+    records and always closes with the eigenvalue of the final density).
+    A step that increases the eigenvalue beyond STAGNATION_TOL relative raises
+    SolverError: the variational chain guarantees decrease, so growth
+    means a broken solve.
     """
-    cfg = system.cfg
     p = initial_p
     records = []
     status = None
-    for it in range(cfg.opt_max_iter + 1):
+    for it in range(MAX_SWEEPS + 1):
         pair = system.solve_density(p)
         last = records[-1].lambda1 if records else float("nan")  # NaN: no comparison holds
-        if pair.lambda1 > last * (1.0 + 1e-10):
-            raise MonotonicityError(
+        if pair.lambda1 > last * (1.0 + STAGNATION_TOL):
+            raise SolverError(
                 f"sweep {it}: eigenvalue rose from {last!r} to {pair.lambda1!r}"
             )
         new_p, t = rearrange(pair.u, system)
@@ -360,10 +357,10 @@ def minimize(system: PlateSystem, initial_p: DensityField) -> OptimizationTrace:
             # rearranging reproduced the current density exactly
             status = "fixed_point"
             break
-        if abs(pair.lambda1 - last) <= cfg.opt_tol * last:
+        if abs(pair.lambda1 - last) <= STAGNATION_TOL * last:
             status = "lambda_stagnant"
             break
-        if it == cfg.opt_max_iter:
+        if it == MAX_SWEEPS:
             status = "max_iter"
             break
         p = new_p

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hingedplate
@@ -21,6 +21,7 @@ from hingedplate import (
     strip_density,
     uniform_density,
 )
+from hingedplate.assembly import AssemblyError
 from hingedplate.cli import main
 from hingedplate.io import write_grid_csv, write_json
 from hingedplate.optimize import AnalysisError, random_admissible_density
@@ -104,7 +105,8 @@ def test_empty_density_file_exits_2(tmp_path, small_config_file, capsys, flag):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("case", ["blank-line", "non-numeric", "extra-field", "short"])
+@pytest.mark.parametrize("case", ["blank-line", "non-numeric", "extra-field", "short",
+                                  "not-utf-8"])
 def test_malformed_density_file_exits_2_naming_file_and_line(tmp_path, small_config_file,
                                                              capsys, case):
     grid = QuadratureGrid.from_config(PlateConfig(**SMALL))
@@ -120,6 +122,9 @@ def test_malformed_density_file_exits_2_naming_file_and_line(tmp_path, small_con
         expected = "line 6:"
     elif case == "extra-field":
         lines[3] += b",7"
+        expected = "line 4:"
+    elif case == "not-utf-8":
+        lines[3] += b"\xff"
         expected = "line 4:"
     else:
         lines = lines[:5] + [b""]
@@ -139,6 +144,11 @@ def test_solve_rejects_bad_config(tmp_path):
     assert rc == 2
     cfg.write_text(json.dumps({"unknown_key": 1}))
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "r2")]) == 2
+    # malformed JSON, nesting too deep for the parser, bytes that are not UTF-8
+    for text in (b'{"alpha": 0.5,', b"[" * 100000, b'{"alpha": "\xff"}'):
+        cfg.write_bytes(text)
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "r3")]) == 2
+    assert not (tmp_path / "r3").exists()
 
 
 def test_solve_deterministic_outputs(tmp_path, small_config_file):
@@ -427,11 +437,11 @@ def test_analysis_failure_exit_code(tmp_path, small_config_file, monkeypatch):
     assert rc == 3
 
 
-# One value that PlateConfig, load_config or the solver must refuse.
+# One value that PlateConfig or load_config must refuse.
 BROKEN_VALUES = [
     ("n_modes_x", 0), ("n_basis_y", 2.5), ("n_quad_x", 7), ("n_quad_x", 1),
     ("n_quad_y", 0), ("sigma", 1.0), ("sigma", "0.2"), ("ell", 0.0),
-    ("alpha", 1.0), ("beta", 1.0), ("opt_tol", 0.0), ("eig_tol", 1e-30),
+    ("alpha", 1.0), ("beta", 1.0), ("n_modes", 4),
 ]
 
 
@@ -447,7 +457,6 @@ def small_configs(draw):
         "n_basis_y": profiles,
         "n_quad_x": 2 * draw(st.integers((modes + 1) // 2, 8)),
         "n_quad_y": draw(st.integers(profiles, 10)),
-        "opt_max_iter": draw(st.sampled_from([1, 3, 100])),
     }
     cfg.update(draw(st.fixed_dictionaries({}, optional={
         "sigma": st.sampled_from([0.0, 0.3, 0.9]),
@@ -461,18 +470,28 @@ def small_configs(draw):
     return cfg
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, deadline=None, derandomize=True)
 @given(cfg=small_configs())
+# two x-nodes: the kernel suite's probe range was reversed, and exited 2
+@example(cfg={"n_modes_x": 1, "n_basis_y": 1, "n_quad_x": 2, "n_quad_y": 1})
+# the light share (beta-1)/(beta-alpha) rounds to 1: the fill exited 2
+@example(cfg={"n_modes_x": 2, "n_basis_y": 2, "n_quad_x": 8, "n_quad_y": 4, "beta": 1e100})
 def test_cli_exit_codes_on_small_configs(cfg):
-    # every command ends in a documented exit code, never in a traceback
+    # every command ends in a documented exit code, never in a traceback;
+    # exit 2 means a rejected input, found before any output is written
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(cfg))
-        for command in (["solve"], ["optimize", "--starts", "2"],
-                        ["certify", "--suite", "green"],
-                        ["certify", "--suite", "polarization"]):
-            rc = main(command + ["--config", str(path), "--out", str(Path(tmp) / "run")])
+        for k, command in enumerate((["solve"], ["optimize", "--starts", "2"],
+                                     ["certify", "--suite", "green"],
+                                     ["certify", "--suite", "polarization"])):
+            out = Path(tmp) / f"run-{k}"
+            rc = main(command + ["--config", str(path), "--out", str(out)])
             assert rc in (0, 2, 3, 4), (cfg, command, rc)
+            if rc == 2:
+                assert not out.exists(), (cfg, command)
+            if rc == 0:
+                assert (out / "manifest.jsonl").exists(), (cfg, command)
 
 
 @pytest.mark.parametrize("command", ["solve", "optimize", "certify --suite green",
@@ -500,10 +519,50 @@ def test_thin_plate_series_suite_still_certifies(tmp_path):
                  "--out", str(tmp_path / "run")]) == 0
 
 
-def test_solver_failure_exit_code(tmp_path):
+@pytest.mark.parametrize("key, value", [("opt_max_iter", 100), ("opt_tol", 1e-10),
+                                        ("eig_tol", 1e-12)])
+def test_solver_settings_are_not_config_keys(tmp_path, capsys, key, value):
+    # the sweep cap and both tolerances are constants of the solver now; a
+    # config that still sets one is rejected before any output is written
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(dict(SMALL, **{key: value})))
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+    assert f"unknown config keys ['{key}']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_only_input_checks_exit_2(tmp_path, small_config_file, monkeypatch):
+    # an AssemblyError comes after the config was accepted, so it is a
+    # solver outcome; any other ValueError is a bug and propagates
+    def build_raising(exc):
+        def build(*args):
+            raise exc
+        return build
+
+    command = ["solve", "--config", str(small_config_file), "--out", str(tmp_path / "run")]
+    monkeypatch.setattr("hingedplate.optimize.StiffnessFactor.build",
+                        build_raising(AssemblyError("energy matrix is not positive definite")))
+    assert main(command) == 3
+    monkeypatch.setattr("hingedplate.optimize.StiffnessFactor.build",
+                        build_raising(ValueError("an internal check")))
+    with pytest.raises(ValueError, match="an internal check"):
+        main(command)
+
+
+def test_kernel_suite_on_two_x_nodes_is_not_an_input_error(tmp_path):
+    # its probe range ran from the second node to the second to last, which
+    # on two nodes is reversed, and the reflection-gap check exited 2
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"n_modes_x": 1, "n_basis_y": 1, "n_quad_x": 2, "n_quad_y": 1}))
+    out = tmp_path / "run"
+    rc = main(["certify", "--suite", "green", "--config", str(path), "--out", str(out)])
+    assert rc in (0, 4)
+    assert len(json.loads((out / "certify_green.json").read_text())) == 9
+
+
+def test_solver_failure_exit_code(small_config_file, tmp_path, monkeypatch):
     # an unreachable residual demand must surface as a solver failure
-    cfg = dict(SMALL, eig_tol=1e-30)
-    path = tmp_path / "strict.json"
-    path.write_text(json.dumps(cfg))
-    rc = main(["solve", "--config", str(path), "--out", str(tmp_path / "run")])
+    monkeypatch.setattr("hingedplate.eigensolve.EIG_TOL", 1e-30)
+    rc = main(["solve", "--config", str(small_config_file), "--out", str(tmp_path / "run")])
     assert rc == 3

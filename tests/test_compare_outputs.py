@@ -105,6 +105,22 @@ def test_every_other_json_leaf_must_match(changed):
         "non-numeric leaves differ")
 
 
+@pytest.mark.parametrize("changed, first", [
+    ({**REPORT, "gray_nodes": [1]}, "0/gray_nodes (only in new)"),
+    ({k: v for k, v in REPORT.items() if k != "pass"}, "0/pass (only in old)"),
+    ({**REPORT, "pass": False}, "0/pass (True -> False)"),
+    ({**REPORT, "claim_id": "kernel-negative"},
+     "0/claim_id ('kernel-positive' -> 'kernel-negative')"),
+], ids=["added-key", "removed-key", "flag", "string"])
+def test_the_first_differing_json_leaf_is_named(changed, first):
+    # an added summary key is named, so it cannot hide another change
+    assert compare_outputs.json_differences(_json([REPORT]), _json([changed])) == (
+        f"max abs diff 0.000e+00, max rel diff 0.000e+00; first at {first}, "
+        "non-numeric leaves differ")
+    assert compare_outputs.json_differences(_json([REPORT]), _json([REPORT, REPORT])).endswith(
+        "first at (root) (('length', 1) -> ('length', 2)), non-numeric leaves differ")
+
+
 def test_nan_leaves_match_only_each_other():
     assert compare_outputs.json_differences(b"[NaN]", b"[NaN]") == (
         "max abs diff 0.000e+00, max rel diff 0.000e+00; non-numeric leaves match")

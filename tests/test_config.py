@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from hingedplate import AdmissibleWeightRule, PlateConfig, load_config
+from hingedplate import AdmissibleWeightRule, InputError, PlateConfig, load_config
+from hingedplate.eigensolve import EIG_TOL
+from hingedplate.optimize import MAX_SWEEPS, STAGNATION_TOL
 
 
 def _rule(**kwargs):
@@ -38,10 +40,10 @@ def test_sublevel_fraction_increasing_in_beta():
     dict(sigma=-0.1), dict(sigma=1.0), dict(ell=0.0), dict(ell=-1.0),
     dict(alpha=1.0), dict(alpha=0.0), dict(beta=1.0), dict(beta=0.9),
     dict(alpha=1.2, beta=2.0), dict(n_modes_x=0), dict(n_quad_y=0),
-    dict(opt_tol=0.0), dict(eig_tol=-1e-12),
+    dict(n_basis_y=0), dict(n_quad_x=0),
 ])
 def test_invalid_configs_rejected(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         PlateConfig(**bad)
 
 
@@ -73,9 +75,12 @@ def test_defaults_match_documented_values():
     assert (cfg.alpha, cfg.beta) == (0.5, 3.0)
     assert (cfg.n_modes_x, cfg.n_basis_y) == (20, 12)
     assert (cfg.n_quad_x, cfg.n_quad_y) == (96, 48)
-    assert cfg.opt_max_iter == 100
-    assert cfg.opt_tol == 1e-10
-    assert cfg.eig_tol == 1e-12
+    assert list(cfg.as_dict()) == ["sigma", "ell", "alpha", "beta",
+                                   "n_modes_x", "n_basis_y", "n_quad_x", "n_quad_y"]
+    # the solver settings are constants, at the values the fields had
+    assert MAX_SWEEPS == 100
+    assert STAGNATION_TOL == 1e-10
+    assert EIG_TOL == 1e-12
 
 
 def test_rule_from_config():
@@ -98,13 +103,16 @@ def test_load_config_partial_keys(tmp_path):
 def test_load_config_rejects_unknown_and_bad_types(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"sigmaa": 0.1}))
-    with pytest.raises(ValueError, match="unknown config keys"):
+    with pytest.raises(InputError, match="unknown config keys"):
         load_config(path)
     path.write_text(json.dumps({"n_modes_x": 2.5}))
-    with pytest.raises(ValueError, match="must be an integer"):
+    with pytest.raises(InputError, match="must be an integer"):
         load_config(path)
     path.write_text(json.dumps([1, 2]))
-    with pytest.raises(ValueError, match="JSON object"):
+    with pytest.raises(InputError, match="JSON object"):
+        load_config(path)
+    path.write_text('{"sigma": 0.1,')
+    with pytest.raises(InputError, match="is not valid JSON"):
         load_config(path)
 
 
@@ -120,19 +128,19 @@ def test_int_bounds_are_stored_as_floats():
     (dict(n_quad_x=96.0), "n_quad_x must be an integer"),
     (dict(beta=True), "beta must be a number"),
     (dict(sigma="0.2"), "sigma must be a number"),
-    (dict(eig_tol=None), "eig_tol must be a number"),
+    (dict(alpha=None), "alpha must be a number"),
     (dict(beta=math.inf), "beta must be finite"),
     (dict(ell=math.inf), "ell must be finite"),
     (dict(sigma=math.nan), "sigma must be finite"),
-    (dict(eig_tol=math.inf), "eig_tol must be finite"),
-    (dict(opt_tol=math.inf), "opt_tol must be finite"),
+    (dict(alpha=math.nan), "alpha must be finite"),
+    (dict(ell=-math.inf), "ell must be finite"),
     (dict(alpha=-math.inf), "alpha must be finite"),
     (dict(beta=10 ** 400), "beta must be finite"),
     (dict(ell=1e155), "ell=1e\\+155 is too large"),
 ])
 def test_field_types_checked_at_construction(bad, message):
     # a bool is an int to Python, but True as a mode count is a typo
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(InputError, match=message):
         PlateConfig(**bad)
 
 

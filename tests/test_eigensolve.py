@@ -22,6 +22,7 @@ from hingedplate import (
 from hingedplate.assembly import WeightedMass
 from hingedplate.cli import main
 from hingedplate.eigensolve import (
+    EIG_TOL,
     NearDegenerateWarning,
     SolverError,
     _block_diagonal_start,
@@ -116,7 +117,7 @@ def test_residual_and_rayleigh_consistency(default_system, default_uniform_pair)
     # the reported pair, checked against the dense block diagonal and the
     # dense generalized eigh's vector rather than the solver's own quotient
     pair = default_uniform_pair
-    tol = default_system.cfg.eig_tol
+    tol = EIG_TOL
     assert pair.residual <= tol
     Mp = _dense_mass(default_system, np.ones(default_system.grid.shape))
     K = scipy.linalg.block_diag(*default_system.factor.blocks)
@@ -180,7 +181,7 @@ def _assert_matches_dense_oracle(system, p):
     K = scipy.linalg.block_diag(*system.factor.blocks)
     Mp = _dense_mass(system, p.values)
     pair = system.solve_density(p)
-    assert pair.residual <= system.cfg.eig_tol
+    assert pair.residual <= EIG_TOL
     _, vecs = scipy.linalg.eigh(K, Mp, subset_by_index=[0, 1])
     lam_ref = np.sum(vecs * (K @ vecs), axis=0) / np.sum(vecs * (Mp @ vecs), axis=0)
     assert abs(pair.lambda1 - lam_ref[0]) <= 1e-12 * lam_ref[0]
@@ -401,7 +402,7 @@ def test_degenerate_single_y_function():
     system = PlateSystem(cfg)
     pair = system.solve_density(uniform_density(system.grid, system.rule))
     assert pair.lambda1 > 0.0
-    assert pair.residual <= cfg.eig_tol
+    assert pair.residual <= EIG_TOL
     # richer y resolution can only lower the minimum
     cfg12 = PlateConfig(n_modes_x=6, n_basis_y=12, n_quad_x=32, n_quad_y=24)
     system12 = PlateSystem(cfg12)

@@ -238,6 +238,15 @@ def test_load_vector_reuses_the_system_tables(small_system, rng, count_calls):
     assert built == []
 
 
+def test_positivity_suite_draws_only_nonzero_loads():
+    # on 4 x 2 nodes one of the draws zeroed every node; its zero solution
+    # failed both claims, whose statement covers nonzero loads only
+    system = PlateSystem(PlateConfig(n_modes_x=2, n_basis_y=2, n_quad_x=4, n_quad_y=2))
+    reports = certify_positivity_preserving(system)
+    assert [r.claim_id for r in reports] == ["solution-positivity", "solution-edge-slopes"]
+    assert all(r.passed and r.min_margin > 0.0 for r in reports)
+
+
 def test_positivity_preserving_certification(default_system):
     reports = certify_positivity_preserving(default_system)
     by_id = {r.claim_id: r for r in reports}

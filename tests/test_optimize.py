@@ -117,6 +117,22 @@ def test_rearranged_density_is_admissible(small_system, rng):
         assert abs(density.sublevel_measure() - target) <= system.grid.weights.max()
 
 
+def test_rearranged_density_when_the_light_share_rounds_to_one(small_cfg, rng):
+    # at beta = 1e100 the light share (beta-1)/(beta-alpha) is 1.0 in double
+    # precision: every node but the highest-valued one takes alpha, and that
+    # gray node carries the remaining mass
+    grid = QuadratureGrid.from_config(small_cfg)
+    rule = AdmissibleWeightRule.from_config(replace(small_cfg, beta=1e100))
+    assert rule.sublevel_fraction == 1.0
+    vals = rng.uniform(0.05, 2.0, size=grid.shape)
+    density, t = bang_bang_from_values(vals, grid, rule)
+    top = np.argmax(vals)
+    assert t == vals.flat[top] ** 2
+    assert np.all(np.delete(density.values.ravel(), top) == rule.alpha)
+    assert density.gray_nodes() == 1
+    assert density.mass == pytest.approx(rule.target_mass, rel=1e-12)
+
+
 def test_rearrange_maximizes_weighted_mass(small_system, rng):
     # the returned density beats 200 random admissible competitors on int p u^2
     system = small_system
@@ -162,10 +178,10 @@ def test_minimize_trace_monotone_and_admissible(small_system, monkeypatch):
         assert abs(density.sublevel_measure() - target) <= system.grid.weights.max()
 
 
-def test_minimize_single_iteration_cap(small_system):
-    capped = PlateSystem(replace(small_system.cfg, opt_max_iter=1))
-    start = strip_density(capped.grid, capped.rule, "left")
-    trace = minimize(capped, start)
+def test_minimize_single_iteration_cap(small_system, monkeypatch):
+    monkeypatch.setattr("hingedplate.optimize.MAX_SWEEPS", 1)
+    start = strip_density(small_system.grid, small_system.rule, "left")
+    trace = minimize(small_system, start)
     assert trace.status == "max_iter"
     assert len(trace.records) == 2  # starting solve plus the capped sweep
     lams = [r.lambda1 for r in trace.records]

@@ -21,7 +21,8 @@ code or stdout differs between the trees counts as a difference too.  Its
 stderr is not compared, because warnings name each tree's source path.
 For a JSON file that differs, the line also gives the largest absolute
 and relative difference over its numeric leaves and says whether every
-other leaf (keys, list lengths, strings, booleans, nulls) matches.  For a
+other leaf (keys, list lengths, strings, booleans, nulls) matches; if one
+does not, it names the first, in document order, by its path.  For a
 CSV file that differs, it gives the same two differences over the numeric
 cells and says whether the header, the row count and every non-numeric
 cell match.
@@ -87,22 +88,38 @@ def _largest_differences(pairs) -> tuple:
     return max_abs, max_rel
 
 
+def _leaf_difference(a, b):
+    """How two leaves at one path differ, or None if they match.  Numbers
+    are left to _largest_differences, and an object's key list counts only
+    for its order: a key on one side only is named by its own path."""
+    if _is_number(a) and _is_number(b):
+        return None
+    if isinstance(a, tuple) and isinstance(b, tuple) and a[0] == b[0] == "keys" \
+            and set(a[1]) != set(b[1]):
+        return None
+    return None if type(a) is type(b) and a == b else f"{a!r} -> {b!r}"
+
+
 def json_differences(old: bytes, new: bytes) -> str:
     """Largest absolute and relative difference over the numeric leaves of
-    two JSON documents, and whether every non-numeric leaf matches."""
+    two JSON documents, and whether every non-numeric leaf matches, naming
+    the first that does not (old's document order, then paths only in new)."""
     old_leaves = dict(_leaves(json.loads(old)))
     new_leaves = dict(_leaves(json.loads(new)))
-    numbers = []
-    same = old_leaves.keys() == new_leaves.keys()
-    for path in old_leaves.keys() & new_leaves.keys():
-        a, b = old_leaves[path], new_leaves[path]
-        if _is_number(a) and _is_number(b):
-            numbers.append((a, b))
+    numbers = [(a, new_leaves[path]) for path, a in old_leaves.items()
+               if path in new_leaves and _is_number(a) and _is_number(new_leaves[path])]
+    first = None
+    for path in {**old_leaves, **new_leaves}:
+        if path not in new_leaves or path not in old_leaves:
+            how = "only in old" if path in old_leaves else "only in new"
         else:
-            same = same and type(a) is type(b) and a == b
+            how = _leaf_difference(old_leaves[path], new_leaves[path])
+        if how is not None:
+            first = f"first at {'/'.join(map(str, path)) or '(root)'} ({how}), "
+            break
     max_abs, max_rel = _largest_differences(numbers)
-    return (f"max abs diff {max_abs:.3e}, max rel diff {max_rel:.3e}; non-numeric "
-            f"leaves {'match' if same else 'differ'}")
+    return (f"max abs diff {max_abs:.3e}, max rel diff {max_rel:.3e}; "
+            + (f"{first}non-numeric leaves differ" if first else "non-numeric leaves match"))
 
 
 def _cell_number(cell: str):
