@@ -22,7 +22,7 @@ from .grid import QuadratureGrid
 
 
 class AssemblyError(RuntimeError):
-    """Assembled form violates its contract (non-finite, not SPD, or p <= 0)."""
+    """Assembled form violates its contract (non-finite, or p <= 0)."""
 
 
 def stiffness_blocks(basis: SpectralBasis, grid: QuadratureGrid, sigma: float,
@@ -114,6 +114,8 @@ class StiffnessFactor:
     stable per block to ~1e-16 (tests/test_assembly.py bounds it by 1e-15),
     so the eigensolve reaches 1e-14 to 1e-12 relative eigenpair residuals
     where a monolithic dense factorization would lose several digits.
+    The blocks' definiteness is checked once, by `PlateSystem` from its
+    p = 1 spectrum.
     """
 
     blocks: np.ndarray
@@ -123,10 +125,6 @@ class StiffnessFactor:
     def build(cls, basis: SpectralBasis, grid: QuadratureGrid, sigma: float,
               y_tables) -> "StiffnessFactor":
         blocks = stiffness_blocks(basis, grid, sigma, y_tables)
-        try:  # the definiteness check; the Cholesky factor itself is not kept
-            np.linalg.cholesky(blocks)
-        except np.linalg.LinAlgError as exc:
-            raise AssemblyError(f"energy matrix is not positive definite: {exc}") from exc
         return cls(blocks=blocks, inverse=np.linalg.inv(blocks))
 
     def _stacked(self, x):

@@ -120,12 +120,9 @@ SUITES = ("green", "series", "polarization", "all")
 
 def run_suite(name: str, cfg) -> list:
     """All certification reports of one suite (or of every suite), the
-    kernel and polarization suites sharing one `PlateSystem` of cfg.
-
-    The system's p = 1 spectrum is read first, so an operator that rounding
-    has made indefinite (a plate too thin for double precision) raises
-    SolverError before any suite reports on it.
-    """
+    kernel and polarization suites sharing one `PlateSystem` of cfg, whose
+    build raises SolverError on an operator that rounding has made
+    indefinite (a plate too thin for double precision)."""
     from . import green, series, polarization
 
     if name not in SUITES:
@@ -133,7 +130,6 @@ def run_suite(name: str, cfg) -> list:
     if name == "series":
         return series.certify_series()
     system = PlateSystem(cfg)
-    system.uniform_spectrum  # raises SolverError on an indefinite operator
     if name == "green":
         return green.certify_green(system)
     if name == "polarization":

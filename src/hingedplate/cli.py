@@ -89,7 +89,8 @@ def cmd_solve(args) -> int:
     write_json(manifest.register(out / "eigenpair.json"), {
         "lambda1": pair.lambda1,
         "residual": pair.residual,
-        "relative_gap": pair.gap,
+        # null at dimension 1, which has no second eigenvalue
+        "relative_gap": pair.gap if np.isfinite(pair.gap) else None,
         "normalization": "weighted L2, sqrt(p) u has unit norm",
     })
     manifest.add_summary("lambda1", pair.lambda1)
@@ -154,9 +155,9 @@ def cmd_optimize(args) -> int:
 def cmd_certify(args) -> int:
     cfg = _load_cfg(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest("certify", cfg, out)
     reports = run_suite(args.suite, cfg)
+    out.mkdir(parents=True, exist_ok=True)
     write_reports_json(manifest.register(out / f"certify_{args.suite}.json"), reports)
     failures = [r.claim_id for r in reports if not r.passed]
     manifest.add_summary("claims", len(reports))

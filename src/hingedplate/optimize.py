@@ -13,7 +13,6 @@ when the eigenvalue stagnates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -251,6 +250,8 @@ class PlateSystem:
     of every density and the solution operator u = G f of the plate
     problem, whose kernel the certifications probe; `minimize` and the
     certification suites take the system, so none of them builds another.
+    Building it computes the p = 1 spectrum, which rejects an operator
+    that rounding has made indefinite before anything uses it.
     """
 
     def __init__(self, cfg: PlateConfig):
@@ -266,11 +267,10 @@ class PlateSystem:
         # basis values on the grid, sin(m x_i) as S and psi_j(y_k) as L
         self.S = _sine_table(self.basis.modes_x, self.grid.nodes_x, 0)
         self.L = self.y_tables[0]
+        self.uniform_spectrum = self._uniform_spectrum()
 
-    @cached_property
-    def uniform_spectrum(self) -> np.ndarray:
-        """Eigenvalues of the pencils (K_m, D_m) at p = 1; (n_modes_x, J),
-        on first use.
+    def _uniform_spectrum(self) -> np.ndarray:
+        """Eigenvalues of the pencils (K_m, D_m) at p = 1; (n_modes_x, J).
 
         Every D_m is c_m G, with one y-Gram matrix G = L^T diag(wy) L and
         c_m = sum_i wx_i S[m,i]^2, so one Cholesky factor G = R R^T serves
@@ -278,14 +278,17 @@ class PlateSystem:
         c_m.  Like a Rayleigh-Ritz solve of each pencil, this carries an
         absolute error of about eps * max_j theta_{m,j}; the two agree to
         2.4e-15 of that scale at dim 1600 (relative 1.4e-8 at the smallest
-        value, m = j = 1).  The values only set the start's mode bound,
-        which has a factor 2 of slack, and the kept modes are the same
-        under both at every tested config and contrast.
+        value, m = j = 1).  The values set the eigensolver start's mode
+        bound, which has a factor 2 of slack, and the kept modes are the
+        same under both at every tested config and contrast.
 
-        Both pencils are positive definite, so a value that is not positive
-        (NaN included) is rounding gone wrong, as on a plate too thin for
-        double precision: SolverError.  A positive spectrum keeps at least
-        one mode in the eigensolver's start, since the contrast is >= 1.
+        This is the operator's one definiteness check.  G is positive
+        definite (n_quad_y >= n_basis_y), so theta_{m,j} > 0 for all j
+        exactly when K_m is; a value that is not positive (NaN included) is
+        rounding gone wrong, as on a plate too thin for double precision:
+        SolverError, before any solve or kernel probe.  A positive spectrum
+        keeps at least one mode in the eigensolver's start, since the
+        contrast is >= 1.
         """
         wyL = self.grid.weights_y[:, None] * self.L
         c = (self.S * self.S) @ self.grid.weights_x

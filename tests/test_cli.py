@@ -499,7 +499,8 @@ def test_cli_exit_codes_on_small_configs(cfg):
 def test_thin_plate_exits_3_without_traceback(tmp_path, command):
     # at ell = 1e-8 rounding makes the p = 1 spectrum negative, which used to
     # leave the eigensolver's start with no mode and end in an IndexError,
-    # and let the kernel suite pass claims about an indefinite operator
+    # and let the kernel suite pass claims about an indefinite operator; the
+    # system's build rejects it now, before any output directory is made
     path = tmp_path / "thin.json"
     path.write_text(json.dumps(dict(SMALL, ell=1e-8)))
     proc = subprocess.run([sys.executable, "-m", "hingedplate.cli", *command.split(),
@@ -509,6 +510,7 @@ def test_thin_plate_exits_3_without_traceback(tmp_path, command):
     assert "solver error: uniform plate spectrum is not positive" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert "PASS" not in proc.stdout
+    assert not (tmp_path / "run").exists()
 
 
 def test_thin_plate_series_suite_still_certifies(tmp_path):
@@ -542,7 +544,7 @@ def test_only_input_checks_exit_2(tmp_path, small_config_file, monkeypatch):
 
     command = ["solve", "--config", str(small_config_file), "--out", str(tmp_path / "run")]
     monkeypatch.setattr("hingedplate.optimize.StiffnessFactor.build",
-                        build_raising(AssemblyError("energy matrix is not positive definite")))
+                        build_raising(AssemblyError("non-finite stiffness entries")))
     assert main(command) == 3
     monkeypatch.setattr("hingedplate.optimize.StiffnessFactor.build",
                         build_raising(ValueError("an internal check")))
@@ -559,6 +561,30 @@ def test_kernel_suite_on_two_x_nodes_is_not_an_input_error(tmp_path):
     rc = main(["certify", "--suite", "green", "--config", str(path), "--out", str(out)])
     assert rc in (0, 4)
     assert len(json.loads((out / "certify_green.json").read_text())) == 9
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_dimension_1_outputs_are_strict_json(tmp_path):
+    # with one basis function there is no second eigenvalue; its relative
+    # gap was written as Infinity, which a strict JSON parser rejects
+    path = tmp_path / "dim1.json"
+    path.write_text(json.dumps({"n_modes_x": 1, "n_basis_y": 1, "n_quad_x": 2, "n_quad_y": 1}))
+    for command, codes in (("solve", (0,)), ("optimize", (0,)),
+                           ("certify --suite all", (0, 4))):
+        out = tmp_path / command.split()[0]
+        assert main([*command.split(), "--config", str(path), "--out", str(out)]) in codes
+    documents = [(tmp_path / name).read_text() for name in
+                 ("solve/eigenpair.json", "optimize/optimize_summary.json",
+                  "certify/certify_all.json")]
+    for run in ("solve", "optimize", "certify"):
+        documents += (tmp_path / run / "manifest.jsonl").read_text().splitlines()
+    assert len(documents) == 6
+    for text in documents:
+        json.loads(text, parse_constant=_reject_constant)
+    assert json.loads(documents[0])["relative_gap"] is None
 
 
 def test_solver_failure_exit_code(small_config_file, tmp_path, monkeypatch):

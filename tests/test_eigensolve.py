@@ -298,6 +298,25 @@ def test_uniform_spectrum_matches_rayleigh_ritz(name):
         assert np.array_equal(*kept), contrast
 
 
+def test_indefinite_energy_blocks_rejected(monkeypatch):
+    # the operator's one definiteness check is the p = 1 spectrum of the
+    # build: a block with negative eigenvalues stops it before any solve
+    cfg = PlateConfig(n_modes_x=6, n_basis_y=5, n_quad_x=40, n_quad_y=20)
+    blocks = PlateSystem(cfg).factor.blocks.copy()
+    blocks[-1] = -blocks[-1]
+    monkeypatch.setattr("hingedplate.assembly.stiffness_blocks", lambda *args: blocks)
+    with pytest.raises(SolverError, match="not positive"):
+        PlateSystem(cfg)
+
+
+def test_thin_plate_rejected_at_construction(monkeypatch):
+    # at ell = 1e-8 rounding makes the operator indefinite; building the
+    # system raises, with no eigensolve started
+    monkeypatch.setattr("hingedplate.optimize.solve_first", None)
+    with pytest.raises(SolverError, match="uniform plate spectrum is not positive"):
+        PlateSystem(PlateConfig(n_modes_x=6, n_basis_y=4, n_quad_x=16, n_quad_y=8, ell=1e-8))
+
+
 def test_certified_start_projects_few_modes_at_dim_1600(monkeypatch):
     # the speed-up of the start: a strip density at dim 1600 projects at
     # most 5 of the 80 sine-mode pencils
