@@ -22,7 +22,7 @@ from hingedplate import (
 cfg = PlateConfig()
 system = PlateSystem(cfg)
 
-p = uniform_density(system.grid, system.rule)
+p = uniform_density(system.grid, system.cfg)
 pair = system.solve_density(p)
 u = system.grid_values(pair.u)
 q = theta1_quotient(p, u, system)

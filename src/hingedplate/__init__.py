@@ -10,7 +10,7 @@ properties that underpin the symmetry analysis of the optimal plate.
 
 __version__ = "0.1.0"
 
-from .config import AdmissibleWeightRule, InputError, PlateConfig, load_config
+from .config import InputError, PlateConfig, load_config
 from .grid import QuadratureGrid
 from .basis import SpectralBasis, evaluate_on_grid
 from .assembly import StiffnessFactor, assemble_weighted_mass

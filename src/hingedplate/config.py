@@ -22,6 +22,12 @@ class InputError(ValueError):
 class PlateConfig:
     """Physical and discretization parameters of one plate problem.
 
+    Admissible densities take alpha <= p <= beta at every node and have
+    quadrature mass target_mass, the area 2*pi*ell, so p = 1 is admissible;
+    each rearrangement gives the light material the share sublevel_fraction
+    = (beta-1)/(beta-alpha) of that area, in (0, 1) for a valid config.
+    Both are derived properties, not config keys.
+
     Parameters
     ----------
     sigma : float
@@ -110,31 +116,13 @@ class PlateConfig:
     def as_dict(self) -> dict:
         return asdict(self)
 
+    @property
+    def target_mass(self) -> float:
+        return 2.0 * math.pi * self.ell
 
-@dataclass(frozen=True)
-class AdmissibleWeightRule:
-    """Mass and bound constraints a density field must satisfy.
-
-    A density is admissible when alpha <= p <= beta at every node and its
-    quadrature mass equals target_mass, the area 2*pi*ell of the domain, so
-    the homogeneous plate p = 1 is always admissible.  sublevel_fraction is
-    the share (beta-1)/(beta-alpha) of that area which every rearrangement
-    step gives the light material; a valid config puts it in (0, 1).
-    """
-
-    alpha: float
-    beta: float
-    target_mass: float
-    sublevel_fraction: float
-
-    @classmethod
-    def from_config(cls, cfg: PlateConfig) -> "AdmissibleWeightRule":
-        return cls(
-            alpha=cfg.alpha,
-            beta=cfg.beta,
-            target_mass=2.0 * math.pi * cfg.ell,
-            sublevel_fraction=(cfg.beta - 1.0) / (cfg.beta - cfg.alpha),
-        )
+    @property
+    def sublevel_fraction(self) -> float:
+        return (self.beta - 1.0) / (self.beta - self.alpha)
 
 
 CONFIG_KEYS = tuple(f.name for f in fields(PlateConfig))

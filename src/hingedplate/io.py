@@ -110,14 +110,14 @@ def write_trace_csv(path, trace: OptimizationTrace) -> None:
 
 
 def write_eigensolve_csv(path, trace: OptimizationTrace) -> None:
-    """Per-sweep eigensolve diagnostics, one row per trace record."""
+    """Per-sweep eigensolve diagnostics, one row per trace record; the gap
+    cell is empty at dimension 1, which has no second eigenvalue."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iter", "iterations", "residual", "gap"])
         for rec in trace.records:
-            writer.writerow([
-                rec.iteration, rec.solve_iterations, _fmt(rec.residual), _fmt(rec.gap),
-            ])
+            gap = _fmt(rec.gap) if np.isfinite(rec.gap) else ""
+            writer.writerow([rec.iteration, rec.solve_iterations, _fmt(rec.residual), gap])
 
 
 def write_contours_csv(path, levels, polylines_per_level) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .assembly import StiffnessFactor, assemble_weighted_mass
 from .basis import SpectralBasis, _legendre_tables, _sine_table, evaluate_on_grid
-from .config import AdmissibleWeightRule, PlateConfig
+from .config import PlateConfig
 from .eigensolve import Eigenpair, SolverError, _sym, solve_first
 from .grid import QuadratureGrid
 
@@ -41,13 +41,14 @@ class AnalysisError(RuntimeError):
 class DensityField:
     """Admissible density: finite values in [alpha, beta], quadrature mass = area.
 
+    Checked on construction against `cfg`, the config it was made for.
     Bang-bang densities take only the two material values except for at
     most one gray node holding the value that makes the mass exact.
     """
 
     grid: QuadratureGrid
     values: np.ndarray
-    rule: AdmissibleWeightRule
+    cfg: PlateConfig
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -56,16 +57,16 @@ class DensityField:
         object.__setattr__(self, "values", vals)
         if not np.all(np.isfinite(vals)):
             raise ValueError("density values contain non-finite entries")
-        lo, hi = self.rule.alpha, self.rule.beta
+        lo, hi = self.cfg.alpha, self.cfg.beta
         if vals.min() < lo - 1e-12 or vals.max() > hi + 1e-12:
             raise ValueError(
                 f"density range [{vals.min():.6g}, {vals.max():.6g}] violates "
                 f"bounds [{lo}, {hi}]"
             )
         mass = self.grid.integrate(vals)
-        if abs(mass - self.rule.target_mass) > 1e-10 * self.rule.target_mass:
+        if abs(mass - self.cfg.target_mass) > 1e-10 * self.cfg.target_mass:
             raise ValueError(
-                f"density mass {mass!r} misses target {self.rule.target_mass!r}"
+                f"density mass {mass!r} misses target {self.cfg.target_mass!r}"
             )
 
     @property
@@ -75,22 +76,22 @@ class DensityField:
     def alpha_assignment(self) -> np.ndarray:
         """Boolean mask of nodes carrying the light material (gray counts as
         alpha when below the midpoint)."""
-        return self.values < 0.5 * (self.rule.alpha + self.rule.beta)
+        return self.values < 0.5 * (self.cfg.alpha + self.cfg.beta)
 
     def sublevel_measure(self) -> float:
         return float(np.sum(self.grid.weights[self.alpha_assignment()]))
 
     def gray_nodes(self) -> int:
-        strict = (self.values > self.rule.alpha + 1e-12) \
-            & (self.values < self.rule.beta - 1e-12)
+        strict = (self.values > self.cfg.alpha + 1e-12) \
+            & (self.values < self.cfg.beta - 1e-12)
         return int(np.sum(strict))
 
 
-def uniform_density(grid: QuadratureGrid, rule: AdmissibleWeightRule) -> DensityField:
-    return DensityField(grid, np.ones(grid.shape), rule)
+def uniform_density(grid: QuadratureGrid, cfg: PlateConfig) -> DensityField:
+    return DensityField(grid, np.ones(grid.shape), cfg)
 
 
-def _fill_with_gray_node(order, grid: QuadratureGrid, rule: AdmissibleWeightRule,
+def _fill_with_gray_node(order, grid: QuadratureGrid, cfg: PlateConfig,
                          target_measure, fill, rest):
     """(flat density, gray node): `fill` on the first nodes of `order` up to
     `target_measure`, `rest` elsewhere, one gray node making the mass exact.
@@ -104,11 +105,11 @@ def _fill_with_gray_node(order, grid: QuadratureGrid, rule: AdmissibleWeightRule
     p = np.full(order.size, rest, dtype=float)
     p[order[:r]] = fill
     gray_node = int(order[r])
-    _close_mass(p, grid, rule, gray_node)
+    _close_mass(p, grid, cfg, gray_node)
     return p, gray_node
 
 
-def _close_mass(p_flat, grid: QuadratureGrid, rule: AdmissibleWeightRule, node):
+def _close_mass(p_flat, grid: QuadratureGrid, cfg: PlateConfig, node):
     """Set p_flat[node] to (target mass - mass of every other node) / w_node.
 
     The other nodes' mass is 0.5 * sum(q + q[::-1]) with q = w * p and the
@@ -123,12 +124,12 @@ def _close_mass(p_flat, grid: QuadratureGrid, rule: AdmissibleWeightRule, node):
     """
     p_flat[node] = 0.0
     q = grid.weights * p_flat.reshape(grid.shape)
-    value = (rule.target_mass - 0.5 * float(np.sum(q + q[::-1]))) / grid.weights.flat[node]
-    p_flat[node] = min(rule.beta, max(rule.alpha, value))
+    value = (cfg.target_mass - 0.5 * float(np.sum(q + q[::-1]))) / grid.weights.flat[node]
+    p_flat[node] = min(cfg.beta, max(cfg.alpha, value))
 
 
 def bang_bang_from_values(values: np.ndarray, grid: QuadratureGrid,
-                          rule: AdmissibleWeightRule):
+                          cfg: PlateConfig):
     """Two-material density from node values: alpha on the low-value quantile.
 
     The sublevel set S collects nodes in ascending value, ties by flat node
@@ -142,13 +143,13 @@ def bang_bang_from_values(values: np.ndarray, grid: QuadratureGrid,
     tie rule, at the cost of both sorts.
     """
     flat = values.ravel()
-    target = rule.sublevel_fraction * rule.target_mass
+    target = cfg.sublevel_fraction * cfg.target_mass
     order = np.argsort(flat)
     ranked = flat[order]
     if not np.all(ranked[1:] > ranked[:-1]):
         order = np.argsort(flat, kind="stable")
-    p, gray_node = _fill_with_gray_node(order, grid, rule, target, rule.alpha, rule.beta)
-    return DensityField(grid, p.reshape(grid.shape), rule), float(flat[gray_node]) ** 2
+    p, gray_node = _fill_with_gray_node(order, grid, cfg, target, cfg.alpha, cfg.beta)
+    return DensityField(grid, p.reshape(grid.shape), cfg), float(flat[gray_node]) ** 2
 
 
 def rearrange(u: np.ndarray, system: PlateSystem):
@@ -164,36 +165,36 @@ def rearrange(u: np.ndarray, system: PlateSystem):
             f"eigenfunction not strictly positive on the grid "
             f"(min {uvals.min():.3e}); cannot rearrange"
         )
-    return bang_bang_from_values(uvals, system.grid, system.rule)
+    return bang_bang_from_values(uvals, system.grid, system.cfg)
 
 
-def random_admissible_density(grid: QuadratureGrid, rule: AdmissibleWeightRule,
+def random_admissible_density(grid: QuadratureGrid, cfg: PlateConfig,
                               rng: np.random.Generator) -> DensityField:
     """Uniformly random node values shifted and clipped to the exact mass."""
-    raw = rng.uniform(rule.alpha, rule.beta, size=grid.shape)
+    raw = rng.uniform(cfg.alpha, cfg.beta, size=grid.shape)
     w = grid.weights
-    lo, hi = rule.alpha - rule.beta, rule.beta - rule.alpha
+    lo, hi = cfg.alpha - cfg.beta, cfg.beta - cfg.alpha
 
     def mass(shift):
-        return float(np.sum(w * np.clip(raw + shift, rule.alpha, rule.beta)))
+        return float(np.sum(w * np.clip(raw + shift, cfg.alpha, cfg.beta)))
 
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break  # lo and hi are adjacent floats: no later step moves them
-        if mass(mid) < rule.target_mass:
+        if mass(mid) < cfg.target_mass:
             lo = mid
         else:
             hi = mid
-    vals = np.clip(raw + 0.5 * (lo + hi), rule.alpha, rule.beta).ravel()
+    vals = np.clip(raw + 0.5 * (lo + hi), cfg.alpha, cfg.beta).ravel()
     # Bisection leaves a sub-1e-10 mass defect; the node nearest 1 strictly
     # inside (alpha, beta) absorbs it (one clipped at a bound might not).
-    inside = (vals > rule.alpha) & (vals < rule.beta)
-    _close_mass(vals, grid, rule, int(np.argmin(np.where(inside, np.abs(vals - 1.0), np.inf))))
-    return DensityField(grid, vals.reshape(grid.shape), rule)
+    inside = (vals > cfg.alpha) & (vals < cfg.beta)
+    _close_mass(vals, grid, cfg, int(np.argmin(np.where(inside, np.abs(vals - 1.0), np.inf))))
+    return DensityField(grid, vals.reshape(grid.shape), cfg)
 
 
-def strip_density(grid: QuadratureGrid, rule: AdmissibleWeightRule,
+def strip_density(grid: QuadratureGrid, cfg: PlateConfig,
                   side: str) -> DensityField:
     """All heavy material packed against one short edge (an asymmetric start).
 
@@ -204,10 +205,10 @@ def strip_density(grid: QuadratureGrid, rule: AdmissibleWeightRule,
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    heavy_measure = (1.0 - rule.alpha) / (rule.beta - rule.alpha) * rule.target_mass
-    p = _fill_with_gray_node(np.arange(grid.weights.size), grid, rule, heavy_measure,
-                             rule.beta, rule.alpha)[0].reshape(grid.shape)
-    return DensityField(grid, p if side == "left" else p[::-1].copy(), rule)
+    heavy_measure = (1.0 - cfg.alpha) / (cfg.beta - cfg.alpha) * cfg.target_mass
+    p = _fill_with_gray_node(np.arange(grid.weights.size), grid, cfg, heavy_measure,
+                             cfg.beta, cfg.alpha)[0].reshape(grid.shape)
+    return DensityField(grid, p if side == "left" else p[::-1].copy(), cfg)
 
 
 @dataclass(frozen=True)
@@ -256,7 +257,6 @@ class PlateSystem:
 
     def __init__(self, cfg: PlateConfig):
         self.cfg = cfg
-        self.rule = AdmissibleWeightRule.from_config(cfg)
         self.basis = SpectralBasis.from_config(cfg)
         self.grid = QuadratureGrid.from_config(cfg)
         # psi_j(y_k) and its first two y-derivatives, one table each; the

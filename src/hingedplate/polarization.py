@@ -59,19 +59,19 @@ def polarization_energy_gap(u: np.ndarray, system: PlateSystem) -> float:
     Expected nonnegative up to solver noise; zero exactly when the field is
     symmetric or entirely one-side dominant.
     """
-    p_u, _ = bang_bang_from_values(u, system.grid, system.rule)
+    p_u, _ = bang_bang_from_values(u, system.grid, system.cfg)
     u_h = polarize(u)
-    p_h, _ = bang_bang_from_values(u_h, system.grid, system.rule)
+    p_h, _ = bang_bang_from_values(u_h, system.grid, system.cfg)
     return quadratic_form(system, p_h.values * u_h) - quadratic_form(system, p_u.values * u)
 
 
 def certify_polarization(system: PlateSystem) -> list:
     """Polarization identity suite on random positive fields; a polarized
     density whose threshold moved fails the product identity."""
-    grid, rule = system.grid, system.rule
+    grid, cfg = system.grid, system.cfg
     rng = np.random.default_rng(POLARIZATION_SEED)
     res = f"n_quad={grid.shape[0]}x{grid.shape[1]}, fields={POLARIZATION_FIELDS}"
-    sample = _positive_field_sampler(*grid.meshgrid(), system.cfg.ell)
+    sample = _positive_field_sampler(*grid.meshgrid(), cfg.ell)
     w = grid.weights.ravel()
 
     idem_err = 0.0
@@ -89,14 +89,14 @@ def certify_polarization(system: PlateSystem) -> list:
         pair_h = u_h + u_h[::-1, :]
         pairsum_err = max(pairsum_err, float(np.abs(pair - pair_h).max()))
 
-        p_u, _ = bang_bang_from_values(u, grid, rule)
-        p_h, _ = bang_bang_from_values(u_h, grid, rule)
+        p_u, _ = bang_bang_from_values(u, grid, cfg)
+        p_h, _ = bang_bang_from_values(u_h, grid, cfg)
         load = p_u.values * u
         lhs = polarize(load)
         rhs = p_h.values * u_h
         scale = float(np.abs(rhs).max())
         product_err = max(product_err, float(np.abs(lhs - rhs).max()) / scale)
-        mass_err = max(mass_err, abs(p_h.mass - rule.target_mass) / rule.target_mass)
+        mass_err = max(mass_err, abs(p_h.mass - cfg.target_mass) / cfg.target_mass)
         e_u = float(np.sum(w * p_u.values.ravel() * u.ravel() ** 2))
         e_h = float(np.sum(w * p_h.values.ravel() * u_h.ravel() ** 2))
         energy_err = max(energy_err, abs(e_h - e_u) / e_u)
@@ -118,10 +118,10 @@ def certify_duality(system: PlateSystem) -> list:
     trial fields never exceed it."""
     rng = np.random.default_rng(DUALITY_SEED)
     densities = [
-        uniform_density(system.grid, system.rule),
-        strip_density(system.grid, system.rule, "left"),
-        strip_density(system.grid, system.rule, "right"),
-    ] + [random_admissible_density(system.grid, system.rule, rng) for _ in range(7)]
+        uniform_density(system.grid, system.cfg),
+        strip_density(system.grid, system.cfg, "left"),
+        strip_density(system.grid, system.cfg, "right"),
+    ] + [random_admissible_density(system.grid, system.cfg, rng) for _ in range(7)]
     res = f"densities={len(densities)}, trials={DUALITY_TRIALS}"
     worst_eig = 0.0
     worst_excess = -np.inf

@@ -46,10 +46,10 @@ SWEEP_CFGS = [
 def _four_starts(system, seed):
     rng = np.random.default_rng(seed)
     return [
-        ("uniform", uniform_density(system.grid, system.rule)),
-        ("left", strip_density(system.grid, system.rule, "left")),
-        ("right", strip_density(system.grid, system.rule, "right")),
-        ("random", random_admissible_density(system.grid, system.rule, rng)),
+        ("uniform", uniform_density(system.grid, system.cfg)),
+        ("left", strip_density(system.grid, system.cfg, "left")),
+        ("right", strip_density(system.grid, system.cfg, "right")),
+        ("random", random_admissible_density(system.grid, system.cfg, rng)),
     ]
 
 
@@ -105,13 +105,13 @@ def test_criterion_2_multistart_agreement_and_symmetry(optimization_batch):
 def test_criterion_3_bang_bang_structure(optimization_batch):
     checked = 0
     for cfg, system, runs in optimization_batch:
-        target = system.rule.sublevel_fraction * system.rule.target_mass
+        target = system.cfg.sublevel_fraction * system.cfg.target_mass
         for name, trace, _ in runs:
             density = trace.final_density
             assert density.gray_nodes() <= 1, (cfg, name)
             assert abs(density.sublevel_measure() - target) \
                 <= system.grid.weights.max()
-            assert density.mass == pytest.approx(system.rule.target_mass, rel=1e-10)
+            assert density.mass == pytest.approx(system.cfg.target_mass, rel=1e-10)
             checked += 1
     print(f"\nCRITERION 3 PASS: {checked} converged densities two-valued "
           f"up to one gray node, sublevel measure on target within one node")

@@ -8,7 +8,6 @@ from scipy.linalg import block_diag, cho_factor, cho_solve
 
 import hingedplate.basis
 from hingedplate import (
-    AdmissibleWeightRule,
     PlateConfig,
     PlateSystem,
     QuadratureGrid,
@@ -183,7 +182,7 @@ def test_mass_matrix_matches_dense_basis_product(parts, cfg, rng):
     # oracle: the explicit (dimension, n_nodes) basis table contracted with
     # itself, against the operator's products and its diagonal blocks
     basis, grid = parts
-    p = random_admissible_density(grid, AdmissibleWeightRule.from_config(cfg), rng)
+    p = random_admissible_density(grid, cfg, rng)
     M = _mass(basis, grid, p.values)
     X, Y = grid.meshgrid()
     phi = basis.eval_matrix(np.column_stack([X.ravel(), Y.ravel()]))
@@ -218,8 +217,8 @@ def test_mass_moments_symmetric_and_match_batched_reference(config):
     # reference: the per-node batched products wx_i L^T diag(wy p_i) L, symmetrized
     system = PlateSystem(PlateConfig(**config))
     L = system.L
-    for p in (strip_density(system.grid, system.rule, "left"),
-              random_admissible_density(system.grid, system.rule, np.random.default_rng(19))):
+    for p in (strip_density(system.grid, system.cfg, "left"),
+              random_admissible_density(system.grid, system.cfg, np.random.default_rng(19))):
         A = assemble_weighted_mass(system.basis, system.grid, p.values, system.S, L).A
         wpL = (system.grid.weights * p.values)[:, :, None] * L
         ref = np.matmul(wpL.transpose(0, 2, 1), L)
@@ -254,7 +253,7 @@ def test_solve_builds_no_dense_mass_matrix():
     # dim 1600 on 80 x 20 nodes: a dense float64 M_p would take 20.5 MB
     cfg = PlateConfig(n_modes_x=80, n_basis_y=20, n_quad_x=80, n_quad_y=20)
     system = PlateSystem(cfg)
-    p = strip_density(system.grid, system.rule, "left")
+    p = strip_density(system.grid, system.cfg, "left")
     dim = system.basis.dimension
     tracemalloc.start()
     try:

@@ -189,11 +189,11 @@ def test_optimize_summary_is_the_analysis_record(tmp_path, small_config_file):
     assert main(["optimize", "--config", str(small_config_file), "--out", str(out),
                  "--starts", "4", "--seed", "3"]) == 0
     system = PlateSystem(PlateConfig(**SMALL))
-    grid, rule = system.grid, system.rule
-    starts = {"uniform": uniform_density(grid, rule),
-              "left-heavy": strip_density(grid, rule, "left"),
-              "right-heavy": strip_density(grid, rule, "right"),
-              "random-3": random_admissible_density(grid, rule, np.random.default_rng(3))}
+    grid, cfg = system.grid, system.cfg
+    starts = {"uniform": uniform_density(grid, cfg),
+              "left-heavy": strip_density(grid, cfg, "left"),
+              "right-heavy": strip_density(grid, cfg, "right"),
+              "random-3": random_admissible_density(grid, cfg, np.random.default_rng(3))}
     record = analyze_optimum(system, {n: minimize(system, p) for n, p in starts.items()})
     write_json(tmp_path / "record.json", record)
     assert (tmp_path / "record.json").read_bytes() == \
@@ -315,7 +315,7 @@ def test_random_start_is_first_draw_of_seeded_generator(tmp_path, small_config_f
     assert main(["optimize", "--config", str(small_config_file), "--out", str(tmp_path / "o"),
                  "--starts", "4", "--seed", "5"]) == 0
     system, density = started[3]
-    ref = random_admissible_density(system.grid, system.rule, np.random.default_rng(5))
+    ref = random_admissible_density(system.grid, system.cfg, np.random.default_rng(5))
     assert np.array_equal(density.values.view(np.int64), ref.values.view(np.int64))
 
 
@@ -585,6 +585,25 @@ def test_dimension_1_outputs_are_strict_json(tmp_path):
     for text in documents:
         json.loads(text, parse_constant=_reject_constant)
     assert json.loads(documents[0])["relative_gap"] is None
+
+
+@pytest.mark.parametrize("cfg, finite", [
+    ({"n_modes_x": 1, "n_basis_y": 1, "n_quad_x": 2, "n_quad_y": 1}, False),
+    ({"n_modes_x": 6, "n_basis_y": 4, "n_quad_x": 16, "n_quad_y": 8}, True),
+], ids=["dim-1", "6x4"])
+def test_eigensolve_gap_cell_is_empty_without_a_second_eigenvalue(tmp_path, cfg, finite):
+    # eigenpair.json writes null for the missing gap; eigensolve.csv wrote inf
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert main(["optimize", "--starts", "1", "--config", str(path), "--out", str(out)]) == 0
+    lines = (out / "uniform" / "eigensolve.csv").read_text(encoding="utf-8").splitlines()
+    gaps = [line.split(",")[3] for line in lines[1:]]
+    assert gaps
+    if finite:
+        assert all(math.isfinite(float(g)) for g in gaps)
+    else:
+        assert all(g == "" for g in gaps)
 
 
 def test_solver_failure_exit_code(small_config_file, tmp_path, monkeypatch):

@@ -142,9 +142,13 @@ def test_a_changed_csv_number_reports_its_size():
     (b"iter,lambda,status\r\n0,1.0,nan\r\n1,0.5,fixed_point\r\n", "header differs"),
     (b"iter,lambda1,status\r\n0,1.0,nan\r\n", "row count differs (2 -> 1)"),
     (b"iter,lambda1,status\r\n0,1.0,nan\r\n1,0.5,max_iter\r\n",
-     "non-numeric cells differ"),
-    (b"iter,lambda1,status\r\n0,1.0,nan\r\n1,0.5\r\n", "non-numeric cells differ"),
-], ids=["header", "rows", "string", "row-length"])
+     "first at row 2, column status ('fixed_point' -> 'max_iter'), non-numeric cells differ"),
+    (b"iter,lambda1,status\r\n0,1.0,nan\r\n1,0.5\r\n",
+     "first at row 2 (3 cells -> 2 cells), non-numeric cells differ"),
+    # a number that became an empty cell, as a gap without a second eigenvalue
+    (b"iter,lambda1,status\r\n0,,nan\r\n1,0.5,max_iter\r\n",
+     "first at row 1, column lambda1 ('1.0' -> ''), non-numeric cells differ"),
+], ids=["header", "rows", "string", "row-length", "emptied"])
 def test_every_other_csv_cell_must_match(changed, verdict):
     assert verdict in compare_outputs.csv_differences(TRACE, changed)
 

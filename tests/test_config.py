@@ -4,34 +4,31 @@ import math
 import numpy as np
 import pytest
 
-from hingedplate import AdmissibleWeightRule, InputError, PlateConfig, load_config
+from hingedplate import InputError, PlateConfig, load_config
 from hingedplate.eigensolve import EIG_TOL
 from hingedplate.optimize import MAX_SWEEPS, STAGNATION_TOL
 
 
-def _rule(**kwargs):
-    return AdmissibleWeightRule.from_config(PlateConfig(**kwargs))
-
-
 def test_mass_target_examples():
     # the mass target is the area 2*pi*ell of (0, pi) x (-ell, ell)
-    assert _rule(ell=math.pi / 5).target_mass == pytest.approx(2 * math.pi ** 2 / 5)
-    assert _rule(ell=1.0).target_mass == pytest.approx(2 * math.pi)
-    assert _rule(ell=0.5).target_mass == pytest.approx(math.pi)
+    assert PlateConfig(ell=math.pi / 5).target_mass == pytest.approx(2 * math.pi ** 2 / 5)
+    assert PlateConfig(ell=1.0).target_mass == pytest.approx(2 * math.pi)
+    assert PlateConfig(ell=0.5).target_mass == pytest.approx(math.pi)
 
 
 def test_sublevel_fraction_examples():
-    assert _rule(alpha=0.5, beta=3.0).sublevel_fraction == pytest.approx(0.8)
-    assert _rule(alpha=0.5, beta=1.5).sublevel_fraction == pytest.approx(0.5)
+    assert PlateConfig(alpha=0.5, beta=3.0).sublevel_fraction == pytest.approx(0.8)
+    assert 0.0 < PlateConfig(alpha=0.5, beta=3.0).sublevel_fraction < 1.0
+    assert PlateConfig(alpha=0.5, beta=1.5).sublevel_fraction == pytest.approx(0.5)
     # beta -> 1+ sends the fraction to 0+
-    assert _rule(alpha=0.5, beta=1.0 + 1e-9).sublevel_fraction < 1e-8
+    assert PlateConfig(alpha=0.5, beta=1.0 + 1e-9).sublevel_fraction < 1e-8
 
 
 def test_sublevel_fraction_increasing_in_beta():
     alphas = [0.1, 0.5, 0.9]
     betas = np.linspace(1.01, 8.0, 40)
     for a in alphas:
-        vals = [_rule(alpha=a, beta=float(b)).sublevel_fraction for b in betas]
+        vals = [PlateConfig(alpha=a, beta=float(b)).sublevel_fraction for b in betas]
         assert np.all(np.diff(vals) > 0)
         assert all(0.0 < v < 1.0 for v in vals)
 
@@ -83,14 +80,6 @@ def test_defaults_match_documented_values():
     assert EIG_TOL == 1e-12
 
 
-def test_rule_from_config():
-    cfg = PlateConfig(alpha=0.5, beta=3.0, ell=1.0)
-    rule = AdmissibleWeightRule.from_config(cfg)
-    assert rule.target_mass == pytest.approx(2 * math.pi)
-    assert rule.sublevel_fraction == pytest.approx(0.8)
-    assert 0.0 < rule.sublevel_fraction < 1.0
-
-
 def test_load_config_partial_keys(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"sigma": 0.1, "n_modes_x": 5}))
@@ -113,6 +102,16 @@ def test_load_config_rejects_unknown_and_bad_types(tmp_path):
         load_config(path)
     path.write_text('{"sigma": 0.1,')
     with pytest.raises(InputError, match="is not valid JSON"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("key", ["target_mass", "sublevel_fraction"])
+def test_derived_values_are_not_config_keys(tmp_path, key):
+    # the two derived properties stay out of the key set and the manifest
+    assert key not in PlateConfig().as_dict()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: 1.0 if key == "target_mass" else 0.5}))
+    with pytest.raises(InputError, match="unknown config keys"):
         load_config(path)
 
 

@@ -6,7 +6,6 @@ import pytest
 
 import hingedplate.optimize
 from hingedplate import (
-    AdmissibleWeightRule,
     DensityField,
     PlateConfig,
     PlateSystem,
@@ -51,7 +50,7 @@ def test_rearrange_sine_strip_threshold(small_system):
 def test_rearrange_constant_tie_break(small_system):
     # all nodes tie: lexicographic order admits whole low-x columns first
     system = small_system
-    density, t = bang_bang_from_values(np.ones(system.grid.shape), system.grid, system.rule)
+    density, t = bang_bang_from_values(np.ones(system.grid.shape), system.grid, system.cfg)
     assert t == pytest.approx(1.0)
     assign = density.alpha_assignment()
     per_column = assign.all(axis=1) | (~assign).any(axis=1)
@@ -76,7 +75,7 @@ def test_fill_order_is_lexsort_on_value_x_y(small_system, rng, monkeypatch, cfg)
     # lexsort does, on fields with no ties, many ties, signed zeros and
     # exact mirror symmetry; the density is the lexsort fill bit for bit
     grid = small_system.grid if cfg is None else QuadratureGrid.from_config(cfg)
-    rule = small_system.rule
+    cfg = small_system.cfg if cfg is None else cfg
     fill = hingedplate.optimize._fill_with_gray_node
     orders = []
     monkeypatch.setattr(hingedplate.optimize, "_fill_with_gray_node",
@@ -90,11 +89,11 @@ def test_fill_order_is_lexsort_on_value_x_y(small_system, rng, monkeypatch, cfg)
         "constant": np.ones(grid.shape),
     }
     for name, vals in fields.items():
-        density, _ = bang_bang_from_values(vals, grid, rule)
+        density, _ = bang_bang_from_values(vals, grid, cfg)
         ref = _lexsort_order(grid, vals.ravel())
         assert np.array_equal(orders.pop(), ref), name
-        p, _ = fill(ref, grid, rule, rule.sublevel_fraction * rule.target_mass,
-                    rule.alpha, rule.beta)
+        p, _ = fill(ref, grid, cfg, cfg.sublevel_fraction * cfg.target_mass,
+                    cfg.alpha, cfg.beta)
         assert np.array_equal(density.values.ravel().view(np.int64), p.view(np.int64)), name
 
 
@@ -107,13 +106,13 @@ def test_rearrange_requires_positive_field(small_system):
 
 def test_rearranged_density_is_admissible(small_system, rng):
     system = small_system
-    area = system.rule.target_mass
+    area = system.cfg.target_mass
     for _ in range(10):
         vals = rng.uniform(0.05, 2.0, size=system.grid.shape)
-        density, t = bang_bang_from_values(vals, system.grid, system.rule)
+        density, t = bang_bang_from_values(vals, system.grid, system.cfg)
         assert density.mass == pytest.approx(area, rel=1e-12)
         assert density.gray_nodes() <= 1
-        target = system.rule.sublevel_fraction * area
+        target = system.cfg.sublevel_fraction * area
         assert abs(density.sublevel_measure() - target) <= system.grid.weights.max()
 
 
@@ -122,32 +121,32 @@ def test_rearranged_density_when_the_light_share_rounds_to_one(small_cfg, rng):
     # precision: every node but the highest-valued one takes alpha, and that
     # gray node carries the remaining mass
     grid = QuadratureGrid.from_config(small_cfg)
-    rule = AdmissibleWeightRule.from_config(replace(small_cfg, beta=1e100))
-    assert rule.sublevel_fraction == 1.0
+    cfg = replace(small_cfg, beta=1e100)
+    assert cfg.sublevel_fraction == 1.0
     vals = rng.uniform(0.05, 2.0, size=grid.shape)
-    density, t = bang_bang_from_values(vals, grid, rule)
+    density, t = bang_bang_from_values(vals, grid, cfg)
     top = np.argmax(vals)
     assert t == vals.flat[top] ** 2
-    assert np.all(np.delete(density.values.ravel(), top) == rule.alpha)
+    assert np.all(np.delete(density.values.ravel(), top) == cfg.alpha)
     assert density.gray_nodes() == 1
-    assert density.mass == pytest.approx(rule.target_mass, rel=1e-12)
+    assert density.mass == pytest.approx(cfg.target_mass, rel=1e-12)
 
 
 def test_rearrange_maximizes_weighted_mass(small_system, rng):
     # the returned density beats 200 random admissible competitors on int p u^2
     system = small_system
     vals = rng.uniform(0.05, 2.0, size=system.grid.shape)
-    density, _ = bang_bang_from_values(vals, system.grid, system.rule)
+    density, _ = bang_bang_from_values(vals, system.grid, system.cfg)
     w = system.grid.weights
     best = np.sum(w * density.values * vals ** 2)
     for _ in range(200):
-        q = random_admissible_density(system.grid, system.rule, rng)
+        q = random_admissible_density(system.grid, system.cfg, rng)
         assert best >= np.sum(w * q.values * vals ** 2) - 1e-10 * best
 
 
 def test_one_rearrangement_step_decreases_lambda(small_system, rng):
     system = small_system
-    p = random_admissible_density(system.grid, system.rule, rng)
+    p = random_admissible_density(system.grid, system.cfg, rng)
     pair = system.solve_density(p)
     p_next, _ = rearrange(pair.u, system)
     pair_next = system.solve_density(p_next)
@@ -165,22 +164,22 @@ def test_minimize_trace_monotone_and_admissible(small_system, monkeypatch):
         return density, t
 
     monkeypatch.setattr(hingedplate.optimize, "rearrange", spy)
-    trace = minimize(system, uniform_density(system.grid, system.rule))
+    trace = minimize(system, uniform_density(system.grid, system.cfg))
     assert trace.status in ("fixed_point", "lambda_stagnant")
     lams = [r.lambda1 for r in trace.records]
     assert all(b <= a * (1 + 1e-10) for a, b in zip(lams, lams[1:]))
     assert len(densities) == len(trace.records)
-    area = system.rule.target_mass
+    area = system.cfg.target_mass
     for density in densities:
         assert density.mass == pytest.approx(area, rel=1e-10)
         assert density.gray_nodes() <= 1
-        target = system.rule.sublevel_fraction * area
+        target = system.cfg.sublevel_fraction * area
         assert abs(density.sublevel_measure() - target) <= system.grid.weights.max()
 
 
 def test_minimize_single_iteration_cap(small_system, monkeypatch):
     monkeypatch.setattr("hingedplate.optimize.MAX_SWEEPS", 1)
-    start = strip_density(small_system.grid, small_system.rule, "left")
+    start = strip_density(small_system.grid, small_system.cfg, "left")
     trace = minimize(small_system, start)
     assert trace.status == "max_iter"
     assert len(trace.records) == 2  # starting solve plus the capped sweep
@@ -195,10 +194,10 @@ def test_multistart_reaches_common_limit(rng):
     cfg = PlateConfig(n_modes_x=16, n_basis_y=10, n_quad_x=192, n_quad_y=64)
     system = PlateSystem(cfg)
     starts = [
-        uniform_density(system.grid, system.rule),
-        strip_density(system.grid, system.rule, "left"),
-        strip_density(system.grid, system.rule, "right"),
-        random_admissible_density(system.grid, system.rule, rng),
+        uniform_density(system.grid, system.cfg),
+        strip_density(system.grid, system.cfg, "left"),
+        strip_density(system.grid, system.cfg, "right"),
+        random_admissible_density(system.grid, system.cfg, rng),
     ]
     names = ["uniform", "left-heavy", "right-heavy", "random"]
     record = analyze_optimum(system, {n: minimize(system, p) for n, p in zip(names, starts)})
@@ -213,8 +212,8 @@ def test_multistart_reaches_common_limit(rng):
 
 def test_analyze_optimum_tie_goes_to_the_first_start(small_system):
     system = small_system
-    left = minimize(system, strip_density(system.grid, system.rule, "left"))
-    right = minimize(system, strip_density(system.grid, system.rule, "right"))
+    left = minimize(system, strip_density(system.grid, system.cfg, "left"))
+    right = minimize(system, strip_density(system.grid, system.cfg, "right"))
     # the right start's trace closing on the left start's eigenvalue: an exact tie
     tied = replace(right, records=right.records[:-1]
                    + [replace(right.records[-1], lambda1=left.final_lambda)])
@@ -290,14 +289,14 @@ def test_density_field_validation(small_system):
     vals = np.ones(system.grid.shape)
     vals[0, 0] = 4.0  # above beta
     with pytest.raises(ValueError, match="bounds"):
-        DensityField(system.grid, vals, system.rule)
+        DensityField(system.grid, vals, system.cfg)
     vals = np.ones(system.grid.shape)
     vals[0, 0] = 0.4  # below alpha, still positive
     with pytest.raises(ValueError, match="bounds"):
-        DensityField(system.grid, vals, system.rule)
+        DensityField(system.grid, vals, system.cfg)
     vals = np.full(system.grid.shape, 1.2)  # wrong mass
     with pytest.raises(ValueError, match="mass"):
-        DensityField(system.grid, vals, system.rule)
+        DensityField(system.grid, vals, system.cfg)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -307,15 +306,15 @@ def test_density_field_rejects_non_finite(small_system, bad):
     vals = np.ones(system.grid.shape)
     vals[3, 2] = bad
     with pytest.raises(ValueError, match="density values contain non-finite"):
-        DensityField(system.grid, vals, system.rule)
+        DensityField(system.grid, vals, system.cfg)
 
 
 def test_random_admissible_density_exact(small_system, rng):
     for _ in range(20):
-        p = random_admissible_density(small_system.grid, small_system.rule, rng)
-        assert p.mass == pytest.approx(small_system.rule.target_mass, rel=1e-12)
-        assert p.values.min() >= small_system.rule.alpha - 1e-12
-        assert p.values.max() <= small_system.rule.beta + 1e-12
+        p = random_admissible_density(small_system.grid, small_system.cfg, rng)
+        assert p.mass == pytest.approx(small_system.cfg.target_mass, rel=1e-12)
+        assert p.values.min() >= small_system.cfg.alpha - 1e-12
+        assert p.values.max() <= small_system.cfg.beta + 1e-12
 
 
 @pytest.mark.parametrize("beta", [1e6, 1e12, 1e100])
@@ -323,11 +322,11 @@ def test_random_admissible_density_at_extreme_contrast(beta):
     # the node nearest 1 can sit clipped at alpha here; the mass defect goes
     # to a node inside (alpha, beta), and DensityField checks the mass
     cfg = PlateConfig(n_modes_x=6, n_basis_y=4, n_quad_x=16, n_quad_y=8, beta=beta)
-    grid, rule = QuadratureGrid.from_config(cfg), AdmissibleWeightRule.from_config(cfg)
+    grid = QuadratureGrid.from_config(cfg)
     gen = np.random.default_rng(1)
     for _ in range(20):
-        p = random_admissible_density(grid, rule, gen)
-        assert rule.alpha <= p.values.min() and p.values.max() <= rule.beta
+        p = random_admissible_density(grid, cfg, gen)
+        assert cfg.alpha <= p.values.min() and p.values.max() <= cfg.beta
 
 
 def test_random_start_bisection_stops_where_the_full_loop_lands(rng):
@@ -339,21 +338,20 @@ def test_random_start_bisection_stops_where_the_full_loop_lands(rng):
                 PlateConfig(n_modes_x=8, n_basis_y=6, n_quad_x=32, n_quad_y=16,
                             alpha=0.1, beta=10.0)):
         grid = QuadratureGrid.from_config(cfg)
-        rule = AdmissibleWeightRule.from_config(cfg)
         for _ in range(5):
             state = rng.bit_generator.state
-            p = random_admissible_density(grid, rule, rng)
+            p = random_admissible_density(grid, cfg, rng)
             rng.bit_generator.state = state
-            raw = rng.uniform(rule.alpha, rule.beta, size=grid.shape)
-            lo, hi = rule.alpha - rule.beta, rule.beta - rule.alpha
+            raw = rng.uniform(cfg.alpha, cfg.beta, size=grid.shape)
+            lo, hi = cfg.alpha - cfg.beta, cfg.beta - cfg.alpha
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
-                clipped = np.clip(raw + mid, rule.alpha, rule.beta)
-                if float(np.sum(grid.weights * clipped)) < rule.target_mass:
+                clipped = np.clip(raw + mid, cfg.alpha, cfg.beta)
+                if float(np.sum(grid.weights * clipped)) < cfg.target_mass:
                     lo = mid
                 else:
                     hi = mid
-            full = np.clip(raw + 0.5 * (lo + hi), rule.alpha, rule.beta)
+            full = np.clip(raw + 0.5 * (lo + hi), cfg.alpha, cfg.beta)
             node = np.unravel_index(np.argmin(np.abs(full - 1.0)), grid.shape)
             # every node but the one closing the mass is the shifted value
             keep = np.ones(grid.shape, dtype=bool)
@@ -364,31 +362,31 @@ def test_random_start_bisection_stops_where_the_full_loop_lands(rng):
 def test_produced_densities_mass_at_machine_precision(default_system, rng):
     # every construction path lands within 10 eps of the exact total mass
     system = default_system
-    area = system.rule.target_mass
+    area = system.cfg.target_mass
     tol = 10 * np.finfo(float).eps * area
     produced = [
-        uniform_density(system.grid, system.rule),
-        strip_density(system.grid, system.rule, "left"),
-        strip_density(system.grid, system.rule, "right"),
-        random_admissible_density(system.grid, system.rule, rng),
+        uniform_density(system.grid, system.cfg),
+        strip_density(system.grid, system.cfg, "left"),
+        strip_density(system.grid, system.cfg, "right"),
+        random_admissible_density(system.grid, system.cfg, rng),
     ]
     for _ in range(10):
         vals = rng.uniform(0.05, 2.0, size=system.grid.shape)
-        produced.append(bang_bang_from_values(vals, system.grid, system.rule)[0])
+        produced.append(bang_bang_from_values(vals, system.grid, system.cfg)[0])
     for p in produced:
         assert abs(p.mass - area) <= tol
 
 
 def test_strip_density_shapes(small_system):
-    left = strip_density(small_system.grid, small_system.rule, "left")
-    right = strip_density(small_system.grid, small_system.rule, "right")
-    assert left.mass == pytest.approx(small_system.rule.target_mass, rel=1e-12)
+    left = strip_density(small_system.grid, small_system.cfg, "left")
+    right = strip_density(small_system.grid, small_system.cfg, "right")
+    assert left.mass == pytest.approx(small_system.cfg.target_mass, rel=1e-12)
     assert np.array_equal(left.values, right.values[::-1, :])
     # the heavy side really is heavy
     nx = small_system.grid.shape[0]
     assert left.values[: nx // 4].mean() > left.values[-nx // 4:].mean()
     with pytest.raises(ValueError):
-        strip_density(small_system.grid, small_system.rule, "middle")
+        strip_density(small_system.grid, small_system.cfg, "middle")
 
 
 @pytest.mark.parametrize("cfg", [PlateConfig(n_modes_x=8, n_basis_y=6, n_quad_x=32, n_quad_y=16),
@@ -397,14 +395,13 @@ def test_strip_density_shapes(small_system):
 def test_right_strip_is_the_mirrored_left_strip_bit_for_bit(cfg):
     # also the right strip of the (-x, x, y) lexsort fill, gray node included
     grid = QuadratureGrid.from_config(cfg)
-    rule = AdmissibleWeightRule.from_config(cfg)
-    left = strip_density(grid, rule, "left").values
-    right = strip_density(grid, rule, "right").values
+    left = strip_density(grid, cfg, "left").values
+    right = strip_density(grid, cfg, "right").values
     assert np.array_equal(right.view(np.int64), left[::-1].view(np.int64))
-    heavy = (1.0 - rule.alpha) / (rule.beta - rule.alpha) * rule.target_mass
+    heavy = (1.0 - cfg.alpha) / (cfg.beta - cfg.alpha) * cfg.target_mass
     ref, _ = hingedplate.optimize._fill_with_gray_node(
-        _lexsort_order(grid, -np.repeat(grid.nodes_x, grid.shape[1])), grid, rule,
-        heavy, rule.beta, rule.alpha)
+        _lexsort_order(grid, -np.repeat(grid.nodes_x, grid.shape[1])), grid, cfg,
+        heavy, cfg.beta, cfg.alpha)
     assert np.array_equal(right.ravel().view(np.int64), ref.view(np.int64))
 
 
@@ -414,20 +411,19 @@ def test_strip_of_heavy_share_one_half_ends_at_the_midline():
     # and must be clipped into the bounds
     cfg = PlateConfig(alpha=0.5, beta=1.5)
     grid = QuadratureGrid.from_config(cfg)
-    rule = AdmissibleWeightRule.from_config(cfg)
     nx = grid.shape[0]
     for side in ("left", "right"):
-        p = strip_density(grid, rule, side)
+        p = strip_density(grid, cfg, side)
         heavy = p.values[: nx // 2] if side == "left" else p.values[nx // 2:]
-        assert np.all(heavy == rule.beta)
-        assert abs(p.mass - rule.target_mass) <= 10 * np.finfo(float).eps * rule.target_mass
+        assert np.all(heavy == cfg.beta)
+        assert abs(p.mass - cfg.target_mass) <= 10 * np.finfo(float).eps * cfg.target_mass
 
 
 def test_gradient_sign_diagnostic_reports(small_system):
     from hingedplate.optimize import gradient_sign_diagnostic
 
     trace = minimize(small_system,
-                     uniform_density(small_system.grid, small_system.rule))
+                     uniform_density(small_system.grid, small_system.cfg))
     table = gradient_sign_diagnostic(trace.final_eigenpair.u, small_system)
     assert set(table) == {"ux_positive_left", "ux_negative_right",
                           "uy_positive_upper", "uy_negative_lower"}
@@ -441,6 +437,6 @@ def test_int_beta_runs_like_float_beta(small_cfg):
     traces = []
     for beta in (3, 3.0):
         system = PlateSystem(replace(small_cfg, beta=beta))
-        traces.append(minimize(system, uniform_density(system.grid, system.rule)))
+        traces.append(minimize(system, uniform_density(system.grid, system.cfg)))
     assert np.array_equal(traces[0].final_density.values, traces[1].final_density.values)
     assert traces[0].final_lambda == traces[1].final_lambda

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hingedplate import (
-    AdmissibleWeightRule,
     PlateConfig,
     QuadratureGrid,
     bang_bang_from_values,
@@ -78,12 +77,11 @@ def test_first_half_of_x_nodes_is_left_of_midline(n_quad):
 def test_polarized_two_material_identities(seed):
     cfg = PlateConfig(n_basis_y=10, n_quad_x=24, n_quad_y=10)
     grid = QuadratureGrid.from_config(cfg)
-    rule = AdmissibleWeightRule.from_config(cfg)
     rng = np.random.default_rng(seed)
     u = rng.uniform(0.01, 1.0, size=grid.shape)
-    p_u, t = bang_bang_from_values(u, grid, rule)
+    p_u, t = bang_bang_from_values(u, grid, cfg)
     u_h = polarize(u)
-    p_h, t_h = bang_bang_from_values(u_h, grid, rule)
+    p_h, t_h = bang_bang_from_values(u_h, grid, cfg)
     # the polarized field lands on the threshold of the original
     assert t_h == pytest.approx(t, rel=1e-12, abs=0.0)
     # weighting then polarizing equals polarizing then weighting, nodewise
@@ -91,7 +89,7 @@ def test_polarized_two_material_identities(seed):
     rhs = p_h.values * u_h
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=0.0)
     # mass and weighted energy preserved
-    assert p_h.mass == pytest.approx(rule.target_mass, rel=1e-10)
+    assert p_h.mass == pytest.approx(cfg.target_mass, rel=1e-10)
     w = grid.weights
     e_u = float(np.sum(w * p_u.values * u ** 2))
     e_h = float(np.sum(w * p_h.values * u_h ** 2))
@@ -105,13 +103,12 @@ def test_rearrangement_commutes_with_polarization_bitwise(n_quad):
     # bit for bit, gray node included, also on fine grids
     cfg = PlateConfig(n_quad_x=n_quad[0], n_quad_y=n_quad[1])
     grid = QuadratureGrid.from_config(cfg)
-    rule = AdmissibleWeightRule.from_config(cfg)
     rng = np.random.default_rng(POLARIZATION_SEED)
     sample = _positive_field_sampler(*grid.meshgrid(), cfg.ell)
     for _ in range(15):
         u = sample(rng)
-        p_u, _ = bang_bang_from_values(u, grid, rule)
-        p_h, _ = bang_bang_from_values(polarize(u), grid, rule)
+        p_u, _ = bang_bang_from_values(u, grid, cfg)
+        p_h, _ = bang_bang_from_values(polarize(u), grid, cfg)
         assert np.array_equal(polarize(p_u.values), p_h.values)
 
 
@@ -142,14 +139,14 @@ def test_sampled_fields_match_the_inline_expression_bitwise(small_grid, ell):
 
 
 def test_theta1_quotient_duality(default_system, default_uniform_pair):
-    p = uniform_density(default_system.grid, default_system.rule)
+    p = uniform_density(default_system.grid, default_system.cfg)
     u = default_system.grid_values(default_uniform_pair.u)
     q = theta1_quotient(p, u, default_system)
     assert abs(q * default_uniform_pair.lambda1 - 1.0) <= 1e-9
 
 
 def test_theta1_quotient_never_exceeds_inverse_lambda(default_system, default_uniform_pair, rng):
-    p = uniform_density(default_system.grid, default_system.rule)
+    p = uniform_density(default_system.grid, default_system.cfg)
     bound = 1.0 / default_uniform_pair.lambda1
     for _ in range(100):
         v = rng.standard_normal(default_system.grid.shape)
@@ -157,7 +154,7 @@ def test_theta1_quotient_never_exceeds_inverse_lambda(default_system, default_un
 
 
 def test_theta1_quotient_improves_under_absolute_value(default_system, rng):
-    p = uniform_density(default_system.grid, default_system.rule)
+    p = uniform_density(default_system.grid, default_system.cfg)
     for _ in range(20):
         vals = rng.standard_normal(default_system.grid.shape)
         q_signed = theta1_quotient(p, vals, default_system)
@@ -199,7 +196,7 @@ def test_energy_gap_vanishes_for_converged_optimal_pair(default_system):
     from hingedplate import minimize
 
     trace = minimize(default_system,
-                     uniform_density(default_system.grid, default_system.rule))
+                     uniform_density(default_system.grid, default_system.cfg))
     assert trace.status == "fixed_point"
     u = default_system.grid_values(trace.final_eigenpair.u)
     gap = polarization_energy_gap(u, default_system)

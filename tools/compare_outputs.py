@@ -25,7 +25,8 @@ other leaf (keys, list lengths, strings, booleans, nulls) matches; if one
 does not, it names the first, in document order, by its path.  For a
 CSV file that differs, it gives the same two differences over the numeric
 cells and says whether the header, the row count and every non-numeric
-cell match.
+cell match; if a cell does not, it names the first by its row and column
+header, with both values, and a row whose length differs by its row.
 
 Once per tree, every script in the ``demos`` directory beside the tree's
 ``src`` runs with that tree's package, and the two trees' stdout must match
@@ -132,26 +133,33 @@ def _cell_number(cell: str):
 def csv_differences(old: bytes, new: bytes) -> str:
     """Largest absolute and relative difference over the numeric cells of two
     CSV files with one header row, and whether the header, the row count and
-    every non-numeric cell match.  A cell is numeric when both sides parse
+    every non-numeric cell match, naming the first that does not by its row
+    (counted from 1 after the header) and old's column header, or the row
+    alone if its length differs.  A cell is numeric when both sides parse
     as floats; rows beyond the shorter file are not compared cell by cell."""
     old_rows = list(csv.reader(old.decode().splitlines()))
     new_rows = list(csv.reader(new.decode().splitlines()))
+    header = old_rows[0] if old_rows else []
     numbers = []
-    same = True
-    for a_row, b_row in zip(old_rows[1:], new_rows[1:]):
-        same = same and len(a_row) == len(b_row)
-        for a, b in zip(a_row, b_row):
+    first = None
+    for r, (a_row, b_row) in enumerate(zip(old_rows[1:], new_rows[1:]), start=1):
+        if first is None and len(a_row) != len(b_row):
+            first = f"row {r} ({len(a_row)} cells -> {len(b_row)} cells)"
+        for j, (a, b) in enumerate(zip(a_row, b_row)):
             x, y = _cell_number(a), _cell_number(b)
-            if x is None or y is None:
-                same = same and a == b
-            else:
+            if x is not None and y is not None:
                 numbers.append((x, y))
+            elif first is None and a != b:
+                column = header[j] if j < len(header) else f"#{j}"
+                first = f"row {r}, column {column} ({a!r} -> {b!r})"
     max_abs, max_rel = _largest_differences(numbers)
     rows = ("matches" if len(old_rows) == len(new_rows)
             else f"differs ({len(old_rows) - 1} -> {len(new_rows) - 1})")
     return (f"max abs diff {max_abs:.3e}, max rel diff {max_rel:.3e}; header "
             f"{'matches' if old_rows[:1] == new_rows[:1] else 'differs'}, row count "
-            f"{rows}, non-numeric cells {'match' if same else 'differ'}")
+            f"{rows}, "
+            + (f"first at {first}, non-numeric cells differ" if first
+               else "non-numeric cells match"))
 
 
 def compare_dirs(old: Path, new: Path) -> list:
