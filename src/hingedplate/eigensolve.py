@@ -4,6 +4,9 @@ Block inverse iteration with the exact blockwise solve and a Rayleigh-Ritz
 step on the block, which is LOBPCG with an exact preconditioner and no
 search directions (Knyazev, SIAM J. Sci. Comput. 23, 2001), converges in a
 few steps; no dense K or M_p and no n x n eigensolve is ever formed.
+`solve_first` holds the whole iteration, its stop rule (`_converged`) and
+its failure, a SolverError that names both Ritz residuals against their
+thresholds, EIG_TOL and sqrt(EIG_TOL).
 
 The start block is the Rayleigh-Ritz projection of the pencil onto each
 sine mode's profiles: the lowest eigenvectors of the block-diagonal pencil
@@ -117,39 +120,14 @@ def _block_diagonal_start(system, mass: WeightedMass, k: int) -> np.ndarray:
     return X.reshape(nm * J, k)
 
 
-def _inverse_iteration(X, factor, mass, tol, max_steps):
-    """Block inverse iteration with Rayleigh-Ritz, from the columns of X.
+def _converged(res) -> bool:
+    """First Ritz pair within EIG_TOL, the second within sqrt(EIG_TOL).
 
-    Every step maps the block through K^{-1} M_p (one blockwise solve and
-    one `mass.apply`) and replaces it by the M_p-orthonormal Ritz vectors of
-    its span, in ascending order of Ritz value; step 0 only projects the
-    given block.  Returns (Ritz values, Ritz block, relative residual of
-    each Ritz pair, steps taken) as soon as `_converged` holds, or after
-    max_steps steps.
-    """
-    MX = mass.apply(X)
-    for step in range(max_steps + 1):
-        if step:
-            X = factor.solve(MX)
-            MX = mass.apply(X)
-        KX = factor.matvec(X)
-        theta, Q = _rayleigh_ritz(X.T @ KX, X.T @ MX)
-        X, KX, MX = X @ Q, KX @ Q, MX @ Q
-        lam = np.sum(X * KX, axis=0) / np.sum(X * MX, axis=0)
-        res = np.linalg.norm(KX - lam * MX, axis=0) / np.linalg.norm(KX, axis=0)
-        if _converged(res, tol):
-            break
-    return theta, X, res, step
-
-
-def _converged(res, tol) -> bool:
-    """First Ritz pair within tol, the second within sqrt(tol).
-
-    A Ritz value's error is quadratic in its residual, so sqrt(tol) puts
-    theta_2, and with it the reported gap, within about tol of an
+    A Ritz value's error is quadratic in its residual, so sqrt(EIG_TOL)
+    puts theta_2, and with it the reported gap, within about EIG_TOL of an
     eigenvalue.
     """
-    return bool(res[0] <= tol and res[1:2].max(initial=0.0) <= np.sqrt(tol))
+    return bool(res[0] <= EIG_TOL and res[1:2].max(initial=0.0) <= np.sqrt(EIG_TOL))
 
 
 def _oriented(c, system) -> np.ndarray:
@@ -167,20 +145,35 @@ def solve_first(system, mass: WeightedMass) -> Eigenpair:
     """Smallest eigenpair of K c = lambda M_p c, to EIG_TOL relative residual.
 
     `system` is the configuration's `PlateSystem` (its `factor` is K).  Block
-    inverse iteration runs from `_block_diagonal_start` until `_converged`
-    holds; not converging within MAX_STEPS steps raises SolverError.  The
-    gap is theta_2/theta_1 - 1 of the final Ritz values.  The reported
-    lambda1 is the Rayleigh quotient of the returned vector.
+    inverse iteration runs from `_block_diagonal_start`: every step maps
+    the block through K^{-1} M_p (one blockwise solve and one `mass.apply`)
+    and replaces it by the M_p-orthonormal Ritz vectors of its span, in
+    ascending order of Ritz value; step 0 only projects the start block.
+    It stops at the first step where `_converged` holds; not converging
+    within MAX_STEPS steps raises SolverError naming the first two Ritz
+    residuals against their thresholds.  The gap is theta_2/theta_1 - 1 of
+    the final Ritz values; the reported lambda1 is the Rayleigh quotient of
+    the returned vector.
     """
     factor = system.factor
     k = min(RITZ_BLOCK, system.basis.dimension)
-    theta, X, res, steps = _inverse_iteration(
-        _block_diagonal_start(system, mass, k), factor, mass, EIG_TOL, MAX_STEPS)
-    if not _converged(res, EIG_TOL):
-        raise SolverError(
-            f"eigenpair residual {res[0]:.3e} (EIG_TOL {EIG_TOL:.1e}) not "
-            f"converged after {steps} inverse-iteration steps"
-        )
+    X = _block_diagonal_start(system, mass, k)
+    MX = mass.apply(X)
+    for step in range(MAX_STEPS + 1):
+        if step:
+            X = factor.solve(MX)
+            MX = mass.apply(X)
+        KX = factor.matvec(X)
+        theta, Q = _rayleigh_ritz(X.T @ KX, X.T @ MX)
+        X, KX, MX = X @ Q, KX @ Q, MX @ Q
+        lam = np.sum(X * KX, axis=0) / np.sum(X * MX, axis=0)
+        res = np.linalg.norm(KX - lam * MX, axis=0) / np.linalg.norm(KX, axis=0)
+        if _converged(res):
+            break
+    else:
+        second = f" and {res[1]:.3e} (sqrt(EIG_TOL) {np.sqrt(EIG_TOL):.1e})" if k > 1 else ""
+        raise SolverError(f"eigenpair not converged after {MAX_STEPS} inverse-iteration "
+                          f"steps: Ritz residuals {res[0]:.3e} (EIG_TOL {EIG_TOL:.1e}){second}")
     gap = float(theta[1] / theta[0] - 1.0) if k > 1 else np.inf
     if gap < DEGENERATE_GAP:
         warnings.warn(
@@ -190,4 +183,4 @@ def solve_first(system, mass: WeightedMass) -> Eigenpair:
     c = X[:, 0]
     u = _oriented(c / np.sqrt(c @ mass.apply(c)), system)
     return Eigenpair(lambda1=rayleigh_quotient(u, factor, mass), u=u,
-                     residual=float(res[0]), gap=gap, iterations=steps)
+                     residual=float(res[0]), gap=gap, iterations=step)

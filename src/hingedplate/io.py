@@ -32,7 +32,7 @@ def _fmt(v) -> str:
 
 
 def write_grid_csv(path, grid: QuadratureGrid, values: np.ndarray,
-                   value_name: str = "value") -> None:
+                   value_name: str) -> None:
     """Node dump with columns x, y, <value_name>; x-major node order.
 
     Rows are what the csv module's default dialect writes for the repr of

@@ -160,7 +160,7 @@ def iso_contours(x: np.ndarray, y: np.ndarray, Z: np.ndarray, levels):
     return per_level
 
 
-def level_bands(values: np.ndarray, n_levels: int = 10) -> np.ndarray:
+def level_bands(values: np.ndarray, n_levels: int) -> np.ndarray:
     """Evenly spaced interior levels between min and max of the field."""
     lo, hi = float(np.min(values)), float(np.max(values))
     return lo + (hi - lo) * (np.arange(1, n_levels + 1)) / (n_levels + 1)

@@ -41,7 +41,10 @@ class AnalysisError(RuntimeError):
 class DensityField:
     """Admissible density: finite values in [alpha, beta], quadrature mass = area.
 
-    Checked on construction against `cfg`, the config it was made for.
+    Checked on construction against `cfg`, the config it was made for; the
+    bounds are exact, with no slack: every density built here holds alpha,
+    beta, 1 or a value clipped to [alpha, beta], and a dump read back is
+    exact.  `gray_nodes` counts against the same bounds.
     Bang-bang densities take only the two material values except for at
     most one gray node holding the value that makes the mass exact.
     """
@@ -58,9 +61,9 @@ class DensityField:
         if not np.all(np.isfinite(vals)):
             raise ValueError("density values contain non-finite entries")
         lo, hi = self.cfg.alpha, self.cfg.beta
-        if vals.min() < lo - 1e-12 or vals.max() > hi + 1e-12:
+        if vals.min() < lo or vals.max() > hi:
             raise ValueError(
-                f"density range [{vals.min():.6g}, {vals.max():.6g}] violates "
+                f"density range [{float(vals.min())!r}, {float(vals.max())!r}] violates "
                 f"bounds [{lo}, {hi}]"
             )
         mass = self.grid.integrate(vals)
@@ -82,9 +85,7 @@ class DensityField:
         return float(np.sum(self.grid.weights[self.alpha_assignment()]))
 
     def gray_nodes(self) -> int:
-        strict = (self.values > self.cfg.alpha + 1e-12) \
-            & (self.values < self.cfg.beta - 1e-12)
-        return int(np.sum(strict))
+        return int(np.sum((self.values > self.cfg.alpha) & (self.values < self.cfg.beta)))
 
 
 def uniform_density(grid: QuadratureGrid, cfg: PlateConfig) -> DensityField:

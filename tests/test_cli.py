@@ -79,6 +79,24 @@ def test_solve_rejects_inadmissible_density(tmp_path, small_config_file):
     assert not (tmp_path / "run").exists()
 
 
+def test_density_below_alpha_by_less_than_1e_12_exits_2(tmp_path, capsys):
+    # a zero node is within 1e-12 of alpha = 1e-13; the bound is exact, so
+    # the file is rejected as input before the mass assembly sees the zero
+    # and before the output directory is made
+    cfg = PlateConfig(n_modes_x=4, n_basis_y=4, n_quad_x=8, n_quad_y=4, alpha=1e-13)
+    cfg_path, density_path = tmp_path / "config.json", tmp_path / "density.csv"
+    cfg_path.write_text(json.dumps(cfg.as_dict()))
+    grid = QuadratureGrid.from_config(cfg)
+    vals = np.ones(grid.shape)
+    vals[0, 0], vals[-1, 0] = 0.0, 2.0  # the zero node's mass moved to its mirror
+    write_grid_csv(density_path, grid, vals, value_name="p")
+    rc = main(["solve", "--config", str(cfg_path), "--density", str(density_path),
+               "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "violates bounds" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_solve_rejects_non_finite_density(tmp_path, small_config_file, capsys):
     grid = QuadratureGrid.from_config(PlateConfig(**SMALL))
     vals = np.full(grid.shape, 1.0)

@@ -156,3 +156,23 @@ def test_every_other_csv_cell_must_match(changed, verdict):
 def test_nan_cells_match_only_each_other():
     assert compare_outputs.csv_differences(TRACE, TRACE.replace(b"0,1.0,nan", b"0,nan,nan")) \
         .startswith("max abs diff inf, max rel diff inf")
+
+
+def test_the_density_solve_reads_the_right_heavy_optimum(tmp_path, monkeypatch):
+    # the command runs after the optimize whose final density it reads, in
+    # the same output directory, and reproduces its last eigenvalue
+    names = list(compare_outputs.COMMANDS)
+    assert names.index("optimize-right-heavy") < names.index("solve-right-heavy-density")
+    monkeypatch.setattr(compare_outputs, "COMMANDS", {
+        name: compare_outputs.COMMANDS[name]
+        for name in ("optimize-right-heavy", "solve-right-heavy-density")})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_modes_x": 8, "n_basis_y": 6, "n_quad_x": 32,
+                                  "n_quad_y": 16}))
+    src = _TOOL.parent.parent / "src"
+    runs = compare_outputs.run_tree(src, str(config), tmp_path / "out")
+    assert {name: code for name, (code, _) in runs.items()} == {
+        "optimize-right-heavy": 0, "solve-right-heavy-density": 0}
+    trace = (tmp_path / "out/optimize-right-heavy/right-heavy/trace.csv").read_text()
+    pair = json.loads((tmp_path / "out/solve-right-heavy-density/eigenpair.json").read_text())
+    assert repr(pair["lambda1"]) == trace.splitlines()[-1].split(",")[1]

@@ -11,12 +11,14 @@ from hingedplate.io import (
     RunManifest,
     read_density_csv,
     write_contours_csv,
+    write_eigensolve_csv,
     write_grid_csv,
     write_reports_json,
     write_trace_csv,
     write_vector_csv,
 )
 from hingedplate.levelsets import _segments, iso_contours, level_bands
+from hingedplate.optimize import OptimizationTrace, TraceRecord
 
 
 # Per-cell marching squares and coordinate-keyed chaining, one level at a
@@ -378,6 +380,46 @@ def test_contours_csv_matches_csv_writer_reference(tmp_path):
             for pid, line in enumerate(polylines)
             for vid, (px, py) in enumerate(line)])
         assert path.read_bytes() == ref.read_bytes()
+
+
+def _special_trace() -> OptimizationTrace:
+    """Records whose float fields run through _SPECIAL; row 0 has the NaN
+    density change of a start, and the gaps end with the infinite gap of
+    dimension 1."""
+    values, gaps = _SPECIAL + [1.5, 0.5], _SPECIAL + [np.inf, 0.25]
+    records = [
+        TraceRecord(iteration=i, lambda1=v, threshold_t=t, sublevel_measure=np.float64(v),
+                    density_change_measure=np.nan if i == 0 else v,
+                    solve_iterations=i % 3, residual=v, gap=gap)
+        for i, (v, t, gap) in enumerate(zip(values, values[::-1], gaps))]
+    return OptimizationTrace(records=records, status="max_iter", final_density=None,
+                             final_eigenpair=None)
+
+
+def test_trace_csv_matches_csv_writer_reference(tmp_path):
+    trace = _special_trace()
+    path, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    write_trace_csv(path, trace)
+    _write_reference(ref, ["iter", "lambda1", "threshold_t", "S_measure",
+                           "density_change_measure"], [
+        [r.iteration] + [repr(float(v)) for v in (r.lambda1, r.threshold_t,
+                                                  r.sublevel_measure, r.density_change_measure)]
+        for r in trace.records])
+    assert path.read_bytes() == ref.read_bytes()
+    assert path.read_text().splitlines()[1].endswith(",nan")
+
+
+def test_eigensolve_csv_matches_csv_writer_reference(tmp_path):
+    trace = _special_trace()
+    path, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    write_eigensolve_csv(path, trace)
+    # a gap that is not finite (inf at dimension 1) is an empty cell
+    _write_reference(ref, ["iter", "iterations", "residual", "gap"], [
+        [r.iteration, r.solve_iterations, repr(float(r.residual)),
+         repr(float(r.gap)) if np.isfinite(r.gap) else ""]
+        for r in trace.records])
+    assert path.read_bytes() == ref.read_bytes()
+    assert path.read_text().splitlines()[-2].endswith(",")
 
 
 def test_density_csv_rejects_wrong_grid(tmp_path):

@@ -299,6 +299,27 @@ def test_density_field_validation(small_system):
         DensityField(system.grid, vals, system.cfg)
 
 
+def test_density_bounds_are_exact(small_system):
+    # a strip holds nodes at exactly alpha and beta and one gray node; one
+    # ulp past either bound is rejected, and one ulp inside makes a second
+    # gray node
+    cfg = small_system.cfg
+    vals = strip_density(small_system.grid, cfg, "left").values
+    assert vals.min() == cfg.alpha and vals.max() == cfg.beta
+    assert DensityField(small_system.grid, vals, cfg).gray_nodes() == 1
+
+    def nudged(bound, toward):
+        out = vals.copy()
+        out[np.unravel_index(np.argmax(vals == bound), vals.shape)] = np.nextafter(bound, toward)
+        return out
+
+    for bound, beyond in ((cfg.alpha, 0.0), (cfg.beta, np.inf)):
+        with pytest.raises(ValueError, match="bounds"):
+            DensityField(small_system.grid, nudged(bound, beyond), cfg)
+    for bound in (cfg.alpha, cfg.beta):
+        assert DensityField(small_system.grid, nudged(bound, 1.0), cfg).gray_nodes() == 2
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_density_field_rejects_non_finite(small_system, bad):
     # a NaN node passes every comparison of the bounds and mass checks
@@ -313,8 +334,8 @@ def test_random_admissible_density_exact(small_system, rng):
     for _ in range(20):
         p = random_admissible_density(small_system.grid, small_system.cfg, rng)
         assert p.mass == pytest.approx(small_system.cfg.target_mass, rel=1e-12)
-        assert p.values.min() >= small_system.cfg.alpha - 1e-12
-        assert p.values.max() <= small_system.cfg.beta + 1e-12
+        assert p.values.min() >= small_system.cfg.alpha
+        assert p.values.max() <= small_system.cfg.beta
 
 
 @pytest.mark.parametrize("beta", [1e6, 1e12, 1e100])

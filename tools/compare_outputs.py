@@ -12,10 +12,14 @@ Python subprocess,
     solve
     optimize --seed 7
     optimize --init right-heavy
+    solve --density OUT/optimize-right-heavy/right-heavy/final_density.csv
     certify --suite all
 
-into a fresh output directory.  The two directories are then compared file
-by file, bytes and file sets, skipping the run manifests
+each into its own subdirectory, named for the command, of a fresh output
+directory OUT.  The density solve reads the final density that the
+right-heavy optimize wrote in the same OUT, so the density-file input
+path is compared too.  The two trees' OUT directories are then compared
+file by file, bytes and file sets, skipping the run manifests
 (``manifest.jsonl``), which carry wall-clock time.  A command whose exit
 code or stdout differs between the trees counts as a difference too.  Its
 stderr is not compared, because warnings name each tree's source path.
@@ -50,6 +54,9 @@ COMMANDS = {
     "solve": ["solve"],
     "optimize-seed-7": ["optimize", "--seed", "7"],
     "optimize-right-heavy": ["optimize", "--init", "right-heavy"],
+    # reads what the command above wrote, so it must come after it
+    "solve-right-heavy-density": ["solve", "--density",
+                                  "{out}/optimize-right-heavy/right-heavy/final_density.csv"],
     "certify-all": ["certify", "--suite", "all"],
 }
 SKIPPED = {"manifest.jsonl"}
@@ -181,12 +188,14 @@ def compare_dirs(old: Path, new: Path) -> list:
 
 
 def run_tree(src: Path, config: str, out: Path) -> dict:
-    """Run every command with the package from `src`; command -> (exit code,
-    stdout bytes)."""
+    """Run every command, in order, with the package from `src` and `{out}`
+    in its arguments standing for `out`; command -> (exit code, stdout
+    bytes)."""
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
     cfg = [] if config == "default" else ["--config", str(Path(config).resolve())]
     captured = {}
     for name, argv in COMMANDS.items():
+        argv = [arg.format(out=out) for arg in argv]
         proc = subprocess.run([sys.executable, "-m", "hingedplate.cli", *argv, *cfg,
                                "--out", str(out / name)],
                               env=env, capture_output=True)
