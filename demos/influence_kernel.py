@@ -18,7 +18,7 @@ from hingedplate.green import interior_probe_points
 cfg = PlateConfig()
 system = PlateSystem(cfg)
 
-probes = interior_probe_points(system.grid, 20, 10)
+probes = interior_probe_points(system, 20, 10)
 G = kernel(system, probes, probes)
 # a bound, not the rounding residue max|G - G^T|, which moves with the last bits
 asymmetry = np.abs(G - G.T).max()
@@ -41,6 +41,6 @@ print("\nslope on the midline x = pi/2, split by source side:")
 print(f"  sources left  of the midline: max {left.max():.3e}  (negative)")
 print(f"  sources right of the midline: min {right.min():.3e}  (positive)")
 
-half = interior_probe_points(system.grid, 12, 6, half_plane=True)
+half = interior_probe_points(system, 12, 6, half_plane=True)
 print(f"\nreflection gap on the left half (strictly positive means the kernel")
 print(f"prefers mass toward the midline): min {reflection_gap(system, half):.3e}")

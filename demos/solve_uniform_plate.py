@@ -9,7 +9,7 @@ beyond 1 changes nothing, which is a nice sanity check of the assembly.
 
 import numpy as np
 
-from hingedplate import EIG_TOL, PlateConfig, PlateSystem, uniform_density
+from hingedplate import EIG_TOL, PlateConfig, PlateSystem, basis_matrix, uniform_density
 
 print("basis convergence of lambda1 for the homogeneous plate")
 print(f"{'M':>4} {'J':>4} {'lambda1':>16} {'residual':>14}")
@@ -33,6 +33,5 @@ print(f"  max over nodes        {u.max():.6f}")
 print(f"  weighted L2 norm      {system.grid.integrate(u ** 2):.12f} (normalized to 1)")
 
 ys = system.grid.nodes_y
-slopes0 = pair.u @ system.basis.eval_matrix(
-    np.column_stack([np.zeros(ys.size), ys]), dx=1)
+slopes0 = pair.u @ basis_matrix(cfg, np.column_stack([np.zeros(ys.size), ys]), dx=1)
 print(f"  edge slope at x=0     min {slopes0.min():.6f}  (rises off the hinge)")

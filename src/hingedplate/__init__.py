@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .config import InputError, PlateConfig, load_config
 from .grid import QuadratureGrid
-from .basis import SpectralBasis, evaluate_on_grid
+from .basis import basis_matrix, evaluate_on_grid
 from .assembly import StiffnessFactor, assemble_weighted_mass
 from .eigensolve import EIG_TOL, Eigenpair, SolverError, rayleigh_quotient, solve_first
 from .optimize import (

@@ -8,7 +8,8 @@ and those are exact too because the y-factors are polynomials.  The
 energy matrix is only ever held as one stacked array of its per-mode
 blocks and their inverses, computed once, so a solve factors nothing.
 The weighted mass form goes through the tensor grid (the density is
-node-sampled) and is only applied.
+node-sampled) and is only applied.  The stiffness reads the config, the
+mass form the grid and basis tables that `PlateSystem` holds.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SpectralBasis
+from .config import PlateConfig
 from .grid import QuadratureGrid
 
 
@@ -25,8 +26,7 @@ class AssemblyError(RuntimeError):
     """Assembled form violates its contract (non-finite, or p <= 0)."""
 
 
-def stiffness_blocks(basis: SpectralBasis, grid: QuadratureGrid, sigma: float,
-                     y_tables) -> np.ndarray:
+def stiffness_blocks(cfg: PlateConfig, grid: QuadratureGrid, y_tables) -> np.ndarray:
     """Per-sine-mode blocks of the energy matrix, stacked as (n_modes_x, J, J).
 
     For u = sin(m x) f(y), v = sin(m x) g(y) the energy form reduces, after
@@ -44,11 +44,12 @@ def stiffness_blocks(basis: SpectralBasis, grid: QuadratureGrid, sigma: float,
     mass = (V0 * wy).T @ V0
     cross = (V2 * wy).T @ V0
     shear = (V1 * wy).T @ V1
-    m2 = basis.modes_x.astype(float)[:, None, None] ** 2
-    blk = bend + m2 * m2 * mass - sigma * m2 * (cross + cross.T) \
-        + 2.0 * (1.0 - sigma) * m2 * shear
+    modes = np.arange(1, cfg.n_modes_x + 1)
+    m2 = modes.astype(float)[:, None, None] ** 2
+    blk = bend + m2 * m2 * mass - cfg.sigma * m2 * (cross + cross.T) \
+        + 2.0 * (1.0 - cfg.sigma) * m2 * shear
     blocks = 0.5 * np.pi * 0.5 * (blk + blk.transpose(0, 2, 1))
-    bad = basis.modes_x[~np.isfinite(blocks).all(axis=(1, 2))]
+    bad = modes[~np.isfinite(blocks).all(axis=(1, 2))]
     if bad.size:
         raise AssemblyError(f"non-finite stiffness entries in modes m={bad.tolist()}")
     return blocks
@@ -79,11 +80,10 @@ class WeightedMass:
         return ((self.S * self.S) @ self.A.reshape(nx, -1)).reshape(-1, J, J)
 
 
-def assemble_weighted_mass(basis: SpectralBasis, grid: QuadratureGrid, p: np.ndarray,
-                           S: np.ndarray, L: np.ndarray) -> WeightedMass:
-    """M_p (entry (a,b) = sum_nodes w p phi_a phi_b) on the grid tables S
-    (sin(m x_i)) and L (psi_j(y_k)) of the basis, as `PlateSystem` holds
-    them; only the per-node moments A are computed here.
+def assemble_weighted_mass(system, p: np.ndarray) -> WeightedMass:
+    """M_p (entry (a,b) = sum_nodes w p phi_a phi_b) on the system's grid
+    and its tables S (sin(m x_i)) and L (psi_j(y_k)); only the per-node
+    moments A are computed here.
     `p` is the (n_quad_x, n_quad_y) array of density values at the nodes.
 
     The moments are one GEMM of the weighted density with the row-wise
@@ -93,12 +93,13 @@ def assemble_weighted_mass(basis: SpectralBasis, grid: QuadratureGrid, p: np.nda
     p_min = p.min()
     if p_min <= 0.0:
         raise AssemblyError("density must be strictly positive at every node")
+    L = system.L
     ny, J = L.shape
     LL = (L[:, :, None] * L[:, None, :]).reshape(ny, J * J)
-    A = ((grid.weights * p) @ LL).reshape(-1, J, J)
+    A = ((system.grid.weights * p) @ LL).reshape(-1, J, J)
     if not np.all(np.isfinite(A)):
         raise AssemblyError("non-finite weighted mass moments")
-    return WeightedMass(S=S, A=A, contrast=float(p.max() / p_min))
+    return WeightedMass(S=system.S, A=A, contrast=float(p.max() / p_min))
 
 
 @dataclass(frozen=True)
@@ -122,9 +123,8 @@ class StiffnessFactor:
     inverse: np.ndarray
 
     @classmethod
-    def build(cls, basis: SpectralBasis, grid: QuadratureGrid, sigma: float,
-              y_tables) -> "StiffnessFactor":
-        blocks = stiffness_blocks(basis, grid, sigma, y_tables)
+    def build(cls, cfg: PlateConfig, grid: QuadratureGrid, y_tables) -> "StiffnessFactor":
+        blocks = stiffness_blocks(cfg, grid, y_tables)
         return cls(blocks=blocks, inverse=np.linalg.inv(blocks))
 
     def _stacked(self, x):

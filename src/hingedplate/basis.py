@@ -5,12 +5,13 @@ closed rectangle, and the x-factors are mutually orthogonal on (0, pi),
 which makes the energy matrix exactly block diagonal over the sine mode.
 The y-factors are Legendre polynomials mapped to (-ell, ell); the free-edge
 conditions are natural for the weak form, so no boundary constraint is
-needed in y.  A field is its flat (dimension,) coefficient vector.
+needed in y.  The config's n_modes_x, n_basis_y and ell fix the basis;
+the functions here build its per-axis tables from them.  A field is its
+flat (dimension,) coefficient vector, entry (m-1)*n_basis_y + j for
+sin(m x) * psi_j(y).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -34,9 +35,9 @@ def _legendre_tables(y: np.ndarray, n_funcs: int, ell: float, max_deriv: int = 0
             for d in range(max_deriv + 1)]
 
 
-def _sine_table(modes: np.ndarray, x: np.ndarray, dx: int) -> np.ndarray:
-    """dx-th x-derivative of sin(m x), shape (len(modes), len(x))."""
-    ms = modes.astype(float)
+def _sine_table(n_modes: int, x: np.ndarray, dx: int) -> np.ndarray:
+    """dx-th x-derivative of sin(m x) for m = 1..n_modes, shape (n_modes, len(x))."""
+    ms = np.arange(1, n_modes + 1, dtype=float)
     ang = np.outer(ms, x)
     if dx == 0:
         return np.sin(ang)
@@ -47,39 +48,15 @@ def _sine_table(modes: np.ndarray, x: np.ndarray, dx: int) -> np.ndarray:
     raise ValueError("dx must be 0, 1 or 2")
 
 
-@dataclass(frozen=True)
-class SpectralBasis:
-    """Tensor basis sin(m x) * psi_j(y), flat index a = (m-1)*n_basis_y + j."""
-
-    modes_x: np.ndarray      # sine wavenumbers 1..M
-    n_basis_y: int           # Legendre profiles P_0..P_{J-1}
-    ell: float
-
-    @classmethod
-    def from_config(cls, cfg: PlateConfig) -> "SpectralBasis":
-        return cls(
-            modes_x=np.arange(1, cfg.n_modes_x + 1),
-            n_basis_y=cfg.n_basis_y,
-            ell=cfg.ell,
-        )
-
-    @property
-    def n_modes_x(self) -> int:
-        return self.modes_x.size
-
-    @property
-    def dimension(self) -> int:
-        return self.n_modes_x * self.n_basis_y
-
-    def eval_matrix(self, points: np.ndarray, dx: int = 0, dy: int = 0) -> np.ndarray:
-        """Basis values (dimension, n_points) at arbitrary points.
-
-        dx, dy select the x- and y-derivative order (0, 1 or 2 each).
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        fx = _sine_table(self.modes_x, pts[:, 0], dx)
-        fy = _legendre_tables(pts[:, 1], self.n_basis_y, self.ell, max_deriv=dy)[dy]
-        return np.einsum("mk,kj->mjk", fx, fy).reshape(self.dimension, pts.shape[0])
+def basis_matrix(cfg: PlateConfig, points: np.ndarray, dx: int = 0, dy: int = 0) -> np.ndarray:
+    """Basis values (dimension, n_points) at arbitrary points, row
+    (m-1)*n_basis_y + j for sin(m x) * psi_j(y); dx, dy select the x- and
+    y-derivative order (0, 1 or 2 each).  The dense reference evaluation:
+    the package contracts per-axis tables instead and never forms it."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    fx = _sine_table(cfg.n_modes_x, pts[:, 0], dx)
+    fy = _legendre_tables(pts[:, 1], cfg.n_basis_y, cfg.ell, max_deriv=dy)[dy]
+    return np.einsum("mk,kj->mjk", fx, fy).reshape(cfg.n_modes_x * cfg.n_basis_y, pts.shape[0])
 
 
 def evaluate_on_grid(c: np.ndarray, x_table: np.ndarray, y_table: np.ndarray) -> np.ndarray:

@@ -128,15 +128,28 @@ class PlateConfig:
 CONFIG_KEYS = tuple(f.name for f in fields(PlateConfig))
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's dict; a repeated key raises instead of keeping its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise InputError(f"repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_config(path) -> PlateConfig:
     """Read a JSON config file; keys absent from the file keep their defaults.
 
-    Accepted keys are exactly the fields of :class:`PlateConfig`; anything
-    else is rejected so typos cannot silently fall back to a default.
+    Accepted keys are exactly the fields of :class:`PlateConfig`, each given
+    at most once; anything else is rejected so typos cannot silently fall
+    back to a default or be overridden by a later entry.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
+        except InputError as exc:
+            raise InputError(f"config file {path} {exc}") from None
         except (ValueError, RecursionError) as exc:  # malformed, too deep or not UTF-8
             raise InputError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):

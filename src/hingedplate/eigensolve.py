@@ -156,7 +156,7 @@ def solve_first(system, mass: WeightedMass) -> Eigenpair:
     the returned vector.
     """
     factor = system.factor
-    k = min(RITZ_BLOCK, system.basis.dimension)
+    k = min(RITZ_BLOCK, system.dimension)
     X = _block_diagonal_start(system, mass, k)
     MX = mass.apply(X)
     for step in range(MAX_STEPS + 1):

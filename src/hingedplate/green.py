@@ -23,7 +23,6 @@ import numpy as np
 
 from .basis import _legendre_tables, _sine_table, evaluate_on_grid
 from .certify import make_report
-from .grid import QuadratureGrid
 from .optimize import PlateSystem
 
 POSITIVITY_LOADS = 50
@@ -51,12 +50,12 @@ def kernel(system: PlateSystem, targets, sources, dx: int = 0) -> np.ndarray:
     order: G[(a, b), (c, d)] = sum_m tx[m, a] sx[m, c] H[m, b, d] with
     H = Psi_t K_m^-1 Psi_s^T."""
     (xt, yt), (xs, ys) = targets, sources
-    basis = system.basis
-    psi_t, psi_s = (_legendre_tables(y, basis.n_basis_y, basis.ell)[0] for y in (yt, ys))
+    cfg = system.cfg
+    psi_t, psi_s = (_legendre_tables(y, cfg.n_basis_y, cfg.ell)[0] for y in (yt, ys))
     H = psi_t @ system.factor.inverse @ psi_s.T                  # (M, n_yt, n_ys)
-    sx = _sine_table(basis.modes_x, xs, 0)
+    sx = _sine_table(cfg.n_modes_x, xs, 0)
     Q = sx[:, None, :, None] * H[:, :, None, :]                  # (M, n_yt, n_xs, n_ys)
-    G = _sine_table(basis.modes_x, xt, dx).T @ Q.reshape(basis.n_modes_x, -1)
+    G = _sine_table(cfg.n_modes_x, xt, dx).T @ Q.reshape(cfg.n_modes_x, -1)
     return G.reshape(-1, Q.shape[2] * Q.shape[3])
 
 
@@ -76,14 +75,15 @@ def reflection_gap(system: PlateSystem, probes) -> float:
     return float(np.min(G - np.maximum(Gm, Gr)))
 
 
-def interior_probe_points(grid: QuadratureGrid, nx: int, ny: int, half_plane: bool = False):
-    """Probe lattice one quadrature cell away from the open x-boundaries, as
-    its (xs, ys) axes; on two x-nodes, between the outermost nodes."""
-    k = min(1, grid.nodes_x.size // 2 - 1)
-    x_lo, x_hi = grid.nodes_x[k], grid.nodes_x[-1 - k]
+def interior_probe_points(system: PlateSystem, nx: int, ny: int, half_plane: bool = False):
+    """Probe lattice one grid cell inside the open x-boundaries, as its
+    (xs, ys) axes; on two x-nodes, between the outermost nodes."""
+    nodes_x, ell = system.grid.nodes_x, system.cfg.ell
+    k = min(1, nodes_x.size // 2 - 1)
+    x_lo, x_hi = nodes_x[k], nodes_x[-1 - k]
     if half_plane:
         x_hi = np.pi / 2 - (np.pi / 2 - x_lo) / 50.0
-    return np.linspace(x_lo, x_hi, nx), np.linspace(-grid.ell, grid.ell, ny)
+    return np.linspace(x_lo, x_hi, nx), np.linspace(-ell, ell, ny)
 
 
 def certify_green(system: PlateSystem) -> list:
@@ -92,7 +92,7 @@ def certify_green(system: PlateSystem) -> list:
     res = f"n_modes_x={cfg.n_modes_x}, n_basis_y={cfg.n_basis_y}"
     reports = []
 
-    probes = interior_probe_points(system.grid, PROBES_X, PROBES_Y)
+    probes = interior_probe_points(system, PROBES_X, PROBES_Y)
     G = kernel(system, probes, probes)
     reports.append(make_report("kernel-positive", G.size, G.min(), res))
 
@@ -119,7 +119,7 @@ def certify_green(system: PlateSystem) -> list:
     err_cross = np.abs(kernel(system, probes, mirrored) - kernel(system, mirrored, probes)).max()
     reports.append(make_report("kernel-mirror-cross", G.size, err_cross, res))
 
-    half = interior_probe_points(system.grid, PROBES_X, PROBES_Y, half_plane=True)
+    half = interior_probe_points(system, PROBES_X, PROBES_Y, half_plane=True)
     reports.append(make_report("kernel-reflection-gap", (half[0].size * half[1].size) ** 2,
                                reflection_gap(system, half), res))
 
@@ -134,7 +134,7 @@ def certify_positivity_preserving(system: PlateSystem) -> list:
     rng = np.random.default_rng(POSITIVITY_SEED)
     X, Y = system.grid.meshgrid()
     # x-slopes on the edges x = 0, pi, at the y nodes
-    sx = _sine_table(system.basis.modes_x, np.array([0.0, np.pi]), 1)
+    sx = _sine_table(cfg.n_modes_x, np.array([0.0, np.pi]), 1)
     min_u, min_slope = np.inf, np.inf
     total = 0
     for _ in range(POSITIVITY_LOADS):

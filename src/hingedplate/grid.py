@@ -29,13 +29,12 @@ class QuadratureGrid:
     weights_x: np.ndarray
     nodes_y: np.ndarray
     weights_y: np.ndarray
-    ell: float
 
     @classmethod
     def from_config(cls, cfg: PlateConfig) -> "QuadratureGrid":
         nx, wx = _gauss_nodes(cfg.n_quad_x, 0.0, np.pi)
         ny, wy = _gauss_nodes(cfg.n_quad_y, -cfg.ell, cfg.ell)
-        return cls(nodes_x=nx, weights_x=wx, nodes_y=ny, weights_y=wy, ell=cfg.ell)
+        return cls(nodes_x=nx, weights_x=wx, nodes_y=ny, weights_y=wy)
 
     @property
     def shape(self):

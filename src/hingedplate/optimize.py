@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import StiffnessFactor, assemble_weighted_mass
-from .basis import SpectralBasis, _legendre_tables, _sine_table, evaluate_on_grid
+from .basis import _legendre_tables, _sine_table, evaluate_on_grid
 from .config import PlateConfig
 from .eigensolve import Eigenpair, SolverError, _sym, solve_first
 from .grid import QuadratureGrid
@@ -254,21 +254,28 @@ class PlateSystem:
     certification suites take the system, so none of them builds another.
     Building it computes the p = 1 spectrum, which rejects an operator
     that rounding has made indefinite before anything uses it.
+
+    `cfg` holds the discretization's counts and ell, the system its grid
+    and tables: S[m-1, i] = sin(m x_i), L[k, j] = psi_j(y_k), and entry
+    (m-1)*n_basis_y + j of a coefficient vector belongs to sin(m x) * psi_j(y).
     """
 
     def __init__(self, cfg: PlateConfig):
         self.cfg = cfg
-        self.basis = SpectralBasis.from_config(cfg)
         self.grid = QuadratureGrid.from_config(cfg)
         # psi_j(y_k) and its first two y-derivatives, one table each; the
         # energy blocks and every grid sample read them
         self.y_tables = _legendre_tables(self.grid.nodes_y, cfg.n_basis_y, cfg.ell,
                                          max_deriv=2)
-        self.factor = StiffnessFactor.build(self.basis, self.grid, cfg.sigma, self.y_tables)
-        # basis values on the grid, sin(m x_i) as S and psi_j(y_k) as L
-        self.S = _sine_table(self.basis.modes_x, self.grid.nodes_x, 0)
+        self.factor = StiffnessFactor.build(cfg, self.grid, self.y_tables)
+        self.S = _sine_table(cfg.n_modes_x, self.grid.nodes_x, 0)
         self.L = self.y_tables[0]
         self.uniform_spectrum = self._uniform_spectrum()
+
+    @property
+    def dimension(self) -> int:
+        """Number of basis functions, n_modes_x * n_basis_y."""
+        return self.cfg.n_modes_x * self.cfg.n_basis_y
 
     def _uniform_spectrum(self) -> np.ndarray:
         """Eigenvalues of the pencils (K_m, D_m) at p = 1; (n_modes_x, J).
@@ -308,13 +315,12 @@ class PlateSystem:
         """The field of coefficient vector u, or its dx-th x- and dy-th
         y-derivative (0 to 2 each), at the grid nodes from the system's
         tables; no y-table is built (an x-derivative builds its sines)."""
-        fx = self.S if dx == 0 else _sine_table(self.basis.modes_x, self.grid.nodes_x, dx)
+        fx = self.S if dx == 0 else _sine_table(self.cfg.n_modes_x, self.grid.nodes_x, dx)
         return evaluate_on_grid(u, fx, self.y_tables[dy])
 
     def solve_density(self, p: DensityField) -> Eigenpair:
         """First pair at density p."""
-        return solve_first(self, assemble_weighted_mass(self.basis, self.grid, p.values,
-                                                        self.S, self.L))
+        return solve_first(self, assemble_weighted_mass(self, p.values))
 
     def load_vector(self, f: np.ndarray) -> np.ndarray:
         """Galerkin load of node values f, entry a = sum_nodes w f phi_a."""
@@ -413,7 +419,7 @@ def midline_slope_check(u: np.ndarray, system: PlateSystem) -> MidlineSlopeRepor
     """
     vals = system.grid_values(u)
     verdict = _mirror_verdict(vals)
-    mid = _sine_table(system.basis.modes_x, np.array([np.pi / 2]), 1)
+    mid = _sine_table(system.cfg.n_modes_x, np.array([np.pi / 2]), 1)
     slopes = evaluate_on_grid(u, mid, system.L)[0]
     thr = MIRROR_TOL * float(np.abs(vals).max())
     if verdict == SYMMETRIC:

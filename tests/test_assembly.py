@@ -12,8 +12,8 @@ from hingedplate import (
     PlateSystem,
     QuadratureGrid,
     StiffnessFactor,
-    SpectralBasis,
     assemble_weighted_mass,
+    basis_matrix,
     random_admissible_density,
     strip_density,
 )
@@ -26,32 +26,19 @@ def cfg():
 
 
 @pytest.fixture(scope="module")
-def parts(cfg):
-    basis = SpectralBasis.from_config(cfg)
-    grid = QuadratureGrid.from_config(cfg)
-    return basis, grid
+def system(cfg):
+    return PlateSystem(cfg)
 
 
-def _y_tables(basis, grid):
+def _y_tables(cfg, grid):
     """psi_j and its first two y-derivatives on the grid, as PlateSystem holds them."""
-    return hingedplate.basis._legendre_tables(grid.nodes_y, basis.n_basis_y, basis.ell,
+    return hingedplate.basis._legendre_tables(grid.nodes_y, cfg.n_basis_y, cfg.ell,
                                               max_deriv=2)
 
 
-def _grid_tables(basis, grid):
-    """sin(m x_i) and psi_j(y_k), the tables (S, L) that PlateSystem holds."""
-    return (hingedplate.basis._sine_table(basis.modes_x, grid.nodes_x, 0),
-            _y_tables(basis, grid)[0])
-
-
-def _mass(basis, grid, values):
-    """The weighted mass operator of node values, on the basis's own tables."""
-    return assemble_weighted_mass(basis, grid, values, *_grid_tables(basis, grid))
-
-
-def _dense_mass(basis, grid, values):
+def _dense_mass(system, values):
     """M_p as a dense matrix: the operator applied to the identity."""
-    return _mass(basis, grid, values).apply(np.eye(basis.dimension))
+    return assemble_weighted_mass(system, values).apply(np.eye(system.dimension))
 
 
 def test_trig_orthogonality_oracle():
@@ -65,54 +52,54 @@ def test_trig_orthogonality_oracle():
         assert val == pytest.approx(math.pi / 2, rel=1e-9)
 
 
-def test_stiffness_blocks_match_energy_form_on_grid(parts, cfg):
+def test_stiffness_blocks_match_energy_form_on_grid(system, cfg):
     # independent path: the energy form int Delta u Delta v
     # + (1 - sigma)(2 u_xy v_xy - u_xx v_yy - u_yy v_xx) summed over the
     # tensor grid from pointwise basis derivatives.  Matching the block
     # diagonal checks both the sine-mode decoupling and the per-mode formula.
-    basis, grid = parts
+    grid = system.grid
     X, Y = grid.meshgrid()
     pts, w = np.column_stack([X.ravel(), Y.ravel()]), grid.weights.ravel()
-    xx = basis.eval_matrix(pts, dx=2)
-    yy = basis.eval_matrix(pts, dy=2)
-    xy = basis.eval_matrix(pts, dx=1, dy=1)
+    xx = basis_matrix(cfg, pts, dx=2)
+    yy = basis_matrix(cfg, pts, dy=2)
+    xy = basis_matrix(cfg, pts, dx=1, dy=1)
     lap = xx + yy
     ref = (lap * w) @ lap.T + (1.0 - cfg.sigma) * (
         2.0 * (xy * w) @ xy.T - (xx * w) @ yy.T - (yy * w) @ xx.T)
-    K = block_diag(*stiffness_blocks(basis, grid, cfg.sigma, _y_tables(basis, grid)))
+    K = block_diag(*stiffness_blocks(cfg, grid, _y_tables(cfg, grid)))
     assert np.abs(K - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_stiffness_positive_definite_for_all_sigma(parts):
-    basis, grid = parts
+def test_stiffness_positive_definite_for_all_sigma(system, cfg):
+    grid = system.grid
     for sigma in (0.0, 0.2, 0.5, 0.9, 0.999):
-        for blk in stiffness_blocks(basis, grid, sigma, _y_tables(basis, grid)):
+        for blk in stiffness_blocks(replace(cfg, sigma=sigma), grid, _y_tables(cfg, grid)):
             assert np.linalg.eigvalsh(blk).min() > 0.0
-    factor = StiffnessFactor.build(basis, grid, 0.999, _y_tables(basis, grid))
-    rhs = np.ones(basis.dimension)
+    factor = StiffnessFactor.build(replace(cfg, sigma=0.999), grid, _y_tables(cfg, grid))
+    rhs = np.ones(system.dimension)
     assert np.allclose(factor.matvec(factor.solve(rhs)), rhs,
                        rtol=0, atol=1e-8 * np.abs(rhs).max())
 
 
-def test_quotient_positive_for_random_fields(parts, cfg, rng):
-    basis, grid = parts
-    factor = StiffnessFactor.build(basis, grid, cfg.sigma, _y_tables(basis, grid))
-    M1 = _dense_mass(basis, grid, np.ones(grid.shape))
+def test_quotient_positive_for_random_fields(system, cfg, rng):
+    grid = system.grid
+    factor = StiffnessFactor.build(cfg, grid, _y_tables(cfg, grid))
+    M1 = _dense_mass(system, np.ones(grid.shape))
     for _ in range(25):
-        c = rng.standard_normal(basis.dimension)
+        c = rng.standard_normal(system.dimension)
         energy = c @ factor.matvec(c)
         assert energy > 0.0
         assert energy / (c @ M1 @ c) > 0.0
 
 
-def test_sigma_difference_confined_to_boundary_rank(parts):
+def test_sigma_difference_confined_to_boundary_rank(system, cfg):
     # K depends affinely on sigma and the sigma-derivative reduces to a
     # y-boundary term of rank <= 4 inside each sine-mode block
-    basis, grid = parts
-    tables = _y_tables(basis, grid)
-    K0 = stiffness_blocks(basis, grid, 0.0, tables)
-    K2 = stiffness_blocks(basis, grid, 0.2, tables)
-    K5 = stiffness_blocks(basis, grid, 0.5, tables)
+    grid = system.grid
+    tables = _y_tables(cfg, grid)
+    K0 = stiffness_blocks(replace(cfg, sigma=0.0), grid, tables)
+    K2 = stiffness_blocks(replace(cfg, sigma=0.2), grid, tables)
+    K5 = stiffness_blocks(replace(cfg, sigma=0.5), grid, tables)
     scale = max(np.abs(blk).max() for blk in K0)
     for b0, b2, b5 in zip(K0, K2, K5):
         B = (b0 - b5) / 0.5
@@ -121,74 +108,74 @@ def test_sigma_difference_confined_to_boundary_rank(parts):
         assert np.sum(s > 1e-10 * s[0]) <= 4
 
 
-def test_mass_matrix_uniform_density(parts, cfg):
-    basis, grid = parts
-    M1 = _dense_mass(basis, grid, np.ones(grid.shape))
+def test_mass_matrix_uniform_density(system, cfg):
+    grid = system.grid
+    M1 = _dense_mass(system, np.ones(grid.shape))
     assert np.allclose(M1, M1.T)
     # single-mode diagonal entry: int sin^2(x) dx dy = (pi/2) * 2 ell
     a = 0  # flat index of (m=1, degree 0)
     assert M1[a, a] == pytest.approx(math.pi * cfg.ell, rel=1e-13)
     # trig orthogonality under quadrature: different m decouple
-    J = basis.n_basis_y
+    J = cfg.n_basis_y
     off = M1.copy()
-    for i in range(basis.n_modes_x):
+    for i in range(cfg.n_modes_x):
         off[i * J:(i + 1) * J, i * J:(i + 1) * J] = 0.0
     assert np.abs(off).max() <= 1e-12 * np.abs(M1).max()
 
 
-def test_mass_matrix_scaling(parts, rng):
-    basis, grid = parts
+def test_mass_matrix_scaling(system, rng):
+    grid = system.grid
     vals = rng.uniform(0.5, 3.0, size=grid.shape)
-    M = _dense_mass(basis, grid, vals)
-    M2 = _dense_mass(basis, grid, 2.0 * vals)
+    M = _dense_mass(system, vals)
+    M2 = _dense_mass(system, 2.0 * vals)
     assert np.allclose(M2, 2.0 * M, rtol=1e-14)
 
 
-def test_mass_matrix_bounds_enforced(parts):
+def test_mass_matrix_bounds_enforced(system):
     # assembly's own bound is strict positivity; [alpha, beta] belongs to
     # DensityField (test_density_field_validation)
-    basis, grid = parts
+    grid = system.grid
     vals = np.full(grid.shape, 0.4)
     vals[3, 2] = 0.0
     with pytest.raises(AssemblyError, match="strictly positive"):
-        _mass(basis, grid, vals)
+        assemble_weighted_mass(system, vals)
     vals[3, 2] = -0.4
     with pytest.raises(AssemblyError, match="strictly positive"):
-        _mass(basis, grid, vals)
+        assemble_weighted_mass(system, vals)
 
 
-def test_assembly_invariant_under_grid_relabeling(parts, cfg, rng):
+def test_assembly_invariant_under_grid_relabeling(system, cfg, rng):
     # relabeling x -> pi - x, y -> -y permutes nodes; the quadrature sums
     # defining the weighted mass matrix are permutation invariant
-    basis, grid = parts
+    grid = system.grid
     vals = rng.uniform(0.5, 3.0, size=grid.shape)
     sym = 0.5 * (vals + vals[::-1, ::-1])
-    M = _dense_mass(basis, grid, sym)
-    M_flip = _dense_mass(basis, grid, sym[::-1, ::-1])
+    M = _dense_mass(system, sym)
+    M_flip = _dense_mass(system, sym[::-1, ::-1])
     assert np.array_equal(M, M_flip)
 
 
-def test_quadrature_refinement_leaves_stiffness(parts, cfg):
-    basis, grid = parts
-    K = stiffness_blocks(basis, grid, cfg.sigma, _y_tables(basis, grid))
+def test_quadrature_refinement_leaves_stiffness(system, cfg):
+    grid = system.grid
+    K = stiffness_blocks(cfg, grid, _y_tables(cfg, grid))
     fine = QuadratureGrid.from_config(replace(cfg, n_quad_y=2 * cfg.n_quad_y))
-    K_fine = stiffness_blocks(basis, fine, cfg.sigma, _y_tables(basis, fine))
+    K_fine = stiffness_blocks(cfg, fine, _y_tables(cfg, fine))
     scale = max(np.abs(blk).max() for blk in K)
     for blk, blk_fine in zip(K, K_fine):
         assert np.abs(blk - blk_fine).max() <= 1e-10 * scale
 
 
-def test_mass_matrix_matches_dense_basis_product(parts, cfg, rng):
+def test_mass_matrix_matches_dense_basis_product(system, cfg, rng):
     # oracle: the explicit (dimension, n_nodes) basis table contracted with
     # itself, against the operator's products and its diagonal blocks
-    basis, grid = parts
+    grid = system.grid
     p = random_admissible_density(grid, cfg, rng)
-    M = _mass(basis, grid, p.values)
+    M = assemble_weighted_mass(system, p.values)
     X, Y = grid.meshgrid()
-    phi = basis.eval_matrix(np.column_stack([X.ravel(), Y.ravel()]))
+    phi = basis_matrix(cfg, np.column_stack([X.ravel(), Y.ravel()]))
     ref = (phi * (grid.weights.ravel() * p.values.ravel())) @ phi.T
     tol = 1e-14 * np.abs(ref).max()
-    n, J = basis.dimension, basis.n_basis_y
+    n, J = system.dimension, cfg.n_basis_y
     assert np.abs(M.apply(np.eye(n)) - ref).max() <= tol
     block = rng.standard_normal((n, 3))
     for x in (block, block[:, 0]):
@@ -196,7 +183,7 @@ def test_mass_matrix_matches_dense_basis_product(parts, cfg, rng):
         assert out.shape == x.shape
         assert np.abs(out - ref @ x).max() <= tol * np.abs(x).sum(axis=0).max()
     D = M.diagonal_blocks()
-    assert D.shape == (basis.n_modes_x, J, J)
+    assert D.shape == (cfg.n_modes_x, J, J)
     for m, blk in enumerate(D):
         assert np.abs(blk - ref[m * J:(m + 1) * J, m * J:(m + 1) * J]).max() <= tol
 
@@ -205,7 +192,7 @@ def test_load_vector_matches_dense_basis_product(cfg, rng):
     system = PlateSystem(cfg)
     f = rng.standard_normal(system.grid.shape)
     X, Y = system.grid.meshgrid()
-    phi = system.basis.eval_matrix(np.column_stack([X.ravel(), Y.ravel()]))
+    phi = basis_matrix(cfg, np.column_stack([X.ravel(), Y.ravel()]))
     ref = phi @ (system.grid.weights.ravel() * f.ravel())
     assert np.abs(system.load_vector(f) - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -219,7 +206,7 @@ def test_mass_moments_symmetric_and_match_batched_reference(config):
     L = system.L
     for p in (strip_density(system.grid, system.cfg, "left"),
               random_admissible_density(system.grid, system.cfg, np.random.default_rng(19))):
-        A = assemble_weighted_mass(system.basis, system.grid, p.values, system.S, L).A
+        A = assemble_weighted_mass(system, p.values).A
         wpL = (system.grid.weights * p.values)[:, :, None] * L
         ref = np.matmul(wpL.transpose(0, 2, 1), L)
         ref = 0.5 * (ref + ref.transpose(0, 2, 1))
@@ -230,14 +217,13 @@ def test_mass_moments_symmetric_and_match_batched_reference(config):
 def test_mass_assembly_allocates_less_than_dense_table(rng):
     # dim 400 on 4096 nodes: a dense float64 basis table would take 13.1 MB
     cfg = PlateConfig(n_modes_x=20, n_basis_y=20, n_quad_x=128, n_quad_y=32)
-    basis = SpectralBasis.from_config(cfg)
-    grid = QuadratureGrid.from_config(cfg)
+    system = PlateSystem(cfg)
+    grid = system.grid
     p = rng.uniform(0.5, 3.0, size=grid.shape)
-    S, L = _grid_tables(basis, grid)
-    table_bytes = 8 * basis.dimension * grid.shape[0] * grid.shape[1]
+    table_bytes = 8 * system.dimension * grid.shape[0] * grid.shape[1]
     tracemalloc.start()
     try:
-        assemble_weighted_mass(basis, grid, p, S, L)
+        assemble_weighted_mass(system, p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -254,7 +240,7 @@ def test_solve_builds_no_dense_mass_matrix():
     cfg = PlateConfig(n_modes_x=80, n_basis_y=20, n_quad_x=80, n_quad_y=20)
     system = PlateSystem(cfg)
     p = strip_density(system.grid, system.cfg, "left")
-    dim = system.basis.dimension
+    dim = system.dimension
     tracemalloc.start()
     try:
         system.solve_density(p)
@@ -264,15 +250,15 @@ def test_solve_builds_no_dense_mass_matrix():
     assert peak < 8 * dim * dim
 
 
-def test_stacked_factor_matches_block_diagonal_oracle(parts, cfg, rng, monkeypatch):
+def test_stacked_factor_matches_block_diagonal_oracle(system, cfg, rng, monkeypatch):
     # oracle: the dense block-diagonal K assembled from the stack, solved
     # through its dense Cholesky factor
-    basis, grid = parts
-    factor = StiffnessFactor.build(basis, grid, cfg.sigma, _y_tables(basis, grid))
-    assert factor.blocks.shape == (basis.n_modes_x, basis.n_basis_y, basis.n_basis_y)
+    grid = system.grid
+    factor = StiffnessFactor.build(cfg, grid, _y_tables(cfg, grid))
+    assert factor.blocks.shape == (cfg.n_modes_x, cfg.n_basis_y, cfg.n_basis_y)
     K = block_diag(*factor.blocks)
     KR = cho_factor(K)
-    n = basis.dimension
+    n = system.dimension
     block = rng.standard_normal((n, 3))
     reversed_f = np.asfortranarray(rng.standard_normal((n, 3)))[:, ::-1]
     for x in (rng.standard_normal(n), block, reversed_f):
@@ -295,7 +281,7 @@ def test_stacked_factor_matches_block_diagonal_oracle(parts, cfg, rng, monkeypat
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
-    StiffnessFactor.build(basis, grid, cfg.sigma, _y_tables(basis, grid))
+    StiffnessFactor.build(cfg, grid, _y_tables(cfg, grid))
     assert calls == ["inv"]
     calls.clear()
     factor.solve(block)
@@ -309,8 +295,8 @@ def test_stacked_solve_is_backward_stable_at_dim_1600(rng):
     # rounding level (measured up to 1.6e-16; a batched LU gives 6.7e-17) although
     # cond(K_1) is 2.8e7 at J = 20
     cfg = PlateConfig(n_modes_x=80, n_basis_y=20, n_quad_x=160, n_quad_y=32)
-    basis, grid = SpectralBasis.from_config(cfg), QuadratureGrid.from_config(cfg)
-    factor = StiffnessFactor.build(basis, grid, cfg.sigma, _y_tables(basis, grid))
+    grid = QuadratureGrid.from_config(cfg)
+    factor = StiffnessFactor.build(cfg, grid, _y_tables(cfg, grid))
     nm, J, _ = factor.blocks.shape
     norms = np.linalg.norm(factor.blocks, 2, axis=(1, 2))
     for rhs in (rng.standard_normal(nm * J), rng.standard_normal((nm * J, 8)),

@@ -169,6 +169,17 @@ def test_solve_rejects_bad_config(tmp_path):
     assert not (tmp_path / "r3").exists()
 
 
+def test_repeated_config_key_exits_2(tmp_path, capsys):
+    # the first beta must not be silently replaced by the second
+    cfg = tmp_path / "repeated.json"
+    cfg.write_text('{"n_modes_x": 8, "n_basis_y": 6, "n_quad_x": 32, "n_quad_y": 16, '
+                   '"beta": 3.0, "beta": 1e12}')
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "repeats the key 'beta'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_deterministic_outputs(tmp_path, small_config_file):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert main(["solve", "--config", str(small_config_file), "--out", str(out1)]) == 0

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from hingedplate import load_config
+
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
 _spec = importlib.util.spec_from_file_location("compare_outputs", _TOOL)
 compare_outputs = importlib.util.module_from_spec(_spec)
@@ -176,3 +178,15 @@ def test_the_density_solve_reads_the_right_heavy_optimum(tmp_path, monkeypatch):
     trace = (tmp_path / "out/optimize-right-heavy/right-heavy/trace.csv").read_text()
     pair = json.loads((tmp_path / "out/solve-right-heavy-density/eigenpair.json").read_text())
     assert repr(pair["lambda1"]) == trace.splitlines()[-1].split(",")[1]
+
+
+@pytest.mark.parametrize("name, counts", [("dim1600.json", (80, 20, 320, 64)),
+                                          ("q512.json", (20, 12, 512, 128)),
+                                          ("dim1.json", (1, 1, 2, 1))])
+def test_the_comparison_configs_load(name, counts):
+    # the configs the README's compare command names: dim 1600 on 320 x 64,
+    # the 512 x 128 agreement quadrature and the one-function plate
+    configs = _TOOL.parent / "configs"
+    assert sorted(p.name for p in configs.iterdir()) == ["dim1.json", "dim1600.json", "q512.json"]
+    cfg = load_config(configs / name)
+    assert (cfg.n_modes_x, cfg.n_basis_y, cfg.n_quad_x, cfg.n_quad_y) == counts

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +104,19 @@ def test_load_config_rejects_unknown_and_bad_types(tmp_path):
     path.write_text('{"sigma": 0.1,')
     with pytest.raises(InputError, match="is not valid JSON"):
         load_config(path)
+
+
+def test_load_config_rejects_a_repeated_key(tmp_path):
+    # json.load keeps the last value of a repeated key: beta would be 1e12
+    path = tmp_path / "cfg.json"
+    path.write_text('{"beta": 3.0, "alpha": 0.5, "beta": 1e12}')
+    with pytest.raises(InputError, match=re.escape(f"config file {path} repeats the key 'beta'")):
+        load_config(path)
+    path.write_text('{"sigma": {"a": 1, "a": 2}}')  # nested objects too
+    with pytest.raises(InputError, match="repeats the key 'a'"):
+        load_config(path)
+    path.write_text('{"beta": 3.0, "alpha": 0.5}')
+    assert load_config(path).beta == 3.0
 
 
 @pytest.mark.parametrize("key", ["target_mass", "sublevel_fraction"])

@@ -14,6 +14,7 @@ from hingedplate import (
     PlateSystem,
     StiffnessFactor,
     assemble_weighted_mass,
+    basis_matrix,
     random_admissible_density,
     rayleigh_quotient,
     solve_first,
@@ -38,12 +39,12 @@ GOLDEN_LAMBDA_UNIFORM = 0.966672598128245
 
 def _mass(system, values):
     """The weighted mass operator of node values, on the system's tables."""
-    return assemble_weighted_mass(system.basis, system.grid, values, system.S, system.L)
+    return assemble_weighted_mass(system, values)
 
 
 def _dense_mass(system, values):
     """M_p as a dense matrix: the operator applied to the identity."""
-    return _mass(system, values).apply(np.eye(system.basis.dimension))
+    return _mass(system, values).apply(np.eye(system.dimension))
 
 
 def uniform_plate_lambda_oracle(m: int, sigma: float, ell: float) -> float:
@@ -147,7 +148,7 @@ def test_mass_scaling_halves_lambda(small_system):
 def test_rayleigh_quotient_bounds(small_system, rng):
     p = uniform_density(small_system.grid, small_system.cfg)
     factor = small_system.factor
-    n = small_system.basis.dimension
+    n = small_system.dimension
     mass = _mass(small_system, p.values)
     Mp = mass.apply(np.eye(n))
     pair = small_system.solve_density(p)
@@ -292,7 +293,7 @@ def test_uniform_spectrum_matches_rayleigh_ritz(name):
     ref = _rayleigh_ritz(system.factor.blocks, c[:, None, None] * (wyL.T @ system.L))[0]
     theta = system.uniform_spectrum
     assert np.all(np.abs(theta - ref) <= 1e-13 * ref.max(axis=1, keepdims=True))
-    k = min(4, system.basis.dimension)
+    k = min(4, system.dimension)
     for contrast in (2.0, 12.0, 200.0, 1e4):
         kept = [np.flatnonzero(t[:, 0] <= 2.0 * contrast * np.sort(t, axis=None)[k - 1])
                 for t in (theta, ref)]
@@ -403,10 +404,10 @@ def test_positivity_and_edge_slopes(default_system, rng):
         pair = system.solve_density(p)
         uvals = system.grid_values(pair.u)
         assert uvals.min() > 0.0
-        s0 = pair.u @ system.basis.eval_matrix(
-            np.column_stack([np.zeros(ys.size), ys]), dx=1)
-        spi = pair.u @ system.basis.eval_matrix(
-            np.column_stack([np.full(ys.size, math.pi), ys]), dx=1)
+        s0 = pair.u @ basis_matrix(
+            system.cfg, np.column_stack([np.zeros(ys.size), ys]), dx=1)
+        spi = pair.u @ basis_matrix(
+            system.cfg, np.column_stack([np.full(ys.size, math.pi), ys]), dx=1)
         assert s0.min() > 0.0
         assert spi.max() < 0.0
 

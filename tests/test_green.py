@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -8,8 +9,8 @@ import pytest
 from hingedplate import (
     PlateConfig,
     PlateSystem,
-    SpectralBasis,
     apply,
+    basis_matrix,
     kernel,
     minimize,
     quadratic_form,
@@ -79,10 +80,10 @@ def test_inverse_consistency(default_system, rng):
 
 
 def test_kernel_symmetry_and_boundary(default_system, rng):
-    pts = interior_probe_points(default_system.grid, 8, 5)
+    pts = interior_probe_points(default_system, 8, 5)
     G = kernel(default_system, pts, pts)
     assert np.abs(G - G.T).max() <= 1e-13 * np.abs(G).max()
-    ys = np.linspace(-default_system.grid.ell, default_system.grid.ell, 5)
+    ys = np.linspace(-default_system.cfg.ell, default_system.cfg.ell, 5)
     for x_edge in (0.0, math.pi):
         edge = ([x_edge], ys)
         G_edge = kernel(default_system, edge, pts)
@@ -90,15 +91,15 @@ def test_kernel_symmetry_and_boundary(default_system, rng):
 
 
 def test_kernel_positive_on_probe_lattice(default_system):
-    pts = interior_probe_points(default_system.grid, 20, 10)
+    pts = interior_probe_points(default_system, 20, 10)
     G = kernel(default_system, pts, pts)
     assert G.shape == (200, 200)
     assert G.min() > 0.0
 
 
 def test_kernel_dx_signs(default_system):
-    probes = interior_probe_points(default_system.grid, 15, 7)
-    ys = np.linspace(-default_system.grid.ell, default_system.grid.ell, 5)
+    probes = interior_probe_points(default_system, 15, 7)
+    ys = np.linspace(-default_system.cfg.ell, default_system.cfg.ell, 5)
     assert kernel(default_system, ([0.0], ys), probes, dx=1).min() > 0.0
     assert kernel(default_system, ([math.pi], ys), probes, dx=1).max() < 0.0
     mid = kernel(default_system, ([math.pi / 2], ys), probes, dx=1)
@@ -111,7 +112,7 @@ def test_kernel_dx_signs(default_system):
 
 
 def test_reflection_identities_exact(default_system):
-    pts = interior_probe_points(default_system.grid, 10, 5)
+    pts = interior_probe_points(default_system, 10, 5)
     mirrored = (math.pi - pts[0], pts[1])
     G = kernel(default_system, pts, pts)
     G_pair = kernel(default_system, mirrored, mirrored)
@@ -122,7 +123,7 @@ def test_reflection_identities_exact(default_system):
 
 
 def test_reflection_gap_positive_inside_half(default_system):
-    half = interior_probe_points(default_system.grid, 12, 6, half_plane=True)
+    half = interior_probe_points(default_system, 12, 6, half_plane=True)
     assert reflection_gap(default_system, half) > 0.0
     # single interior pair keeps a visible margin
     single = ([math.pi / 4], [0.0])
@@ -146,18 +147,18 @@ def _dense_kernel(system, targets, sources, dx=0):
         xs, ys = (np.atleast_1d(np.asarray(a, dtype=float)) for a in lattice)
         return np.column_stack([np.repeat(xs, ys.size), np.tile(ys, xs.size)])
 
-    Bs = system.basis.eval_matrix(points(sources))
-    Bt = system.basis.eval_matrix(points(targets), dx=dx)
+    Bs = basis_matrix(system.cfg, points(sources))
+    Bt = basis_matrix(system.cfg, points(targets), dx=dx)
     return Bt.T @ system.factor.solve(Bs)
 
 
 @pytest.mark.parametrize("size", ["default", "dim-1600"])
 def test_kernel_matches_the_dense_reference(size, default_system, dim_1600_system):
     system = default_system if size == "default" else dim_1600_system
-    probes = interior_probe_points(system.grid, 20, 10)
+    probes = interior_probe_points(system, 20, 10)
     mirrored = (math.pi - probes[0], probes[1])
     point, other = ([1.0], [0.2]), ([2.0], [-0.3])
-    ys = np.linspace(-system.grid.ell, system.grid.ell, 7)
+    ys = np.linspace(-system.cfg.ell, system.cfg.ell, 7)
     pairs = [(probes, probes), (mirrored, probes), (probes, mirrored), (point, other),
              (probes, ([0.0], ys)), (probes, ([math.pi], ys))]
     scale = np.abs(kernel(system, probes, probes)).max()
@@ -208,10 +209,12 @@ def test_certify_green_builds_no_basis_matrix(dim_1600_system, monkeypatch):
     # (dimension x points) basis matrix, so the suite's working memory at
     # dim 1600 stays a few MB (21.8 MB with basis matrices and their K^-1
     # images)
-    def no_eval_matrix(self, *args, **kwargs):
+    def no_basis_matrix(*args, **kwargs):
         raise AssertionError("certify_green built a basis matrix")
 
-    monkeypatch.setattr(SpectralBasis, "eval_matrix", no_eval_matrix)
+    for key, module in list(sys.modules.items()):
+        if key.split(".")[0] == "hingedplate" and hasattr(module, "basis_matrix"):
+            monkeypatch.setattr(module, "basis_matrix", no_basis_matrix)
     tracemalloc.start()
     try:
         certify_green(dim_1600_system)

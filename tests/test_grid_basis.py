@@ -1,14 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
+import hingedplate.basis
 from hingedplate import (
     PlateConfig,
     PlateSystem,
     QuadratureGrid,
-    SpectralBasis,
+    basis_matrix,
     evaluate_on_grid,
 )
 from hingedplate.basis import _legendre_tables, _sine_table
@@ -23,11 +25,6 @@ def cfg():
 @pytest.fixture(scope="module")
 def grid(cfg):
     return QuadratureGrid.from_config(cfg)
-
-
-@pytest.fixture(scope="module")
-def basis(cfg):
-    return SpectralBasis.from_config(cfg)
 
 
 def _grid_points(grid):
@@ -99,51 +96,71 @@ def test_legendre_tables_match_per_column_loop(grid, cfg, n_funcs, max_deriv):
 
 
 def test_basis_dimension_and_index_map():
-    b1 = SpectralBasis.from_config(PlateConfig(n_modes_x=1, n_basis_y=1))
-    assert b1.dimension == 1
-    b20 = SpectralBasis.from_config(PlateConfig(n_modes_x=20, n_basis_y=12))
-    assert b20.dimension == 240
-    # row (m-1)*J + j of eval_matrix holds sin(m x) * P_j(y/ell)
-    J = b20.n_basis_y
+    assert PlateSystem(PlateConfig(n_modes_x=1, n_basis_y=1)).dimension == 1
+    c20 = PlateConfig(n_modes_x=20, n_basis_y=12)
+    assert PlateSystem(c20).dimension == 240
+    # row (m-1)*J + j of basis_matrix holds sin(m x) * P_j(y/ell)
+    J = c20.n_basis_y
     pts = np.array([[0.3, 0.1], [1.7, -0.4], [2.9, 0.6]])
-    rows = b20.eval_matrix(pts)
+    rows = basis_matrix(c20, pts)
     assert rows.shape == (240, 3)
     for m in (1, 2, 7, 20):
         for j in (0, 1, 4, 11):
-            ref = np.sin(m * pts[:, 0]) * _legendre(j, pts[:, 1] / b20.ell)
+            ref = np.sin(m * pts[:, 0]) * _legendre(j, pts[:, 1] / c20.ell)
             assert np.abs(rows[(m - 1) * J + j] - ref).max() < 1e-13
 
 
-def test_single_mode_evaluations(basis):
+def test_discretization_is_recorded_once():
+    # the config holds the counts and ell, the system the grid and tables:
+    # the basis module defines no class, and the grid holds nodes and weights only
+    assert [v for v in vars(hingedplate.basis).values()
+            if isinstance(v, type) and v.__module__ == "hingedplate.basis"] == []
+    assert [f.name for f in dataclasses.fields(QuadratureGrid)] == [
+        "nodes_x", "weights_x", "nodes_y", "weights_y"]
+    for c in (PlateConfig(n_modes_x=1, n_basis_y=1, n_quad_x=2, n_quad_y=1),
+              PlateConfig(n_modes_x=6, n_basis_y=5, n_quad_x=24, n_quad_y=12)):
+        assert PlateSystem(c).dimension == c.n_modes_x * c.n_basis_y
+    x = np.linspace(0.0, math.pi, 9)
+    for n in (1, 4):
+        for dx in (0, 1, 2):
+            table = _sine_table(n, x, dx)
+            assert table.shape == (n, x.size)
+            for m in range(1, n + 1):
+                ref = m**dx * np.sin(m * x + dx * math.pi / 2)  # d^dx/dx^dx sin(m x)
+                assert np.abs(table[m - 1] - ref).max() <= 1e-14 * m**dx
+
+
+def test_single_mode_evaluations(cfg):
     # coefficient 1 on (m=1, degree 0), flat index 0: field is sin(x)
-    c = np.zeros(basis.dimension)
+    dim = cfg.n_modes_x * cfg.n_basis_y
+    c = np.zeros(dim)
     c[0] = 1.0
-    assert (c @ basis.eval_matrix([[math.pi / 2, 0.0]]))[0] == pytest.approx(1.0, abs=1e-15)
-    assert (c @ basis.eval_matrix([[0.0, 0.1]], dx=1))[0] == pytest.approx(1.0, abs=1e-15)
+    assert (c @ basis_matrix(cfg, [[math.pi / 2, 0.0]]))[0] == pytest.approx(1.0, abs=1e-15)
+    assert (c @ basis_matrix(cfg, [[0.0, 0.1]], dx=1))[0] == pytest.approx(1.0, abs=1e-15)
     # m=2, flat index J, vanishes at x=pi/2
-    c2 = np.zeros(basis.dimension)
-    c2[basis.n_basis_y] = 1.0
-    assert abs((c2 @ basis.eval_matrix([[math.pi / 2, 0.3]]))[0]) < 1e-14
+    c2 = np.zeros(dim)
+    c2[cfg.n_basis_y] = 1.0
+    assert abs((c2 @ basis_matrix(cfg, [[math.pi / 2, 0.3]]))[0]) < 1e-14
 
 
-def test_fields_vanish_on_hinged_edges(basis, rng):
-    c = rng.standard_normal(basis.dimension)
-    ys = np.linspace(-basis.ell, basis.ell, 7)
+def test_fields_vanish_on_hinged_edges(cfg, rng):
+    c = rng.standard_normal(cfg.n_modes_x * cfg.n_basis_y)
+    ys = np.linspace(-cfg.ell, cfg.ell, 7)
     pts0 = np.column_stack([np.zeros(7), ys])
     ptspi = np.column_stack([np.full(7, math.pi), ys])
-    assert np.abs(c @ basis.eval_matrix(pts0)).max() < 1e-12
-    assert np.abs(c @ basis.eval_matrix(ptspi)).max() < 1e-12
+    assert np.abs(c @ basis_matrix(cfg, pts0)).max() < 1e-12
+    assert np.abs(c @ basis_matrix(cfg, ptspi)).max() < 1e-12
 
 
-def test_derivatives_match_finite_differences(basis, rng):
-    c = rng.standard_normal(basis.dimension)
+def test_derivatives_match_finite_differences(cfg, rng):
+    c = rng.standard_normal(cfg.n_modes_x * cfg.n_basis_y)
 
     def value(x, y):
-        return (c @ basis.eval_matrix([[x, y]]))[0]
+        return (c @ basis_matrix(cfg, [[x, y]]))[0]
 
-    pts = np.array([[1.0, 0.1], [2.0, -0.3], [0.7, 0.5 * basis.ell]])
-    ux = c @ basis.eval_matrix(pts, dx=1)
-    uy = c @ basis.eval_matrix(pts, dy=1)
+    pts = np.array([[1.0, 0.1], [2.0, -0.3], [0.7, 0.5 * cfg.ell]])
+    ux = c @ basis_matrix(cfg, pts, dx=1)
+    uy = c @ basis_matrix(cfg, pts, dy=1)
     h = 1e-6
     for k, (x, y) in enumerate(pts):
         fd_x = (value(x + h, y) - value(x - h, y)) / (2 * h)
@@ -158,17 +175,17 @@ def test_lattice_sampler_matches_eval_matrix(cfg, dx, dy, rng):
     # PlateSystem.grid_values, and on the x-lines of the edge and midline
     # slopes (x = 0, pi/2, pi at the grid's y nodes) from a sine table
     system = PlateSystem(cfg)
-    basis, grid = system.basis, system.grid
-    c = rng.standard_normal(basis.dimension)
+    grid = system.grid
+    c = rng.standard_normal(system.dimension)
     lines = np.array([0.0, math.pi / 2, math.pi])
     Xl, Yl = np.meshgrid(lines, grid.nodes_y, indexing="ij")
     cases = [
         (system.grid_values(c, dx=dx, dy=dy), _grid_points(grid)),
-        (evaluate_on_grid(c, _sine_table(basis.modes_x, lines, dx), system.y_tables[dy]),
+        (evaluate_on_grid(c, _sine_table(cfg.n_modes_x, lines, dx), system.y_tables[dy]),
          np.column_stack([Xl.ravel(), Yl.ravel()])),
     ]
     for sampled, pts in cases:
-        ref = c @ basis.eval_matrix(pts, dx=dx, dy=dy)
+        ref = c @ basis_matrix(cfg, pts, dx=dx, dy=dy)
         assert np.abs(sampled.ravel() - ref).max() <= 1e-13 * np.abs(ref).max()
 
 

@@ -300,11 +300,10 @@ def test_density_csv_roundtrip(tmp_path):
 
 def test_grid_csv_matches_csv_writer_reference(tmp_path):
     small = QuadratureGrid(nodes_x=np.array([-0.0, 5e-324, 1.0, 1e300]), weights_x=np.ones(4),
-                           nodes_y=np.array([-2.0, 0.0, 0.1]), weights_y=np.ones(3), ell=1.0)
+                           nodes_y=np.array([-2.0, 0.0, 0.1]), weights_y=np.ones(3))
     # 70 x-rows: more than two of the writer's blocks, the last one partial
     wide = QuadratureGrid(nodes_x=np.linspace(0.0, np.pi, 70), weights_x=np.ones(70),
-                          nodes_y=np.array([-0.5, -0.0, 1.0 / 3.0]), weights_y=np.ones(3),
-                          ell=1.0)
+                          nodes_y=np.array([-0.5, -0.0, 1.0 / 3.0]), weights_y=np.ones(3))
     cases = [
         (small, np.array([[-0.0, 5e-324, 1e300], [3.0, -2.0, 0.0],
                           [1.0 / 3.0, -1e-300, 2.0 ** 53], [np.inf, -np.inf, np.nan]])),

@@ -23,9 +23,9 @@ from hingedplate.optimize import LEFT_DOMINANT, RIGHT_DOMINANT, SYMMETRIC, Analy
 
 
 def _mode_field(system, terms):
-    c = np.zeros(system.basis.dimension)
+    c = np.zeros(system.dimension)
     for (m, j), coeff in terms.items():
-        c[(m - 1) * system.basis.n_basis_y + j] = coeff
+        c[(m - 1) * system.cfg.n_basis_y + j] = coeff
     return c
 
 

@@ -180,7 +180,8 @@ def test_energy_gap_cases(default_system, rng):
     assert abs(polarization_energy_gap(u_right, default_system)) <= 1e-10
 
     # genuinely mixed dominance: strictly positive gain
-    u_mix = np.sin(X) * (1 + 0.1 * np.cos(2 * Y)) + 0.3 * np.sin(2 * X) * (Y / grid.ell)
+    ell = default_system.cfg.ell
+    u_mix = np.sin(X) * (1 + 0.1 * np.cos(2 * Y)) + 0.3 * np.sin(2 * X) * (Y / ell)
     u_mix = u_mix - u_mix.min() + 0.05
     assert polarization_energy_gap(u_mix, default_system) > 1e-4
 
