@@ -2,13 +2,13 @@
 
 All writers format floats with repr so identical inputs give byte-identical
 files; the run manifest is the one record that carries wall-clock time and
-is therefore excluded from any byte-level comparison.  Rows are what the
-csv module's default dialect writes for those reprs: comma-separated,
-unquoted, CRLF line ends.  The field writers stream their rows a bounded
-piece at a time, never as one whole-file string, and take the reprs of
-many floats from one list repr.  The grid writer joins each block of rows
-in C; the vector and contour writers build their rows by map over
-str.format.
+is therefore excluded from any byte-level comparison.  Every CSV file goes
+through one row assembler, `_write_csv`: a writer only builds its columns,
+and the assembler writes what the csv module's default dialect would write
+for their cells (comma-separated, unquoted, CRLF line ends).  It writes a
+bounded block of rows at a time, never one whole-file string: the block's
+float cells come from one list repr, and its cells, commas and line ends
+are interleaved by slice assignment and joined in C.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from itertools import chain, count, repeat
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -26,36 +26,38 @@ from .config import InputError, PlateConfig
 from .grid import QuadratureGrid
 from .optimize import OptimizationTrace
 
+_BLOCK = 512  # rows per joined string; bounds the text held per write
 
-def _fmt(v) -> str:
-    return repr(float(v))
+
+def _reprs(values: np.ndarray) -> list:
+    """The repr of each float, from one list repr."""
+    return repr(values.tolist())[1:-1].split(", ") if values.size else []
+
+
+def _write_csv(path, header, columns) -> None:
+    """Write the header row, then row i of the cells at index i of every
+    column: a float ndarray column is formatted by repr one block at a
+    time, and any other column holds its cells as text."""
+    width = 2 * len(columns)  # pieces per row: each cell, then "," or "\r\n"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        for start in range(0, len(columns[0]), _BLOCK):
+            block = [col[start:start + _BLOCK] for col in columns]
+            pieces = [","] * (width * len(block[0]))
+            for k, cells in enumerate(block):
+                pieces[2 * k::width] = _reprs(cells) if isinstance(cells, np.ndarray) else cells
+            pieces[width - 1::width] = ["\r\n"] * len(block[0])
+            fh.write("".join(pieces))
 
 
 def write_grid_csv(path, grid: QuadratureGrid, values: np.ndarray,
                    value_name: str) -> None:
-    """Node dump with columns x, y, <value_name>; x-major node order.
-
-    Rows are what the csv module's default dialect writes for the repr of
-    each value: comma-separated, unquoted, CRLF line ends.  Each node
-    coordinate is formatted once, not once per row, and a block of x-rows
-    at a time is written as one string: its four columns of pieces (x, the
-    ",y," prefixes, the values from one list repr, the line ends) are
-    interleaved by slice assignment and joined in C.
-    """
-    block = 32  # x-rows per joined string; bounds the memory per write
+    """Node dump with columns x, y, <value_name>; x-major node order.  Each
+    node coordinate is formatted once, not once per row."""
     vals = np.asarray(values, dtype=float).reshape(grid.shape)
-    xs = list(map(repr, grid.nodes_x.tolist()))
-    ys = [f",{y!r}," for y in grid.nodes_y.tolist()]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(["x", "y", value_name])
-        for start in range(0, vals.shape[0], block):
-            rows = vals[start:start + block]
-            pieces = [""] * (4 * rows.size)
-            pieces[0::4] = [x for x in xs[start:start + len(rows)] for _ in ys]
-            pieces[1::4] = ys * len(rows)
-            pieces[2::4] = repr(rows.ravel().tolist())[1:-1].split(", ")
-            pieces[3::4] = ["\r\n"] * rows.size
-            fh.write("".join(pieces))
+    xs, ys = _reprs(grid.nodes_x), _reprs(grid.nodes_y)
+    _write_csv(path, ["x", "y", value_name],
+               [[x for x in xs for _ in ys], ys * len(xs), vals.ravel()])
 
 
 def read_density_csv(path, grid: QuadratureGrid) -> np.ndarray:
@@ -88,52 +90,47 @@ def _density_row(path, line: int, row: list) -> tuple:
 
 
 def write_vector_csv(path, name: str, values: np.ndarray) -> None:
-    """Columns index, <name>: one row per entry of the flattened values,
-    whose reprs come from one list repr."""
-    reprs = repr(np.asarray(values, dtype=float).ravel().tolist())[1:-1]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(["index", name])
-        if reprs:  # an empty vector has no rows; "".split(", ") would give one
-            fh.writelines(map("{},{}\r\n".format, count(), reprs.split(", ")))
+    """Columns index, <name>: one row per entry of the flattened values."""
+    vals = np.asarray(values, dtype=float).ravel()
+    _write_csv(path, ["index", name], [list(map(str, range(vals.size))), vals])
+
+
+def _field(records, name: str) -> np.ndarray:
+    return np.array([getattr(rec, name) for rec in records], dtype=float)
 
 
 def write_trace_csv(path, trace: OptimizationTrace) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "lambda1", "threshold_t", "S_measure",
-                         "density_change_measure"])
-        for rec in trace.records:
-            writer.writerow([
-                rec.iteration, _fmt(rec.lambda1), _fmt(rec.threshold_t),
-                _fmt(rec.sublevel_measure), _fmt(rec.density_change_measure),
-            ])
+    recs = trace.records
+    _write_csv(path, ["iter", "lambda1", "threshold_t", "S_measure", "density_change_measure"],
+               [[str(rec.iteration) for rec in recs]]
+               + [_field(recs, name) for name in ("lambda1", "threshold_t",
+                                                  "sublevel_measure", "density_change_measure")])
 
 
 def write_eigensolve_csv(path, trace: OptimizationTrace) -> None:
     """Per-sweep eigensolve diagnostics, one row per trace record; the gap
     cell is empty at dimension 1, which has no second eigenvalue."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "iterations", "residual", "gap"])
-        for rec in trace.records:
-            gap = _fmt(rec.gap) if np.isfinite(rec.gap) else ""
-            writer.writerow([rec.iteration, rec.solve_iterations, _fmt(rec.residual), gap])
+    recs = trace.records
+    gaps = _field(recs, "gap")
+    _write_csv(path, ["iter", "iterations", "residual", "gap"], [
+        [str(rec.iteration) for rec in recs], [str(rec.solve_iterations) for rec in recs],
+        _field(recs, "residual"),
+        [cell if finite else "" for cell, finite in zip(_reprs(gaps), np.isfinite(gaps))]])
 
 
 def write_contours_csv(path, levels, polylines_per_level) -> None:
-    """Iso-level polylines: one row per vertex, keyed by level and polyline.
-
-    Columns level, polyline, vertex, x, y; each polyline's rows are written
-    by one map over its vertices.
-    """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("level,polyline,vertex,x,y\r\n")
-        for level, polylines in zip(levels, polylines_per_level):
-            row = _fmt(level) + ",{},{},{},{}\r\n"
-            for pid, line in enumerate(polylines):
-                # x0, y0, x1, ... formatted by one list repr
-                xy = repr(list(map(float, chain.from_iterable(line))))[1:-1].split(", ")
-                fh.writelines(map(row.format, repeat(pid), count(), xy[0::2], xy[1::2]))
+    """Iso-level polylines, columns level, polyline, vertex, x, y: one row
+    per vertex.  Each level is formatted once, not once per vertex."""
+    level_col, pid_col, vertex_col, xy = [], [], [], []
+    for level, polylines in zip(_reprs(np.asarray(levels, dtype=float)), polylines_per_level):
+        for pid, line in enumerate(polylines):
+            level_col += [level] * len(line)
+            pid_col += [str(pid)] * len(line)
+            vertex_col += map(str, range(len(line)))
+            xy += chain.from_iterable(line)
+    xy = np.array(xy, dtype=float).reshape(-1, 2)
+    _write_csv(path, ["level", "polyline", "vertex", "x", "y"],
+               [level_col, pid_col, vertex_col, xy[:, 0], xy[:, 1]])
 
 
 def write_json(path, payload) -> None:

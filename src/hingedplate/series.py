@@ -49,7 +49,7 @@ _GENERATORS = {
     "geometric": lambda m: 0.5 ** m,
     "inverse-log": lambda m: 1.0 / np.log(m + 1.0),
     "power-0.5": lambda m: m ** -0.5,
-    "power-1": lambda m: m ** -1.0,
+    "power-1.5": lambda m: m ** -1.5,
     "power-2": lambda m: m ** -2.0,
 }
 

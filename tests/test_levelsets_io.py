@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hingedplate import PlateConfig, QuadratureGrid, uniform_density
 from hingedplate.io import (
+    _BLOCK,
     RunManifest,
     read_density_csv,
     write_contours_csv,
@@ -301,8 +302,10 @@ def test_density_csv_roundtrip(tmp_path):
 def test_grid_csv_matches_csv_writer_reference(tmp_path):
     small = QuadratureGrid(nodes_x=np.array([-0.0, 5e-324, 1.0, 1e300]), weights_x=np.ones(4),
                            nodes_y=np.array([-2.0, 0.0, 0.1]), weights_y=np.ones(3))
-    # 70 x-rows: more than two of the writer's blocks, the last one partial
     wide = QuadratureGrid(nodes_x=np.linspace(0.0, np.pi, 70), weights_x=np.ones(70),
+                          nodes_y=np.array([-0.5, -0.0, 1.0 / 3.0]), weights_y=np.ones(3))
+    nx = 2 * _BLOCK // 3 + 2  # 3 * nx rows: more than two of the writer's blocks
+    tall = QuadratureGrid(nodes_x=np.linspace(0.0, np.pi, nx), weights_x=np.ones(nx),
                           nodes_y=np.array([-0.5, -0.0, 1.0 / 3.0]), weights_y=np.ones(3))
     cases = [
         (small, np.array([[-0.0, 5e-324, 1e300], [3.0, -2.0, 0.0],
@@ -311,7 +314,10 @@ def test_grid_csv_matches_csv_writer_reference(tmp_path):
         (small, np.linspace(-1.0, 1.0, 12, dtype=np.float32)),
         (wide, np.resize(np.array(_SPECIAL), (70, 3))),
         (wide, np.random.default_rng(5).standard_normal((70, 3))),
+        (tall, np.resize(np.array(_SPECIAL), (nx, 3))),
+        (tall, np.random.default_rng(5).standard_normal((nx, 3))),
     ]
+    assert _crosses_blocks(tall.nodes_x.size * tall.nodes_y.size)
     for grid, values in cases:
         X, Y = grid.meshgrid()
         path, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
@@ -330,6 +336,11 @@ _SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e300, np.inf, -np.inf, np.nan, -np.nan,
             np.array(0x7FF8000000000001).view(float).item(), 1.0 / 3.0, 2.0 ** 53]
 
 
+def _crosses_blocks(n_rows: int) -> bool:
+    """More rows than two of the writer's blocks hold, the last block partial."""
+    return n_rows > 2 * _BLOCK and n_rows % _BLOCK != 0
+
+
 def _write_reference(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -344,7 +355,10 @@ def test_vector_csv_matches_csv_writer_reference(tmp_path):
         np.linspace(-1.0, 1.0, 7, dtype=np.float32),
         np.array([[1.5, -0.0], [0.0, 1.5]]),
         np.zeros(0),
+        np.resize(np.array(_SPECIAL), 2 * _BLOCK + 5),
+        np.random.default_rng(7).standard_normal(2 * _BLOCK + 5),
     ]
+    assert _crosses_blocks(cases[-1].size)
     for values in cases:
         path, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
         write_vector_csv(path, "coefficient", values)
@@ -357,6 +371,8 @@ def test_contours_csv_matches_csv_writer_reference(tmp_path):
     x = np.linspace(0.0, 1.0, 9)
     Z = np.add.outer(np.sin(3.0 * x), x ** 2)
     field_levels = level_bands(Z, 4)
+    long_xy = np.resize(np.array(_SPECIAL), (2 * _BLOCK + 10, 2))
+    long_xy[::3] = np.random.default_rng(3).standard_normal(long_xy[::3].shape)
     cases = [
         ([-0.0, 0.5, 1e300, np.nan, np.inf, 5e-324], [
             [[(-0.0, 0.0), (0.0, -0.0)]],                    # a two-vertex polyline
@@ -369,7 +385,11 @@ def test_contours_csv_matches_csv_writer_reference(tmp_path):
         ]),
         (field_levels, iso_contours(x, x, Z, field_levels)),
         ([], []),
+        # polylines that run across the writer's block ends
+        ([0.25, -0.0], [[long_xy[:_BLOCK + 3].tolist(), long_xy[_BLOCK + 3:_BLOCK + 10]],
+                        [[], list(map(tuple, long_xy[_BLOCK + 10:]))]]),
     ]
+    assert _crosses_blocks(len(long_xy))
     for levels, polylines_per_level in cases:
         path, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
         write_contours_csv(path, levels, polylines_per_level)
@@ -381,11 +401,11 @@ def test_contours_csv_matches_csv_writer_reference(tmp_path):
         assert path.read_bytes() == ref.read_bytes()
 
 
-def _special_trace() -> OptimizationTrace:
-    """Records whose float fields run through _SPECIAL; row 0 has the NaN
-    density change of a start, and the gaps end with the infinite gap of
-    dimension 1."""
-    values, gaps = _SPECIAL + [1.5, 0.5], _SPECIAL + [np.inf, 0.25]
+def _special_trace(repeats: int = 1) -> OptimizationTrace:
+    """Records whose float fields run through _SPECIAL `repeats` times; row 0
+    has the NaN density change of a start, and the gaps end with the
+    infinite gap of dimension 1."""
+    values, gaps = (_SPECIAL + [1.5, 0.5]) * repeats, (_SPECIAL + [np.inf, 0.25]) * repeats
     records = [
         TraceRecord(iteration=i, lambda1=v, threshold_t=t, sublevel_measure=np.float64(v),
                     density_change_measure=np.nan if i == 0 else v,
@@ -395,30 +415,37 @@ def _special_trace() -> OptimizationTrace:
                              final_eigenpair=None)
 
 
+# enough records for more than two of the writer's blocks
+_LONG_REPEATS = 2 * _BLOCK // 14 + 1
+
+
 def test_trace_csv_matches_csv_writer_reference(tmp_path):
-    trace = _special_trace()
-    path, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
-    write_trace_csv(path, trace)
-    _write_reference(ref, ["iter", "lambda1", "threshold_t", "S_measure",
-                           "density_change_measure"], [
-        [r.iteration] + [repr(float(v)) for v in (r.lambda1, r.threshold_t,
-                                                  r.sublevel_measure, r.density_change_measure)]
-        for r in trace.records])
-    assert path.read_bytes() == ref.read_bytes()
-    assert path.read_text().splitlines()[1].endswith(",nan")
+    for trace in (_special_trace(), _special_trace(_LONG_REPEATS)):
+        path, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        write_trace_csv(path, trace)
+        _write_reference(ref, ["iter", "lambda1", "threshold_t", "S_measure",
+                               "density_change_measure"], [
+            [r.iteration] + [repr(float(v)) for v in (r.lambda1, r.threshold_t,
+                                                      r.sublevel_measure,
+                                                      r.density_change_measure)]
+            for r in trace.records])
+        assert path.read_bytes() == ref.read_bytes()
+        assert path.read_text().splitlines()[1].endswith(",nan")
+    assert _crosses_blocks(len(trace.records))
 
 
 def test_eigensolve_csv_matches_csv_writer_reference(tmp_path):
-    trace = _special_trace()
-    path, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
-    write_eigensolve_csv(path, trace)
-    # a gap that is not finite (inf at dimension 1) is an empty cell
-    _write_reference(ref, ["iter", "iterations", "residual", "gap"], [
-        [r.iteration, r.solve_iterations, repr(float(r.residual)),
-         repr(float(r.gap)) if np.isfinite(r.gap) else ""]
-        for r in trace.records])
-    assert path.read_bytes() == ref.read_bytes()
-    assert path.read_text().splitlines()[-2].endswith(",")
+    for trace in (_special_trace(), _special_trace(_LONG_REPEATS)):
+        path, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        write_eigensolve_csv(path, trace)
+        # a gap that is not finite (inf at dimension 1) is an empty cell
+        _write_reference(ref, ["iter", "iterations", "residual", "gap"], [
+            [r.iteration, r.solve_iterations, repr(float(r.residual)),
+             repr(float(r.gap)) if np.isfinite(r.gap) else ""]
+            for r in trace.records])
+        assert path.read_bytes() == ref.read_bytes()
+        assert path.read_text().splitlines()[-2].endswith(",")
+    assert _crosses_blocks(len(trace.records))
 
 
 def test_density_csv_rejects_wrong_grid(tmp_path):

@@ -25,6 +25,9 @@ from hingedplate.series import (
 
 def test_sequence_families_admissible():
     assert len(DEFAULT_FAMILIES) == 6
+    # six distinct sequences, so the suite's families=6 certifies six
+    values = [sequence_family(tag, 20000).values for tag in DEFAULT_FAMILIES]
+    assert not any(np.array_equal(a, b) for i, a in enumerate(values) for b in values[:i])
     for tag in DEFAULT_FAMILIES:
         seq = sequence_family(tag, 200)
         assert np.all(seq.values > 0)
