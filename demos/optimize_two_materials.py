@@ -16,14 +16,14 @@ cfg = PlateConfig(n_modes_x=16, n_basis_y=10, n_quad_x=128, n_quad_y=48)
 system = PlateSystem(cfg)
 
 print("rearrangement loop from the left-heavy start")
-trace = minimize(system, strip_density(system.grid, system.cfg, "left"))
+trace = minimize(system, strip_density(system, "left"))
 print(f"{'sweep':>6} {'lambda1':>20} {'threshold t':>14} {'|S|':>10} {'changed':>10}")
 for rec in trace.records:
     print(f"{rec.iteration:>6} {rec.lambda1:>20.12f} {rec.threshold_t:>14.6f} "
           f"{rec.sublevel_measure:>10.6f} {rec.density_change_measure:>10.2e}")
 print(f"stopped: {trace.status}")
 
-uniform_trace = minimize(system, uniform_density(system.grid, system.cfg))
+uniform_trace = minimize(system, uniform_density(system))
 gap = abs(trace.final_lambda - uniform_trace.final_lambda) / uniform_trace.final_lambda
 print(f"\nuniform start reaches  {uniform_trace.final_lambda:.12f}")
 print(f"left-heavy start ends  {trace.final_lambda:.12f}   relative gap {gap:.1e}")

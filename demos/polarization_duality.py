@@ -22,10 +22,10 @@ from hingedplate import (
 cfg = PlateConfig()
 system = PlateSystem(cfg)
 
-p = uniform_density(system.grid, system.cfg)
+p = uniform_density(system)
 pair = system.solve_density(p)
 u = system.grid_values(pair.u)
-q = theta1_quotient(p, u, system)
+q = theta1_quotient(p, u)
 # bounds, not the rounding residues, which move with the last bits
 error = abs(q * pair.lambda1 - 1.0)
 error = "< 1e-12" if error < 1e-12 else f"= {error:.1e}"
@@ -36,7 +36,7 @@ rng = np.random.default_rng(3)
 worst = -np.inf
 for _ in range(200):
     v = rng.standard_normal(system.grid.shape)
-    worst = max(worst, theta1_quotient(p, v, system) * pair.lambda1)
+    worst = max(worst, theta1_quotient(p, v) * pair.lambda1)
 print(f"  best of 200 random trial fields: {worst:.6f}  (below 1)")
 
 X, Y = system.grid.meshgrid()

@@ -16,7 +16,7 @@ print(f"{'M':>4} {'J':>4} {'lambda1':>16} {'residual':>14}")
 for M, J in [(4, 4), (4, 8), (4, 12), (10, 12), (20, 12)]:
     cfg = PlateConfig(n_modes_x=M, n_basis_y=J)
     system = PlateSystem(cfg)
-    pair = system.solve_density(uniform_density(system.grid, system.cfg))
+    pair = system.solve_density(uniform_density(system))
     # a bound, not the residual itself, which moves with the last bits
     residual = (f"below {EIG_TOL:.0e}" if pair.residual < EIG_TOL
                 else f"{pair.residual:.2e}")
@@ -24,7 +24,7 @@ for M, J in [(4, 4), (4, 8), (4, 12), (10, 12), (20, 12)]:
 
 cfg = PlateConfig()
 system = PlateSystem(cfg)
-pair = system.solve_density(uniform_density(system.grid, system.cfg))
+pair = system.solve_density(uniform_density(system))
 u = system.grid_values(pair.u)
 
 print("\nfirst eigenfunction at the default resolution:")

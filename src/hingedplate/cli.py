@@ -58,10 +58,10 @@ def _load_cfg(args) -> PlateConfig:
 
 def _resolve_density(spec: str, system: PlateSystem) -> DensityField:
     if spec == "uniform":
-        return uniform_density(system.grid, system.cfg)
+        return uniform_density(system)
     values = read_density_csv(spec, system.grid)
     try:
-        return DensityField(system.grid, values, system.cfg)
+        return DensityField(system, values)
     except ValueError as exc:  # the file's values are not an admissible density
         raise InputError(f"density file {spec}: {exc}") from exc
 
@@ -109,9 +109,9 @@ def cmd_optimize(args) -> int:
     manifest = RunManifest("optimize", cfg, out)
     system = PlateSystem(cfg)
 
-    named = {"uniform": partial(uniform_density, system.grid, system.cfg),
-             "left-heavy": partial(strip_density, system.grid, system.cfg, "left"),
-             "right-heavy": partial(strip_density, system.grid, system.cfg, "right")}
+    named = {"uniform": partial(uniform_density, system),
+             "left-heavy": partial(strip_density, system, "left"),
+             "right-heavy": partial(strip_density, system, "right")}
     n_random = 0
     if args.init == "multistart":
         starts = [(name, build()) for name, build in list(named.items())[: args.starts]]
@@ -126,7 +126,7 @@ def cmd_optimize(args) -> int:
         # built only here: its first use imports numpy.random, which no
         # named or file start needs
         rng = np.random.default_rng(args.seed)
-        starts += [(f"random-{k}", random_admissible_density(system.grid, system.cfg, rng))
+        starts += [(f"random-{k}", random_admissible_density(system, rng))
                    for k in range(len(starts), len(starts) + n_random)]
 
     traces = {}

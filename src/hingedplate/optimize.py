@@ -19,7 +19,7 @@ import numpy as np
 from .assembly import StiffnessFactor, assemble_weighted_mass
 from .basis import _legendre_tables, _sine_table, evaluate_on_grid
 from .config import PlateConfig
-from .eigensolve import Eigenpair, SolverError, _sym, solve_first
+from .eigensolve import Eigenpair, SolverError, _rayleigh_ritz, solve_first
 from .grid import QuadratureGrid
 
 LEFT_DOMINANT = "LEFT_DOMINANT"
@@ -41,59 +41,60 @@ class AnalysisError(RuntimeError):
 class DensityField:
     """Admissible density: finite values in [alpha, beta], quadrature mass = area.
 
-    Checked on construction against `cfg`, the config it was made for; the
-    bounds are exact, with no slack: every density built here holds alpha,
-    beta, 1 or a value clipped to [alpha, beta], and a dump read back is
-    exact.  `gray_nodes` counts against the same bounds.
+    Made on `system`, the `PlateSystem` that solves it, and checked on
+    construction against its grid and config; the bounds are exact, with
+    no slack: every density built here holds alpha, beta, 1 or a value
+    clipped to [alpha, beta], and a dump read back is exact.  `gray_nodes`
+    counts against the same bounds.
     Bang-bang densities take only the two material values except for at
     most one gray node holding the value that makes the mass exact.
     """
 
-    grid: QuadratureGrid
+    system: PlateSystem
     values: np.ndarray
-    cfg: PlateConfig
 
     def __post_init__(self):
+        grid, cfg = self.system.grid, self.system.cfg
         vals = np.asarray(self.values, dtype=float)
-        if vals.shape != self.grid.shape:
+        if vals.shape != grid.shape:
             raise ValueError("density values do not match the grid")
         object.__setattr__(self, "values", vals)
         if not np.all(np.isfinite(vals)):
             raise ValueError("density values contain non-finite entries")
-        lo, hi = self.cfg.alpha, self.cfg.beta
+        lo, hi = cfg.alpha, cfg.beta
         if vals.min() < lo or vals.max() > hi:
             raise ValueError(
                 f"density range [{float(vals.min())!r}, {float(vals.max())!r}] violates "
                 f"bounds [{lo}, {hi}]"
             )
-        mass = self.grid.integrate(vals)
-        if abs(mass - self.cfg.target_mass) > 1e-10 * self.cfg.target_mass:
+        mass = grid.integrate(vals)
+        if abs(mass - cfg.target_mass) > 1e-10 * cfg.target_mass:
             raise ValueError(
-                f"density mass {mass!r} misses target {self.cfg.target_mass!r}"
+                f"density mass {mass!r} misses target {cfg.target_mass!r}"
             )
 
     @property
     def mass(self) -> float:
-        return self.grid.integrate(self.values)
+        return self.system.grid.integrate(self.values)
 
     def alpha_assignment(self) -> np.ndarray:
         """Boolean mask of nodes carrying the light material (gray counts as
         alpha when below the midpoint)."""
-        return self.values < 0.5 * (self.cfg.alpha + self.cfg.beta)
+        return self.values < 0.5 * (self.system.cfg.alpha + self.system.cfg.beta)
 
     def sublevel_measure(self) -> float:
-        return float(np.sum(self.grid.weights[self.alpha_assignment()]))
+        return float(np.sum(self.system.grid.weights[self.alpha_assignment()]))
 
     def gray_nodes(self) -> int:
-        return int(np.sum((self.values > self.cfg.alpha) & (self.values < self.cfg.beta)))
+        cfg = self.system.cfg
+        return int(np.sum((self.values > cfg.alpha) & (self.values < cfg.beta)))
 
 
-def uniform_density(grid: QuadratureGrid, cfg: PlateConfig) -> DensityField:
-    return DensityField(grid, np.ones(grid.shape), cfg)
+def uniform_density(system: PlateSystem) -> DensityField:
+    return DensityField(system, np.ones(system.grid.shape))
 
 
-def _fill_with_gray_node(order, grid: QuadratureGrid, cfg: PlateConfig,
-                         target_measure, fill, rest):
+def _fill_with_gray_node(order, system: PlateSystem, target_measure, fill, rest):
     """(flat density, gray node): `fill` on the first nodes of `order` up to
     `target_measure`, `rest` elsewhere, one gray node making the mass exact.
 
@@ -101,16 +102,16 @@ def _fill_with_gray_node(order, grid: QuadratureGrid, cfg: PlateConfig,
     order until the cumulative tensor weight reaches the target; the node
     straddling it, or the last if none does (beta = 1e100), is the gray node.
     """
-    cum = np.cumsum(grid.weights.ravel()[order])
+    cum = np.cumsum(system.grid.weights.ravel()[order])
     r = min(int(np.searchsorted(cum, target_measure)), order.size - 1)
     p = np.full(order.size, rest, dtype=float)
     p[order[:r]] = fill
     gray_node = int(order[r])
-    _close_mass(p, grid, cfg, gray_node)
+    _close_mass(p, system, gray_node)
     return p, gray_node
 
 
-def _close_mass(p_flat, grid: QuadratureGrid, cfg: PlateConfig, node):
+def _close_mass(p_flat, system: PlateSystem, node):
     """Set p_flat[node] to (target mass - mass of every other node) / w_node.
 
     The other nodes' mass is 0.5 * sum(q + q[::-1]) with q = w * p and the
@@ -123,14 +124,14 @@ def _close_mass(p_flat, grid: QuadratureGrid, cfg: PlateConfig, node):
     which it leaves only by the sum's rounding over w_node, when the cut
     falls on a node boundary (a strip of heavy share 1/2 ends at the midline).
     """
+    grid, cfg = system.grid, system.cfg
     p_flat[node] = 0.0
     q = grid.weights * p_flat.reshape(grid.shape)
     value = (cfg.target_mass - 0.5 * float(np.sum(q + q[::-1]))) / grid.weights.flat[node]
     p_flat[node] = min(cfg.beta, max(cfg.alpha, value))
 
 
-def bang_bang_from_values(values: np.ndarray, grid: QuadratureGrid,
-                          cfg: PlateConfig):
+def bang_bang_from_values(values: np.ndarray, system: PlateSystem):
     """Two-material density from node values: alpha on the low-value quantile.
 
     The sublevel set S collects nodes in ascending value, ties by flat node
@@ -143,14 +144,15 @@ def bang_bang_from_values(values: np.ndarray, grid: QuadratureGrid,
     tie, a signed zero or a NaN takes the stable sort, which carries the
     tie rule, at the cost of both sorts.
     """
+    cfg = system.cfg
     flat = values.ravel()
     target = cfg.sublevel_fraction * cfg.target_mass
     order = np.argsort(flat)
     ranked = flat[order]
     if not np.all(ranked[1:] > ranked[:-1]):
         order = np.argsort(flat, kind="stable")
-    p, gray_node = _fill_with_gray_node(order, grid, cfg, target, cfg.alpha, cfg.beta)
-    return DensityField(grid, p.reshape(grid.shape), cfg), float(flat[gray_node]) ** 2
+    p, gray_node = _fill_with_gray_node(order, system, target, cfg.alpha, cfg.beta)
+    return DensityField(system, p.reshape(system.grid.shape)), float(flat[gray_node]) ** 2
 
 
 def rearrange(u: np.ndarray, system: PlateSystem):
@@ -166,12 +168,12 @@ def rearrange(u: np.ndarray, system: PlateSystem):
             f"eigenfunction not strictly positive on the grid "
             f"(min {uvals.min():.3e}); cannot rearrange"
         )
-    return bang_bang_from_values(uvals, system.grid, system.cfg)
+    return bang_bang_from_values(uvals, system)
 
 
-def random_admissible_density(grid: QuadratureGrid, cfg: PlateConfig,
-                              rng: np.random.Generator) -> DensityField:
+def random_admissible_density(system: PlateSystem, rng: np.random.Generator) -> DensityField:
     """Uniformly random node values shifted and clipped to the exact mass."""
+    grid, cfg = system.grid, system.cfg
     raw = rng.uniform(cfg.alpha, cfg.beta, size=grid.shape)
     w = grid.weights
     lo, hi = cfg.alpha - cfg.beta, cfg.beta - cfg.alpha
@@ -191,12 +193,11 @@ def random_admissible_density(grid: QuadratureGrid, cfg: PlateConfig,
     # Bisection leaves a sub-1e-10 mass defect; the node nearest 1 strictly
     # inside (alpha, beta) absorbs it (one clipped at a bound might not).
     inside = (vals > cfg.alpha) & (vals < cfg.beta)
-    _close_mass(vals, grid, cfg, int(np.argmin(np.where(inside, np.abs(vals - 1.0), np.inf))))
-    return DensityField(grid, vals.reshape(grid.shape), cfg)
+    _close_mass(vals, system, int(np.argmin(np.where(inside, np.abs(vals - 1.0), np.inf))))
+    return DensityField(system, vals.reshape(grid.shape))
 
 
-def strip_density(grid: QuadratureGrid, cfg: PlateConfig,
-                  side: str) -> DensityField:
+def strip_density(system: PlateSystem, side: str) -> DensityField:
     """All heavy material packed against one short edge (an asymmetric start).
 
     The heavy strip gets the measure (1-alpha)/(beta-alpha) * area that the
@@ -206,10 +207,11 @@ def strip_density(grid: QuadratureGrid, cfg: PlateConfig,
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    grid, cfg = system.grid, system.cfg
     heavy_measure = (1.0 - cfg.alpha) / (cfg.beta - cfg.alpha) * cfg.target_mass
-    p = _fill_with_gray_node(np.arange(grid.weights.size), grid, cfg, heavy_measure,
+    p = _fill_with_gray_node(np.arange(grid.weights.size), system, heavy_measure,
                              cfg.beta, cfg.alpha)[0].reshape(grid.shape)
-    return DensityField(grid, p if side == "left" else p[::-1].copy(), cfg)
+    return DensityField(system, p if side == "left" else p[::-1].copy())
 
 
 @dataclass(frozen=True)
@@ -281,14 +283,11 @@ class PlateSystem:
         """Eigenvalues of the pencils (K_m, D_m) at p = 1; (n_modes_x, J).
 
         Every D_m is c_m G, with one y-Gram matrix G = L^T diag(wy) L and
-        c_m = sum_i wx_i S[m,i]^2, so one Cholesky factor G = R R^T serves
-        all modes: theta_{m,j} are the eigenvalues of R^-1 K_m R^-T over
-        c_m.  Like a Rayleigh-Ritz solve of each pencil, this carries an
-        absolute error of about eps * max_j theta_{m,j}; the two agree to
-        2.4e-15 of that scale at dim 1600 (relative 1.4e-8 at the smallest
-        value, m = j = 1).  The values set the eigensolver start's mode
-        bound, which has a factor 2 of slack, and the kept modes are the
-        same under both at every tested config and contrast.
+        c_m = sum_i wx_i S[m,i]^2, so theta_{m,j} are the eigenvalues of
+        the pencil (K_m, G) over c_m: one batched Rayleigh-Ritz solve, with
+        G broadcast over the modes.  They carry an absolute error of about
+        eps * max_j theta_{m,j} and set the eigensolver start's mode bound,
+        which has a factor 2 of slack.
 
         This is the operator's one definiteness check.  G is positive
         definite (n_quad_y >= n_basis_y), so theta_{m,j} > 0 for all j
@@ -300,11 +299,7 @@ class PlateSystem:
         """
         wyL = self.grid.weights_y[:, None] * self.L
         c = (self.S * self.S) @ self.grid.weights_x
-        try:
-            Ri = np.linalg.inv(np.linalg.cholesky(_sym(wyL.T @ self.L)))
-            theta = np.linalg.eigvalsh(_sym(Ri @ self.factor.blocks @ Ri.T)) / c[:, None]
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"uniform plate spectrum failed: {exc}") from exc
+        theta = _rayleigh_ritz(self.factor.blocks, wyL.T @ self.L)[0] / c[:, None]
         if not np.all(theta > 0.0):
             raise SolverError(f"uniform plate spectrum is not positive (minimum "
                               f"{np.min(theta):.3e}); the plate is too thin or too "
@@ -319,7 +314,10 @@ class PlateSystem:
         return evaluate_on_grid(u, fx, self.y_tables[dy])
 
     def solve_density(self, p: DensityField) -> Eigenpair:
-        """First pair at density p."""
+        """First pair at density p, which must be made on a system of this
+        config (equal configs build identical grids): ValueError otherwise."""
+        if p.system.cfg != self.cfg:
+            raise ValueError("density was made on a system of another config")
         return solve_first(self, assemble_weighted_mass(self, p.values))
 
     def load_vector(self, f: np.ndarray) -> np.ndarray:

@@ -39,17 +39,17 @@ def polarize(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def theta1_quotient(p: DensityField, v: np.ndarray, system: PlateSystem) -> float:
+def theta1_quotient(p: DensityField, v: np.ndarray) -> float:
     """Kernel form quotient int G(p v) p v / int p v^2 of trial node values v.
 
-    Maximized exactly by the first eigenfunction, where it equals the
-    inverse of the first eigenvalue.
+    Taken on p's own system; maximized exactly by the first eigenfunction,
+    where it equals the inverse of the first eigenvalue.
     """
-    w = p.grid.weights.ravel()
+    w = p.system.grid.weights.ravel()
     denom = float(np.sum(w * p.values.ravel() * v.ravel() ** 2))
     if denom <= 0.0:
         raise ValueError("trial field has vanishing weighted norm")
-    return quadratic_form(system, p.values * v) / denom
+    return quadratic_form(p.system, p.values * v) / denom
 
 
 def polarization_energy_gap(u: np.ndarray, system: PlateSystem) -> float:
@@ -59,9 +59,9 @@ def polarization_energy_gap(u: np.ndarray, system: PlateSystem) -> float:
     Expected nonnegative up to solver noise; zero exactly when the field is
     symmetric or entirely one-side dominant.
     """
-    p_u, _ = bang_bang_from_values(u, system.grid, system.cfg)
+    p_u, _ = bang_bang_from_values(u, system)
     u_h = polarize(u)
-    p_h, _ = bang_bang_from_values(u_h, system.grid, system.cfg)
+    p_h, _ = bang_bang_from_values(u_h, system)
     return quadratic_form(system, p_h.values * u_h) - quadratic_form(system, p_u.values * u)
 
 
@@ -89,8 +89,8 @@ def certify_polarization(system: PlateSystem) -> list:
         pair_h = u_h + u_h[::-1, :]
         pairsum_err = max(pairsum_err, float(np.abs(pair - pair_h).max()))
 
-        p_u, _ = bang_bang_from_values(u, grid, cfg)
-        p_h, _ = bang_bang_from_values(u_h, grid, cfg)
+        p_u, _ = bang_bang_from_values(u, system)
+        p_h, _ = bang_bang_from_values(u_h, system)
         load = p_u.values * u
         lhs = polarize(load)
         rhs = p_h.values * u_h
@@ -118,22 +118,22 @@ def certify_duality(system: PlateSystem) -> list:
     trial fields never exceed it."""
     rng = np.random.default_rng(DUALITY_SEED)
     densities = [
-        uniform_density(system.grid, system.cfg),
-        strip_density(system.grid, system.cfg, "left"),
-        strip_density(system.grid, system.cfg, "right"),
-    ] + [random_admissible_density(system.grid, system.cfg, rng) for _ in range(7)]
+        uniform_density(system),
+        strip_density(system, "left"),
+        strip_density(system, "right"),
+    ] + [random_admissible_density(system, rng) for _ in range(7)]
     res = f"densities={len(densities)}, trials={DUALITY_TRIALS}"
     worst_eig = 0.0
     worst_excess = -np.inf
     per_density = DUALITY_TRIALS // len(densities)
     for p in densities:
         pair = system.solve_density(p)
-        q = theta1_quotient(p, system.grid_values(pair.u), system)
+        q = theta1_quotient(p, system.grid_values(pair.u))
         worst_eig = max(worst_eig, abs(q * pair.lambda1 - 1.0))
         for _ in range(per_density):
             v = rng.standard_normal(system.grid.shape)
             worst_excess = max(worst_excess,
-                               theta1_quotient(p, v, system) - 1.0 / pair.lambda1)
+                               theta1_quotient(p, v) - 1.0 / pair.lambda1)
     return [
         make_report("duality-inverse-eigenvalue", len(densities), worst_eig, res),
         make_report("duality-trial-bound", len(densities) * per_density, worst_excess, res),

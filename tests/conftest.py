@@ -30,7 +30,7 @@ def default_system(default_cfg):
 
 @pytest.fixture(scope="session")
 def default_uniform_pair(default_system):
-    p = uniform_density(default_system.grid, default_system.cfg)
+    p = uniform_density(default_system)
     return default_system.solve_density(p)
 
 

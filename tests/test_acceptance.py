@@ -46,10 +46,10 @@ SWEEP_CFGS = [
 def _four_starts(system, seed):
     rng = np.random.default_rng(seed)
     return [
-        ("uniform", uniform_density(system.grid, system.cfg)),
-        ("left", strip_density(system.grid, system.cfg, "left")),
-        ("right", strip_density(system.grid, system.cfg, "right")),
-        ("random", random_admissible_density(system.grid, system.cfg, rng)),
+        ("uniform", uniform_density(system)),
+        ("left", strip_density(system, "left")),
+        ("right", strip_density(system, "right")),
+        ("random", random_admissible_density(system, rng)),
     ]
 
 

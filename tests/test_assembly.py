@@ -169,7 +169,7 @@ def test_mass_matrix_matches_dense_basis_product(system, cfg, rng):
     # oracle: the explicit (dimension, n_nodes) basis table contracted with
     # itself, against the operator's products and its diagonal blocks
     grid = system.grid
-    p = random_admissible_density(grid, cfg, rng)
+    p = random_admissible_density(system, rng)
     M = assemble_weighted_mass(system, p.values)
     X, Y = grid.meshgrid()
     phi = basis_matrix(cfg, np.column_stack([X.ravel(), Y.ravel()]))
@@ -204,8 +204,8 @@ def test_mass_moments_symmetric_and_match_batched_reference(config):
     # reference: the per-node batched products wx_i L^T diag(wy p_i) L, symmetrized
     system = PlateSystem(PlateConfig(**config))
     L = system.L
-    for p in (strip_density(system.grid, system.cfg, "left"),
-              random_admissible_density(system.grid, system.cfg, np.random.default_rng(19))):
+    for p in (strip_density(system, "left"),
+              random_admissible_density(system, np.random.default_rng(19))):
         A = assemble_weighted_mass(system, p.values).A
         wpL = (system.grid.weights * p.values)[:, :, None] * L
         ref = np.matmul(wpL.transpose(0, 2, 1), L)
@@ -239,7 +239,7 @@ def test_solve_builds_no_dense_mass_matrix():
     # dim 1600 on 80 x 20 nodes: a dense float64 M_p would take 20.5 MB
     cfg = PlateConfig(n_modes_x=80, n_basis_y=20, n_quad_x=80, n_quad_y=20)
     system = PlateSystem(cfg)
-    p = strip_density(system.grid, system.cfg, "left")
+    p = strip_density(system, "left")
     dim = system.dimension
     tracemalloc.start()
     try:

@@ -23,7 +23,7 @@ from hingedplate import (
 )
 from hingedplate.assembly import AssemblyError
 from hingedplate.cli import main
-from hingedplate.io import write_grid_csv, write_json
+from hingedplate.io import write_grid_csv, write_json, write_trace_csv
 from hingedplate.optimize import AnalysisError, random_admissible_density
 
 SMALL = {"n_modes_x": 8, "n_basis_y": 6, "n_quad_x": 32, "n_quad_y": 16}
@@ -218,11 +218,10 @@ def test_optimize_summary_is_the_analysis_record(tmp_path, small_config_file):
     assert main(["optimize", "--config", str(small_config_file), "--out", str(out),
                  "--starts", "4", "--seed", "3"]) == 0
     system = PlateSystem(PlateConfig(**SMALL))
-    grid, cfg = system.grid, system.cfg
-    starts = {"uniform": uniform_density(grid, cfg),
-              "left-heavy": strip_density(grid, cfg, "left"),
-              "right-heavy": strip_density(grid, cfg, "right"),
-              "random-3": random_admissible_density(grid, cfg, np.random.default_rng(3))}
+    starts = {"uniform": uniform_density(system),
+              "left-heavy": strip_density(system, "left"),
+              "right-heavy": strip_density(system, "right"),
+              "random-3": random_admissible_density(system, np.random.default_rng(3))}
     record = analyze_optimum(system, {n: minimize(system, p) for n, p in starts.items()})
     write_json(tmp_path / "record.json", record)
     assert (tmp_path / "record.json").read_bytes() == \
@@ -282,7 +281,7 @@ def test_optimize_single_named_start(tmp_path, small_config_file, monkeypatch):
         original = getattr(hingedplate.cli, name)
 
         def recording(*args, _name=name, _original=original):
-            built.append((_name,) + args[2:])
+            built.append((_name,) + args[1:])
             return _original(*args)
 
         monkeypatch.setattr(hingedplate.cli, name, recording)
@@ -344,8 +343,21 @@ def test_random_start_is_first_draw_of_seeded_generator(tmp_path, small_config_f
     assert main(["optimize", "--config", str(small_config_file), "--out", str(tmp_path / "o"),
                  "--starts", "4", "--seed", "5"]) == 0
     system, density = started[3]
-    ref = random_admissible_density(system.grid, system.cfg, np.random.default_rng(5))
+    ref = random_admissible_density(system, np.random.default_rng(5))
     assert np.array_equal(density.values.view(np.int64), ref.values.view(np.int64))
+
+
+def test_optimize_random_init_runs_the_seeded_start(tmp_path, small_config_file):
+    # --init random runs one start, random-0, from the seeded generator's
+    # first draw: its trace is minimize's on that density, byte for byte
+    out = tmp_path / "opt"
+    assert main(["optimize", "--config", str(small_config_file), "--out", str(out),
+                 "--init", "random", "--seed", "5"]) == 0
+    assert [p.name for p in out.iterdir() if p.is_dir()] == ["random-0"]
+    system = PlateSystem(PlateConfig(**SMALL))
+    trace = minimize(system, random_admissible_density(system, np.random.default_rng(5)))
+    write_trace_csv(tmp_path / "trace.csv", trace)
+    assert (tmp_path / "trace.csv").read_bytes() == (out / "random-0" / "trace.csv").read_bytes()
 
 
 def test_optimize_deterministic(tmp_path, small_config_file):

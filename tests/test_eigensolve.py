@@ -93,7 +93,7 @@ def test_uniform_plate_convergence_study():
     for M in (10, 12, 14, 16, 18, 20):
         cfg = PlateConfig(n_modes_x=M, n_basis_y=12)
         system = PlateSystem(cfg)
-        pair = system.solve_density(uniform_density(system.grid, system.cfg))
+        pair = system.solve_density(uniform_density(system))
         values.append(pair.lambda1)
     for a, b in zip(values, values[1:]):
         assert b <= a * (1 + 1e-12)
@@ -107,7 +107,7 @@ def test_uniform_plate_matches_ode_oracle_in_y_resolution():
     for J in (6, 8, 12):
         cfg = PlateConfig(n_modes_x=4, n_basis_y=J)
         system = PlateSystem(cfg)
-        pair = system.solve_density(uniform_density(system.grid, system.cfg))
+        pair = system.solve_density(uniform_density(system))
         err = abs(pair.lambda1 - oracle) / oracle
         assert pair.lambda1 >= oracle * (1 - 1e-12)  # variational upper bound
         assert err <= prev_err * (1 + 1e-12)
@@ -146,7 +146,7 @@ def test_mass_scaling_halves_lambda(small_system):
 
 
 def test_rayleigh_quotient_bounds(small_system, rng):
-    p = uniform_density(small_system.grid, small_system.cfg)
+    p = uniform_density(small_system)
     factor = small_system.factor
     n = small_system.dimension
     mass = _mass(small_system, p.values)
@@ -168,9 +168,9 @@ def test_rayleigh_quotient_bounds(small_system, rng):
 
 def _densities(system, rng):
     return [
-        uniform_density(system.grid, system.cfg),
-        strip_density(system.grid, system.cfg, "left"),
-        random_admissible_density(system.grid, system.cfg, rng),
+        uniform_density(system),
+        strip_density(system, "left"),
+        random_admissible_density(system, rng),
     ]
 
 
@@ -211,11 +211,11 @@ def test_random_small_configs_match_dense_oracle(sigma, ell, alpha, beta, n_mode
                       n_basis_y=n_basis_y, n_quad_x=16, n_quad_y=8)
     system = PlateSystem(cfg)
     if kind == "uniform":
-        p = uniform_density(system.grid, system.cfg)
+        p = uniform_density(system)
     elif kind == "random":
-        p = random_admissible_density(system.grid, system.cfg, np.random.default_rng(seed))
+        p = random_admissible_density(system, np.random.default_rng(seed))
     else:
-        p = strip_density(system.grid, system.cfg, kind)
+        p = strip_density(system, kind)
     _assert_matches_dense_oracle(system, p)
 
 
@@ -272,9 +272,9 @@ def test_certified_start_is_the_all_mode_start(name):
     X, _ = grid.meshgrid()
     bands = (np.abs(X - np.pi / 3) < 0.1) | (np.abs(X - 2 * np.pi / 3) < 0.1)
     densities = [p.values for p in (
-        uniform_density(grid, cfg), strip_density(grid, cfg, "left"),
-        strip_density(grid, cfg, "right"),
-        random_admissible_density(grid, cfg, np.random.default_rng(7)))]
+        uniform_density(system), strip_density(system, "left"),
+        strip_density(system, "right"),
+        random_admissible_density(system, np.random.default_rng(7)))]
     for values in densities + [np.where(bands, cfg.beta, cfg.alpha)]:
         mass = _mass(system, values)
         for k in (3, 4):
@@ -284,8 +284,8 @@ def test_certified_start_is_the_all_mode_start(name):
 
 @pytest.mark.parametrize("name", sorted(START_CONFIGS))
 def test_uniform_spectrum_matches_rayleigh_ritz(name):
-    # one y-Gram factor for all modes against a generalized Rayleigh-Ritz
-    # solve of each pencil (K_m, D_m(1)): both carry an absolute error of
+    # the pencils (K_m, G) over c_m against a Rayleigh-Ritz solve of each
+    # pencil (K_m, D_m(1)) = (K_m, c_m G): both carry an absolute error of
     # about eps * max_j theta_{m,j}, and the start keeps the same modes
     system = PlateSystem(PlateConfig(**START_CONFIGS[name]))
     wyL = system.grid.weights_y[:, None] * system.L
@@ -332,7 +332,7 @@ def test_certified_start_projects_few_modes_at_dim_1600(monkeypatch):
 
     monkeypatch.setattr("hingedplate.eigensolve._rayleigh_ritz", recording)
     for side in ("left", "right"):
-        system.solve_density(strip_density(system.grid, system.cfg, side))
+        system.solve_density(strip_density(system, side))
     assert len(projected) == 2
     assert max(projected) <= 5
 
@@ -364,13 +364,13 @@ def test_orientation_takes_no_grid_pass(small_system, rng, count_calls):
 def test_uniform_density_converges_in_one_step(small_system, default_uniform_pair):
     # for p = 1 the mass matrix is block diagonal to rounding, so the start
     # block already holds the uniform plate's modes
-    p = uniform_density(small_system.grid, small_system.cfg)
+    p = uniform_density(small_system)
     assert small_system.solve_density(p).iterations <= 1
     assert default_uniform_pair.iterations <= 1
 
 
 def test_step_cap_raises_solver_error(small_system, monkeypatch, tmp_path):
-    p = strip_density(small_system.grid, small_system.cfg, "left")
+    p = strip_density(small_system, "left")
     assert small_system.solve_density(p).iterations > 0
     monkeypatch.setattr("hingedplate.eigensolve.MAX_STEPS", 0)
     with pytest.raises(SolverError, match="not converged") as failure:
@@ -395,9 +395,9 @@ def test_positivity_and_edge_slopes(default_system, rng):
 
     system = default_system
     densities = [
-        uniform_density(system.grid, system.cfg),
-        strip_density(system.grid, system.cfg, "left"),
-        random_admissible_density(system.grid, system.cfg, rng),
+        uniform_density(system),
+        strip_density(system, "left"),
+        random_admissible_density(system, rng),
     ]
     ys = system.grid.nodes_y
     for p in densities:
@@ -427,13 +427,13 @@ def test_degenerate_single_y_function():
     # J = 1 keeps only the constant cross profile: pure sin(m x) fields
     cfg = PlateConfig(n_modes_x=6, n_basis_y=1, n_quad_x=32, n_quad_y=8)
     system = PlateSystem(cfg)
-    pair = system.solve_density(uniform_density(system.grid, system.cfg))
+    pair = system.solve_density(uniform_density(system))
     assert pair.lambda1 > 0.0
     assert pair.residual <= EIG_TOL
     # richer y resolution can only lower the minimum
     cfg12 = PlateConfig(n_modes_x=6, n_basis_y=12, n_quad_x=32, n_quad_y=24)
     system12 = PlateSystem(cfg12)
-    pair12 = system12.solve_density(uniform_density(system12.grid, system12.cfg))
+    pair12 = system12.solve_density(uniform_density(system12))
     assert pair12.lambda1 <= pair.lambda1 * (1 + 1e-12)
 
 

@@ -232,7 +232,7 @@ def test_load_vector_reuses_the_system_tables(small_system, rng, count_calls):
     for _ in range(3):
         quadratic_form(small_system, rng.standard_normal(small_system.grid.shape))
     assert built == [] and sampled == []
-    trace = minimize(small_system, uniform_density(small_system.grid, small_system.cfg))
+    trace = minimize(small_system, uniform_density(small_system))
     assert built == [] and len(sampled) == len(trace.records)  # one rearrange a sweep
     sampled.clear()
     certify_positivity_preserving(small_system)

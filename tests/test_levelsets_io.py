@@ -470,7 +470,7 @@ def test_writers_are_deterministic(tmp_path, small_system):
     from hingedplate import minimize
 
     trace = minimize(small_system,
-                     uniform_density(small_system.grid, small_system.cfg))
+                     uniform_density(small_system))
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_trace_csv(a, trace)
     write_trace_csv(b, trace)

@@ -1,5 +1,6 @@
+import inspect
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hingedplate import (
     DensityField,
     PlateConfig,
     PlateSystem,
-    QuadratureGrid,
     analyze_optimum,
     bang_bang_from_values,
     midline_slope_check,
@@ -20,6 +20,7 @@ from hingedplate import (
     uniform_density,
 )
 from hingedplate.optimize import LEFT_DOMINANT, RIGHT_DOMINANT, SYMMETRIC, AnalysisError
+from hingedplate.polarization import theta1_quotient
 
 
 def _mode_field(system, terms):
@@ -50,7 +51,7 @@ def test_rearrange_sine_strip_threshold(small_system):
 def test_rearrange_constant_tie_break(small_system):
     # all nodes tie: lexicographic order admits whole low-x columns first
     system = small_system
-    density, t = bang_bang_from_values(np.ones(system.grid.shape), system.grid, system.cfg)
+    density, t = bang_bang_from_values(np.ones(system.grid.shape), system)
     assert t == pytest.approx(1.0)
     assign = density.alpha_assignment()
     per_column = assign.all(axis=1) | (~assign).any(axis=1)
@@ -74,8 +75,8 @@ def test_fill_order_is_lexsort_on_value_x_y(small_system, rng, monkeypatch, cfg)
     # the stable sort on the value alone orders nodes as the (value, x, y)
     # lexsort does, on fields with no ties, many ties, signed zeros and
     # exact mirror symmetry; the density is the lexsort fill bit for bit
-    grid = small_system.grid if cfg is None else QuadratureGrid.from_config(cfg)
-    cfg = small_system.cfg if cfg is None else cfg
+    system = small_system if cfg is None else PlateSystem(cfg)
+    grid, cfg = system.grid, system.cfg
     fill = hingedplate.optimize._fill_with_gray_node
     orders = []
     monkeypatch.setattr(hingedplate.optimize, "_fill_with_gray_node",
@@ -89,10 +90,10 @@ def test_fill_order_is_lexsort_on_value_x_y(small_system, rng, monkeypatch, cfg)
         "constant": np.ones(grid.shape),
     }
     for name, vals in fields.items():
-        density, _ = bang_bang_from_values(vals, grid, cfg)
+        density, _ = bang_bang_from_values(vals, system)
         ref = _lexsort_order(grid, vals.ravel())
         assert np.array_equal(orders.pop(), ref), name
-        p, _ = fill(ref, grid, cfg, cfg.sublevel_fraction * cfg.target_mass,
+        p, _ = fill(ref, system, cfg.sublevel_fraction * cfg.target_mass,
                     cfg.alpha, cfg.beta)
         assert np.array_equal(density.values.ravel().view(np.int64), p.view(np.int64)), name
 
@@ -109,7 +110,7 @@ def test_rearranged_density_is_admissible(small_system, rng):
     area = system.cfg.target_mass
     for _ in range(10):
         vals = rng.uniform(0.05, 2.0, size=system.grid.shape)
-        density, t = bang_bang_from_values(vals, system.grid, system.cfg)
+        density, t = bang_bang_from_values(vals, system)
         assert density.mass == pytest.approx(area, rel=1e-12)
         assert density.gray_nodes() <= 1
         target = system.cfg.sublevel_fraction * area
@@ -120,11 +121,11 @@ def test_rearranged_density_when_the_light_share_rounds_to_one(small_cfg, rng):
     # at beta = 1e100 the light share (beta-1)/(beta-alpha) is 1.0 in double
     # precision: every node but the highest-valued one takes alpha, and that
     # gray node carries the remaining mass
-    grid = QuadratureGrid.from_config(small_cfg)
-    cfg = replace(small_cfg, beta=1e100)
+    system = PlateSystem(replace(small_cfg, beta=1e100))
+    cfg = system.cfg
     assert cfg.sublevel_fraction == 1.0
-    vals = rng.uniform(0.05, 2.0, size=grid.shape)
-    density, t = bang_bang_from_values(vals, grid, cfg)
+    vals = rng.uniform(0.05, 2.0, size=system.grid.shape)
+    density, t = bang_bang_from_values(vals, system)
     top = np.argmax(vals)
     assert t == vals.flat[top] ** 2
     assert np.all(np.delete(density.values.ravel(), top) == cfg.alpha)
@@ -136,17 +137,17 @@ def test_rearrange_maximizes_weighted_mass(small_system, rng):
     # the returned density beats 200 random admissible competitors on int p u^2
     system = small_system
     vals = rng.uniform(0.05, 2.0, size=system.grid.shape)
-    density, _ = bang_bang_from_values(vals, system.grid, system.cfg)
+    density, _ = bang_bang_from_values(vals, system)
     w = system.grid.weights
     best = np.sum(w * density.values * vals ** 2)
     for _ in range(200):
-        q = random_admissible_density(system.grid, system.cfg, rng)
+        q = random_admissible_density(system, rng)
         assert best >= np.sum(w * q.values * vals ** 2) - 1e-10 * best
 
 
 def test_one_rearrangement_step_decreases_lambda(small_system, rng):
     system = small_system
-    p = random_admissible_density(system.grid, system.cfg, rng)
+    p = random_admissible_density(system, rng)
     pair = system.solve_density(p)
     p_next, _ = rearrange(pair.u, system)
     pair_next = system.solve_density(p_next)
@@ -164,7 +165,7 @@ def test_minimize_trace_monotone_and_admissible(small_system, monkeypatch):
         return density, t
 
     monkeypatch.setattr(hingedplate.optimize, "rearrange", spy)
-    trace = minimize(system, uniform_density(system.grid, system.cfg))
+    trace = minimize(system, uniform_density(system))
     assert trace.status in ("fixed_point", "lambda_stagnant")
     lams = [r.lambda1 for r in trace.records]
     assert all(b <= a * (1 + 1e-10) for a, b in zip(lams, lams[1:]))
@@ -179,7 +180,7 @@ def test_minimize_trace_monotone_and_admissible(small_system, monkeypatch):
 
 def test_minimize_single_iteration_cap(small_system, monkeypatch):
     monkeypatch.setattr("hingedplate.optimize.MAX_SWEEPS", 1)
-    start = strip_density(small_system.grid, small_system.cfg, "left")
+    start = strip_density(small_system, "left")
     trace = minimize(small_system, start)
     assert trace.status == "max_iter"
     assert len(trace.records) == 2  # starting solve plus the capped sweep
@@ -194,10 +195,10 @@ def test_multistart_reaches_common_limit(rng):
     cfg = PlateConfig(n_modes_x=16, n_basis_y=10, n_quad_x=192, n_quad_y=64)
     system = PlateSystem(cfg)
     starts = [
-        uniform_density(system.grid, system.cfg),
-        strip_density(system.grid, system.cfg, "left"),
-        strip_density(system.grid, system.cfg, "right"),
-        random_admissible_density(system.grid, system.cfg, rng),
+        uniform_density(system),
+        strip_density(system, "left"),
+        strip_density(system, "right"),
+        random_admissible_density(system, rng),
     ]
     names = ["uniform", "left-heavy", "right-heavy", "random"]
     record = analyze_optimum(system, {n: minimize(system, p) for n, p in zip(names, starts)})
@@ -212,8 +213,8 @@ def test_multistart_reaches_common_limit(rng):
 
 def test_analyze_optimum_tie_goes_to_the_first_start(small_system):
     system = small_system
-    left = minimize(system, strip_density(system.grid, system.cfg, "left"))
-    right = minimize(system, strip_density(system.grid, system.cfg, "right"))
+    left = minimize(system, strip_density(system, "left"))
+    right = minimize(system, strip_density(system, "right"))
     # the right start's trace closing on the left start's eigenvalue: an exact tie
     tied = replace(right, records=right.records[:-1]
                    + [replace(right.records[-1], lambda1=left.final_lambda)])
@@ -289,14 +290,14 @@ def test_density_field_validation(small_system):
     vals = np.ones(system.grid.shape)
     vals[0, 0] = 4.0  # above beta
     with pytest.raises(ValueError, match="bounds"):
-        DensityField(system.grid, vals, system.cfg)
+        DensityField(system, vals)
     vals = np.ones(system.grid.shape)
     vals[0, 0] = 0.4  # below alpha, still positive
     with pytest.raises(ValueError, match="bounds"):
-        DensityField(system.grid, vals, system.cfg)
+        DensityField(system, vals)
     vals = np.full(system.grid.shape, 1.2)  # wrong mass
     with pytest.raises(ValueError, match="mass"):
-        DensityField(system.grid, vals, system.cfg)
+        DensityField(system, vals)
 
 
 def test_density_bounds_are_exact(small_system):
@@ -304,9 +305,9 @@ def test_density_bounds_are_exact(small_system):
     # ulp past either bound is rejected, and one ulp inside makes a second
     # gray node
     cfg = small_system.cfg
-    vals = strip_density(small_system.grid, cfg, "left").values
+    vals = strip_density(small_system, "left").values
     assert vals.min() == cfg.alpha and vals.max() == cfg.beta
-    assert DensityField(small_system.grid, vals, cfg).gray_nodes() == 1
+    assert DensityField(small_system, vals).gray_nodes() == 1
 
     def nudged(bound, toward):
         out = vals.copy()
@@ -315,9 +316,9 @@ def test_density_bounds_are_exact(small_system):
 
     for bound, beyond in ((cfg.alpha, 0.0), (cfg.beta, np.inf)):
         with pytest.raises(ValueError, match="bounds"):
-            DensityField(small_system.grid, nudged(bound, beyond), cfg)
+            DensityField(small_system, nudged(bound, beyond))
     for bound in (cfg.alpha, cfg.beta):
-        assert DensityField(small_system.grid, nudged(bound, 1.0), cfg).gray_nodes() == 2
+        assert DensityField(small_system, nudged(bound, 1.0)).gray_nodes() == 2
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -327,12 +328,47 @@ def test_density_field_rejects_non_finite(small_system, bad):
     vals = np.ones(system.grid.shape)
     vals[3, 2] = bad
     with pytest.raises(ValueError, match="density values contain non-finite"):
-        DensityField(system.grid, vals, system.cfg)
+        DensityField(system, vals)
+
+
+def test_a_density_is_made_on_its_system():
+    # the system is a density's one record of its grid and config: no
+    # density function takes either on its own
+    assert [f.name for f in fields(DensityField)] == ["system", "values"]
+    module = hingedplate.optimize
+    funcs = [fn for name, fn in vars(module).items() if inspect.isfunction(fn)
+             and fn.__module__ == module.__name__ and not name.startswith("_")]
+    funcs += [module._fill_with_gray_node, module._close_mass, theta1_quotient]
+    assert uniform_density in funcs and bang_bang_from_values in funcs
+    for fn in funcs:
+        assert not {"grid", "cfg"} & set(inspect.signature(fn).parameters), fn.__name__
+
+
+def test_solve_rejects_a_density_made_on_another_config(small_system):
+    # a beta = 10 strip on the same grid holds values above this system's
+    # beta = 3; solving it here would mix two plates
+    other = PlateSystem(replace(small_system.cfg, beta=10.0))
+    p = strip_density(other, "left")
+    assert p.values.max() > small_system.cfg.beta
+    with pytest.raises(ValueError, match="another config"):
+        small_system.solve_density(p)
+    with pytest.raises(ValueError, match="another config"):
+        minimize(small_system, p)
+
+
+def test_solve_accepts_a_density_made_on_an_equal_system(small_system):
+    # equal configs build identical grids, so a separately built system's
+    # density solves as this system's own does, bit for bit
+    twin = PlateSystem(replace(small_system.cfg))
+    assert twin is not small_system
+    pair = small_system.solve_density(strip_density(twin, "left"))
+    own = small_system.solve_density(strip_density(small_system, "left"))
+    assert pair.lambda1 == own.lambda1 and np.array_equal(pair.u, own.u)
 
 
 def test_random_admissible_density_exact(small_system, rng):
     for _ in range(20):
-        p = random_admissible_density(small_system.grid, small_system.cfg, rng)
+        p = random_admissible_density(small_system, rng)
         assert p.mass == pytest.approx(small_system.cfg.target_mass, rel=1e-12)
         assert p.values.min() >= small_system.cfg.alpha
         assert p.values.max() <= small_system.cfg.beta
@@ -343,10 +379,10 @@ def test_random_admissible_density_at_extreme_contrast(beta):
     # the node nearest 1 can sit clipped at alpha here; the mass defect goes
     # to a node inside (alpha, beta), and DensityField checks the mass
     cfg = PlateConfig(n_modes_x=6, n_basis_y=4, n_quad_x=16, n_quad_y=8, beta=beta)
-    grid = QuadratureGrid.from_config(cfg)
+    system = PlateSystem(cfg)
     gen = np.random.default_rng(1)
     for _ in range(20):
-        p = random_admissible_density(grid, cfg, gen)
+        p = random_admissible_density(system, gen)
         assert cfg.alpha <= p.values.min() and p.values.max() <= cfg.beta
 
 
@@ -358,10 +394,11 @@ def test_random_start_bisection_stops_where_the_full_loop_lands(rng):
                             alpha=0.5, beta=1.5),
                 PlateConfig(n_modes_x=8, n_basis_y=6, n_quad_x=32, n_quad_y=16,
                             alpha=0.1, beta=10.0)):
-        grid = QuadratureGrid.from_config(cfg)
+        system = PlateSystem(cfg)
+        grid = system.grid
         for _ in range(5):
             state = rng.bit_generator.state
-            p = random_admissible_density(grid, cfg, rng)
+            p = random_admissible_density(system, rng)
             rng.bit_generator.state = state
             raw = rng.uniform(cfg.alpha, cfg.beta, size=grid.shape)
             lo, hi = cfg.alpha - cfg.beta, cfg.beta - cfg.alpha
@@ -386,28 +423,28 @@ def test_produced_densities_mass_at_machine_precision(default_system, rng):
     area = system.cfg.target_mass
     tol = 10 * np.finfo(float).eps * area
     produced = [
-        uniform_density(system.grid, system.cfg),
-        strip_density(system.grid, system.cfg, "left"),
-        strip_density(system.grid, system.cfg, "right"),
-        random_admissible_density(system.grid, system.cfg, rng),
+        uniform_density(system),
+        strip_density(system, "left"),
+        strip_density(system, "right"),
+        random_admissible_density(system, rng),
     ]
     for _ in range(10):
         vals = rng.uniform(0.05, 2.0, size=system.grid.shape)
-        produced.append(bang_bang_from_values(vals, system.grid, system.cfg)[0])
+        produced.append(bang_bang_from_values(vals, system)[0])
     for p in produced:
         assert abs(p.mass - area) <= tol
 
 
 def test_strip_density_shapes(small_system):
-    left = strip_density(small_system.grid, small_system.cfg, "left")
-    right = strip_density(small_system.grid, small_system.cfg, "right")
+    left = strip_density(small_system, "left")
+    right = strip_density(small_system, "right")
     assert left.mass == pytest.approx(small_system.cfg.target_mass, rel=1e-12)
     assert np.array_equal(left.values, right.values[::-1, :])
     # the heavy side really is heavy
     nx = small_system.grid.shape[0]
     assert left.values[: nx // 4].mean() > left.values[-nx // 4:].mean()
     with pytest.raises(ValueError):
-        strip_density(small_system.grid, small_system.cfg, "middle")
+        strip_density(small_system, "middle")
 
 
 @pytest.mark.parametrize("cfg", [PlateConfig(n_modes_x=8, n_basis_y=6, n_quad_x=32, n_quad_y=16),
@@ -415,13 +452,14 @@ def test_strip_density_shapes(small_system):
                          ids=["small", "default", "share-one-half"])
 def test_right_strip_is_the_mirrored_left_strip_bit_for_bit(cfg):
     # also the right strip of the (-x, x, y) lexsort fill, gray node included
-    grid = QuadratureGrid.from_config(cfg)
-    left = strip_density(grid, cfg, "left").values
-    right = strip_density(grid, cfg, "right").values
+    system = PlateSystem(cfg)
+    grid = system.grid
+    left = strip_density(system, "left").values
+    right = strip_density(system, "right").values
     assert np.array_equal(right.view(np.int64), left[::-1].view(np.int64))
     heavy = (1.0 - cfg.alpha) / (cfg.beta - cfg.alpha) * cfg.target_mass
     ref, _ = hingedplate.optimize._fill_with_gray_node(
-        _lexsort_order(grid, -np.repeat(grid.nodes_x, grid.shape[1])), grid, cfg,
+        _lexsort_order(grid, -np.repeat(grid.nodes_x, grid.shape[1])), system,
         heavy, cfg.beta, cfg.alpha)
     assert np.array_equal(right.ravel().view(np.int64), ref.view(np.int64))
 
@@ -431,10 +469,10 @@ def test_strip_of_heavy_share_one_half_ends_at_the_midline():
     # value is beta up to the mass sum's rounding over a small node weight
     # and must be clipped into the bounds
     cfg = PlateConfig(alpha=0.5, beta=1.5)
-    grid = QuadratureGrid.from_config(cfg)
-    nx = grid.shape[0]
+    system = PlateSystem(cfg)
+    nx = system.grid.shape[0]
     for side in ("left", "right"):
-        p = strip_density(grid, cfg, side)
+        p = strip_density(system, side)
         heavy = p.values[: nx // 2] if side == "left" else p.values[nx // 2:]
         assert np.all(heavy == cfg.beta)
         assert abs(p.mass - cfg.target_mass) <= 10 * np.finfo(float).eps * cfg.target_mass
@@ -444,7 +482,7 @@ def test_gradient_sign_diagnostic_reports(small_system):
     from hingedplate.optimize import gradient_sign_diagnostic
 
     trace = minimize(small_system,
-                     uniform_density(small_system.grid, small_system.cfg))
+                     uniform_density(small_system))
     table = gradient_sign_diagnostic(trace.final_eigenpair.u, small_system)
     assert set(table) == {"ux_positive_left", "ux_negative_right",
                           "uy_positive_upper", "uy_negative_lower"}
@@ -458,6 +496,6 @@ def test_int_beta_runs_like_float_beta(small_cfg):
     traces = []
     for beta in (3, 3.0):
         system = PlateSystem(replace(small_cfg, beta=beta))
-        traces.append(minimize(system, uniform_density(system.grid, system.cfg)))
+        traces.append(minimize(system, uniform_density(system)))
     assert np.array_equal(traces[0].final_density.values, traces[1].final_density.values)
     assert traces[0].final_lambda == traces[1].final_lambda

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hingedplate import (
     PlateConfig,
+    PlateSystem,
     QuadratureGrid,
     bang_bang_from_values,
     polarization_energy_gap,
@@ -75,13 +76,13 @@ def test_first_half_of_x_nodes_is_left_of_midline(n_quad):
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_polarized_two_material_identities(seed):
-    cfg = PlateConfig(n_basis_y=10, n_quad_x=24, n_quad_y=10)
-    grid = QuadratureGrid.from_config(cfg)
+    system = PlateSystem(PlateConfig(n_basis_y=10, n_quad_x=24, n_quad_y=10))
+    grid, cfg = system.grid, system.cfg
     rng = np.random.default_rng(seed)
     u = rng.uniform(0.01, 1.0, size=grid.shape)
-    p_u, t = bang_bang_from_values(u, grid, cfg)
+    p_u, t = bang_bang_from_values(u, system)
     u_h = polarize(u)
-    p_h, t_h = bang_bang_from_values(u_h, grid, cfg)
+    p_h, t_h = bang_bang_from_values(u_h, system)
     # the polarized field lands on the threshold of the original
     assert t_h == pytest.approx(t, rel=1e-12, abs=0.0)
     # weighting then polarizing equals polarizing then weighting, nodewise
@@ -101,14 +102,13 @@ def test_rearrangement_commutes_with_polarization_bitwise(n_quad):
     # the gray node's value comes from a mass sum that mirror swaps cannot
     # reorder, so the polarized field's density is the polarized density
     # bit for bit, gray node included, also on fine grids
-    cfg = PlateConfig(n_quad_x=n_quad[0], n_quad_y=n_quad[1])
-    grid = QuadratureGrid.from_config(cfg)
+    system = PlateSystem(PlateConfig(n_quad_x=n_quad[0], n_quad_y=n_quad[1]))
     rng = np.random.default_rng(POLARIZATION_SEED)
-    sample = _positive_field_sampler(*grid.meshgrid(), cfg.ell)
+    sample = _positive_field_sampler(*system.grid.meshgrid(), system.cfg.ell)
     for _ in range(15):
         u = sample(rng)
-        p_u, _ = bang_bang_from_values(u, grid, cfg)
-        p_h, _ = bang_bang_from_values(polarize(u), grid, cfg)
+        p_u, _ = bang_bang_from_values(u, system)
+        p_h, _ = bang_bang_from_values(polarize(u), system)
         assert np.array_equal(polarize(p_u.values), p_h.values)
 
 
@@ -139,26 +139,26 @@ def test_sampled_fields_match_the_inline_expression_bitwise(small_grid, ell):
 
 
 def test_theta1_quotient_duality(default_system, default_uniform_pair):
-    p = uniform_density(default_system.grid, default_system.cfg)
+    p = uniform_density(default_system)
     u = default_system.grid_values(default_uniform_pair.u)
-    q = theta1_quotient(p, u, default_system)
+    q = theta1_quotient(p, u)
     assert abs(q * default_uniform_pair.lambda1 - 1.0) <= 1e-9
 
 
 def test_theta1_quotient_never_exceeds_inverse_lambda(default_system, default_uniform_pair, rng):
-    p = uniform_density(default_system.grid, default_system.cfg)
+    p = uniform_density(default_system)
     bound = 1.0 / default_uniform_pair.lambda1
     for _ in range(100):
         v = rng.standard_normal(default_system.grid.shape)
-        assert theta1_quotient(p, v, default_system) <= bound + 1e-9
+        assert theta1_quotient(p, v) <= bound + 1e-9
 
 
 def test_theta1_quotient_improves_under_absolute_value(default_system, rng):
-    p = uniform_density(default_system.grid, default_system.cfg)
+    p = uniform_density(default_system)
     for _ in range(20):
         vals = rng.standard_normal(default_system.grid.shape)
-        q_signed = theta1_quotient(p, vals, default_system)
-        q_abs = theta1_quotient(p, np.abs(vals), default_system)
+        q_signed = theta1_quotient(p, vals)
+        q_abs = theta1_quotient(p, np.abs(vals))
         assert q_abs >= q_signed - 1e-12
 
 
@@ -197,11 +197,11 @@ def test_energy_gap_vanishes_for_converged_optimal_pair(default_system):
     from hingedplate import minimize
 
     trace = minimize(default_system,
-                     uniform_density(default_system.grid, default_system.cfg))
+                     uniform_density(default_system))
     assert trace.status == "fixed_point"
     u = default_system.grid_values(trace.final_eigenpair.u)
     gap = polarization_energy_gap(u, default_system)
-    form = abs(theta1_quotient(trace.final_density, u, default_system))
+    form = abs(theta1_quotient(trace.final_density, u))
     assert abs(gap) <= 1e-8 * max(form, 1.0)
 
 
