@@ -25,7 +25,6 @@ from .io import (
     RunManifest,
     read_density_csv,
     write_contours_csv,
-    write_eigensolve_csv,
     write_grid_csv,
     write_json,
     write_reports_json,
@@ -70,8 +69,6 @@ def _write_field_outputs(manifest, out, system, pair):
     u = system.grid_values(pair.u)
     write_vector_csv(manifest.register(out / "coefficients.csv"),
                      "coefficient", pair.u)
-    write_grid_csv(manifest.register(out / "eigenfunction.csv"),
-                   system.grid, u, value_name="u")
     levels = level_bands(u, 10)
     write_contours_csv(manifest.register(out / "levelsets.csv"), levels,
                        iso_contours(system.grid.nodes_x, system.grid.nodes_y, u, levels))
@@ -135,9 +132,8 @@ def cmd_optimize(args) -> int:
         sub.mkdir(parents=True, exist_ok=True)
         trace = traces[name] = minimize(system, density)
         write_trace_csv(manifest.register(sub / "trace.csv"), trace)
-        write_eigensolve_csv(manifest.register(sub / "eigensolve.csv"), trace)
         write_grid_csv(manifest.register(sub / "final_density.csv"),
-                       system.grid, trace.final_density.values, value_name="p")
+                       system.grid, trace.final_density.values)
         _write_field_outputs(manifest, sub, system, trace.final_eigenpair)
 
     record = analyze_optimum(system, traces)

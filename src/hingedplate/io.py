@@ -1,14 +1,19 @@
-"""Result serialization: CSV field/trace dumps, certification JSON, manifests.
+"""Result serialization: CSV dumps, certification JSON, manifests.
 
-All writers format floats with repr so identical inputs give byte-identical
-files; the run manifest is the one record that carries wall-clock time and
-is therefore excluded from any byte-level comparison.  Every CSV file goes
-through one row assembler, `_write_csv`: a writer only builds its columns,
-and the assembler writes what the csv module's default dialect would write
-for their cells (comma-separated, unquoted, CRLF line ends).  It writes a
-bounded block of rows at a time, never one whole-file string: the block's
-float cells come from one list repr, and its cells, commas and line ends
-are interleaved by slice assignment and joined in C.
+Each result is written once: a field as its coefficient vector (its node
+values are `PlateSystem.grid_values` of that vector, bit for bit), a
+density as its node dump `x,y,p`, and each rearrangement sweep as one
+trace row that holds its eigensolve diagnostics too.
+
+All writers format floats with repr so identical inputs give
+byte-identical files; the run manifest is the one record that carries
+wall-clock time and is therefore excluded from any byte-level comparison.
+Every CSV file goes through one row assembler, `_write_csv`: a writer only
+builds its columns, and the assembler writes what the csv module's default
+dialect would write for their cells (comma-separated, unquoted, CRLF line
+ends).  It writes a bounded block of rows at a time, never one whole-file
+string: the block's float cells come from one list repr, and its cells,
+commas and line ends are interleaved by slice assignment and joined in C.
 """
 
 from __future__ import annotations
@@ -50,13 +55,12 @@ def _write_csv(path, header, columns) -> None:
             fh.write("".join(pieces))
 
 
-def write_grid_csv(path, grid: QuadratureGrid, values: np.ndarray,
-                   value_name: str) -> None:
-    """Node dump with columns x, y, <value_name>; x-major node order.  Each
-    node coordinate is formatted once, not once per row."""
+def write_grid_csv(path, grid: QuadratureGrid, values: np.ndarray) -> None:
+    """Density dump with columns x, y, p; x-major node order.  Each node
+    coordinate is formatted once, not once per row."""
     vals = np.asarray(values, dtype=float).reshape(grid.shape)
     xs, ys = _reprs(grid.nodes_x), _reprs(grid.nodes_y)
-    _write_csv(path, ["x", "y", value_name],
+    _write_csv(path, ["x", "y", "p"],
                [[x for x in xs for _ in ys], ys * len(xs), vals.ravel()])
 
 
@@ -100,22 +104,18 @@ def _field(records, name: str) -> np.ndarray:
 
 
 def write_trace_csv(path, trace: OptimizationTrace) -> None:
-    recs = trace.records
-    _write_csv(path, ["iter", "lambda1", "threshold_t", "S_measure", "density_change_measure"],
-               [[str(rec.iteration) for rec in recs]]
-               + [_field(recs, name) for name in ("lambda1", "threshold_t",
-                                                  "sublevel_measure", "density_change_measure")])
-
-
-def write_eigensolve_csv(path, trace: OptimizationTrace) -> None:
-    """Per-sweep eigensolve diagnostics, one row per trace record; the gap
+    """One row per sweep: the rearrangement's columns, then the eigensolve's
+    inverse-iteration steps, relative residual and relative gap; the gap
     cell is empty at dimension 1, which has no second eigenvalue."""
     recs = trace.records
     gaps = _field(recs, "gap")
-    _write_csv(path, ["iter", "iterations", "residual", "gap"], [
-        [str(rec.iteration) for rec in recs], [str(rec.solve_iterations) for rec in recs],
-        _field(recs, "residual"),
-        [cell if finite else "" for cell, finite in zip(_reprs(gaps), np.isfinite(gaps))]])
+    _write_csv(path, ["iter", "lambda1", "threshold_t", "S_measure", "density_change_measure",
+                      "iterations", "residual", "gap"],
+               [[str(rec.iteration) for rec in recs]]
+               + [_field(recs, name) for name in ("lambda1", "threshold_t", "sublevel_measure",
+                                                  "density_change_measure")]
+               + [[str(rec.solve_iterations) for rec in recs], _field(recs, "residual"),
+                  [cell if ok else "" for cell, ok in zip(_reprs(gaps), np.isfinite(gaps))]])
 
 
 def write_contours_csv(path, levels, polylines_per_level) -> None:

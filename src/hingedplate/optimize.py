@@ -439,11 +439,13 @@ def midline_slope_check(u: np.ndarray, system: PlateSystem) -> MidlineSlopeRepor
 
 def gradient_sign_diagnostic(u: np.ndarray, system: PlateSystem) -> dict:
     """Observed sign pattern of u_x and u_y, u a coefficient vector, over
-    the four quarter-plates of the system's grid.
+    the four half-plates x < pi/2, x > pi/2, y > 0 and y < 0 of the grid.
 
-    Reported, never asserted: the conjectured monotonicity (rising toward
-    the midline in x, toward the centerline in y) is an open question, so
-    the table only counts violating nodes.
+    Reported, never asserted: each row counts the nodes of its half where
+    u rises toward the midline x = pi/2 (the x rows) or toward the nearer
+    free edge y = +-ell (the y rows).  Whether the optimum is monotone so
+    is an open question; a one-sided optimum, which rises in y across the
+    whole plate, holds `uy_negative_lower` nowhere.
     """
     ux = system.grid_values(u, dx=1)
     uy = system.grid_values(u, dy=1)
@@ -492,6 +494,6 @@ def analyze_optimum(system: PlateSystem, traces: dict) -> dict:
         "heavy_region_y_range": _node_range(system.grid.nodes_y[~assign.all(axis=0)]),
         "statuses": {n: tr.status for n, tr in traces.items()},
         "gray_nodes_per_start": {n: tr.final_density.gray_nodes() for n, tr in traces.items()},
-        # observed, never asserted: conjectured monotonicity of the optimum
+        # observed, never asserted: does u rise toward x = pi/2 and y = +-ell
         "gradient_sign_table": gradient_sign_diagnostic(trace.final_eigenpair.u, system),
     }

@@ -51,20 +51,39 @@ def _result_bytes(root: Path) -> dict:
     return out
 
 
+def _files(root: Path) -> set:
+    return {str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
+
+
+def _assert_manifest_lists_the_files(out: Path) -> None:
+    manifest = json.loads((out / "manifest.jsonl").read_text().splitlines()[0])
+    assert set(manifest["outputs"]) == _files(out) - {"manifest.jsonl"}
+
+
+def _assert_coefficients_give_back_the_field(path: Path, system, pair) -> None:
+    # the node values are not written: coefficients.csv holds u by repr, so
+    # it reads back to pair.u, and a fresh system of the config samples it
+    # to the field the command held, both bit for bit
+    rows = path.read_text(encoding="utf-8").splitlines()
+    assert rows[0] == "index,coefficient"
+    u = np.array([float(row.split(",")[1]) for row in rows[1:]])
+    assert u.tobytes() == pair.u.tobytes()
+    assert (PlateSystem(system.cfg).grid_values(u).tobytes()
+            == system.grid_values(pair.u).tobytes())
+
+
 def test_solve_smoke(tmp_path, small_config_file):
     out = tmp_path / "run"
     rc = main(["solve", "--config", str(small_config_file), "--out", str(out)])
     assert rc == 0
-    assert (out / "eigenpair.json").exists()
-    assert (out / "levelsets.csv").exists()
-    assert (out / "manifest.jsonl").exists()
+    assert _files(out) == {"coefficients.csv", "eigenpair.json", "levelsets.csv",
+                           "manifest.jsonl"}
     payload = json.loads((out / "eigenpair.json").read_text())
     assert payload["lambda1"] > 0.0
-    manifest = json.loads((out / "manifest.jsonl").read_text().splitlines()[0])
-    produced = set(manifest["outputs"])
-    on_disk = {str(p.relative_to(out)) for p in out.rglob("*")
-               if p.is_file() and p.name != "manifest.jsonl"}
-    assert produced == on_disk
+    _assert_manifest_lists_the_files(out)
+    system = PlateSystem(PlateConfig(**SMALL))
+    pair = system.solve_density(uniform_density(system))
+    _assert_coefficients_give_back_the_field(out / "coefficients.csv", system, pair)
 
 
 def test_solve_rejects_inadmissible_density(tmp_path, small_config_file):
@@ -72,7 +91,7 @@ def test_solve_rejects_inadmissible_density(tmp_path, small_config_file):
     vals = np.full(grid.shape, 1.0)
     vals[0, 0] = 0.4  # below alpha
     density_path = tmp_path / "density.csv"
-    write_grid_csv(density_path, grid, vals, value_name="p")
+    write_grid_csv(density_path, grid, vals)
     rc = main(["solve", "--config", str(small_config_file),
                "--out", str(tmp_path / "run"), "--density", str(density_path)])
     assert rc == 2
@@ -89,7 +108,7 @@ def test_density_below_alpha_by_less_than_1e_12_exits_2(tmp_path, capsys):
     grid = QuadratureGrid.from_config(cfg)
     vals = np.ones(grid.shape)
     vals[0, 0], vals[-1, 0] = 0.0, 2.0  # the zero node's mass moved to its mirror
-    write_grid_csv(density_path, grid, vals, value_name="p")
+    write_grid_csv(density_path, grid, vals)
     rc = main(["solve", "--config", str(cfg_path), "--density", str(density_path),
                "--out", str(tmp_path / "run")])
     assert rc == 2
@@ -102,7 +121,7 @@ def test_solve_rejects_non_finite_density(tmp_path, small_config_file, capsys):
     vals = np.full(grid.shape, 1.0)
     vals[4, 3] = np.nan
     density_path = tmp_path / "density.csv"
-    write_grid_csv(density_path, grid, vals, value_name="p")
+    write_grid_csv(density_path, grid, vals)
     assert "nan" in density_path.read_text()
     rc = main(["solve", "--config", str(small_config_file),
                "--out", str(tmp_path / "run"), "--density", str(density_path)])
@@ -129,7 +148,7 @@ def test_malformed_density_file_exits_2_naming_file_and_line(tmp_path, small_con
                                                              capsys, case):
     grid = QuadratureGrid.from_config(PlateConfig(**SMALL))
     density_path = tmp_path / "density.csv"
-    write_grid_csv(density_path, grid, np.ones(grid.shape), value_name="p")
+    write_grid_csv(density_path, grid, np.ones(grid.shape))
     lines = density_path.read_bytes().split(b"\r\n")  # the last entry is empty
     n_rows = grid.shape[0] * grid.shape[1]
     if case == "blank-line":
@@ -198,18 +217,23 @@ def test_optimize_multistart(tmp_path, small_config_file):
     assert summary["symmetry_verdict"] in ("SYMMETRIC", "LEFT_DOMINANT", "RIGHT_DOMINANT")
     lo, hi = summary["heavy_region_x_range"]
     assert lo < math.pi / 2 < hi
+    start_files = {"trace.csv", "final_density.csv", "coefficients.csv", "levelsets.csv"}
+    assert _files(out) == {"optimize_summary.json", "manifest.jsonl"} | {
+        f"{start}/{name}" for start in summary["final_lambda_per_start"] for name in start_files}
+    _assert_manifest_lists_the_files(out)
     for start in summary["final_lambda_per_start"]:
-        assert (out / start / "trace.csv").exists()
-        assert (out / start / "final_density.csv").exists()
-        trace_lines = (out / start / "trace.csv").read_text().splitlines()
-        lams = [float(line.split(",")[1]) for line in trace_lines[1:]]
+        trace_lines = (out / start / "trace.csv").read_text(encoding="utf-8").splitlines()
+        assert trace_lines[0] == ("iter,lambda1,threshold_t,S_measure,density_change_measure,"
+                                  "iterations,residual,gap")
+        rows = [line.split(",") for line in trace_lines[1:]]
+        assert [int(r[0]) for r in rows] == list(range(len(rows)))
+        lams = [float(r[1]) for r in rows]
         assert all(b <= a * (1 + 1e-10) for a, b in zip(lams, lams[1:]))
-        solves = (out / start / "eigensolve.csv").read_text(encoding="utf-8").splitlines()
-        assert solves[0] == "iter,iterations,residual,gap"
-        rows = [line.split(",") for line in solves[1:]]
-        assert [r[0] for r in rows] == [line.split(",")[0] for line in trace_lines[1:]]
-        assert all(int(r[1]) >= 0 and float(r[2]) <= 1e-12 and float(r[3]) > 0.0
+        assert all(int(r[5]) >= 0 and float(r[6]) <= 1e-12 and float(r[7]) > 0.0
                    for r in rows)
+    system = PlateSystem(PlateConfig(**SMALL))
+    pair = minimize(system, uniform_density(system)).final_eigenpair
+    _assert_coefficients_give_back_the_field(out / "uniform" / "coefficients.csv", system, pair)
 
 
 def test_optimize_summary_is_the_analysis_record(tmp_path, small_config_file):
@@ -633,13 +657,15 @@ def test_dimension_1_outputs_are_strict_json(tmp_path):
     ({"n_modes_x": 6, "n_basis_y": 4, "n_quad_x": 16, "n_quad_y": 8}, True),
 ], ids=["dim-1", "6x4"])
 def test_eigensolve_gap_cell_is_empty_without_a_second_eigenvalue(tmp_path, cfg, finite):
-    # eigenpair.json writes null for the missing gap; eigensolve.csv wrote inf
+    # eigenpair.json writes null for the missing gap; the trace's gap
+    # column, its last, once read inf
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "run"
     assert main(["optimize", "--starts", "1", "--config", str(path), "--out", str(out)]) == 0
-    lines = (out / "uniform" / "eigensolve.csv").read_text(encoding="utf-8").splitlines()
-    gaps = [line.split(",")[3] for line in lines[1:]]
+    lines = (out / "uniform" / "trace.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0].split(",")[7] == "gap"
+    gaps = [line.split(",")[7] for line in lines[1:]]
     assert gaps
     if finite:
         assert all(math.isfinite(float(g)) for g in gaps)

@@ -383,7 +383,7 @@ def test_step_cap_raises_solver_error(small_system, monkeypatch, tmp_path):
     assert float(first) > EIG_TOL or float(second) > math.sqrt(EIG_TOL)
     cfg_path, density_path = tmp_path / "config.json", tmp_path / "strip.csv"
     cfg_path.write_text(json.dumps(small_system.cfg.as_dict()))
-    write_grid_csv(density_path, small_system.grid, p.values, value_name="p")
+    write_grid_csv(density_path, small_system.grid, p.values)
     assert main(["solve", "--config", str(cfg_path), "--density", str(density_path),
                  "--out", str(tmp_path / "run")]) == 3
 

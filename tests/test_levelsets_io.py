@@ -12,7 +12,6 @@ from hingedplate.io import (
     RunManifest,
     read_density_csv,
     write_contours_csv,
-    write_eigensolve_csv,
     write_grid_csv,
     write_reports_json,
     write_trace_csv,
@@ -294,7 +293,7 @@ def test_density_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(5)
     vals = rng.uniform(0.5, 3.0, size=grid.shape)
     path = tmp_path / "density.csv"
-    write_grid_csv(path, grid, vals, value_name="p")
+    write_grid_csv(path, grid, vals)
     back = read_density_csv(path, grid)
     assert np.array_equal(back, vals)  # repr round trip is exact
 
@@ -321,7 +320,7 @@ def test_grid_csv_matches_csv_writer_reference(tmp_path):
     for grid, values in cases:
         X, Y = grid.meshgrid()
         path, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
-        write_grid_csv(path, grid, values, value_name="p")
+        write_grid_csv(path, grid, values)
         with open(ref, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x", "y", "p"])
@@ -423,35 +422,26 @@ def test_trace_csv_matches_csv_writer_reference(tmp_path):
     for trace in (_special_trace(), _special_trace(_LONG_REPEATS)):
         path, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
         write_trace_csv(path, trace)
+        # a gap that is not finite (inf at dimension 1) is an empty cell
         _write_reference(ref, ["iter", "lambda1", "threshold_t", "S_measure",
-                               "density_change_measure"], [
+                               "density_change_measure", "iterations", "residual", "gap"], [
             [r.iteration] + [repr(float(v)) for v in (r.lambda1, r.threshold_t,
                                                       r.sublevel_measure,
                                                       r.density_change_measure)]
+            + [r.solve_iterations, repr(float(r.residual)),
+               repr(float(r.gap)) if np.isfinite(r.gap) else ""]
             for r in trace.records])
         assert path.read_bytes() == ref.read_bytes()
-        assert path.read_text().splitlines()[1].endswith(",nan")
-    assert _crosses_blocks(len(trace.records))
-
-
-def test_eigensolve_csv_matches_csv_writer_reference(tmp_path):
-    for trace in (_special_trace(), _special_trace(_LONG_REPEATS)):
-        path, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
-        write_eigensolve_csv(path, trace)
-        # a gap that is not finite (inf at dimension 1) is an empty cell
-        _write_reference(ref, ["iter", "iterations", "residual", "gap"], [
-            [r.iteration, r.solve_iterations, repr(float(r.residual)),
-             repr(float(r.gap)) if np.isfinite(r.gap) else ""]
-            for r in trace.records])
-        assert path.read_bytes() == ref.read_bytes()
-        assert path.read_text().splitlines()[-2].endswith(",")
+        lines = path.read_text().splitlines()
+        assert lines[1].split(",")[4] == "nan"
+        assert lines[-2].endswith(",")
     assert _crosses_blocks(len(trace.records))
 
 
 def test_density_csv_rejects_wrong_grid(tmp_path):
     cfg = PlateConfig(n_modes_x=8, n_basis_y=8, n_quad_x=16, n_quad_y=8)
     grid = QuadratureGrid.from_config(cfg)
-    write_grid_csv(tmp_path / "d.csv", grid, np.ones(grid.shape), value_name="p")
+    write_grid_csv(tmp_path / "d.csv", grid, np.ones(grid.shape))
     other = QuadratureGrid.from_config(PlateConfig(n_modes_x=8, n_basis_y=8, n_quad_x=16, n_quad_y=8, ell=1.0))
     with pytest.raises(ValueError, match="do not match"):
         read_density_csv(tmp_path / "d.csv", other)
@@ -460,7 +450,7 @@ def test_density_csv_rejects_wrong_grid(tmp_path):
         read_density_csv(tmp_path / "d.csv", smaller)
     # x-nodes off by 1e-7 relative (about 3e-7 absolute) are not the grid's
     shifted = replace(grid, nodes_x=grid.nodes_x * (1.0 + 1e-7))
-    write_grid_csv(tmp_path / "s.csv", shifted, np.ones(grid.shape), value_name="p")
+    write_grid_csv(tmp_path / "s.csv", shifted, np.ones(grid.shape))
     with pytest.raises(ValueError, match="do not match"):
         read_density_csv(tmp_path / "s.csv", grid)
     assert np.array_equal(read_density_csv(tmp_path / "d.csv", grid), np.ones(grid.shape))
@@ -476,7 +466,8 @@ def test_writers_are_deterministic(tmp_path, small_system):
     write_trace_csv(b, trace)
     assert a.read_bytes() == b.read_bytes()
     header = a.read_text().splitlines()[0]
-    assert header == "iter,lambda1,threshold_t,S_measure,density_change_measure"
+    assert header == ("iter,lambda1,threshold_t,S_measure,density_change_measure,"
+                      "iterations,residual,gap")
 
 
 def test_reports_json_shape(tmp_path):

@@ -491,6 +491,25 @@ def test_gradient_sign_diagnostic_reports(small_system):
         assert entry["nodes"] > 0
 
 
+@pytest.mark.parametrize("profile, lower_holds", [(2, True), (1, False)],
+                         ids=["rises-toward-both-free-edges", "rises-across-the-plate"])
+def test_gradient_sign_table_counts_rises_toward_midline_and_free_edges(
+        small_system, profile, lower_holds):
+    # sin x (P0 + 0.1 P_j(y/ell)): sin x rises toward x = pi/2 from both
+    # sides; P2 rises toward both free edges y = +-ell, while P1 rises in y
+    # everywhere, so on y < 0 it falls toward the edge y = -ell
+    from hingedplate.optimize import gradient_sign_diagnostic
+
+    u = _mode_field(small_system, {(1, 0): 1.0, (1, profile): 0.1})
+    table = gradient_sign_diagnostic(u, small_system)
+    half = small_system.grid.shape[0] * small_system.grid.shape[1] // 2
+    assert {name: entry["nodes"] for name, entry in table.items()} == dict.fromkeys(
+        ("ux_positive_left", "ux_negative_right", "uy_positive_upper", "uy_negative_lower"), half)
+    assert {name: entry["holding"] for name, entry in table.items()} == {
+        "ux_positive_left": half, "ux_negative_right": half, "uy_positive_upper": half,
+        "uy_negative_lower": half if lower_holds else 0}
+
+
 def test_int_beta_runs_like_float_beta(small_cfg):
     # an int bound once filled int arrays, truncating every alpha node to 0
     traces = []
