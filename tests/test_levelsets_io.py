@@ -432,9 +432,26 @@ def test_trace_csv_matches_csv_writer_reference(tmp_path):
                repr(float(r.gap)) if np.isfinite(r.gap) else ""]
             for r in trace.records])
         assert path.read_bytes() == ref.read_bytes()
-        lines = path.read_text().splitlines()
-        assert lines[1].split(",")[4] == "nan"
-        assert lines[-2].endswith(",")
+        assert path.read_text().splitlines()[1].split(",")[4] == "nan"
+    assert _crosses_blocks(len(trace.records))
+
+
+def test_eigensolve_csv_matches_csv_writer_reference(tmp_path):
+    """The eigensolve diagnostics in trace.csv (iter plus its last three
+    columns) are the rows csv.writer writes for them."""
+    for trace in (_special_trace(), _special_trace(_LONG_REPEATS)):
+        path, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        write_trace_csv(path, trace)
+        # a gap that is not finite (inf at dimension 1) is an empty cell
+        _write_reference(ref, ["iter", "iterations", "residual", "gap"], [
+            [r.iteration, r.solve_iterations, repr(float(r.residual)),
+             repr(float(r.gap)) if np.isfinite(r.gap) else ""]
+            for r in trace.records])
+        with open(path, newline="", encoding="utf-8") as fh:
+            written = [[row[0]] + row[5:] for row in csv.reader(fh)]
+        with open(ref, newline="", encoding="utf-8") as fh:
+            assert written == list(csv.reader(fh))
+        assert path.read_text().splitlines()[-2].endswith(",")
     assert _crosses_blocks(len(trace.records))
 
 
