@@ -20,15 +20,14 @@ from .optimize import (
     DensityField,
     OptimizationTrace,
     PlateSystem,
-    analyze_optimum,
     bang_bang_from_values,
-    midline_slope_check,
     minimize,
     random_admissible_density,
     rearrange,
     strip_density,
     uniform_density,
 )
+from .analysis import analyze_optimum, midline_slope_check
 from .green import (
     apply,
     kernel,

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .analysis import analyze_optimum
 from .assembly import AssemblyError
 from .certify import SUITES, run_suite
 from .config import InputError, PlateConfig, load_config
@@ -36,7 +37,6 @@ from .optimize import (
     AnalysisError,
     DensityField,
     PlateSystem,
-    analyze_optimum,
     minimize,
     random_admissible_density,
     strip_density,

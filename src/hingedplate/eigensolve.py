@@ -81,19 +81,24 @@ def _sym(S):
     return 0.5 * (S + S.swapaxes(-1, -2))
 
 
-def _rayleigh_ritz(A, B):
-    """Eigenpairs of the symmetric pencil (A, B), batched over leading axes.
-
-    Ascending eigenvalues and B-orthonormal eigenvectors, from the Cholesky
-    factor B = L L^T and the standard problem L^-1 A L^-T (Golub & Van
-    Loan, Matrix Computations, 4th ed., sec. 8.7).
+def _standard_form(A, B, eig):
+    """(eig of L^-1 A L^-T, L^-T) for the symmetric pencil (A, B), batched
+    over leading axes: the Cholesky factor B = L L^T turns the pencil into
+    that standard problem (Golub & Van Loan, Matrix Computations, 4th ed.,
+    sec. 8.7), which `eig` (eigh or eigvalsh) solves.
     """
     try:
         Li = np.linalg.inv(np.linalg.cholesky(_sym(B)))
         LiT = Li.swapaxes(-1, -2)
-        theta, Y = np.linalg.eigh(_sym(Li @ A @ LiT))
+        return eig(_sym(Li @ A @ LiT)), LiT
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"Rayleigh-Ritz projection failed: {exc}") from exc
+
+
+def _rayleigh_ritz(A, B):
+    """Eigenpairs of the symmetric pencil (A, B), batched over leading axes:
+    ascending eigenvalues and B-orthonormal eigenvectors."""
+    (theta, Y), LiT = _standard_form(A, B, np.linalg.eigh)
     return theta, LiT @ Y
 
 

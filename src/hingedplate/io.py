@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from itertools import chain
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -40,14 +40,17 @@ def _reprs(values: np.ndarray) -> list:
 
 
 def _write_csv(path, header, columns) -> None:
-    """Write the header row, then row i of the cells at index i of every
-    column: a float ndarray column is formatted by repr one block at a
-    time, and any other column holds its cells as text."""
+    """Write the header row, then one row per entry of the float ndarray
+    columns (at least one), formatted by repr a block at a time; any other
+    column is an iterable of text cells, drawn a block at a time (lazily)."""
+    rows = len(next(col for col in columns if isinstance(col, np.ndarray)))
+    columns = [col if isinstance(col, np.ndarray) else iter(col) for col in columns]
     width = 2 * len(columns)  # pieces per row: each cell, then "," or "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        for start in range(0, len(columns[0]), _BLOCK):
-            block = [col[start:start + _BLOCK] for col in columns]
+        for start in range(0, rows, _BLOCK):
+            block = [col[start:start + _BLOCK] if isinstance(col, np.ndarray)
+                     else list(islice(col, _BLOCK)) for col in columns]
             pieces = [","] * (width * len(block[0]))
             for k, cells in enumerate(block):
                 pieces[2 * k::width] = _reprs(cells) if isinstance(cells, np.ndarray) else cells
@@ -57,11 +60,11 @@ def _write_csv(path, header, columns) -> None:
 
 def write_grid_csv(path, grid: QuadratureGrid, values: np.ndarray) -> None:
     """Density dump with columns x, y, p; x-major node order.  Each node
-    coordinate is formatted once, not once per row."""
+    coordinate is formatted once, not once per row, and repeated lazily."""
     vals = np.asarray(values, dtype=float).reshape(grid.shape)
     xs, ys = _reprs(grid.nodes_x), _reprs(grid.nodes_y)
-    _write_csv(path, ["x", "y", "p"],
-               [[x for x in xs for _ in ys], ys * len(xs), vals.ravel()])
+    _write_csv(path, ["x", "y", "p"], [chain.from_iterable(repeat(x, len(ys)) for x in xs),
+                                       chain.from_iterable(repeat(ys, len(xs))), vals.ravel()])
 
 
 def read_density_csv(path, grid: QuadratureGrid) -> np.ndarray:

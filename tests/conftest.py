@@ -39,6 +39,19 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+@pytest.fixture(scope="session")
+def mode_field():
+    """mode_field(system, {(m, j): coeff}) -> the coefficient vector of
+    sum coeff * sin(m x) psi_j(y) on the system's basis."""
+    def build(system, terms):
+        c = np.zeros(system.dimension)
+        for (m, j), coeff in terms.items():
+            c[(m - 1) * system.cfg.n_basis_y + j] = coeff
+        return c
+
+    return build
+
+
 @pytest.fixture
 def count_calls(monkeypatch):
     """count_calls(name) -> a list that collects the positional arguments of

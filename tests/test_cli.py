@@ -496,7 +496,7 @@ def test_analysis_failure_exit_code(tmp_path, small_config_file, monkeypatch):
     def mixed(vals):
         raise AnalysisError("mirror gaps of mixed sign beyond tolerance")
 
-    monkeypatch.setattr("hingedplate.optimize._mirror_verdict", mixed)
+    monkeypatch.setattr("hingedplate.analysis._mirror_verdict", mixed)
     rc = main(["optimize", "--config", str(small_config_file),
                "--out", str(tmp_path / "opt"), "--init", "uniform"])
     assert rc == 3

@@ -182,11 +182,14 @@ def test_the_density_solve_reads_the_right_heavy_optimum(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name, counts", [("dim1600.json", (80, 20, 320, 64)),
                                           ("q512.json", (20, 12, 512, 128)),
-                                          ("dim1.json", (1, 1, 2, 1))])
+                                          ("dim1.json", (1, 1, 2, 1)),
+                                          ("beta1e100.json", (2, 2, 8, 4))])
 def test_the_comparison_configs_load(name, counts):
     # the configs the README's compare command names: dim 1600 on 320 x 64,
-    # the 512 x 128 agreement quadrature and the one-function plate
+    # the 512 x 128 agreement quadrature, the one-function plate and the
+    # beta = 1e100 plate, whose optimize summary has no heavy node
     configs = _TOOL.parent / "configs"
-    assert sorted(p.name for p in configs.iterdir()) == ["dim1.json", "dim1600.json", "q512.json"]
+    assert sorted(p.name for p in configs.iterdir()) == ["beta1e100.json", "dim1.json",
+                                                         "dim1600.json", "q512.json"]
     cfg = load_config(configs / name)
     assert (cfg.n_modes_x, cfg.n_basis_y, cfg.n_quad_x, cfg.n_quad_y) == counts

@@ -300,6 +300,23 @@ def test_uniform_spectrum_matches_rayleigh_ritz(name):
         assert np.array_equal(*kept), contrast
 
 
+def test_system_build_computes_no_eigenvectors(monkeypatch):
+    # the p = 1 spectrum is eigenvalues only: building the system takes no
+    # eigh, while a solve on it does
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    system = PlateSystem(PlateConfig(n_modes_x=6, n_basis_y=5, n_quad_x=40, n_quad_y=20))
+    assert calls == []
+    system.solve_density(uniform_density(system))
+    assert calls
+
+
 def test_indefinite_energy_blocks_rejected(monkeypatch):
     # the operator's one definiteness check is the p = 1 spectrum of the
     # build: a block with negative eigenvalues stops it before any solve

@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -296,6 +297,21 @@ def test_density_csv_roundtrip(tmp_path):
     write_grid_csv(path, grid, vals)
     back = read_density_csv(path, grid)
     assert np.array_equal(back, vals)  # repr round trip is exact
+
+
+def test_grid_csv_holds_no_per_node_column(tmp_path):
+    # a 512 x 128 dump: its x and y cells are drawn one block at a time, so
+    # the peak stays below one list of one reference per node
+    grid = QuadratureGrid(nodes_x=np.linspace(0.0, np.pi, 512), weights_x=np.ones(512),
+                          nodes_y=np.linspace(-0.1, 0.1, 128), weights_y=np.ones(128))
+    vals = np.random.default_rng(5).uniform(0.5, 3.0, size=grid.shape)
+    tracemalloc.start()
+    try:
+        write_grid_csv(tmp_path / "density.csv", grid, vals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * vals.size
 
 
 def test_grid_csv_matches_csv_writer_reference(tmp_path):

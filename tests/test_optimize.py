@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import hingedplate.analysis
 import hingedplate.optimize
 from hingedplate import (
     DensityField,
@@ -12,29 +13,21 @@ from hingedplate import (
     PlateSystem,
     analyze_optimum,
     bang_bang_from_values,
-    midline_slope_check,
     minimize,
     random_admissible_density,
     rearrange,
     strip_density,
     uniform_density,
 )
-from hingedplate.optimize import LEFT_DOMINANT, RIGHT_DOMINANT, SYMMETRIC, AnalysisError
+from hingedplate.optimize import AnalysisError
 from hingedplate.polarization import theta1_quotient
 
 
-def _mode_field(system, terms):
-    c = np.zeros(system.dimension)
-    for (m, j), coeff in terms.items():
-        c[(m - 1) * system.cfg.n_basis_y + j] = coeff
-    return c
-
-
-def test_rearrange_sine_strip_threshold(small_system):
+def test_rearrange_sine_strip_threshold(small_system, mode_field):
     # sublevel set of sin(x) at fraction 0.8 is {x < 0.4 pi} U {x > 0.6 pi},
     # so the threshold is sin^2(0.4 pi) up to one quadrature cell
     system = small_system
-    u = _mode_field(system, {(1, 0): 1.0})
+    u = mode_field(system, {(1, 0): 1.0})
     density, t = rearrange(u, system)
     x0 = 0.4 * math.pi
     cell = np.max(np.diff(system.grid.nodes_x))
@@ -98,9 +91,9 @@ def test_fill_order_is_lexsort_on_value_x_y(small_system, rng, monkeypatch, cfg)
         assert np.array_equal(density.values.ravel().view(np.int64), p.view(np.int64)), name
 
 
-def test_rearrange_requires_positive_field(small_system):
+def test_rearrange_requires_positive_field(small_system, mode_field):
     system = small_system
-    u = _mode_field(system, {(2, 0): 1.0})  # sin(2x) changes sign
+    u = mode_field(system, {(2, 0): 1.0})  # sin(2x) changes sign
     with pytest.raises(AnalysisError, match="strictly positive"):
         rearrange(u, system)
 
@@ -211,80 +204,6 @@ def test_multistart_reaches_common_limit(rng):
     assert all(n <= 1 for n in record["gray_nodes_per_start"].values())
 
 
-def test_analyze_optimum_tie_goes_to_the_first_start(small_system):
-    system = small_system
-    left = minimize(system, strip_density(system, "left"))
-    right = minimize(system, strip_density(system, "right"))
-    # the right start's trace closing on the left start's eigenvalue: an exact tie
-    tied = replace(right, records=right.records[:-1]
-                   + [replace(right.records[-1], lambda1=left.final_lambda)])
-    traces = {"left-heavy": left, "right-heavy": tied}
-    for first, second in (("left-heavy", "right-heavy"), ("right-heavy", "left-heavy")):
-        record = analyze_optimum(system, {first: traces[first], second: traces[second]})
-        assert list(record["final_lambda_per_start"]) == [first, second]
-        assert record["best_start"] == first
-        assert record["cross_start_relative_spread"] == 0.0
-        slope = midline_slope_check(traces[first].final_eigenpair.u, system)
-        assert record["symmetry_verdict"] == slope.verdict
-        assert record["midline_max_abs_slope"] == slope.max_abs_slope
-
-
-def test_mirror_verdict_modes(small_system):
-    system = small_system
-    sym = _mode_field(system, {(1, 0): 1.0, (1, 1): 0.2})
-    assert midline_slope_check(sym, system).verdict == SYMMETRIC
-    left = _mode_field(system, {(1, 0): 1.0, (2, 0): 0.3})
-    assert midline_slope_check(left, system).verdict == LEFT_DOMINANT
-    right = _mode_field(system, {(1, 0): 1.0, (2, 0): -0.3})
-    assert midline_slope_check(right, system).verdict == RIGHT_DOMINANT
-
-
-def test_mirror_verdict_mixed_sign_errors(small_system):
-    system = small_system
-    mixed = _mode_field(system, {(1, 0): 1.0, (2, 1): 0.3})  # gap odd in y
-    with pytest.raises(AnalysisError, match="mixed sign"):
-        midline_slope_check(mixed, system)
-
-
-def test_midline_slope_signs(small_system):
-    system = small_system
-    sym = _mode_field(system, {(1, 0): 1.0, (3, 1): 0.1})
-    rep = midline_slope_check(sym, system)
-    assert rep.verdict == SYMMETRIC
-    assert rep.max_abs_slope <= 1e-6
-
-    left = _mode_field(system, {(1, 0): 1.0, (2, 0): 0.3})
-    rep = midline_slope_check(left, system)
-    assert rep.verdict == LEFT_DOMINANT
-    # u_x(pi/2, y) = cos(pi/2) + 0.6 cos(pi) = -0.6
-    assert np.allclose(rep.slopes, -0.6, atol=1e-12)
-
-    right = _mode_field(system, {(1, 0): 1.0, (2, 0): -0.3})
-    rep = midline_slope_check(right, system)
-    assert rep.verdict == RIGHT_DOMINANT
-    assert np.allclose(rep.slopes, 0.6, atol=1e-12)
-
-
-def test_midline_slope_check_evaluates_once(small_system, monkeypatch, count_calls):
-    # the mirror verdict and the slope threshold share one grid evaluation,
-    # made on the system's tables: no y-table is built for it, and the
-    # midline slopes are the one other lattice sample
-    calls = []
-    grid_values = PlateSystem.grid_values
-
-    def counting(self, *args, **kwargs):
-        calls.append(args)
-        return grid_values(self, *args, **kwargs)
-
-    monkeypatch.setattr(PlateSystem, "grid_values", counting)
-    built, sampled = count_calls("_legendre_tables"), count_calls("evaluate_on_grid")
-    left = _mode_field(small_system, {(1, 0): 1.0, (2, 0): 0.3})
-    assert midline_slope_check(left, small_system).verdict == LEFT_DOMINANT
-    assert len(calls) == 1
-    assert built == []
-    assert len(sampled) == 2
-
-
 def test_density_field_validation(small_system):
     system = small_system
     vals = np.ones(system.grid.shape)
@@ -336,8 +255,9 @@ def test_a_density_is_made_on_its_system():
     # density function takes either on its own
     assert [f.name for f in fields(DensityField)] == ["system", "values"]
     module = hingedplate.optimize
-    funcs = [fn for name, fn in vars(module).items() if inspect.isfunction(fn)
-             and fn.__module__ == module.__name__ and not name.startswith("_")]
+    funcs = [fn for mod in (module, hingedplate.analysis) for name, fn in vars(mod).items()
+             if inspect.isfunction(fn) and fn.__module__ == mod.__name__
+             and not name.startswith("_")]
     funcs += [module._fill_with_gray_node, module._close_mass, theta1_quotient]
     assert uniform_density in funcs and bang_bang_from_values in funcs
     for fn in funcs:
@@ -476,38 +396,6 @@ def test_strip_of_heavy_share_one_half_ends_at_the_midline():
         heavy = p.values[: nx // 2] if side == "left" else p.values[nx // 2:]
         assert np.all(heavy == cfg.beta)
         assert abs(p.mass - cfg.target_mass) <= 10 * np.finfo(float).eps * cfg.target_mass
-
-
-def test_gradient_sign_diagnostic_reports(small_system):
-    from hingedplate.optimize import gradient_sign_diagnostic
-
-    trace = minimize(small_system,
-                     uniform_density(small_system))
-    table = gradient_sign_diagnostic(trace.final_eigenpair.u, small_system)
-    assert set(table) == {"ux_positive_left", "ux_negative_right",
-                          "uy_positive_upper", "uy_negative_lower"}
-    for entry in table.values():
-        assert 0.0 <= entry["fraction"] <= 1.0
-        assert entry["nodes"] > 0
-
-
-@pytest.mark.parametrize("profile, lower_holds", [(2, True), (1, False)],
-                         ids=["rises-toward-both-free-edges", "rises-across-the-plate"])
-def test_gradient_sign_table_counts_rises_toward_midline_and_free_edges(
-        small_system, profile, lower_holds):
-    # sin x (P0 + 0.1 P_j(y/ell)): sin x rises toward x = pi/2 from both
-    # sides; P2 rises toward both free edges y = +-ell, while P1 rises in y
-    # everywhere, so on y < 0 it falls toward the edge y = -ell
-    from hingedplate.optimize import gradient_sign_diagnostic
-
-    u = _mode_field(small_system, {(1, 0): 1.0, (1, profile): 0.1})
-    table = gradient_sign_diagnostic(u, small_system)
-    half = small_system.grid.shape[0] * small_system.grid.shape[1] // 2
-    assert {name: entry["nodes"] for name, entry in table.items()} == dict.fromkeys(
-        ("ux_positive_left", "ux_negative_right", "uy_positive_upper", "uy_negative_lower"), half)
-    assert {name: entry["holding"] for name, entry in table.items()} == {
-        "ux_positive_left": half, "ux_negative_right": half, "uy_positive_upper": half,
-        "uy_negative_lower": half if lower_holds else 0}
 
 
 def test_int_beta_runs_like_float_beta(small_cfg):
