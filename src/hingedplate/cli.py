@@ -67,8 +67,7 @@ def _resolve_density(spec: str, system: PlateSystem) -> DensityField:
 
 def _write_field_outputs(manifest, out, system, pair):
     u = system.grid_values(pair.u)
-    write_vector_csv(manifest.register(out / "coefficients.csv"),
-                     "coefficient", pair.u)
+    write_vector_csv(manifest.register(out / "coefficients.csv"), pair.u)
     levels = level_bands(u, 10)
     write_contours_csv(manifest.register(out / "levelsets.csv"), levels,
                        iso_contours(system.grid.nodes_x, system.grid.nodes_y, u, levels))

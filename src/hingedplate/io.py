@@ -96,10 +96,10 @@ def _density_row(path, line: int, row: list) -> tuple:
     raise InputError(f"density file {path}, line {line}: expected 3 numbers, got {row!r}")
 
 
-def write_vector_csv(path, name: str, values: np.ndarray) -> None:
-    """Columns index, <name>: one row per entry of the flattened values."""
+def write_vector_csv(path, values: np.ndarray) -> None:
+    """Columns index, coefficient: one row per entry of the flattened values."""
     vals = np.asarray(values, dtype=float).ravel()
-    _write_csv(path, ["index", name], [list(map(str, range(vals.size))), vals])
+    _write_csv(path, ["index", "coefficient"], [map(str, range(vals.size)), vals])
 
 
 def _field(records, name: str) -> np.ndarray:
@@ -122,18 +122,18 @@ def write_trace_csv(path, trace: OptimizationTrace) -> None:
 
 
 def write_contours_csv(path, levels, polylines_per_level) -> None:
-    """Iso-level polylines, columns level, polyline, vertex, x, y: one row
-    per vertex.  Each level is formatted once, not once per vertex."""
-    level_col, pid_col, vertex_col, xy = [], [], [], []
-    for level, polylines in zip(_reprs(np.asarray(levels, dtype=float)), polylines_per_level):
-        for pid, line in enumerate(polylines):
-            level_col += [level] * len(line)
-            pid_col += [str(pid)] * len(line)
-            vertex_col += map(str, range(len(line)))
-            xy += chain.from_iterable(line)
-    xy = np.array(xy, dtype=float).reshape(-1, 2)
+    """Iso-level polylines, columns level, polyline, vertex, x, y: one row per
+    vertex.  Each level is formatted once; only the coordinates are held whole."""
+    lines = [(level, str(pid), line) for level, polylines in
+             zip(_reprs(np.asarray(levels, dtype=float)), polylines_per_level)
+             for pid, line in enumerate(polylines)]
+    xy = np.fromiter(chain.from_iterable(chain.from_iterable(line) for *_, line in lines),
+                     dtype=float, count=2 * sum(len(line) for *_, line in lines)).reshape(-1, 2)
     _write_csv(path, ["level", "polyline", "vertex", "x", "y"],
-               [level_col, pid_col, vertex_col, xy[:, 0], xy[:, 1]])
+               [chain.from_iterable(repeat(level, len(line)) for level, _, line in lines),
+                chain.from_iterable(repeat(pid, len(line)) for _, pid, line in lines),
+                chain.from_iterable(map(str, range(len(line))) for *_, line in lines),
+                xy[:, 0], xy[:, 1]])
 
 
 def write_json(path, payload) -> None:

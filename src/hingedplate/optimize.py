@@ -167,26 +167,26 @@ def rearrange(u: np.ndarray, system: PlateSystem):
 
 
 def random_admissible_density(system: PlateSystem, rng: np.random.Generator) -> DensityField:
-    """Uniformly random node values shifted and clipped to the exact mass."""
+    """Uniformly random node values shifted and clipped to the exact mass.
+
+    m(s) = sum w clip(raw + s, alpha, beta) is piecewise linear in s, and node
+    i adds w_i to its slope from alpha - raw_i <= 0 to beta - raw_i > 0, so
+    raw in descending order sorts all 2n breakpoints and every slope is a
+    cancellation-free positive sum.  The piece holding the target gives the
+    shift, measured from the node that opens it: exact for it at beta = 1e100.
+    """
     grid, cfg = system.grid, system.cfg
     raw = rng.uniform(cfg.alpha, cfg.beta, size=grid.shape)
-    w = grid.weights
-    lo, hi = cfg.alpha - cfg.beta, cfg.beta - cfg.alpha
-
-    def mass(shift):
-        return float(np.sum(w * np.clip(raw + shift, cfg.alpha, cfg.beta)))
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break  # lo and hi are adjacent floats: no later step moves them
-        if mass(mid) < cfg.target_mass:
-            lo = mid
-        else:
-            hi = mid
-    vals = np.clip(raw + 0.5 * (lo + hi), cfg.alpha, cfg.beta).ravel()
-    # Bisection leaves a sub-1e-10 mass defect; the node nearest 1 strictly
-    # inside (alpha, beta) absorbs it (one clipped at a bound might not).
+    order = np.argsort(raw, axis=None)[::-1]
+    r, w = raw.ravel()[order], grid.weights.ravel()[order]
+    edge, node = np.repeat([cfg.alpha, cfg.beta], r.size), np.tile(r, 2)
+    breaks = edge - node
+    slope = np.concatenate((np.cumsum(w), np.cumsum(w[::-1])[-2::-1]))
+    mass = np.cumsum(np.concatenate(([cfg.alpha * w.sum()], slope * np.diff(breaks))))
+    k = int(np.searchsorted(mass[1:-1], cfg.target_mass, side="right"))  # piece k holds it
+    offset = edge[k] + (cfg.target_mass - mass[k]) / slope[k]
+    vals = np.clip((raw - node[k]) + offset, cfg.alpha, cfg.beta).ravel()
+    # the node nearest 1 strictly inside (alpha, beta) closes the mass; a clipped one might not
     inside = (vals > cfg.alpha) & (vals < cfg.beta)
     _close_mass(vals, system, int(np.argmin(np.where(inside, np.abs(vals - 1.0), np.inf))))
     return DensityField(system, vals.reshape(grid.shape))

@@ -314,6 +314,22 @@ def test_grid_csv_holds_no_per_node_column(tmp_path):
     assert peak < 8 * vals.size
 
 
+def test_contours_csv_holds_no_per_vertex_cell_list(tmp_path):
+    # 100,000 vertices: the writer holds their coordinates as one float array
+    # (16 bytes a vertex) and draws the text cells a block at a time, so the
+    # peak stays below that array plus one list of one reference per vertex
+    xy = np.random.default_rng(3).standard_normal((100_000, 2))
+    polylines = [[list(map(tuple, part.tolist())) for part in np.split(level, 10)]
+                 for level in np.split(xy, 4)]
+    tracemalloc.start()
+    try:
+        write_contours_csv(tmp_path / "levelsets.csv", [0.1, 0.2, 0.3, 0.4], polylines)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * len(xy)
+
+
 def test_grid_csv_matches_csv_writer_reference(tmp_path):
     small = QuadratureGrid(nodes_x=np.array([-0.0, 5e-324, 1.0, 1e300]), weights_x=np.ones(4),
                            nodes_y=np.array([-2.0, 0.0, 0.1]), weights_y=np.ones(3))
@@ -376,7 +392,7 @@ def test_vector_csv_matches_csv_writer_reference(tmp_path):
     assert _crosses_blocks(cases[-1].size)
     for values in cases:
         path, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
-        write_vector_csv(path, "coefficient", values)
+        write_vector_csv(path, values)
         _write_reference(ref, ["index", "coefficient"],
                          [[i, repr(float(v))] for i, v in enumerate(np.ravel(values))])
         assert path.read_bytes() == ref.read_bytes()

@@ -294,47 +294,50 @@ def test_random_admissible_density_exact(small_system, rng):
         assert p.values.max() <= small_system.cfg.beta
 
 
-@pytest.mark.parametrize("beta", [1e6, 1e12, 1e100])
-def test_random_admissible_density_at_extreme_contrast(beta):
+def _assert_random_starts_exact(**bounds):
     # the node nearest 1 can sit clipped at alpha here; the mass defect goes
-    # to a node inside (alpha, beta), and DensityField checks the mass
-    cfg = PlateConfig(n_modes_x=6, n_basis_y=4, n_quad_x=16, n_quad_y=8, beta=beta)
+    # to a node inside (alpha, beta), which closes the mass to 10 eps
+    cfg = PlateConfig(n_modes_x=6, n_basis_y=4, n_quad_x=16, n_quad_y=8, **bounds)
     system = PlateSystem(cfg)
     gen = np.random.default_rng(1)
     for _ in range(20):
         p = random_admissible_density(system, gen)
         assert cfg.alpha <= p.values.min() and p.values.max() <= cfg.beta
+        assert abs(p.mass - cfg.target_mass) <= 10 * np.finfo(float).eps * cfg.target_mass
 
 
-def test_random_start_bisection_stops_where_the_full_loop_lands(rng):
-    # the shift after the early stop equals that of all 200 halvings, bit
-    # for bit; alpha 0.5, beta 1.5 puts the root near 0
-    for cfg in (PlateConfig(n_modes_x=8, n_basis_y=6, n_quad_x=32, n_quad_y=16),
-                PlateConfig(n_modes_x=8, n_basis_y=6, n_quad_x=32, n_quad_y=16,
-                            alpha=0.5, beta=1.5),
-                PlateConfig(n_modes_x=8, n_basis_y=6, n_quad_x=32, n_quad_y=16,
-                            alpha=0.1, beta=10.0)):
-        system = PlateSystem(cfg)
-        grid = system.grid
-        for _ in range(5):
-            state = rng.bit_generator.state
-            p = random_admissible_density(system, rng)
-            rng.bit_generator.state = state
-            raw = rng.uniform(cfg.alpha, cfg.beta, size=grid.shape)
-            lo, hi = cfg.alpha - cfg.beta, cfg.beta - cfg.alpha
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                clipped = np.clip(raw + mid, cfg.alpha, cfg.beta)
-                if float(np.sum(grid.weights * clipped)) < cfg.target_mass:
-                    lo = mid
-                else:
-                    hi = mid
-            full = np.clip(raw + 0.5 * (lo + hi), cfg.alpha, cfg.beta)
-            node = np.unravel_index(np.argmin(np.abs(full - 1.0)), grid.shape)
-            # every node but the one closing the mass is the shifted value
-            keep = np.ones(grid.shape, dtype=bool)
-            keep[node] = False
-            assert np.array_equal(p.values[keep], full[keep])
+@pytest.mark.parametrize("beta", [1e6, 1e12, 1e100])
+def test_random_admissible_density_at_extreme_contrast(beta):
+    _assert_random_starts_exact(beta=beta)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1e-9, 3.0), (1e-9, 1e100),
+                                         # bounds next to 1: rounding can put the target
+                                         # below the first piece or above the last one
+                                         (1.0 - 2.0 ** -53, 3.0), (0.5, 1.0 + 2.0 ** -51)])
+def test_random_admissible_density_at_extreme_bounds(alpha, beta):
+    _assert_random_starts_exact(alpha=alpha, beta=beta)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, 3.0), (0.5, 1.5), (0.1, 10.0), (1e-9, 3.0),
+                                         (0.5, 1e100)])
+def test_random_start_is_one_shift_and_clip(rng, alpha, beta):
+    # every node but the one closing the mass is clip(raw + s) for one
+    # common shift s, to a few ulp, and that one node lies strictly inside
+    # (alpha, beta); at beta = 1e100 it holds the whole heavy share
+    cfg = PlateConfig(n_modes_x=8, n_basis_y=6, n_quad_x=32, n_quad_y=16,
+                      alpha=alpha, beta=beta)
+    system = PlateSystem(cfg)
+    for _ in range(5):
+        state = rng.bit_generator.state
+        p = random_admissible_density(system, rng).values
+        rng.bit_generator.state = state
+        raw = rng.uniform(cfg.alpha, cfg.beta, size=system.grid.shape)
+        inside = (p > cfg.alpha) & (p < cfg.beta)
+        s = float(np.median((p - raw)[inside]))
+        ulp = np.spacing(np.maximum(np.abs(raw), abs(s)))
+        off = np.abs(p - np.clip(raw + s, cfg.alpha, cfg.beta)) > 4 * ulp
+        assert np.sum(off) <= 1 and np.all(inside[off]) and np.any(inside)
 
 
 def test_produced_densities_mass_at_machine_precision(default_system, rng):
